@@ -12,6 +12,11 @@ where law_map is the per-child update
     law_map(h)_i = ln[ (sum_j theta^|i-j| e^{h_j} + theta^{m-i})
                      / (sum_j theta^{m-j} e^{h_j} + 1) ].
 
+A field of laws on the depth-n ball is one (ball_size, m) array whose rows
+follow the breadth-first layout of tree.ball_geometry, root law at row 0.
+The successors of each level form consecutive blocks of the next level, so
+the recursion and its residual run as one numpy step per level.
+
 Everything here is evaluated in log space.  The exponent terms are sorted
 before each log-sum-exp so that identical term multisets produce bit-identical
 sums; this keeps component 0 of the m=2 update exactly zero on the symmetric
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams
-from .tree import Word, cached_ball, direct_successors
+from .tree import BallGeometry, Word, ball_geometry, ball_size
 
 
 def _sorted_lse(terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -95,74 +100,75 @@ def law_map_jac(h: np.ndarray, theta: float) -> np.ndarray:
 
 @dataclass
 class BoundaryLawField:
-    """Reduced laws for every non-root vertex of a ball, plus a root law.
+    """Reduced laws on every vertex of the depth ball, as one array.
 
-    The consistency equation defines laws away from the origin only; the root
-    law is fixed by the convention root = sum of law_map over all k+1 origin
-    successors, which is the unique choice making the depth-0 marginal agree
-    with the depth-1 measure.  Builders fill it in; it is stored (not
-    recomputed) so that deliberate perturbations are visible to the oracles.
+    `laws` has one row per ball vertex in breadth-first order (see
+    tree.ball_geometry), root first.  The consistency equation defines laws
+    away from the origin only; the root law (row 0) is fixed by the
+    convention root = sum of law_map over all k+1 origin successors, which is
+    the unique choice making the depth-0 marginal agree with the depth-1
+    measure.  Builders fill it in; it is stored (not recomputed) so that
+    deliberate perturbations are visible to the oracles.
     """
 
+    k: int
     depth: int
-    laws: dict[Word, np.ndarray]
-    root: np.ndarray | None = None
+    laws: np.ndarray
 
-    def law(self, w: Word) -> np.ndarray:
-        if not w.letters:
-            if self.root is None:
-                raise KeyError("field has no root law")
-            return self.root
-        return self.laws[w]
+    def __post_init__(self):
+        rows = ball_size(self.k, self.depth)
+        if self.laws.ndim != 2 or self.laws.shape[0] != rows:
+            raise ValueError(f"a depth-{self.depth} field of order {self.k} needs "
+                             f"{rows} law rows, got shape {self.laws.shape}")
+
+    @property
+    def root(self) -> np.ndarray:
+        return self.laws[0]
 
     def to_json_dict(self) -> dict:
-        entries = [{"vertex": str(w), "h": [float(v) for v in law]}
-                   for w, law in sorted(self.laws.items(), key=lambda kv: (len(kv[0]), kv[0].letters))]
-        if self.root is not None:
-            entries.insert(0, {"vertex": "e", "h": [float(v) for v in self.root]})
-        return {"depth": self.depth, "entries": entries}
+        labels = ball_geometry(self.k, self.depth).labels
+        return {"depth": self.depth,
+                "entries": [{"vertex": v, "h": h} for v, h in zip(labels, self.laws.tolist())]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @staticmethod
-    def from_json_dict(data: dict) -> "BoundaryLawField":
-        laws: dict[Word, np.ndarray] = {}
-        root = None
-        for entry in data["entries"]:
-            w = Word.parse(entry["vertex"])
-            h = np.asarray(entry["h"], dtype=float)
-            if w.letters:
-                laws[w] = h
-            else:
-                root = h
-        return BoundaryLawField(depth=int(data["depth"]), laws=laws, root=root)
+    def from_json_dict(data: dict, k: int) -> "BoundaryLawField":
+        """Inverse of to_json_dict for a tree of order k (the format omits k).
+
+        Raises ValueError unless the entries list the whole ball in
+        breadth-first order, root first, with laws of one length.
+        """
+        depth = int(data["depth"])
+        entries = data["entries"]
+        words = tuple(Word.parse(e["vertex"]) for e in entries)
+        if words != ball_geometry(k, depth).words:
+            raise ValueError(f"entries must list the depth-{depth} ball of order {k} "
+                             f"once each, in breadth-first order from the root 'e'")
+        if len({len(e["h"]) for e in entries}) != 1:
+            raise ValueError("laws must all have the same length")
+        laws = np.array([e["h"] for e in entries], dtype=float)
+        return BoundaryLawField(k=k, depth=depth, laws=laws)
 
     @staticmethod
-    def from_json(text: str) -> "BoundaryLawField":
-        return BoundaryLawField.from_json_dict(json.loads(text))
+    def from_json(text: str, k: int) -> "BoundaryLawField":
+        return BoundaryLawField.from_json_dict(json.loads(text), k)
 
 
 def constant_field(h: np.ndarray, params: ModelParams, depth: int) -> BoundaryLawField:
     """Field equal to h at every non-root vertex (root set by the convention)."""
     h = np.asarray(h, dtype=float)
-    laws = {w: h.copy() for w in cached_ball(params.k, depth) if w.letters}
-    root = (params.k + 1) * law_map(h, params.m, params.theta)
-    return BoundaryLawField(depth=depth, laws=laws, root=root)
+    laws = np.tile(h, (ball_size(params.k, depth), 1))
+    laws[0] = (params.k + 1) * law_map(h, params.m, params.theta)
+    return BoundaryLawField(k=params.k, depth=depth, laws=laws)
 
 
 def perturb_field(fld: BoundaryLawField, eps: float, component: int = -1) -> BoundaryLawField:
     """Shift one component of every stored law (negative-control helper)."""
-    laws = {}
-    for w, h in fld.laws.items():
-        h2 = h.copy()
-        h2[component] += eps
-        laws[w] = h2
-    root = None
-    if fld.root is not None:
-        root = fld.root.copy()
-        root[component] += eps
-    return BoundaryLawField(depth=fld.depth, laws=laws, root=root)
+    laws = fld.laws.copy()
+    laws[:, component] += eps
+    return BoundaryLawField(k=fld.k, depth=fld.depth, laws=laws)
 
 
 def flip_field(fld: BoundaryLawField, m: int) -> BoundaryLawField:
@@ -171,14 +177,20 @@ def flip_field(fld: BoundaryLawField, m: int) -> BoundaryLawField:
     In unreduced weights the flip reverses the component order; re-gauging to
     a zero last component gives h'_i = h_{m-i} - h_0 (with h_m = 0).
     """
+    u = unreduce(fld.laws)[:, ::-1]
+    return BoundaryLawField(k=fld.k, depth=fld.depth, laws=(u - u[:, -1:])[:, :m])
 
-    def flip(h: np.ndarray) -> np.ndarray:
-        u = unreduce(h)[..., ::-1]
-        return (u - u[..., -1:])[..., :m]
 
-    laws = {w: flip(h) for w, h in fld.laws.items()}
-    root = flip(fld.root) if fld.root is not None else None
-    return BoundaryLawField(depth=fld.depth, laws=laws, root=root)
+def successor_law_sums(laws: np.ndarray, geo: BallGeometry, d: int,
+                       params: ModelParams) -> np.ndarray:
+    """Right-hand side of the consistency equation at every level-d vertex.
+
+    Row i is the sum of law_map over the direct successors of the i-th vertex
+    of level d, which form one block of level d+1.  Builders and the residual
+    check share it, so a field filled from its successors checks to exactly 0.
+    """
+    children = geo.successor_blocks(laws[geo.level(d + 1)], d)
+    return law_map(children, params.m, params.theta).sum(axis=1)
 
 
 def compatibility_residual(fld: BoundaryLawField, params: ModelParams) -> float:
@@ -188,18 +200,13 @@ def compatibility_residual(fld: BoundaryLawField, params: ModelParams) -> float:
     vertex of the depth-(n-1) ball; the returned value is the worst max-norm
     gap between a stored law and the successor-sum of updates.
     """
+    if fld.k != params.k:
+        raise ValueError(f"field of order {fld.k} checked against k = {params.k}")
+    geo = ball_geometry(fld.k, fld.depth)
     worst = 0.0
-    for w in cached_ball(params.k, fld.depth - 1):
-        if not w.letters:
-            continue
-        if w not in fld.laws:
-            raise KeyError(f"field missing vertex {w}")
-        try:
-            children = np.stack([fld.laws[y] for y in direct_successors(w, params.k)])
-        except KeyError as missing:
-            raise KeyError(f"field missing vertex {missing.args[0]}") from None
-        total = law_map(children, params.m, params.theta).sum(axis=0)
-        worst = max(worst, float(np.max(np.abs(fld.laws[w] - total))))
+    for d in range(1, fld.depth):
+        gap = fld.laws[geo.level(d)] - successor_law_sums(fld.laws, geo, d, params)
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 

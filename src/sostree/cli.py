@@ -48,7 +48,10 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_params(args) -> ModelParams:
     base = None
     if args.config:
-        base = parse_params_text(Path(args.config).read_text())
+        try:
+            base = parse_params_text(Path(args.config).read_text())
+        except (OSError, ValueError) as bad:
+            raise UsageError(f"--config {args.config}: {bad}") from None
     k = args.k if args.k is not None else (base.k if base else None)
     m = args.m if args.m is not None else (base.m if base else 2)
     if k is None:
@@ -56,7 +59,10 @@ def _resolve_params(args) -> ModelParams:
     if args.theta is not None:
         if args.J is not None or args.beta is not None:
             raise UsageError("--theta replaces (J, beta); do not give both")
-        return ModelParams.from_theta(k=k, m=m, theta=args.theta)
+        try:
+            return ModelParams.from_theta(k=k, m=m, theta=args.theta)
+        except ValueError as bad:
+            raise UsageError(str(bad)) from None
     J = args.J if args.J is not None else (base.J if base else None)
     beta = args.beta if args.beta is not None else (base.beta if base else None)
     if J is None or beta is None:
@@ -65,6 +71,7 @@ def _resolve_params(args) -> ModelParams:
         return ModelParams(k=k, m=m, J=J, beta=beta)
     except ValueError as bad:
         raise UsageError(str(bad)) from None
+
 
 
 def _emit(args, text: str, manifest: dict) -> None:
@@ -188,11 +195,14 @@ def _pick_branch(roots: list[float], branch: str) -> float:
 
 def cmd_sample(args) -> int:
     params = _resolve_params(args)
+    if args.depth < 0:
+        raise UsageError("--depth must be >= 0")
     roots = ti.solve_symmetric_roots(params)
     z = _pick_branch(roots, args.branch)
-    fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, args.depth)
-    samples, vertices = measure.sample(fld, params, args.depth, args.seed, args.count)
-    _emit(args, measure.samples_to_csv(samples, vertices),
+    # the root distribution comes from the depth-1 measure, even at depth 0
+    fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, max(args.depth, 1))
+    samples, labels = measure.sample(fld, params, args.depth, args.seed, args.count)
+    _emit(args, measure.samples_to_csv(samples, labels),
           _manifest("sample", args, params, depth=args.depth, seed=args.seed,
                     count=args.count, branch=args.branch, z=z))
     return 0
@@ -205,6 +215,8 @@ def _check(lines: list[str], name: str, ok: bool, value) -> bool:
 
 def cmd_verify(args) -> int:
     params = _resolve_params(args)
+    if args.depth < 1:
+        raise UsageError("--depth must be >= 1")
     lines: list[str] = []
     ok = True
     n_oracle = args.depth
@@ -247,17 +259,20 @@ def cmd_verify(args) -> int:
             r = boundary.compatibility_residual(fld, params)
             ok &= _check(lines, "expanded_field_residual<=1e-10", r <= 1e-10, r)
     elif args.source == "nonti":
-        built = nonti.build_field(args.t, args.s, params, args.depth)
+        try:
+            built = nonti.build_field(args.t, args.s, params, args.depth)
+        except ValueError as bad:
+            raise UsageError(str(bad)) from None
         fld = built.field
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
         roots = ti.solve_symmetric_roots(params)
-        z1 = np.array([math.exp(h[1]) for h in fld.laws.values()])
-        z0 = np.array([math.exp(h[0]) for h in fld.laws.values()])
-        in_box = (np.all(z1 >= roots[0] - 1e-9) and np.all(z1 <= roots[-1] + 1e-9)
-                  and np.all(z0 == 1.0))
-        ok &= _check(lines, "sandwich_bounds", bool(in_box),
-                     f"[{z1.min()},{z1.max()}]")
+        # exp is monotone, so the extreme rows bound every non-root law
+        h0, h1 = fld.laws[1:, 0], fld.laws[1:, 1]
+        z1_lo, z1_hi = math.exp(h1.min()), math.exp(h1.max())
+        in_box = (z1_lo >= roots[0] - 1e-9 and z1_hi <= roots[-1] + 1e-9
+                  and math.exp(h0.min()) == math.exp(h0.max()) == 1.0)
+        ok &= _check(lines, "sandwich_bounds", in_box, f"[{z1_lo},{z1_hi}]")
         r = boundary.compatibility_residual(fld, params)
         ok &= _check(lines, "compatibility_residual==0", r == 0.0, r)
         v = measure.compatibility_oracle(fld, params, n_oracle)

@@ -10,53 +10,30 @@ route enumerates every configuration (guarded by a size cap) and is the
 independent oracle for everything else: marginalisation consistency between
 depths, the DLR property against raw Gibbs kernels, spin-flip symmetry, and
 the per-edge sampling kernels.
+
+Fields, transfer messages, sampling kernels and configurations are arrays
+whose vertex axis follows tree.ball_geometry (breadth-first, root first), so
+the transfer recursion and the sampler take one numpy step per level and the
+enumeration loops only over the columns of its table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .boundary import BoundaryLawField, _sorted_lse, pair_exponents, unreduce
-from .model import ModelParams, SpinConfig
-from .tree import Word, cached_ball, sphere_size
+from .model import ModelParams, edge_gap_sum
+from .tree import BallGeometry, Word, ball_geometry, ball_size
 
 EXACT_TABLE_CAP = 10 ** 6
 
 
 class ScaleError(Exception):
     """The requested enumeration exceeds the exact-mode cap."""
-
-
-@dataclass(frozen=True)
-class BallGeometry:
-    k: int
-    depth: int
-    words: tuple[Word, ...]
-    index: dict[Word, int]
-    parent_index: np.ndarray      # parent position per vertex (-1 for the root)
-    level_sizes: tuple[int, ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.words)
-
-
-@lru_cache(maxsize=None)
-def ball_geometry(k: int, depth: int) -> BallGeometry:
-    words = cached_ball(k, depth)
-    index = {w: i for i, w in enumerate(words)}
-    parent_index = np.full(len(words), -1, dtype=np.int64)
-    for i, w in enumerate(words):
-        if w.letters:
-            parent_index[i] = index[Word(w.letters[:-1])]
-    level_sizes = tuple(sphere_size(k, d) for d in range(depth + 1))
-    return BallGeometry(k=k, depth=depth, words=words, index=index,
-                        parent_index=parent_index, level_sizes=level_sizes)
 
 
 def _check_scale(q: int, n_vertices: int) -> int:
@@ -82,8 +59,12 @@ def _config_columns(q: int, n_vertices: int) -> np.ndarray:
     return cols
 
 
-def _field_law_unreduced(fld: BoundaryLawField, w: Word) -> np.ndarray:
-    return unreduce(fld.law(w))
+def _ball_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
+    """Unreduced laws of the depth-n ball, one row per vertex."""
+    if fld.k != params.k or not 0 <= n <= fld.depth:
+        raise ValueError(f"a depth-{fld.depth} field of order {fld.k} does not cover "
+                         f"the depth-{n} ball of order {params.k}")
+    return unreduce(fld.laws[:ball_size(params.k, n)])
 
 
 def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
@@ -91,21 +72,11 @@ def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.n
     q = params.m + 1
     geo = ball_geometry(params.k, n)
     cols = _config_columns(q, geo.n_vertices)
-    jb = params.J * params.beta
-
-    logw = np.zeros(cols.shape[0])
-    for j in range(1, geo.n_vertices):
-        pj = geo.parent_index[j]
-        logw += jb * np.abs(cols[:, j].astype(np.int16) - cols[:, pj].astype(np.int16))
-
-    if n == 0:
-        h = _field_law_unreduced(fld, geo.words[0])
-        logw += h[cols[:, 0]]
-    else:
-        first_outer = geo.n_vertices - geo.level_sizes[n]
-        for j in range(first_outer, geo.n_vertices):
-            h = _field_law_unreduced(fld, geo.words[j])
-            logw += h[cols[:, j]]
+    logw = params.J * params.beta * edge_gap_sum(cols, params.k, n)
+    # the outer sphere's laws, or the root law standing in for them at depth 0
+    outer = geo.level(n)
+    for j, h in enumerate(_ball_laws(fld, params, n)[outer], start=outer.start):
+        logw += h[cols[:, j]]
     return logw
 
 
@@ -149,15 +120,11 @@ def finite_volume_measure(fld: BoundaryLawField, params: ModelParams,
 def _transfer_child_sums(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
     """Summed upward log messages at the root, one entry per root spin."""
     geo = ball_geometry(params.k, n)
-    q = params.m + 1
-    sums = np.zeros((geo.n_vertices, q))
-    first_outer = geo.n_vertices - geo.level_sizes[n]
-    for j in range(first_outer, geo.n_vertices):
-        sums[j] = _field_law_unreduced(fld, geo.words[j])
-    # sweep inward: fold each vertex's message into its parent
-    for j in range(geo.n_vertices - 1, 0, -1):
-        msg = _sorted_lse(pair_exponents(sums[j], params.theta), axis=-1)
-        sums[geo.parent_index[j]] += msg
+    sums = _ball_laws(fld, params, n)[geo.level(n)]
+    # sweep inward: each level's messages, summed over every sibling block
+    for d in range(n - 1, -1, -1):
+        msgs = _sorted_lse(pair_exponents(sums, params.theta), axis=-1)
+        sums = geo.successor_blocks(msgs, d).sum(axis=1)
     return sums[0]
 
 
@@ -172,8 +139,6 @@ def log_partition(fld: BoundaryLawField, params: ModelParams, n: int,
         logw = log_weight_table(fld, params, n)
         hi = float(np.max(logw))
         return hi + math.log(float(np.sum(np.exp(logw - hi))))
-    if n == 0:
-        return float(_sorted_lse(_field_law_unreduced(fld, Word()), axis=-1))
     return float(_sorted_lse(_transfer_child_sums(fld, params, n), axis=-1))
 
 
@@ -183,10 +148,7 @@ def root_marginal(fld: BoundaryLawField, params: ModelParams, n: int,
     if method == "table":
         mu = finite_volume_measure(fld, params, n)
         return mu.marginal([Word()])
-    if n == 0:
-        s = _field_law_unreduced(fld, Word())
-    else:
-        s = _transfer_child_sums(fld, params, n)
+    s = _transfer_child_sums(fld, params, n)
     w = np.exp(s - np.max(s))
     return w / np.sum(w)
 
@@ -222,11 +184,7 @@ def _gibbs_kernel_table(params: ModelParams, n: int) -> np.ndarray:
     cols_out = _config_columns(q, n_outer)
     jb = params.J * params.beta
 
-    energy_in = np.zeros(cols_in.shape[0])
-    for j in range(1, geo_in.n_vertices):
-        pj = geo_in.parent_index[j]
-        energy_in += jb * np.abs(cols_in[:, j].astype(np.int16) - cols_in[:, pj].astype(np.int16))
-
+    energy_in = jb * edge_gap_sum(cols_in, params.k, n)
     cross = np.zeros((cols_in.shape[0], cols_out.shape[0]))
     for jo in range(n_outer):
         pj = geo_out.parent_index[geo_in.n_vertices + jo]
@@ -295,38 +253,38 @@ def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int,
 class TransitionKernel:
     """Root distribution plus the per-vertex child kernels used for sampling.
 
-    The child kernel beneath a parent with spin i puts mass on spin j
-    proportionally to theta^|i-j| * exp(unreduced law component j); the root
-    distribution is the exact root marginal of the depth-1 measure, which is
-    what the root convention prescribes.
+    kernels[j, i] is the distribution of the spin at vertex j beneath a
+    parent with spin i: mass on spin s proportional to theta^|i-s| * exp(the
+    unreduced law component s at j).  Rows follow the breadth-first layout;
+    row 0 (the root) is never used, because the root spin comes from
+    root_dist, the exact root marginal of the depth-1 measure, which is what
+    the root convention prescribes.
     """
 
     root_dist: np.ndarray
-    kernels: dict[Word, np.ndarray]
+    kernels: np.ndarray           # (n_vertices, q, q)
 
 
 def transition_kernel(fld: BoundaryLawField, params: ModelParams,
                       depth: int) -> TransitionKernel:
     root_dist = root_marginal(fld, params, 1, method="table")
-    kernels: dict[Word, np.ndarray] = {}
-    for w in cached_ball(params.k, depth):
-        if not w.letters:
-            continue
-        logits = pair_exponents(_field_law_unreduced(fld, w), params.theta)
-        logits -= logits.max(axis=-1, keepdims=True)
-        table = np.exp(logits)
-        kernels[w] = table / table.sum(axis=-1, keepdims=True)
-    return TransitionKernel(root_dist=root_dist, kernels=kernels)
+    logits = pair_exponents(_ball_laws(fld, params, depth), params.theta)
+    logits -= logits.max(axis=-1, keepdims=True)
+    table = np.exp(logits)
+    return TransitionKernel(root_dist=root_dist,
+                            kernels=table / table.sum(axis=-1, keepdims=True))
 
 
 def sample(fld: BoundaryLawField, params: ModelParams, depth: int,
-           seed: int, count: int) -> tuple[np.ndarray, list[Word]]:
+           seed: int, count: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Forward samples of the depth-`depth` splitting measure.
 
-    Stream contract: one generator seeded with `seed`; one block of `count`
-    uniforms is drawn per vertex, vertices in breadth-first order (root
-    first, successors in generator order); spins come from inverse-CDF
-    lookups.  Bit-reproducible for a fixed seed.
+    Returns the (count, n_vertices) spin array and the vertex labels of its
+    columns.  Stream contract: one generator seeded with `seed`; one block
+    of `count` uniforms is drawn per vertex, vertices in breadth-first order
+    (root first, successors in generator order); spins come from inverse-CDF
+    lookups.  Each level draws its blocks as one (level size, count) array,
+    which is the same stream.  Bit-reproducible for a fixed seed.
     """
     geo = ball_geometry(params.k, depth)
     kern = transition_kernel(fld, params, depth)
@@ -335,24 +293,26 @@ def sample(fld: BoundaryLawField, params: ModelParams, depth: int,
 
     cum_root = np.cumsum(kern.root_dist)
     out[:, 0] = np.searchsorted(cum_root, rng.random(count), side="right")
-    for j in range(1, geo.n_vertices):
-        cum = np.cumsum(kern.kernels[geo.words[j]], axis=-1)
-        rows = cum[out[:, geo.parent_index[j]].astype(np.int64)]
-        out[:, j] = (rows < rng.random(count)[:, None]).sum(axis=1)
+    cum = np.cumsum(kern.kernels, axis=-1)
+    q = cum.shape[-1]
+    for d in range(1, depth + 1):
+        rows = np.arange(geo.offsets[d], geo.offsets[d + 1])
+        u = rng.random((rows.size, count))
+        parents = out[:, geo.parent_index[rows]].T
+        # inverse CDF: count the CDF entries below u in the row of the parent's
+        # spin; looping over (spin, entry) pairs keeps temporaries at 1 byte/draw
+        spins = np.zeros(u.shape, dtype=np.int8)
+        for i in range(q):
+            is_i = parents == i
+            for c in range(q):
+                spins += is_i & (cum[rows, i, c, None] < u)
+        out[:, rows] = spins.T
     np.clip(out, 0, params.m, out=out)
-    return out, list(geo.words)
+    return out, geo.labels
 
 
-def samples_to_configs(samples: np.ndarray, vertices: list[Word],
-                       depth: int) -> list[SpinConfig]:
-    return [SpinConfig(ball_depth=depth,
-                       values={w: int(s) for w, s in zip(vertices, row)})
-            for row in samples]
-
-
-def samples_to_csv(samples: np.ndarray, vertices: list[Word]) -> str:
-    """CSV text: header of serialised vertices, one row per configuration."""
-    lines = [",".join(str(w) for w in vertices)]
-    for row in samples:
-        lines.append(",".join(str(int(s)) for s in row))
+def samples_to_csv(samples: np.ndarray, labels: Sequence[str]) -> str:
+    """CSV text: header of vertex labels, one row per configuration."""
+    lines = [",".join(labels)]
+    lines += [",".join(map(str, row.tolist())) for row in samples]
     return "\n".join(lines) + "\n"

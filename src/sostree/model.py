@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .tree import Word, cached_ball, parent, sphere
+import numpy as np
+
+from .tree import ball_geometry, ball_size
 
 FM = "FM"
 AFM = "AFM"
@@ -34,7 +36,14 @@ class ModelParams:
             raise ValueError("max spin m must be >= 1")
         if self.beta < 0:
             raise ValueError("inverse temperature beta must be >= 0")
-        object.__setattr__(self, "theta", math.exp(self.J * self.beta))
+        try:
+            theta = math.exp(self.J * self.beta)
+        except OverflowError:
+            theta = math.inf
+        # a non-finite J or beta always lands here too (theta is 0, inf or nan)
+        if not 0.0 < theta < math.inf:
+            raise ValueError("J and beta must be finite, with 0 < theta = exp(J*beta) < inf")
+        object.__setattr__(self, "theta", theta)
 
     @property
     def regime(self) -> str:
@@ -52,7 +61,7 @@ class ModelParams:
         level consume theta only, so this is equivalent to any (J, beta) pair
         with the same product.
         """
-        if theta <= 0:
+        if not theta > 0:
             raise ValueError("theta must be positive")
         return cls(k=k, m=m, J=math.log(theta), beta=1.0)
 
@@ -80,48 +89,30 @@ def parse_params_text(text: str) -> ModelParams:
         raise ValueError(f"config missing key {missing.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
-class SpinConfig:
-    """Spin assignment for every vertex of a ball."""
+def edge_gap_sum(spins: np.ndarray, k: int, depth: int) -> np.ndarray:
+    """Sum of |s(x) - s(parent of x)| over the edges of the depth ball, per row.
 
-    ball_depth: int
-    values: dict[Word, int]
-
-    def spin(self, w: Word) -> int:
-        return self.values[w]
-
-
-def _check_cover(config: SpinConfig, params: ModelParams) -> None:
-    for w in cached_ball(params.k, config.ball_depth):
-        if w not in config.values:
-            raise ValueError(f"configuration missing vertex {w}")
-        s = config.values[w]
-        if not 0 <= s <= params.m:
-            raise ValueError(f"spin {s} at {w} outside 0..{params.m}")
+    `spins` has shape (..., ball_size(k, depth)) in breadth-first order.  The
+    gaps are added one edge at a time into one vector, so no (rows x edges)
+    array is ever formed.
+    """
+    parent_index = ball_geometry(k, depth).parent_index
+    total = np.zeros(spins.shape[:-1])
+    for j in range(1, spins.shape[-1]):
+        total += np.abs(spins[..., j].astype(np.int16) - spins[..., parent_index[j]])
+    return total
 
 
-def hamiltonian(config: SpinConfig, params: ModelParams) -> float:
-    """Energy over all edges with both endpoints inside the ball."""
-    _check_cover(config, params)
-    total = 0
-    for w in cached_ball(params.k, config.ball_depth):
-        p = parent(w)
-        if p is None:
-            continue
-        total += abs(config.values[w] - config.values[p])
-    return -params.J * total
+def hamiltonian(spins, params: ModelParams, depth: int) -> np.ndarray:
+    """Energy over all edges with both endpoints inside the ball.
 
-
-def boundary_energy(config: SpinConfig, boundary: dict[Word, int], params: ModelParams) -> float:
-    """Energy of the edges joining the ball surface to the next sphere."""
-    _check_cover(config, params)
-    outer = sphere(params.k, config.ball_depth + 1)
-    if set(boundary) != set(outer):
-        raise ValueError("boundary must assign a spin to exactly the next sphere")
-    total = 0
-    for y in outer:
-        s = boundary[y]
-        if not 0 <= s <= params.m:
-            raise ValueError(f"boundary spin {s} at {y} outside 0..{params.m}")
-        total += abs(config.values[parent(y)] - s)
-    return -params.J * total
+    `spins` is a breadth-first spin array of shape (..., ball_size(k, depth));
+    the result has shape spins.shape[:-1].
+    """
+    spins = np.asarray(spins)
+    width = ball_size(params.k, depth)
+    if spins.shape[-1:] != (width,):
+        raise ValueError(f"configuration needs {width} spins, one per ball vertex")
+    if spins.size and not (spins.min() >= 0 and spins.max() <= params.m):
+        raise ValueError(f"spins must lie in 0..{params.m}")
+    return -params.J * edge_gap_sum(spins, params.k, depth)

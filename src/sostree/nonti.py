@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ti
-from .boundary import BoundaryLawField, law_map
+from .boundary import BoundaryLawField, successor_law_sums
 from .model import ModelParams
-from .tree import Word, direct_successors, vertex_addresses
+from .tree import BallGeometry, ball_geometry
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,23 @@ def path_from_parameter(t: float, k: int, depth: int) -> PathParam:
     return PathParam(t=t, digits=tuple(digits[:depth]))
 
 
-def _compare(addr: tuple[int, ...], path: tuple[int, ...]) -> int:
-    """-1 / 0 / +1 for an address left of / on / right of a path prefix."""
-    for a, p in zip(addr, path):
-        if a < p:
-            return -1
-        if a > p:
-            return 1
-    return 0
+def _path_comparison(path: tuple[int, ...], geo: BallGeometry) -> np.ndarray:
+    """-1 / 0 / +1 per ball vertex: left of / on / right of the path.
+
+    A child compares like its parent unless the parent lies on the path;
+    then the child's sibling digit against the path digit decides.
+    """
+    cmp = np.zeros(geo.n_vertices, dtype=np.int64)
+    for d in range(1, geo.depth + 1):
+        rows = geo.level(d)
+        inherited = cmp[geo.parent_index[rows]]
+        cmp[rows] = np.where(inherited != 0, inherited, np.sign(geo.digits[rows] - path[d - 1]))
+    return cmp
 
 
 def split_components(path1: PathParam, path2: PathParam, k: int,
-                     depth: int) -> dict[Word, int]:
-    """Component label (1, 2 or 3) for every ball vertex.
+                     depth: int) -> np.ndarray:
+    """Component label (1, 2 or 3) for every ball vertex, in breadth-first order.
 
     Vertices strictly left of the lower path get 1, strictly right of the
     upper path get 3, strictly between get 2.  Vertices on one path only join
@@ -74,26 +78,12 @@ def split_components(path1: PathParam, path2: PathParam, k: int,
     """
     if path1.digits[:depth] > path2.digits[:depth]:
         raise ValueError("paths must be ordered: lower path first")
-    addressed = vertex_addresses(k, depth)
-    cmp1 = {w: _compare(addr, path1.digits) for w, addr in addressed}
-    cmp2 = {w: _compare(addr, path2.digits) for w, addr in addressed}
-    any_right = any(c > 0 for c in cmp2.values())
-    comp: dict[Word, int] = {}
-    for w, _ in addressed:
-        c1, c2 = cmp1[w], cmp2[w]
-        if c2 > 0:
-            comp[w] = 3
-        elif c1 < 0:
-            comp[w] = 1
-        elif c1 == 0 and c2 == 0:
-            comp[w] = 3 if any_right else 1
-        elif c2 == 0:
-            comp[w] = 3
-        elif c1 == 0:
-            comp[w] = 1
-        else:
-            comp[w] = 2
-    return comp
+    geo = ball_geometry(k, depth)
+    c1 = _path_comparison(path1.digits, geo)
+    c2 = _path_comparison(path2.digits, geo)
+    on_both = 3 if np.any(c2 > 0) else 1
+    return np.select([c2 > 0, c1 < 0, (c1 == 0) & (c2 == 0), c2 == 0, c1 == 0],
+                     [3, 1, on_both, 3, 1], default=2)
 
 
 @dataclass
@@ -104,14 +94,14 @@ class NonTiField:
     t: float
     s: float
     field: BoundaryLawField
-    components: dict[Word, int]
+    components: np.ndarray        # component label per vertex, breadth-first
 
     def to_json_dict(self) -> dict:
         data = self.field.to_json_dict()
         data["t"] = self.t
         data["s"] = self.s
-        data["component_map"] = {str(w): c for w, c in sorted(
-            self.components.items(), key=lambda kv: (len(kv[0]), kv[0].letters))}
+        labels = ball_geometry(self.field.k, self.depth).labels
+        data["component_map"] = dict(zip(labels, self.components.tolist()))
         return data
 
 
@@ -148,25 +138,14 @@ def build_field(t: float, s: float, params: ModelParams, depth: int) -> NonTiFie
     comp = split_components(p1, p2, k, depth)
     laws_by_comp = extreme_laws(params)
 
-    levels: list[list[Word]] = [[] for _ in range(depth + 1)]
-    for w in comp:
-        levels[len(w)].append(w)
-
-    laws: dict[Word, np.ndarray] = {}
-    for w in levels[depth]:
-        laws[w] = laws_by_comp[comp[w]].copy()
-    root = None
+    geo = ball_geometry(k, depth)
+    table = np.stack([laws_by_comp[c] for c in (1, 2, 3)])
+    laws = np.empty((geo.n_vertices, table.shape[1]))
+    outer = geo.level(depth)
+    laws[outer] = table[comp[outer] - 1]
     for d in range(depth - 1, -1, -1):
-        words = levels[d]
-        children = np.stack([
-            np.stack([laws[y] for y in direct_successors(w, k)]) for w in words])
-        sums = law_map(children, params.m, params.theta).sum(axis=1)
-        for w, h in zip(words, sums):
-            if w.letters:
-                laws[w] = h
-            else:
-                root = h
-    fld = BoundaryLawField(depth=depth, laws=laws, root=root)
+        laws[geo.level(d)] = successor_law_sums(laws, geo, d, params)
+    fld = BoundaryLawField(k=k, depth=depth, laws=laws)
     return NonTiField(depth=depth, t=t, s=s, field=fld, components=comp)
 
 
@@ -201,12 +180,12 @@ def root_convergence(t: float, s: float, params: ModelParams,
 
 
 def field_distance(a: NonTiField, b: NonTiField) -> float:
-    """Max-norm distance over the common ball (root included)."""
-    shared = set(a.field.laws) & set(b.field.laws)
-    worst = float(np.max(np.abs(a.field.root - b.field.root)))
-    for w in shared:
-        worst = max(worst, float(np.max(np.abs(a.field.laws[w] - b.field.laws[w]))))
-    return worst
+    """Max-norm distance over the common ball (root included).
+
+    A shallower ball is a row prefix of a deeper one.
+    """
+    rows = min(len(a.field.laws), len(b.field.laws))
+    return float(np.max(np.abs(a.field.laws[:rows] - b.field.laws[:rows])))
 
 
 def distinctness_check(pairs: list[tuple[float, float]], params: ModelParams,

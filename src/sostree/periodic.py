@@ -19,7 +19,7 @@ from . import ti
 from .boundary import BoundaryLawField, law_map, law_map_jac
 from .model import ModelParams
 from .roots import find_roots
-from .tree import SubgroupSpec, Word, cached_ball
+from .tree import SubgroupSpec, ball_geometry
 
 FIXED = "FIXED"
 CYCLE = "CYCLE"
@@ -249,12 +249,12 @@ def expand_two_cycle_field(z: float, t: float, params: ModelParams,
     """Two-coset-periodic field: law (0, ln z) on even words, (0, ln t) on odd."""
     law_even = np.array([0.0, math.log(z)])
     law_odd = np.array([0.0, math.log(t)])
-    laws: dict[Word, np.ndarray] = {}
-    for w in cached_ball(params.k, depth):
-        if w.letters:
-            laws[w] = (law_even if len(w) % 2 == 0 else law_odd).copy()
-    root = (params.k + 1) * law_map(law_odd, params.m, params.theta)
-    return BoundaryLawField(depth=depth, laws=laws, root=root)
+    geo = ball_geometry(params.k, depth)
+    laws = np.empty((geo.n_vertices, 2))
+    laws[0] = (params.k + 1) * law_map(law_odd, params.m, params.theta)
+    for d in range(1, depth + 1):
+        laws[geo.level(d)] = law_even if d % 2 == 0 else law_odd
+    return BoundaryLawField(k=params.k, depth=depth, laws=laws)
 
 
 def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:

@@ -72,9 +72,6 @@ class ReducedForm:
         t = params.theta
         return ReducedForm(a=2.0 * t ** (params.k + 1), b=(1.0 + t * t) / (2.0 * t * t))
 
-    def x_from_z(self, z: float, theta: float) -> float:
-        return z / (2.0 * theta)
-
     def z_from_x(self, x: float, theta: float) -> float:
         return 2.0 * theta * x
 

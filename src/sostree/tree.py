@@ -6,13 +6,19 @@ free product of k+1 copies of Z/2: reduced words over the generator alphabet
 the tree origin.  Two vertices are neighbours exactly when they differ by one
 generator on the right, so sphere / ball / successor enumeration is pure word
 combinatorics.
+
+This module also owns the breadth-first layout of a ball (`ball_geometry`):
+every field, kernel and spin configuration on a ball elsewhere in the package
+is an array whose rows follow it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,10 @@ class Word:
         text = text.strip()
         if text == "e" or text == "":
             return Word()
-        return Word(tuple(int(part) for part in text.split(".")))
+        letters = tuple(int(part) for part in text.split("."))
+        if any(a == b for a, b in zip(letters, letters[1:])):
+            raise ValueError(f"word {text!r} is not reduced")
+        return Word(letters)
 
 
 IDENTITY = Word()
@@ -52,16 +61,6 @@ def reduce_letters(letters: Sequence[int], k: int) -> Word:
         else:
             stack.append(a)
     return Word(tuple(stack))
-
-
-def mul(a: Word, b: Word, k: int) -> Word:
-    """Group product of reduced words (concatenate, then reduce)."""
-    return reduce_letters(a.letters + b.letters, k)
-
-
-def inverse(a: Word) -> Word:
-    # every generator is an involution, so the inverse is the reversed word
-    return Word(tuple(reversed(a.letters)))
 
 
 def parent(w: Word) -> Word | None:
@@ -140,23 +139,6 @@ def vertex_addresses(k: int, n: int) -> list[tuple[Word, tuple[int, ...]]]:
     return out
 
 
-def path_vertices(digits: Sequence[int], k: int) -> list[Word]:
-    """Vertex sequence from the origin for a successor-choice digit sequence.
-
-    The first digit selects among the origin's k+1 successors, later digits
-    among k successors, always in generator order.
-    """
-    out = [IDENTITY]
-    w = IDENTITY
-    for depth, d in enumerate(digits):
-        succ = direct_successors(w, k)
-        if not 0 <= d < len(succ):
-            raise ValueError(f"digit {d} at depth {depth} outside 0..{len(succ) - 1}")
-        w = succ[d]
-        out.append(w)
-    return out
-
-
 @dataclass(frozen=True)
 class SubgroupSpec:
     """Index-2 parity subgroup: words with an even count of letters from A.
@@ -211,3 +193,66 @@ def _cached_ball(k: int, n: int) -> tuple[Word, ...]:
 def cached_ball(k: int, n: int) -> tuple[Word, ...]:
     """Memoised ball enumeration (the hot path for the finite-volume oracles)."""
     return _cached_ball(k, n)
+
+
+@dataclass(frozen=True)
+class BallGeometry:
+    """Breadth-first layout of the depth-n ball of the order-k tree.
+
+    Row 0 is the origin and level d fills rows offsets[d]:offsets[d+1] in
+    generator order, which is also the (length, letters) order of the words.
+    The direct successors of each level-d vertex are one contiguous block of
+    level d+1: k+1 rows beneath the origin, k rows beneath any other vertex.
+    """
+
+    k: int
+    depth: int
+    words: tuple[Word, ...]
+    offsets: tuple[int, ...]          # first row of each level, then the row count
+    parent_index: np.ndarray          # parent row per vertex (-1 for the origin)
+    digits: np.ndarray                # position of each vertex in its sibling block
+
+    @property
+    def n_vertices(self) -> int:
+        return self.offsets[-1]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """str(word) per row, for JSON and CSV."""
+        return tuple(map(str, self.words))
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        """Row of each word."""
+        return {w: i for i, w in enumerate(self.words)}
+
+    @property
+    def level_sizes(self) -> tuple[int, ...]:
+        return tuple(b - a for a, b in zip(self.offsets, self.offsets[1:]))
+
+    def level(self, d: int) -> slice:
+        """Rows of the sphere of radius d."""
+        return slice(self.offsets[d], self.offsets[d + 1])
+
+    def successor_blocks(self, level_rows: np.ndarray, d: int) -> np.ndarray:
+        """The rows of level d+1 grouped by parent: shape (|level d|, branching, ...)."""
+        return level_rows.reshape((self.level_sizes[d], -1) + level_rows.shape[1:])
+
+
+@lru_cache(maxsize=None)
+def ball_geometry(k: int, depth: int) -> BallGeometry:
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    words = cached_ball(k, depth)
+    sizes = [sphere_size(k, d) for d in range(depth + 1)]
+    offsets = tuple(int(x) for x in np.cumsum([0] + sizes))
+    parent_index = [np.array([-1])]
+    digits = [np.array([0])]
+    for d in range(depth):
+        branching = k + 1 if d == 0 else k
+        local = np.arange(sizes[d + 1])
+        parent_index.append(offsets[d] + local // branching)
+        digits.append(local % branching)
+    return BallGeometry(k=k, depth=depth, words=words, offsets=offsets,
+                        parent_index=np.concatenate(parent_index).astype(np.int64),
+                        digits=np.concatenate(digits).astype(np.int64))

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sostree import boundary, ti
 from sostree.boundary import (BoundaryLawField, compatibility_residual, constant_field,
                               derivative_bounds, flip_field, injectivity_check, law_map,
                               law_map_jac, perturb_field, slice_contraction_constant)
 from sostree.model import ModelParams
-from sostree.tree import Word, ball
+from sostree.tree import ball, ball_size
 
 
 def naive_law_map(h, m, theta):
@@ -96,11 +98,56 @@ def test_compatibility_residual_zero_field():
     assert compatibility_residual(constant_field(np.zeros(2), p1, 2), p1) == 0.0
 
 
-def test_compatibility_residual_missing_vertex(fm_params):
-    fld = constant_field(np.zeros(2), fm_params, 2)
-    del fld.laws[Word((1,))]
-    with pytest.raises(KeyError):
-        compatibility_residual(fld, fm_params)
+def test_field_rejects_wrong_row_count():
+    with pytest.raises(ValueError):
+        BoundaryLawField(k=2, depth=2, laws=np.zeros((ball_size(2, 2) - 1, 2)))
+    with pytest.raises(ValueError):
+        BoundaryLawField(k=2, depth=1, laws=np.zeros(ball_size(2, 1)))
+
+
+def _json_entries(k, depth):
+    fld = constant_field(np.array([0.0, 0.5]), ModelParams(k=k, m=2, J=-1.0, beta=1.0), depth)
+    return fld.to_json_dict()
+
+
+def _drop_root(data):
+    del data["entries"][0]
+
+
+def _swap_siblings(data):
+    e = data["entries"]
+    e[1], e[2] = e[2], e[1]
+
+
+def _drop_leaf(data):
+    del data["entries"][-1]
+
+
+def _extra_vertex(data):
+    data["entries"].append({"vertex": "1.2.1.2", "h": [0.0, 0.5]})
+
+
+def _unreduced_word(data):
+    data["entries"][-1]["vertex"] = "3.3"
+
+
+def _short_law(data):
+    data["entries"][4]["h"] = [0.0]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_root, _swap_siblings, _drop_leaf, _extra_vertex,
+                                     _unreduced_word, _short_law])
+def test_from_json_rejects(corrupt):
+    data = _json_entries(2, 2)
+    BoundaryLawField.from_json_dict(data, 2)
+    corrupt(data)
+    with pytest.raises(ValueError):
+        BoundaryLawField.from_json_dict(data, 2)
+
+
+def test_from_json_rejects_wrong_tree_order():
+    with pytest.raises(ValueError):
+        BoundaryLawField.from_json_dict(_json_entries(2, 2), 3)
 
 
 def test_injectivity_randomized():
@@ -143,17 +190,26 @@ def test_derivative_bounds_theta_one_trivial():
     assert report.worst["pair"] <= 1e-9
 
 
-def test_field_json_round_trip(fm_params):
+def test_field_json_round_trip():
     rng = np.random.default_rng(6)
-    laws = {w: rng.normal(size=2) for w in ball(2, 2) if w.letters}
-    fld = BoundaryLawField(depth=2, laws=laws, root=rng.normal(size=2))
+    fld = BoundaryLawField(k=2, depth=2, laws=rng.normal(size=(ball_size(2, 2), 2)))
     data = json.loads(fld.to_json())
-    back = BoundaryLawField.from_json(json.dumps(data))
-    assert back.depth == 2
+    assert [e["vertex"] for e in data["entries"]] == [str(w) for w in ball(2, 2)]
+    back = BoundaryLawField.from_json(json.dumps(data), 2)
+    assert (back.k, back.depth) == (2, 2)
     np.testing.assert_array_equal(back.root, fld.root)
-    assert set(back.laws) == set(fld.laws)
-    for w in fld.laws:
-        np.testing.assert_array_equal(back.laws[w], fld.laws[w])
+    np.testing.assert_array_equal(back.laws, fld.laws)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(1, 4), depth=st.integers(0, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_field_json_round_trip_is_exact(k, depth, m, seed):
+    rng = np.random.default_rng(seed)
+    laws = rng.normal(scale=10.0, size=(ball_size(k, depth), m)) * rng.choice([1e-300, 1.0, 1e300])
+    fld = BoundaryLawField(k=k, depth=depth, laws=laws)
+    back = BoundaryLawField.from_json(fld.to_json(), k)
+    assert back.depth == depth
+    assert back.laws.tobytes() == fld.laws.tobytes()
 
 
 def test_flip_field_matches_weight_reversal():
@@ -161,15 +217,15 @@ def test_flip_field_matches_weight_reversal():
     p = ModelParams(k=2, m=2, J=-1.0, beta=1.0)
     fld = constant_field(rng.normal(size=2), p, 1)
     flipped = flip_field(fld, 2)
-    for w, h in fld.laws.items():
+    for h, f in zip(fld.laws, flipped.laws):
         w_unred = np.exp(np.concatenate([h, [0.0]]))
-        f_unred = np.exp(np.concatenate([flipped.laws[w], [0.0]]))
+        f_unred = np.exp(np.concatenate([f, [0.0]]))
         ratio = w_unred[::-1] / w_unred[::-1][-1]
         np.testing.assert_allclose(f_unred, ratio, rtol=1e-12)
 
 
 def test_perturb_field_shifts_all_laws(fm_high_field):
     bad = perturb_field(fm_high_field, 0.25)
-    for w, h in fm_high_field.laws.items():
-        assert bad.laws[w][-1] == h[-1] + 0.25
+    np.testing.assert_array_equal(bad.laws[:, -1], fm_high_field.laws[:, -1] + 0.25)
+    np.testing.assert_array_equal(bad.laws[:, :-1], fm_high_field.laws[:, :-1])
     assert bad.root[-1] == fm_high_field.root[-1] + 0.25

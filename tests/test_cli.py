@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -194,6 +195,52 @@ def test_verify_nonti(tmp_path):
     assert run(["verify", "--source", "nonti", "--k", "2", "--m", "2", "--J", "-1",
                 "--beta", "2", "--t", "0.3", "--s", "1.2", "--depth", "4",
                 "--perturb", "0.1"]) == 3
+
+
+# sha256 of each command's output file, pinned from the dict-based field
+# implementation; the array-based one must reproduce every byte
+PINNED_OUTPUTS = [
+    (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
+      "--depth", "8"], "0af6be2cecda761f6ab8e5e41fd0e86e9d76b6460c0dbc74c412d105f29a3f4e"),
+    (["build-nonti", "--k", "3", "--J", "-1", "--beta", "2", "--t", "0.2", "--s", "1.1",
+      "--depth", "5"], "5ef72df215ae1834e5755247ebd2f1a3e0227fd8495ad3f90dafb728dcfbcdca"),
+    (["sample", "--k", "3", "--J", "-1", "--beta", "2", "--depth", "4", "--seed", "7",
+      "--count", "50", "--branch", "mid"],
+     "d86f76ef04de20f64cc1733713950f91cd6da5740c45e36232b87d4e32eb8e5f"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
+                         ids=["nonti-k2-depth8", "nonti-k3-depth5", "sample-k3-depth4"])
+def test_output_bytes_are_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_sample_depth_zero(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "0",
+                "--count", "5", "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert lines[0] == "e" and len(lines) == 7 and all(v in "012" for v in lines[1:6])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "-1"],
+    ["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "-1"],
+    ["solve-ti", "--k", "2", "--J", "-1", "--beta", "nan"],
+    ["solve-ti", "--k", "2", "--theta", "nan"],
+    ["solve-ti", "--k", "2", "--theta", "-1"],
+    ["solve-ti", "--k", "2", "--J", "1", "--beta", "1000"],
+    ["verify", "--source", "nonti", "--k", "2", "--J", "1", "--beta", "1",
+     "--t", "0.3", "--s", "1.2", "--depth", "3"],
+    ["solve-ti", "--config", "no-such-params.txt"],
+])
+def test_bad_input_is_a_one_line_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_usage_exit_codes():

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sostree import boundary, measure, nonti, periodic, ti
 from sostree.boundary import BoundaryLawField, constant_field, perturb_field
-from sostree.model import ModelParams
-from sostree.tree import Word, cached_ball
+from sostree.model import ModelParams, hamiltonian
+from sostree.tree import Word, ball_size, cached_ball
 
 
-def random_field(params, depth, seed):
+def random_field(params, depth, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    laws = {w: rng.normal(size=params.m) for w in cached_ball(params.k, depth) if w.letters}
-    return BoundaryLawField(depth=depth, laws=laws, root=rng.normal(size=params.m))
+    laws = rng.normal(scale=scale, size=(ball_size(params.k, depth), params.m))
+    return BoundaryLawField(k=params.k, depth=depth, laws=laws)
 
 
 def test_log_partition_uniform_cases():
@@ -29,6 +32,32 @@ def test_log_partition_routes_agree_on_any_field(fm_params):
         a = measure.log_partition(fld, fm_params, 2, method="enumerate")
         b = measure.log_partition(fld, fm_params, 2, method="transfer")
         assert a == pytest.approx(b, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 4), n=st.integers(0, 3), m=st.integers(1, 3),
+       theta=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1))
+def test_transfer_matches_enumeration(k, n, m, theta, seed):
+    # any field, consistent or not, on every ball under the enumeration cap
+    params = ModelParams.from_theta(k=k, m=m, theta=theta)
+    if (m + 1) ** ball_size(k, n) > 3 ** 10:
+        n = 1 if (m + 1) ** ball_size(k, 1) <= 3 ** 10 else 0
+    fld = random_field(params, n, seed, scale=3.0)
+    exact = measure.log_partition(fld, params, n, method="enumerate")
+    transfer = measure.log_partition(fld, params, n, method="transfer")
+    assert abs(transfer - exact) <= 1e-9 * max(1.0, abs(exact))
+    np.testing.assert_allclose(measure.root_marginal(fld, params, n, method="transfer"),
+                               measure.root_marginal(fld, params, n, method="table"),
+                               rtol=0, atol=1e-9)
+
+
+def test_measure_rejects_field_not_covering_ball(fm_params, fm_high_field):
+    with pytest.raises(ValueError):
+        measure.log_partition(fm_high_field, fm_params, 4, method="transfer")
+    with pytest.raises(ValueError):
+        measure.log_partition(fm_high_field, ModelParams(k=3, m=2, J=-1.0, beta=2.0), 1)
+    with pytest.raises(ValueError):
+        measure.sample(fm_high_field, fm_params, 4, seed=0, count=1)
 
 
 def test_log_partition_scale_guard(fm_params, fm_high_field):
@@ -201,7 +230,8 @@ def test_kernel_flip_equivariance(fm_params, fm_roots):
     fld = constant_field(np.array([0.0, math.log(fm_roots[1])]), fm_params, 2)
     kern = measure.transition_kernel(fld, fm_params, 2)
     np.testing.assert_allclose(kern.root_dist, kern.root_dist[::-1], atol=1e-14)
-    for table in kern.kernels.values():
+    assert kern.kernels.shape == (ball_size(2, 2), 3, 3)
+    for table in kern.kernels[1:]:
         np.testing.assert_allclose(table, table[::-1, ::-1], atol=1e-14)
     # inverse-CDF draws map through the flip when the uniform is reflected
     cum = np.cumsum(kern.root_dist)
@@ -222,10 +252,9 @@ def test_samples_to_csv(fm_params, fm_high_field):
 
 def test_sample_configs_cover_ball(fm_params, fm_high_field):
     s, v = measure.sample(fm_high_field, fm_params, 2, seed=1, count=2)
-    cfgs = measure.samples_to_configs(s, v, 2)
-    from sostree.model import hamiltonian
-    for cfg in cfgs:
-        assert np.isfinite(hamiltonian(cfg, fm_params))
+    assert s.shape == (2, ball_size(2, 2))
+    assert v == tuple(str(w) for w in cached_ball(2, 2))
+    assert np.all(np.isfinite(hamiltonian(s, fm_params, 2)))
 
 
 def test_extreme_boundary_condition_probe(fm_params, fm_roots, capsys):

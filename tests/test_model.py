@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sostree.model import ModelParams, SpinConfig, boundary_energy, hamiltonian, parse_params_text
-from sostree.tree import Word, ball, sphere
-
-
-def config_from_spins(k, depth, spins):
-    words = ball(k, depth)
-    return SpinConfig(ball_depth=depth, values=dict(zip(words, spins)))
+from sostree.model import ModelParams, hamiltonian, parse_params_text
+from sostree.tree import ball, ball_size, parent
 
 
 def test_theta_values():
@@ -32,12 +27,22 @@ def test_params_validation():
     assert ModelParams(k=2, m=2, J=0.0, beta=1.0).regime == "FREE"
 
 
+@pytest.mark.parametrize("J, beta", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (-math.inf, 1.0), (-1.0, math.inf), (1.0, 1e3),
+                                     (-1.0, 1e3)])
+def test_params_reject_non_finite(J, beta):
+    # theta = exp(J*beta) must be a positive finite number as well
+    with pytest.raises(ValueError):
+        ModelParams(k=2, m=2, J=J, beta=beta)
+
+
 def test_from_theta():
     p = ModelParams.from_theta(k=2, m=2, theta=0.5)
     assert p.theta == pytest.approx(0.5, abs=1e-15)
     assert p.regime == "FM"
-    with pytest.raises(ValueError):
-        ModelParams.from_theta(k=2, m=2, theta=-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ModelParams.from_theta(k=2, m=2, theta=bad)
 
 
 def test_parse_params_text():
@@ -50,75 +55,65 @@ def test_parse_params_text():
 def test_hamiltonian_constant_config_is_zero():
     p = ModelParams(k=2, m=2, J=-1.0, beta=2.0)
     for j in range(3):
-        cfg = config_from_spins(2, 2, [j] * 10)
-        assert hamiltonian(cfg, p) == 0.0
+        assert hamiltonian(np.full(10, j), p, 2) == 0.0
 
 
 def test_hamiltonian_hand_values():
     # root 0, three children 2, J=-1: three edges of gap 2
     p = ModelParams(k=2, m=2, J=-1.0, beta=1.0)
-    cfg = config_from_spins(2, 1, [0, 2, 2, 2])
-    assert hamiltonian(cfg, p) == 6.0
+    assert hamiltonian([0, 2, 2, 2], p, 1) == 6.0
     # root 1, children (0,1,2), J=+1: gaps 1,0,1
     p2 = ModelParams(k=2, m=2, J=1.0, beta=1.0)
-    cfg2 = config_from_spins(2, 1, [1, 0, 1, 2])
-    assert hamiltonian(cfg2, p2) == -2.0
+    assert hamiltonian([1, 0, 1, 2], p2, 1) == -2.0
+    # a batch of configurations gives one energy per row
+    np.testing.assert_array_equal(hamiltonian([[0, 2, 2, 2], [1, 1, 1, 1]], p, 1), [6.0, 0.0])
 
 
 def test_hamiltonian_matches_direct_edge_enumeration():
     rng = np.random.default_rng(3)
     p = ModelParams(k=2, m=2, J=-0.7, beta=1.3)
     words = ball(2, 2)
-    for _ in range(20):
-        spins = rng.integers(0, 3, size=len(words))
-        cfg = SpinConfig(ball_depth=2, values=dict(zip(words, spins)))
+    spins = rng.integers(0, 3, size=(20, len(words)))
+    energies = hamiltonian(spins, p, 2)
+    for row, energy in zip(spins, energies):
         total = 0
-        for w in words:
-            for y in words:
+        for i, w in enumerate(words):
+            for j, y in enumerate(words):
                 if len(y) == len(w) + 1 and y.letters[:-1] == w.letters:
-                    total += abs(cfg.values[w] - cfg.values[y])
-        assert hamiltonian(cfg, p) == pytest.approx(-p.J * total, abs=1e-12)
+                    total += abs(row[i] - row[j])
+        assert energy == pytest.approx(-p.J * total, abs=1e-12)
 
 
 def test_hamiltonian_flip_invariance():
     rng = np.random.default_rng(4)
     p = ModelParams(k=2, m=2, J=-1.0, beta=2.0)
-    words = ball(2, 2)
-    for _ in range(20):
-        spins = rng.integers(0, 3, size=len(words))
-        cfg = SpinConfig(ball_depth=2, values=dict(zip(words, spins)))
-        flipped = SpinConfig(ball_depth=2, values={w: 2 - s for w, s in cfg.values.items()})
-        assert hamiltonian(cfg, p) == hamiltonian(flipped, p)
+    spins = rng.integers(0, 3, size=(20, ball_size(2, 2)))
+    np.testing.assert_array_equal(hamiltonian(spins, p, 2), hamiltonian(2 - spins, p, 2))
 
 
 def test_hamiltonian_missing_vertex():
     p = ModelParams(k=2, m=2, J=-1.0, beta=2.0)
-    cfg = SpinConfig(ball_depth=1, values={Word(): 0})
     with pytest.raises(ValueError):
-        hamiltonian(cfg, p)
-
-
-def test_boundary_energy():
-    p = ModelParams(k=2, m=2, J=-1.0, beta=1.0)
-    cfg = config_from_spins(2, 0, [0])
-    outer = sphere(2, 1)
-    assert boundary_energy(cfg, {w: 2 for w in outer}, p) == 6.0
-    assert boundary_energy(cfg, {w: 0 for w in outer}, p) == 0.0
-    p0 = ModelParams(k=2, m=2, J=0.0, beta=1.0)
-    assert boundary_energy(cfg, {w: 1 for w in outer}, p0) == 0.0
+        hamiltonian([0], p, 1)
     with pytest.raises(ValueError):
-        boundary_energy(cfg, {}, p)
+        hamiltonian(np.zeros(11, dtype=int), p, 2)
+    # spins outside 0..m
+    with pytest.raises(ValueError):
+        hamiltonian([0, 3, 0, 0], p, 1)
+    with pytest.raises(ValueError):
+        hamiltonian([0, -1, 0, 0], p, 1)
 
 
 def test_energy_decomposition_is_additive():
-    # ball energy at depth 2 = depth-1 ball energy + boundary term of sphere 2
+    # ball energy at depth 2 = energy of its depth-1 row prefix + the edges
+    # joining sphere 1 to sphere 2
     rng = np.random.default_rng(9)
     p = ModelParams(k=2, m=2, J=-1.0, beta=2.0)
     words2 = ball(2, 2)
-    for _ in range(10):
-        spins = dict(zip(words2, rng.integers(0, 3, size=len(words2))))
-        cfg2 = SpinConfig(ball_depth=2, values=spins)
-        cfg1 = SpinConfig(ball_depth=1, values={w: spins[w] for w in ball(2, 1)})
-        bdry = {w: spins[w] for w in sphere(2, 2)}
-        assert hamiltonian(cfg2, p) == pytest.approx(
-            hamiltonian(cfg1, p) + boundary_energy(cfg1, bdry, p), abs=1e-12)
+    inner = ball_size(2, 1)
+    index = {w: i for i, w in enumerate(words2)}
+    for spins in rng.integers(0, 3, size=(10, len(words2))):
+        boundary = sum(abs(spins[i] - spins[index[parent(w)]])
+                       for i, w in enumerate(words2) if len(w) == 2)
+        assert hamiltonian(spins, p, 2) == pytest.approx(
+            hamiltonian(spins[:inner], p, 1) - p.J * boundary, abs=1e-12)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sostree import boundary, nonti, ti
 from sostree.model import ModelParams
-from sostree.tree import Word, ball_size
+from sostree.tree import ball_geometry, ball_size, vertex_addresses
 
 
 def test_path_parameter_endpoints():
@@ -38,16 +40,15 @@ def test_split_components_partition(fm_params):
     p2 = nonti.path_from_parameter(1.1, k, depth)
     comp = nonti.split_components(p1, p2, k, depth)
     assert len(comp) == ball_size(k, depth)
-    assert set(comp.values()) <= {1, 2, 3}
-    assert {1, 2, 3} <= set(comp.values())
+    assert set(comp.tolist()) == {1, 2, 3}
 
 
 def test_split_components_coincident_paths():
     k, depth = 2, 3
     p = nonti.path_from_parameter(0.7, k, depth)
     comp = nonti.split_components(p, p, k, depth)
-    assert 2 not in comp.values()
-    assert {1, 3} <= set(comp.values())
+    assert 2 not in comp.tolist()
+    assert {1, 3} <= set(comp.tolist())
 
 
 def test_split_components_extreme_paths():
@@ -56,9 +57,51 @@ def test_split_components_extreme_paths():
     p2 = nonti.path_from_parameter(1.5, k, depth)
     comp = nonti.split_components(p1, p2, k, depth)
     assert len(comp) == 10
-    assert 1 in comp.values() and 3 in comp.values()
+    assert 1 in comp.tolist() and 3 in comp.tolist()
     with pytest.raises(ValueError):
         nonti.split_components(p2, p1, k, depth)
+
+
+def _address_components(path1, path2, k, depth):
+    """Per-vertex reference: compare each address with each path prefix."""
+    def compare(addr, path):
+        for a, p in zip(addr, path):
+            if a != p:
+                return -1 if a < p else 1
+        return 0
+
+    addressed = vertex_addresses(k, depth)
+    cmp1 = [compare(addr, path1.digits) for _, addr in addressed]
+    cmp2 = [compare(addr, path2.digits) for _, addr in addressed]
+    any_right = any(c > 0 for c in cmp2)
+    out = []
+    for c1, c2 in zip(cmp1, cmp2):
+        if c2 > 0:
+            out.append(3)
+        elif c1 < 0:
+            out.append(1)
+        elif c1 == 0 and c2 == 0:
+            out.append(3 if any_right else 1)
+        elif c2 == 0:
+            out.append(3)
+        elif c1 == 0:
+            out.append(1)
+        else:
+            out.append(2)
+    return out
+
+
+def test_split_components_matches_address_comparison():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 4):
+        hi = (k + 1) / k
+        for depth in (1, 2, 4):
+            for t, s in [(0.0, 0.0), (hi, hi), (0.0, hi)] + [
+                    tuple(sorted(rng.uniform(0, hi, size=2))) for _ in range(10)]:
+                p1 = nonti.path_from_parameter(t, k, depth)
+                p2 = nonti.path_from_parameter(s, k, depth)
+                assert nonti.split_components(p1, p2, k, depth).tolist() == \
+                    _address_components(p1, p2, k, depth)
 
 
 def test_build_field_requires_three_solutions():
@@ -76,16 +119,17 @@ def test_build_field_endpoint_constants(fm_params, fm_roots):
     h_plus = np.array([0.0, math.log(fm_roots[2])])
 
     low = nonti.build_field(0.0, 0.0, fm_params, 6)
-    assert all(np.array_equal(h, h_plus) for h in low.field.laws.values())
+    assert all(np.array_equal(h, h_plus) for h in low.field.laws[1:])
     np.testing.assert_array_equal(low.field.root, 1.5 * h_plus)
 
     high = nonti.build_field(hi, hi, fm_params, 6)
-    assert all(np.array_equal(h, h_minus) for h in high.field.laws.values())
+    assert all(np.array_equal(h, h_minus) for h in high.field.laws[1:])
 
     # the two extreme fields differ at least by the outer-root gap everywhere
     gap = math.log(fm_roots[2]) - math.log(fm_roots[0])
     assert nonti.field_distance(low, high) >= gap - 1e-12
-    assert np.max(np.abs(low.field.laws[Word((1,))] - high.field.laws[Word((1,))])) \
+    # row 1 is the vertex "1"
+    assert np.max(np.abs(low.field.laws[1] - high.field.laws[1])) \
         == pytest.approx(gap, abs=1e-12)
 
 
@@ -94,13 +138,25 @@ def test_build_field_interior_consistency_is_exact(fm_params):
     assert boundary.compatibility_residual(built.field, fm_params) == 0.0
 
 
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(2, 4), depth=st.integers(1, 5), beta=st.floats(2.0, 3.0),
+       ts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_build_field_is_exactly_consistent(k, depth, beta, ts):
+    params = ModelParams(k=k, m=2, J=-1.0, beta=beta)
+    hi = (k + 1) / k
+    t, s = sorted(x * hi for x in ts)
+    built = nonti.build_field(t, s, params, depth)
+    assert boundary.compatibility_residual(built.field, params) == 0.0
+    assert np.all(built.field.laws[:, 0] == 0.0)
+
+
 def test_build_field_preserves_slice_and_sandwich(fm_params, fm_roots):
     rng = np.random.default_rng(1)
     hi = (fm_params.k + 1) / fm_params.k
     for _ in range(20):
         t, s = sorted(rng.uniform(0, hi, size=2))
         built = nonti.build_field(t, s, fm_params, 6)
-        for h in built.field.laws.values():
+        for h in built.field.laws[1:]:
             assert h[0] == 0.0
             z1 = math.exp(h[1])
             assert fm_roots[0] - 1e-9 <= z1 <= fm_roots[2] + 1e-9
@@ -109,10 +165,7 @@ def test_build_field_preserves_slice_and_sandwich(fm_params, fm_roots):
 def test_mixed_field_uses_middle_law_in_bulk(fm_params, fm_roots):
     hi = (fm_params.k + 1) / fm_params.k
     built = nonti.build_field(0.0, hi, fm_params, 4)
-    counts = {1: 0, 2: 0, 3: 0}
-    for w, c in built.components.items():
-        if len(w) == 4:
-            counts[c] += 1
+    counts = np.bincount(built.components[ball_geometry(2, 4).level(4)], minlength=4)
     # single leaf on each path, the rest of the sphere in the middle
     assert counts[1] == 1 and counts[3] == 1
     assert counts[2] == ball_size(2, 4) - ball_size(2, 3) - 2

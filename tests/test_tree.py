@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from sostree.tree import (IDENTITY, SubgroupSpec, Word, ball, ball_size, coset_of,
-                          coset_profile, direct_successors, inverse, mul, neighbors,
-                          parent, path_vertices, reduce_letters, sphere, sphere_size,
-                          vertex_addresses)
+from sostree.tree import (IDENTITY, SubgroupSpec, Word, ball, ball_geometry, ball_size,
+                          coset_of, coset_profile, direct_successors, neighbors, parent,
+                          reduce_letters, sphere, sphere_size, vertex_addresses)
 
 
 def test_reduce_cancels_squares():
@@ -46,16 +45,14 @@ def test_direct_successors():
 
 
 def test_group_operation_consistency():
-    # random multiplication respects reduction and involutive inverses
     rng = np.random.default_rng(5)
     k = 3
     for _ in range(200):
         la = rng.integers(1, k + 2, size=rng.integers(0, 8)).tolist()
         lb = rng.integers(1, k + 2, size=rng.integers(0, 8)).tolist()
         a, b = reduce_letters(la, k), reduce_letters(lb, k)
-        ab = mul(a, b, k)
-        assert ab == reduce_letters(la + lb, k)
-        assert mul(a, inverse(a), k) == IDENTITY
+        ab = reduce_letters(la + lb, k)
+        assert reduce_letters(a.letters + b.letters, k) == ab
         # reduction is idempotent
         assert reduce_letters(ab.letters, k) == ab
 
@@ -110,26 +107,38 @@ def test_subgroup_spec_validation():
         SubgroupSpec(k=2, parity_set=frozenset({5}))
 
 
-def test_path_vertices():
-    assert path_vertices([], 2) == [IDENTITY]
-    path = path_vertices([0] * 5, 2)
-    assert [len(w) for w in path] == list(range(6))
-    # shared digit prefixes give shared vertex prefixes
-    p1 = path_vertices([1, 0, 1, 0], 2)
-    p2 = path_vertices([1, 0, 0, 1], 2)
-    assert p1[:3] == p2[:3] and p1[3] != p2[3]
-    with pytest.raises(ValueError):
-        path_vertices([3], 2)
-    with pytest.raises(ValueError):
-        path_vertices([0, 2], 2)
-
-
 def test_vertex_addresses_cover_ball():
     k, n = 2, 3
     addressed = vertex_addresses(k, n)
-    assert len(addressed) == ball_size(k, n)
+    assert [w for w, _ in addressed] == ball(k, n)
     for w, addr in addressed:
-        assert path_vertices(addr, k)[-1] == w
+        v = IDENTITY
+        for digit in addr:
+            v = direct_successors(v, k)[digit]
+        assert v == w
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_ball_geometry_layout(k, n):
+    geo = ball_geometry(k, n)
+    assert geo.words == tuple(ball(k, n))
+    assert geo.labels == tuple(str(w) for w in geo.words)
+    assert geo.level_sizes == tuple(sphere_size(k, d) for d in range(n + 1))
+    assert geo.parent_index[0] == -1
+    for i, w in enumerate(geo.words):
+        assert geo.index[w] == i
+        assert len(w) == next(d for d in range(n + 1) if i < geo.offsets[d + 1])
+        if i:
+            p = geo.parent_index[i]
+            assert geo.words[p] == parent(w)
+            assert direct_successors(parent(w), k)[geo.digits[i]] == w
+    # each level's successors are one block of the next level per vertex
+    rows = np.arange(geo.n_vertices)
+    for d in range(n):
+        blocks = geo.successor_blocks(rows[geo.level(d + 1)], d)
+        assert blocks.shape == (geo.level_sizes[d], k + 1 if d == 0 else k)
+        assert np.all(geo.parent_index[blocks] == rows[geo.level(d)][:, None])
 
 
 def test_word_serialization_round_trip():
@@ -137,3 +146,5 @@ def test_word_serialization_round_trip():
         assert Word.parse(str(w)) == w
     assert str(IDENTITY) == "e"
     assert str(Word((1, 2, 1))) == "1.2.1"
+    with pytest.raises(ValueError):
+        Word.parse("1.2.2")
