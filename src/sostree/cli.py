@@ -360,8 +360,11 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2
     try:
-        return args.func(args)
-    except UsageError as bad:
+        # far from the solutions, exp(h) and the root-scan products overflow
+        # to inf by design (such Newton starts are dropped), so stay quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (UsageError, ti.FloatRangeError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     except VerificationFailure:

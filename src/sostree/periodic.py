@@ -18,7 +18,7 @@ import numpy as np
 from . import ti
 from .boundary import BoundaryLawField, law_map, law_map_jac
 from .model import ModelParams
-from .roots import find_roots
+from .roots import batched_newton, find_roots
 from .tree import SubgroupSpec, ball_geometry
 
 FIXED = "FIXED"
@@ -42,18 +42,21 @@ class Period2Solution:
         return out
 
 
-def cycle_instability(params: ModelParams) -> tuple[float, bool]:
+def cycle_instability(params: ModelParams,
+                      roots: list[float] | None = None) -> tuple[float, bool]:
     """Slope magnitude of the slice recursion at its fixed point, and whether
     it exceeds one (the chess-board existence criterion).
 
     Only meaningful in the antiferromagnetic regime, where the fixed point is
-    unique; the value equals |psi'(z*)|.
+    unique; the value equals |psi'(z*)|.  `roots` (the symmetric roots) are
+    scanned unless given.
     """
     if params.theta <= 1.0:
         raise ValueError("instability criterion applies to theta > 1 only")
     if params.m != 2:
         raise ValueError("criterion is specific to m = 2")
-    roots = ti.solve_symmetric_roots(params)
+    if roots is None:
+        roots = ti.solve_symmetric_roots(params)
     if len(roots) != 1:
         raise RuntimeError("expected a unique fixed point for theta > 1")
     z = roots[0]
@@ -99,43 +102,28 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
     """Damped alternating iteration h <- kF(l), l <- kF(h) from random starts.
 
     Returns (h, l, residual) arrays after a batched Newton polish of the full
-    four-dimensional system; residual is the max-norm defect per start.
+    four-dimensional system; residual is the max-norm defect per start.  Each
+    step maps h and l in one stacked law_map call.
     """
     k, theta, m = params.k, params.theta, params.m
     if m != 2:
         raise ValueError("the alternating system is specific to m = 2")
     rng = np.random.default_rng(seed)
     c = 2.0 * k * abs(math.log(theta)) + 1.0
-    h = rng.uniform(-c, c, size=(n_starts, 2))
-    l = rng.uniform(-c, c, size=(n_starts, 2))
-
+    hl = rng.uniform(-c, c, size=(2, n_starts, 2))   # h then l, as two draws would give
     for _ in range(iters):
-        h_new = (1 - damping) * h + damping * k * law_map(l, 2, theta)
-        l_new = (1 - damping) * l + damping * k * law_map(h, 2, theta)
-        h, l = h_new, l_new
+        hl = (1 - damping) * hl + damping * k * law_map(hl[::-1], 2, theta)
 
-    eye = np.eye(2)
-    h_cap = c + 20.0
-    for _ in range(newton_iters):
-        r = np.concatenate([h - k * law_map(l, 2, theta),
-                            l - k * law_map(h, 2, theta)], axis=-1)
-        jac = np.zeros((n_starts, 4, 4))
-        jac[:, :2, :2] = eye
-        jac[:, 2:, 2:] = eye
-        jac[:, :2, 2:] = -k * law_map_jac(l, theta)
-        jac[:, 2:, :2] = -k * law_map_jac(h, theta)
-        try:
-            step = np.linalg.solve(jac, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        scale = np.maximum(1.0, np.max(np.abs(step), axis=-1, keepdims=True) / 5.0)
-        upd = np.clip(np.concatenate([h, l], axis=-1) - step / scale, -h_cap, h_cap)
-        h, l = upd[:, :2], upd[:, 2:]
+    def system(x):   # x rows are (h, l)
+        hl = x.reshape(-1, 2, 2).swapaxes(0, 1)
+        jac = np.tile(np.eye(4), (n_starts, 1, 1))
+        jac[:, :2, 2:], jac[:, 2:, :2] = -k * law_map_jac(hl[::-1], theta)
+        return (hl - k * law_map(hl[::-1], 2, theta)).swapaxes(0, 1).reshape(-1, 4), jac
 
-    resid = np.maximum(
-        np.max(np.abs(h - k * law_map(l, 2, theta)), axis=-1),
-        np.max(np.abs(l - k * law_map(h, 2, theta)), axis=-1))
-    return h, l, resid
+    x = batched_newton(system, hl.swapaxes(0, 1).reshape(-1, 4), newton_iters, c + 20.0)
+    hl = x.reshape(-1, 2, 2).swapaxes(0, 1)
+    resid = np.max(np.abs(hl - k * law_map(hl[::-1], 2, theta)), axis=-1)
+    return hl[0], hl[1], np.maximum(resid[0], resid[1])
 
 
 def solve_two_cycle_full(params: ModelParams, n_starts: int = 100, seed: int = 0,
@@ -222,18 +210,19 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
         same = k + 1 - cross
         updates = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    # image of each coset law, renewed only when that law changes
+    f = [law_map(x, m, theta) for x in h]
     for _ in range(sweeps):
         delta = 0.0
         for n, p in updates:
             if spec.is_full:
-                rhs = k * law_map(h[1 - n], m, theta)
+                rhs = k * f[1 - n]
             else:
-                rhs = (same * law_map(h[n], m, theta)
-                       + cross * law_map(h[1 - n], m, theta)
-                       - law_map(h[p], m, theta))
+                rhs = same * f[n] + cross * f[1 - n] - f[p]
             new = (1 - damping) * h[n] + damping * rhs
             delta = max(delta, float(np.max(np.abs(new - h[n]))))
             h[n] = new
+            f[n] = law_map(new, m, theta)
         if delta <= delta_tol:
             break
 
@@ -269,7 +258,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     afm = params.theta > 1.0
     instability = None
     if afm and params.m == 2:
-        value, holds = cycle_instability(params)
+        value, holds = cycle_instability(params, ti_set.symmetric_roots)
         instability = {"value": value, "holds": holds}
 
     if not spec.is_full:

@@ -1,4 +1,5 @@
-"""Bracketed scalar root isolation: sign scan, bisection, Newton polish.
+"""Bracketed scalar root isolation (sign scan, bisection, Newton polish) and
+the batched damped Newton of the 2D and 4D solvers.
 
 Built for fixed-point residuals whose polynomial forms have extreme
 coefficient ranges; everything works on sign changes over a log grid, with an
@@ -57,6 +58,29 @@ def newton_polish(f: Callable[[float], float], df: Callable[[float], float],
         if fx == 0.0:
             break
     return best
+
+
+def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                   x: np.ndarray, iters: int, cap: float) -> np.ndarray:
+    """Damped Newton from starts x (n, d); `system(x)` gives residuals and Jacobians.
+
+    Steps longer than 5 in the max norm are scaled to 5 and iterates clipped
+    to [-cap, cap].  A start with a singular Jacobian sits out that step.
+    """
+    for _ in range(iters):
+        r, jac = system(x)
+        try:
+            step = np.linalg.solve(jac, r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.zeros_like(r)
+            for i in range(len(r)):
+                try:
+                    step[i] = np.linalg.solve(jac[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        scale = np.maximum(1.0, np.max(np.abs(step), axis=-1, keepdims=True) / 5.0)
+        x = np.clip(x - step / scale, -cap, cap)
+    return x
 
 
 def _dedupe(xs: list[float], rel_tol: float = 1e-9) -> list[float]:

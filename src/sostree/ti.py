@@ -17,11 +17,15 @@ import numpy as np
 
 from .boundary import law_map, law_map_jac
 from .model import ModelParams
-from .roots import find_roots
+from .roots import batched_newton, find_roots
 
 UNIQUE = "UNIQUE"
 BOUNDARY_TWO = "BOUNDARY_TWO"
 THREE = "THREE"
+
+
+class FloatRangeError(ValueError):
+    """The solutions of a parameter set lie outside the float range."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class SliceMap:
 
     @property
     def at_infinity(self) -> float:
-        return self.theta ** (-self.k)
+        """theta^(-k), or inf where that leaves the float range (e^709.78)."""
+        return self.theta ** (-self.k) if -self.k * math.log(self.theta) < 709.0 else math.inf
 
     def range_interval(self) -> tuple[float, float]:
         lo, hi = sorted((self.at_zero, self.at_infinity))
@@ -165,8 +170,15 @@ def solve_symmetric_roots(params: ModelParams, n_grid: int = 4096) -> list[float
         return psi.deriv(z) - 1.0
 
     r_lo, r_hi = psi.range_interval()
+    if r_lo == 0.0 or r_hi == math.inf:
+        raise FloatRangeError(f"the symmetric solutions at k = {params.k}, theta = "
+                              f"{params.theta!r} leave the float range")
     lo = min(1e-12, 0.5 * r_lo)
-    hi = max(10.0, min(params.theta ** (-2 * params.k), 1e300), 2.0 * r_hi)
+    # the cap 1e300 is e^690.8, so past e^691 the capped power is the cap and
+    # the power, which may overflow, is not taken
+    far = 1e300 if -2 * params.k * math.log(params.theta) > 691.0 \
+        else min(params.theta ** (-2 * params.k), 1e300)
+    hi = max(10.0, far, 2.0 * r_hi)
     roots = find_roots(f, lo, hi, df=df, n_grid=n_grid)
 
     expected, label, _ = classify_scalar_family(
@@ -212,7 +224,7 @@ def solve(params: ModelParams, full: bool = True,
     roots = solve_symmetric_roots(params)
     _, label, _ = classify_scalar_family(*_reduced_ab(params), params.k)
     labels = tuple(roots) if (label == THREE and len(roots) == 3) else None
-    full_solutions = solve_full(params, box=box, grid=grid) if full \
+    full_solutions = solve_full(params, box=box, grid=grid, symmetric_roots=roots) if full \
         else [(1.0, z) for z in roots]
     beta_cr = critical_beta(params.J, params.k) if (params.J < 0 and params.k >= 2) else None
     return TiSolutionSet(params=params, symmetric_roots=roots, classification=label,
@@ -235,13 +247,14 @@ def _default_box(params: ModelParams) -> tuple[tuple[float, float], tuple[float,
 def solve_full(params: ModelParams,
                box: tuple[tuple[float, float], tuple[float, float]] | None = None,
                grid: tuple[int, int] = (200, 200),
-               resid_tol: float = 1e-11, dedupe_tol: float = 1e-8) -> list[tuple[float, float]]:
+               resid_tol: float = 1e-11, dedupe_tol: float = 1e-8,
+               symmetric_roots: list[float] | None = None) -> list[tuple[float, float]]:
     """All constant-law solutions (z0, z1) inside the box.
 
     Dense log-grid residual scan, batched damped Newton from every local
-    minimum (and from the symmetric-branch seeds), then deduplication.  The
-    z0 = 1 branch is always present; for nonnegative coupling the result is a
-    single solution on that branch.
+    minimum (and from the symmetric-branch seeds, scanned here unless given),
+    then deduplication.  The z0 = 1 branch is always present; for nonnegative
+    coupling the result is a single solution on that branch.
     """
     if params.m != 2:
         raise ValueError("the 2D solver is specific to m = 2")
@@ -267,20 +280,16 @@ def solve_full(params: ModelParams,
             is_min &= norm <= padded[1 + di:1 + di + norm.shape[0],
                                      1 + dj:1 + dj + norm.shape[1]]
     starts = [hh[idx] for idx in zip(*np.nonzero(is_min))]
-    starts += [np.array([0.0, math.log(z)]) for z in solve_symmetric_roots(params)]
-    x = np.array(starts)
+    if symmetric_roots is None:
+        symmetric_roots = solve_symmetric_roots(params)
+    starts += [np.array([0.0, math.log(z)]) for z in symmetric_roots]
 
-    h_cap = 2.0 * k * abs(math.log(theta)) + 20.0
     eye = np.eye(2)
-    for _ in range(60):
-        r = x - k * law_map(x, 2, theta)
-        jac = eye - k * law_map_jac(x, theta)
-        try:
-            step = np.linalg.solve(jac, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        scale = np.maximum(1.0, np.max(np.abs(step), axis=-1, keepdims=True) / 5.0)
-        x = np.clip(x - step / scale, -h_cap, h_cap)
+
+    def system(x):
+        return x - k * law_map(x, 2, theta), eye - k * law_map_jac(x, theta)
+
+    x = batched_newton(system, np.array(starts), 60, 2.0 * k * abs(math.log(theta)) + 20.0)
 
     r = np.max(np.abs(x - k * law_map(x, 2, theta)), axis=-1)
     good = x[r <= resid_tol]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sostree import boundary, ti
 from sostree.boundary import (BoundaryLawField, compatibility_residual, constant_field,
@@ -36,12 +37,59 @@ def test_zero_law_at_theta_one_is_exactly_zero():
         assert np.all(law_map(h, 4, 1.0) == 0.0)
 
 
-def test_component_zero_vanishes_on_symmetric_slice():
-    rng = np.random.default_rng(1)
-    for theta in (0.3, 0.5, 2.0, 7.0):
-        for _ in range(50):
-            h = np.array([0.0, rng.normal() * 4])
-            assert law_map(h, 2, theta)[0] == 0.0
+def sorted_lse_law_map(h, m, theta):
+    # the generic sorted-term path, which every m takes but m = 2
+    s = boundary._sorted_lse(boundary.pair_exponents(boundary.unreduce(h), theta))
+    return s[..., :m] - s[..., m:]
+
+
+# theta on both sides of 1, and 1 itself
+thetas = st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 100.0), st.just(1.0))
+# law components up to the float range of e^h, signed zeros included
+components = st.one_of(st.floats(-700.0, 700.0), st.sampled_from([0.0, -0.0]))
+batch_shapes = st.sampled_from([(), (1,), (7,), (3, 4), (2, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=thetas, h=batch_shapes.flatmap(
+    lambda b: hnp.arrays(float, b + (2,), elements=components)))
+def test_m2_kernel_matches_sorted_lse_bit_for_bit(theta, h):
+    out = law_map(h, 2, theta)
+    ref = sorted_lse_law_map(h, 2, theta)
+    assert out.shape == ref.shape == h.shape
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_m2_kernel_blocks_match_sorted_lse():
+    # 9000 distinct rows span three blocks of the kernel, the last one partial
+    rng = np.random.default_rng(5)
+    h = rng.uniform(-700, 700, size=(3, 3000, 2)) * rng.choice([0.0, -0.0, 1e-3, 1.0],
+                                                               size=(3, 3000, 2))
+    for theta in (0.05, 1.0, 3.0):
+        assert law_map(h, 2, theta).tobytes() == sorted_lse_law_map(h, 2, theta).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=thetas, h0=st.sampled_from([0.0, -0.0]),
+       h1=hnp.arrays(float, st.sampled_from([(), (5,), (2, 3)]), elements=components))
+def test_component_zero_vanishes_on_symmetric_slice(theta, h0, h1):
+    h = np.stack([np.full(h1.shape, h0), h1], axis=-1)
+    assert np.all(law_map(h, 2, theta)[..., 0] == 0.0)
+
+
+def flip_law(h):
+    # global spin flip j -> m-j of reduced laws, as in flip_field
+    u = boundary.unreduce(h)[..., ::-1]
+    return (u - u[..., -1:])[..., :-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=thetas, m=st.integers(1, 4), data=st.data())
+def test_law_map_is_flip_equivariant(theta, m, data):
+    h = data.draw(hnp.arrays(float, (3, m), elements=components))
+    np.testing.assert_allclose(law_map(flip_law(h), m, theta), flip_law(law_map(h, m, theta)),
+                               rtol=1e-12, atol=1e-9)
 
 
 def test_known_value_half_theta():
@@ -68,18 +116,17 @@ def test_law_map_rejects_bad_inputs():
         law_map(np.zeros(3), 2, 0.5)
 
 
-def test_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(3)
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(0.1, 10.0), h=hnp.arrays(float, (4, 2), elements=st.floats(-8.0, 8.0)))
+def test_jacobian_matches_finite_differences(theta, h):
+    # rounding in the difference quotient is about 1e-16 * |F| / step <= 1e-9
     step = 1e-6
-    for theta in (0.4, 1.8):
-        for _ in range(30):
-            h = rng.uniform(-4, 4, size=2)
-            jac = law_map_jac(h, theta)
-            for j in range(2):
-                dh = np.zeros(2)
-                dh[j] = step
-                fd = (law_map(h + dh, 2, theta) - law_map(h - dh, 2, theta)) / (2 * step)
-                np.testing.assert_allclose(jac[:, j], fd, atol=1e-8)
+    jac = law_map_jac(h, theta)
+    for j in range(2):
+        dh = np.zeros(2)
+        dh[j] = step
+        fd = (law_map(h + dh, 2, theta) - law_map(h - dh, 2, theta)) / (2 * step)
+        np.testing.assert_allclose(jac[..., j], fd, atol=1e-8)
 
 
 def test_compatibility_residual_fixed_point(fm_params, fm_roots):

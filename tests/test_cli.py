@@ -197,8 +197,9 @@ def test_verify_nonti(tmp_path):
                 "--perturb", "0.1"]) == 3
 
 
-# sha256 of each command's output file, pinned from the dict-based field
-# implementation; the array-based one must reproduce every byte
+# sha256 of each command's output file.  The field outputs were pinned from
+# the dict-based field implementation and the solver outputs from the generic
+# sorted-LSE update, before the m = 2 kernel; both must reproduce every byte.
 PINNED_OUTPUTS = [
     (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
       "--depth", "8"], "0af6be2cecda761f6ab8e5e41fd0e86e9d76b6460c0dbc74c412d105f29a3f4e"),
@@ -207,11 +208,18 @@ PINNED_OUTPUTS = [
     (["sample", "--k", "3", "--J", "-1", "--beta", "2", "--depth", "4", "--seed", "7",
       "--count", "50", "--branch", "mid"],
      "d86f76ef04de20f64cc1733713950f91cd6da5740c45e36232b87d4e32eb8e5f"),
+    (["solve-ti", "--k", "2", "--J", "-1", "--beta", "2.3"],
+     "7234167b29f3c50275b4db0394e5379d2e01b52b88fc1aeac6b82ea3d0fde9ad"),
+    (["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1.90", "--beta-max", "2.00",
+      "--beta-step", "0.005"], "6622bafe7fbe70437728d3e48e29831062499d686ee4181b96a7938f2581e6e2"),
+    (["solve-periodic", "--k", "200", "--theta", "1.08", "--subgroup", "full"],
+     "f8b3504e9183fdae1a7dbf0a43be5442d7578c50de3aa972adec59a609150e1e"),
 ]
 
 
 @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
-                         ids=["nonti-k2-depth8", "nonti-k3-depth5", "sample-k3-depth4"])
+                         ids=["nonti-k2-depth8", "nonti-k3-depth5", "sample-k3-depth4",
+                              "solve-ti-k2", "phase-diagram-k2", "solve-periodic-k200"])
 def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0
@@ -236,11 +244,31 @@ def test_sample_depth_zero(tmp_path):
     ["verify", "--source", "nonti", "--k", "2", "--J", "1", "--beta", "1",
      "--t", "0.3", "--s", "1.2", "--depth", "3"],
     ["solve-ti", "--config", "no-such-params.txt"],
+    # the high symmetric root, about theta^(-k) = e^800, leaves the float range
+    ["solve-ti", "--k", "200", "--J", "-1", "--beta", "4"],
+    ["phase-diagram", "--k", "200", "--J", "-1", "--beta-min", "2", "--beta-max", "4",
+     "--beta-step", "1"],
+    # theta^(-k) = e^(-1000) underflows
+    ["solve-ti", "--k", "200", "--J", "1", "--beta", "5"],
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_large_k_beta_solves_without_overflow(tmp_path, capsys):
+    # theta^(-2k) = e^1200 overflowed in the root scan's grid bound
+    out = tmp_path / "ti.json"
+    assert run(["solve-ti", "--k", "200", "--J", "-1", "--beta", "3", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["classification"] == "THREE" and len(data["symmetric_roots"]) == 3
+    assert capsys.readouterr().err == ""
+    # sampling gets past the root scan; its depth-1 root marginal is enumerated,
+    # which 3^202 configurations put past the cap
+    run(["sample", "--k", "200", "--J", "-1", "--beta", "3", "--depth", "0",
+         "--out", str(tmp_path / "s.csv")])
+    assert "OverflowError" not in capsys.readouterr().err
 
 
 def test_usage_exit_codes():

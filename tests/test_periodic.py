@@ -218,3 +218,37 @@ def test_classify_by_subgroup_cycle_regime(cycle_params):
     assert report["instability"]["holds"]
     kinds = sorted(s["type"] for s in report["solutions"])
     assert kinds == [periodic.CYCLE, periodic.CYCLE, periodic.FIXED]
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_solvers_make_one_update_call_per_step(monkeypatch, fm_params, afm_params):
+    calls = count_calls(monkeypatch, periodic, "law_map")
+    # one stacked call per damped step and per Newton step, one for the residual
+    periodic.alternating_limits(fm_params, n_starts=10, seed=0, iters=30, newton_iters=5)
+    assert len(calls) == 30 + 5 + 1
+    # a negative delta_tol runs every sweep; two images to start, one per
+    # coset update, two in the final residuals
+    for parity_set, per_sweep in (({1}, 4), ({1, 2, 3}, 2)):
+        calls.clear()
+        spec = SubgroupSpec(k=2, parity_set=frozenset(parity_set))
+        periodic.iterate_parity_system(spec, afm_params, n_starts=5, seed=0, sweeps=7,
+                                       delta_tol=-1.0)
+        assert len(calls) == 2 + per_sweep * 7 + 2
+
+
+def test_classify_scans_symmetric_roots_once(monkeypatch, afm_params):
+    calls = count_calls(monkeypatch, ti, "solve_symmetric_roots")
+    report = periodic.classify_by_subgroup(full_spec(2), afm_params)
+    assert report["instability"] is not None
+    assert len(calls) == 1

@@ -1,0 +1,32 @@
+import numpy as np
+
+from sostree.roots import batched_newton
+
+
+def test_batched_newton_skips_only_singular_starts():
+    # x_i^2 = (4, 9) componentwise; the Jacobian diag(2x) is singular where a
+    # component is 0, so the first two starts never move and the others converge
+    target = np.array([4.0, 9.0])
+
+    def system(x):
+        jac = np.zeros(x.shape + (2,))
+        jac[:, 0, 0] = 2.0 * x[:, 0]
+        jac[:, 1, 1] = 2.0 * x[:, 1]
+        return x * x - target, jac
+
+    starts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 5.0], [30.0, -0.5]])
+    x = batched_newton(system, starts, 40, 100.0)
+    np.testing.assert_array_equal(x[:2], starts[:2])
+    np.testing.assert_allclose(x[2:], [[2.0, 3.0], [-2.0, 3.0], [2.0, -3.0]], rtol=1e-14)
+
+
+def test_batched_newton_caps_steps_and_clips():
+    # a linear system with its root far away: each step moves at most 5 in the
+    # max norm, and the iterate stays inside [-cap, cap]
+    def system(x):
+        return x - 100.0, np.broadcast_to(np.eye(2), x.shape + (2,))
+
+    x = batched_newton(system, np.zeros((1, 2)), 3, 12.0)
+    np.testing.assert_array_equal(x, [[12.0, 12.0]])
+    x = batched_newton(system, np.zeros((1, 2)), 2, 50.0)
+    np.testing.assert_array_equal(x, [[10.0, 10.0]])

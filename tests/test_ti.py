@@ -202,3 +202,17 @@ def test_solve_assembles_solution_set(fm_params):
     payload = result.to_json_dict()
     assert set(payload) == {"params", "classification", "symmetric_roots",
                             "full_solutions", "beta_cr"}
+
+
+def test_solve_scans_symmetric_roots_once(monkeypatch, fm_params):
+    calls = []
+    original = ti.solve_symmetric_roots
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(ti, "solve_symmetric_roots", counted)
+    result = ti.solve(fm_params)
+    assert len(calls) == 1
+    assert len([s for s in result.full_solutions if s[0] == 1.0]) == 3
