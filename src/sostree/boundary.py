@@ -111,18 +111,28 @@ def law_map(h: np.ndarray, m: int, theta: float) -> np.ndarray:
 
 
 def law_map_jac(h: np.ndarray, theta: float) -> np.ndarray:
-    """Analytic Jacobian of the m=2 update, shape (..., 2, 2)."""
+    """Analytic Jacobian of the m=2 update, shape (..., 2, 2).
+
+    Every entry is homogeneous of degree 0 in the unreduced weights
+    (e^h0, e^h1, u = 1).  Where some h_j passes 300, all three weights of
+    its row are divided by e^(max_j h_j - 300), so that products of two stay
+    below e^600 and cannot overflow; elsewhere u is exactly 1.
+    """
     h = np.asarray(h, dtype=float)
+    u = 1.0
+    if h.size and h.max() > 300.0:
+        s = np.maximum(h.max(axis=-1, keepdims=True), 300.0) - 300.0
+        h, u = h - s, np.exp(-s[..., 0])
     e0, e1 = np.exp(h[..., 0]), np.exp(h[..., 1])
     t = theta
-    n0 = e0 + t * e1 + t * t
-    n1 = t * e0 + e1 + t
-    d = t * t * e0 + t * e1 + 1.0
+    n0 = e0 + t * e1 + t * t * u
+    n1 = t * e0 + e1 + t * u
+    d = t * t * e0 + t * e1 + u
     jac = np.empty(h.shape[:-1] + (2, 2))
-    jac[..., 0, 0] = e0 * (1 - t * t) * (t * e1 + t * t + 1) / (n0 * d)
-    jac[..., 0, 1] = t * e1 * (t * t - 1) * (e0 - 1) / (n0 * d)
-    jac[..., 1, 0] = t * e0 * (1 - t * t) / (n1 * d)
-    jac[..., 1, 1] = e1 * (1 - t * t) / (n1 * d)
+    jac[..., 0, 0] = e0 * (1 - t * t) * (t * e1 + t * t * u + u) / (n0 * d)
+    jac[..., 0, 1] = t * e1 * (t * t - 1) * (e0 - u) / (n0 * d)
+    jac[..., 1, 0] = t * e0 * ((1 - t * t) * u) / (n1 * d)
+    jac[..., 1, 1] = e1 * ((1 - t * t) * u) / (n1 * d)
     return jac
 
 
@@ -192,10 +202,10 @@ def constant_field(h: np.ndarray, params: ModelParams, depth: int) -> BoundaryLa
     return BoundaryLawField(k=params.k, depth=depth, laws=laws)
 
 
-def perturb_field(fld: BoundaryLawField, eps: float, component: int = -1) -> BoundaryLawField:
-    """Shift one component of every stored law (negative-control helper)."""
+def perturb_field(fld: BoundaryLawField, eps: float) -> BoundaryLawField:
+    """Shift the last component of every stored law (negative-control helper)."""
     laws = fld.laws.copy()
-    laws[:, component] += eps
+    laws[:, -1] += eps
     return BoundaryLawField(k=fld.k, depth=fld.depth, laws=laws)
 
 
@@ -238,20 +248,25 @@ def compatibility_residual(fld: BoundaryLawField, params: ModelParams) -> float:
     return worst
 
 
-def injectivity_check(h, l, theta: float, tol: float = 1e-10, tol_out: float = 1e-6) -> bool:
+INJECTIVITY_TOL_IN = 1e-10   # update images this close count as equal
+INJECTIVITY_TOL_OUT = 1e-6   # arguments must then be this close
+
+
+def injectivity_check(h, l, theta: float) -> bool:
     """Numerical form of injectivity of the m=2 update away from theta = 1.
 
-    Returns whether "update images within `tol` implies arguments within
-    `tol_out`" holds for this pair; h = l is always accepted.
+    Returns whether "update images within INJECTIVITY_TOL_IN implies
+    arguments within INJECTIVITY_TOL_OUT" holds for this pair; h = l is
+    always accepted.
     """
     if theta == 1.0:
         raise ValueError("theta = 1 is excluded: the update is constant there")
     h = np.asarray(h, dtype=float)
     l = np.asarray(l, dtype=float)
     df = float(np.max(np.abs(law_map(h, 2, theta) - law_map(l, 2, theta))))
-    if df > tol:
+    if df > INJECTIVITY_TOL_IN:
         return True
-    return float(np.max(np.abs(h - l))) <= tol_out
+    return float(np.max(np.abs(h - l))) <= INJECTIVITY_TOL_OUT
 
 
 def slice_contraction_constant(theta: float) -> float:

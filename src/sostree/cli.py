@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, boundary, measure, nonti, periodic, ti
 from .model import ModelParams, parse_params_text
-from .tree import SubgroupSpec
+from .tree import SubgroupSpec, ball_size
 
 
 class UsageError(Exception):
@@ -96,7 +96,7 @@ def cmd_solve_ti(args) -> int:
     params = _resolve_params(args)
     if params.m != 2:
         raise UsageError("the TI solver requires m = 2")
-    result = ti.solve(params, full=True)
+    result = ti.solve(params)
     _emit(args, json.dumps(result.to_json_dict(), indent=2) + "\n",
           _manifest("solve-ti", args, params))
     return 0
@@ -220,8 +220,7 @@ def cmd_verify(args) -> int:
     lines: list[str] = []
     ok = True
     n_oracle = args.depth
-    while (params.m + 1) ** measure.ball_geometry(params.k, n_oracle).n_vertices \
-            > measure.EXACT_TABLE_CAP and n_oracle > 1:
+    while not measure.enumerable(params.m + 1, ball_size(params.k, n_oracle)) and n_oracle > 1:
         n_oracle -= 1
 
     if args.source == "ti":

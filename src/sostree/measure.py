@@ -30,18 +30,16 @@ from .model import ModelParams, edge_gap_sum
 from .tree import BallGeometry, Word, ball_geometry, ball_size
 
 EXACT_TABLE_CAP = 10 ** 6
+SYMMETRY_TOL = 1e-10   # total-variation gap below which a measure counts as flip-symmetric
 
 
 class ScaleError(Exception):
     """The requested enumeration exceeds the exact-mode cap."""
 
 
-def _check_scale(q: int, n_vertices: int) -> int:
-    size = q ** n_vertices
-    if size > EXACT_TABLE_CAP:
-        raise ScaleError(
-            f"{q}^{n_vertices} configurations exceed the exact-mode cap {EXACT_TABLE_CAP}")
-    return size
+def enumerable(q: int, n_vertices: int) -> bool:
+    """Whether the q^n_vertices configurations fit under EXACT_TABLE_CAP."""
+    return q ** n_vertices <= EXACT_TABLE_CAP
 
 
 def _config_columns(q: int, n_vertices: int) -> np.ndarray:
@@ -51,7 +49,10 @@ def _config_columns(q: int, n_vertices: int) -> np.ndarray:
     table index factorises as inner-ball index times outer-sphere block; the
     marginalisation oracles lean on that layout.
     """
-    size = _check_scale(q, n_vertices)
+    if not enumerable(q, n_vertices):
+        raise ScaleError(
+            f"{q}^{n_vertices} configurations exceed the exact-mode cap {EXACT_TABLE_CAP}")
+    size = q ** n_vertices
     idx = np.arange(size, dtype=np.int64)
     cols = np.empty((size, n_vertices), dtype=np.int8)
     for j in range(n_vertices):
@@ -134,8 +135,7 @@ def log_partition(fld: BoundaryLawField, params: ModelParams, n: int,
     if method not in ("auto", "enumerate", "transfer"):
         raise ValueError(f"unknown method {method!r}")
     if method == "enumerate" or (
-            method == "auto" and (params.m + 1) ** ball_geometry(params.k, n).n_vertices
-            <= EXACT_TABLE_CAP):
+            method == "auto" and enumerable(params.m + 1, ball_size(params.k, n))):
         logw = log_weight_table(fld, params, n)
         hi = float(np.max(logw))
         return hi + math.log(float(np.sum(np.exp(logw - hi))))
@@ -237,8 +237,7 @@ def dlr_oracle(fld: BoundaryLawField, params: ModelParams, n: int) -> float:
     return dlr_breakdown(fld, params, n).max_violation
 
 
-def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int,
-                   tol: float = 1e-10) -> bool:
+def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int) -> bool:
     """Whether the depth-n measure is invariant under the global spin flip.
 
     Flipping every spin j -> m-j maps the table index i to (m+1)^N - 1 - i,
@@ -246,7 +245,7 @@ def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int,
     """
     mu = finite_volume_measure(fld, params, n)
     tv = 0.5 * float(np.abs(mu.probs - mu.probs[::-1]).sum())
-    return tv <= tol
+    return tv <= SYMMETRY_TOL
 
 
 @dataclass

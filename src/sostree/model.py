@@ -16,10 +16,6 @@ import numpy as np
 
 from .tree import ball_geometry, ball_size
 
-FM = "FM"
-AFM = "AFM"
-FREE = "FREE"
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -44,14 +40,6 @@ class ModelParams:
         if not 0.0 < theta < math.inf:
             raise ValueError("J and beta must be finite, with 0 < theta = exp(J*beta) < inf")
         object.__setattr__(self, "theta", theta)
-
-    @property
-    def regime(self) -> str:
-        if self.J < 0:
-            return FM
-        if self.J > 0:
-            return AFM
-        return FREE
 
     @classmethod
     def from_theta(cls, k: int, m: int, theta: float) -> "ModelParams":

@@ -159,13 +159,6 @@ class ConvergenceReport:
     rates: list[float]            # ratios of consecutive differences
     cauchy: bool                  # differences monotonically nonincreasing
 
-    def to_json_dict(self) -> dict:
-        return {"depths": self.depths,
-                "root_laws": [[float(v) for v in h] for h in self.root_laws],
-                "differences": self.differences,
-                "rates": self.rates,
-                "cauchy": self.cauchy}
-
 
 def root_convergence(t: float, s: float, params: ModelParams,
                      depths: list[int]) -> ConvergenceReport:

@@ -18,11 +18,17 @@ import numpy as np
 from . import ti
 from .boundary import BoundaryLawField, law_map, law_map_jac
 from .model import ModelParams
-from .roots import batched_newton, find_roots
+from .roots import batched_newton, dedupe, find_roots
 from .tree import SubgroupSpec, ball_geometry
 
 FIXED = "FIXED"
 CYCLE = "CYCLE"
+
+SLICE_GRID = 1000    # points of the psi∘psi sign scan
+PAIR_TOL = 1e-8      # a pair (z, t) closer than this is a fixed point, not a cycle
+RESID_TOL = 1e-10    # limits with a larger defect are not solutions
+DEDUPE_TOL = 1e-8    # 4D solutions closer than this (log space) are one
+DAMPING = 0.5        # weight of the new iterate in the damped iterations
 
 
 @dataclass
@@ -32,14 +38,11 @@ class Period2Solution:
     z: float
     t: float
     type: str
-    full_pair: tuple[tuple[float, float], tuple[float, float]] | None = None
+    full_pair: tuple[tuple[float, float], tuple[float, float]]
 
     def to_json_dict(self) -> dict:
-        out = {"type": self.type, "z": self.z, "t": self.t}
-        if self.full_pair is not None:
-            out["z_full"] = list(self.full_pair[0])
-            out["t_full"] = list(self.full_pair[1])
-        return out
+        return {"type": self.type, "z": self.z, "t": self.t,
+                "z_full": list(self.full_pair[0]), "t_full": list(self.full_pair[1])}
 
 
 def cycle_instability(params: ModelParams,
@@ -65,8 +68,7 @@ def cycle_instability(params: ModelParams,
     return value, value > 1.0
 
 
-def solve_two_cycle_symmetric(params: ModelParams, n_grid: int = 1000,
-                              pair_tol: float = 1e-8) -> list[Period2Solution]:
+def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
     """All fixed points of psi∘psi on the invariant interval, paired as (z, psi(z)).
 
     Genuine cycles appear twice, in swapped order.  The search interval is the
@@ -88,17 +90,16 @@ def solve_two_cycle_symmetric(params: ModelParams, n_grid: int = 1000,
         return psi.deriv(pz) * psi.deriv(z) - 1.0
 
     sols = []
-    for z in find_roots(f, lo, hi, df=df, n_grid=n_grid):
+    for z in find_roots(f, lo, hi, df=df, n_grid=SLICE_GRID):
         t = float(psi(z))
-        kind = FIXED if abs(z - t) <= pair_tol * max(1.0, z, t) else CYCLE
+        kind = FIXED if abs(z - t) <= PAIR_TOL * max(1.0, z, t) else CYCLE
         sols.append(Period2Solution(z=z, t=t, type=kind,
                                     full_pair=((1.0, z), (1.0, t))))
     return sols
 
 
 def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
-                       iters: int = 600, damping: float = 0.5,
-                       newton_iters: int = 40):
+                       iters: int = 600, newton_iters: int = 40):
     """Damped alternating iteration h <- kF(l), l <- kF(h) from random starts.
 
     Returns (h, l, residual) arrays after a batched Newton polish of the full
@@ -112,7 +113,7 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
     c = 2.0 * k * abs(math.log(theta)) + 1.0
     hl = rng.uniform(-c, c, size=(2, n_starts, 2))   # h then l, as two draws would give
     for _ in range(iters):
-        hl = (1 - damping) * hl + damping * k * law_map(hl[::-1], 2, theta)
+        hl = (1 - DAMPING) * hl + DAMPING * k * law_map(hl[::-1], 2, theta)
 
     def system(x):   # x rows are (h, l)
         hl = x.reshape(-1, 2, 2).swapaxes(0, 1)
@@ -126,20 +127,15 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
     return hl[0], hl[1], np.maximum(resid[0], resid[1])
 
 
-def solve_two_cycle_full(params: ModelParams, n_starts: int = 100, seed: int = 0,
-                         resid_tol: float = 1e-10, pair_tol: float = 1e-8,
-                         dedupe_tol: float = 1e-8) -> list[Period2Solution]:
+def solve_two_cycle_full(params: ModelParams, n_starts: int = 100,
+                         seed: int = 0) -> list[Period2Solution]:
     """Solutions of the full four-dimensional alternating system."""
     h, l, resid = alternating_limits(params, n_starts=n_starts, seed=seed)
-    kept: list[np.ndarray] = []
-    for i in np.nonzero(resid <= resid_tol)[0]:
-        v = np.concatenate([h[i], l[i]])
-        if all(np.max(np.abs(v - other)) > dedupe_tol for other in kept):
-            kept.append(v)
+    good = resid <= RESID_TOL
     sols = []
-    for v in sorted(map(tuple, kept)):
+    for v in dedupe(np.concatenate([h[good], l[good]], axis=-1), DEDUPE_TOL):
         z0, z1, t0, t1 = (math.exp(x) for x in v)
-        kind = FIXED if max(abs(v[0] - v[2]), abs(v[1] - v[3])) <= pair_tol else CYCLE
+        kind = FIXED if max(abs(v[0] - v[2]), abs(v[1] - v[3])) <= PAIR_TOL else CYCLE
         sols.append(Period2Solution(z=z1, t=t1, type=kind,
                                     full_pair=((z0, z1), (t0, t1))))
     return sols
@@ -155,41 +151,40 @@ class ParityIterationResult:
     converged: np.ndarray     # (n,) bool
     ti: np.ndarray            # (n,) bool: both coset laws equal
 
-    @property
-    def all_ti(self) -> bool:
-        return bool(np.all(self.converged) and np.all(self.ti[self.converged]))
+
+def coset_equations(spec: SubgroupSpec) -> list[tuple[int, int, tuple[int, int]]]:
+    """The consistency equations of a two-coset-periodic family, as (n, p, counts).
+
+    A vertex of coset n whose parent lies in coset p has counts[c] direct
+    successors in coset c: its neighbours there, less the parent.  A pair
+    (n, p) occurs only when coset-n vertices have a neighbour in coset p, so
+    for the even-word subgroup, where every neighbour switches coset, only
+    p = 1 - n is listed.
+    """
+    eqs = []
+    for n in (0, 1):
+        for p in (0, 1):
+            counts = list(spec.neighbour_counts(n))
+            if counts[p]:
+                counts[p] -= 1
+                eqs.append((n, p, (counts[0], counts[1])))
+    return eqs
 
 
 def parity_residuals(h0: np.ndarray, h1: np.ndarray, spec: SubgroupSpec,
                      params: ModelParams) -> np.ndarray:
-    """Defects of every coset equation of a two-coset-periodic family.
-
-    For a proper parity set both parent cosets occur beneath both cosets, so
-    there are four successor-sum equations; for the full set the system is the
-    alternating pair h0 = k*F(h1), h1 = k*F(h0).
-    """
-    k, m, theta = params.k, params.m, params.theta
-    f0, f1 = law_map(h0, m, theta), law_map(h1, m, theta)
-    if spec.is_full:
-        eqs = [h0 - k * f1, h1 - k * f0]
-    else:
-        cross = len(spec.parity_set)
-        same = k + 1 - cross
-        f = [f0, f1]
-        h = [h0, h1]
-        eqs = []
-        for n in (0, 1):
-            total = same * f[n] + cross * f[1 - n]
-            for p in (0, 1):
-                eqs.append(h[n] - (total - f[p]))
+    """Worst defect of the coset equations of a two-coset-periodic family."""
+    m, theta = params.m, params.theta
+    h = [h0, h1]
+    f = [law_map(h0, m, theta), law_map(h1, m, theta)]
+    eqs = [h[n] - (c0 * f[0] + c1 * f[1]) for n, _, (c0, c1) in coset_equations(spec)]
     return np.max(np.abs(np.stack(eqs, axis=0)), axis=(0, -1))
 
 
 def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
                           n_starts: int = 50, seed: int = 0,
-                          sweeps: int = 4000, damping: float = 0.5,
-                          delta_tol: float = 1e-13,
-                          resid_tol: float = 1e-10) -> ParityIterationResult:
+                          sweeps: int = 4000,
+                          delta_tol: float = 1e-13) -> ParityIterationResult:
     """Damped cyclic iteration of the coset equations from random starts.
 
     A converged limit of the cyclic sweep satisfies every equation in the
@@ -201,25 +196,14 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
     rng = np.random.default_rng(seed)
     c = 2.0 * k * abs(math.log(theta)) + 1.0
     h = [rng.uniform(-c, c, size=(n_starts, 2)), rng.uniform(-c, c, size=(n_starts, 2))]
-
-    if spec.is_full:
-        updates = [(0, None), (1, None)]
-        cross, same = None, None
-    else:
-        cross = len(spec.parity_set)
-        same = k + 1 - cross
-        updates = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    eqs = coset_equations(spec)
 
     # image of each coset law, renewed only when that law changes
     f = [law_map(x, m, theta) for x in h]
     for _ in range(sweeps):
         delta = 0.0
-        for n, p in updates:
-            if spec.is_full:
-                rhs = k * f[1 - n]
-            else:
-                rhs = same * f[n] + cross * f[1 - n] - f[p]
-            new = (1 - damping) * h[n] + damping * rhs
+        for n, _, (c0, c1) in eqs:
+            new = (1 - DAMPING) * h[n] + DAMPING * (c0 * f[0] + c1 * f[1])
             delta = max(delta, float(np.max(np.abs(new - h[n]))))
             h[n] = new
             f[n] = law_map(new, m, theta)
@@ -227,10 +211,9 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
             break
 
     resid = parity_residuals(h[0], h[1], spec, params)
-    converged = resid <= resid_tol
     is_ti = np.max(np.abs(h[0] - h[1]), axis=-1) <= 1e-8
     return ParityIterationResult(h_even=h[0], h_odd=h[1], residual=resid,
-                                 converged=converged, ti=is_ti)
+                                 converged=resid <= RESID_TOL, ti=is_ti)
 
 
 def expand_two_cycle_field(z: float, t: float, params: ModelParams,
@@ -254,7 +237,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     Antiferromagnetic coupling with the even-word subgroup: the chess-board
     two-cycles join the list when the instability criterion admits them.
     """
-    ti_set = ti.solve(params, full=True)
+    ti_set = ti.solve(params)
     afm = params.theta > 1.0
     instability = None
     if afm and params.m == 2:

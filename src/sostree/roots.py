@@ -13,9 +13,14 @@ from typing import Callable
 
 import numpy as np
 
+BISECT_STEPS = 200      # halvings before bisect gives up on rel_tol
+POLISH_STEPS = 8        # guarded Newton steps after each bisection
+ROOT_REL_TOL = 1e-12    # bracket width at which find_roots stops bisecting
+ROOT_DEDUPE_TOL = 1e-9  # roots closer than this (relative) are one root
+
 
 def bisect(f: Callable[[float], float], lo: float, hi: float,
-           rel_tol: float = 1e-12, max_iter: int = 200) -> float:
+           rel_tol: float = ROOT_REL_TOL) -> float:
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -24,7 +29,7 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0:
         raise ValueError("root not bracketed")
-    for _ in range(max_iter):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(1.0, abs(mid)):
             return mid
@@ -39,11 +44,11 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
 
 
 def newton_polish(f: Callable[[float], float], df: Callable[[float], float],
-                  x0: float, lo: float, hi: float, max_iter: int = 8) -> float:
+                  x0: float, lo: float, hi: float) -> float:
     """A few guarded Newton steps; falls back to x0 if they do not improve."""
     x, fx = x0, f(x0)
     best, best_f = x0, abs(fx)
-    for _ in range(max_iter):
+    for _ in range(POLISH_STEPS):
         d = df(x)
         if d == 0.0 or not np.isfinite(d):
             break
@@ -83,17 +88,27 @@ def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     return x
 
 
-def _dedupe(xs: list[float], rel_tol: float = 1e-9) -> list[float]:
-    out: list[float] = []
-    for x in sorted(xs):
-        if not out or abs(x - out[-1]) > rel_tol * max(1.0, abs(x)):
-            out.append(x)
-    return out
+def dedupe(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted rows of an (n, d) array, one per cluster of near-equal rows.
+
+    Rows are sorted lexicographically, and a row is dropped when it lies
+    within tol * max(1, |row|) of a row already kept, both in the max norm,
+    so each cluster keeps its sorted-first row and large values dedupe
+    relative to their size.  The rows are few, so plain floats are faster
+    than numpy calls here.
+    """
+    rows = np.asarray(rows, dtype=float)
+    kept: list[list[float]] = []
+    for row in sorted(rows.tolist()):
+        scale = tol * max(1.0, max(map(abs, row)))
+        if all(max(abs(a - b) for a, b in zip(row, other)) > scale for other in kept):
+            kept.append(row)
+    return np.array(kept, dtype=float).reshape(-1, rows.shape[1])
 
 
 def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                df: Callable[[np.ndarray], np.ndarray] | None = None,
-               n_grid: int = 4096, rel_tol: float = 1e-12) -> list[float]:
+               n_grid: int = 4096) -> list[float]:
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
     `f` and `df` must accept arrays.  When `df` is given, brackets containing
@@ -134,8 +149,8 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                 brackets.append((xe, b))
 
     for a, b in brackets:
-        x = bisect(f1, a, b, rel_tol=rel_tol)
+        x = bisect(f1, a, b)
         if df is not None:
             x = newton_polish(f1, df1, x, a, b)
         roots.append(x)
-    return _dedupe(roots)
+    return dedupe(np.reshape(roots, (-1, 1)), ROOT_DEDUPE_TOL)[:, 0].tolist()

@@ -17,11 +17,20 @@ import numpy as np
 
 from .boundary import law_map, law_map_jac
 from .model import ModelParams
-from .roots import batched_newton, find_roots
+from .roots import batched_newton, dedupe, find_roots
 
 UNIQUE = "UNIQUE"
 BOUNDARY_TWO = "BOUNDARY_TWO"
 THREE = "THREE"
+
+SCAN_GRID = 4096          # points of the log-grid sign scans
+TANGENCY_REL_TOL = 1e-12  # a within this of nu1 or nu2 counts as tangent
+RESID_TOL = 1e-11         # 2D Newton limits with a larger defect are dropped
+DEDUPE_TOL = 1e-8         # 2D solutions closer than this (log space) are one
+DAMPING = 0.5             # weight of the new iterate in iterate_general_m
+GENERAL_M_TOL = 1e-12     # step size at which iterate_general_m stops
+# |ln z| up to which a weight z is a normal float (the limits are -708.4, 709.8)
+LOG_WEIGHT_MAX = 708.0
 
 
 class FloatRangeError(ValueError):
@@ -77,9 +86,6 @@ class ReducedForm:
         t = params.theta
         return ReducedForm(a=2.0 * t ** (params.k + 1), b=(1.0 + t * t) / (2.0 * t * t))
 
-    def z_from_x(self, x: float, theta: float) -> float:
-        return 2.0 * theta * x
-
 
 @dataclass(frozen=True)
 class ScalarFamilyInfo:
@@ -110,22 +116,23 @@ def scalar_family_info(b: float, k: int) -> ScalarFamilyInfo | None:
     return ScalarFamilyInfo(x1=x1, x2=x2, nu1=min(n1, n2), nu2=max(n1, n2))
 
 
-def classify_scalar_family(a: float, b: float, k: int,
-                           eq_rel_tol: float = 1e-12) -> tuple[int, str, ScalarFamilyInfo | None]:
+def classify_scalar_family(a: float, b: float,
+                           k: int) -> tuple[int, str, ScalarFamilyInfo | None]:
     """Root count of the reduced family plus the tangency data."""
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     info = scalar_family_info(b, k)
     if info is None:
         return 1, UNIQUE, None
-    if abs(a - info.nu1) <= eq_rel_tol * info.nu1 or abs(a - info.nu2) <= eq_rel_tol * info.nu2:
+    if (abs(a - info.nu1) <= TANGENCY_REL_TOL * info.nu1
+            or abs(a - info.nu2) <= TANGENCY_REL_TOL * info.nu2):
         return 2, BOUNDARY_TWO, info
     if info.nu1 < a < info.nu2:
         return 3, THREE, info
     return 1, UNIQUE, info
 
 
-def scan_scalar_roots(a: float, b: float, k: int, n_grid: int = 4096) -> list[float]:
+def scan_scalar_roots(a: float, b: float, k: int) -> list[float]:
     """Sign-scan oracle for the reduced family, independent of the classification."""
 
     def g(x):
@@ -140,7 +147,7 @@ def scan_scalar_roots(a: float, b: float, k: int, n_grid: int = 4096) -> list[fl
     ratio_lo, ratio_hi = sorted((b ** (-k), 1.0))
     lo = 0.25 * ratio_lo / a
     hi = 4.0 * ratio_hi / a
-    return find_roots(g, lo, hi, df=dg, n_grid=n_grid)
+    return find_roots(g, lo, hi, df=dg, n_grid=SCAN_GRID)
 
 
 def critical_beta(J: float, k: int) -> float:
@@ -152,7 +159,7 @@ def critical_beta(J: float, k: int) -> float:
     return math.log((k - 1) ** 2 / (k * k + 6 * k + 1)) / (2 * J)
 
 
-def solve_symmetric_roots(params: ModelParams, n_grid: int = 4096) -> list[float]:
+def solve_symmetric_roots(params: ModelParams) -> list[float]:
     """All positive fixed points of the slice recursion, sorted ascending.
 
     Sign scan on a log grid (with tangent-pair refinement through the
@@ -179,12 +186,12 @@ def solve_symmetric_roots(params: ModelParams, n_grid: int = 4096) -> list[float
     far = 1e300 if -2 * params.k * math.log(params.theta) > 691.0 \
         else min(params.theta ** (-2 * params.k), 1e300)
     hi = max(10.0, far, 2.0 * r_hi)
-    roots = find_roots(f, lo, hi, df=df, n_grid=n_grid)
+    roots = find_roots(f, lo, hi, df=df, n_grid=SCAN_GRID)
 
     expected, label, _ = classify_scalar_family(
         *_reduced_ab(params), params.k)
     if label != BOUNDARY_TWO and len(roots) != expected:
-        roots = find_roots(f, lo, hi, df=df, n_grid=16 * n_grid)
+        roots = find_roots(f, lo, hi, df=df, n_grid=16 * SCAN_GRID)
         if len(roots) != expected:
             raise RuntimeError(
                 f"scan found {len(roots)} symmetric roots, classification expects {expected}")
@@ -203,7 +210,6 @@ class TiSolutionSet:
     params: ModelParams
     symmetric_roots: list[float]
     classification: str
-    labels: tuple[float, float, float] | None
     full_solutions: list[tuple[float, float]]
     beta_cr: float | None
 
@@ -217,57 +223,36 @@ class TiSolutionSet:
         }
 
 
-def solve(params: ModelParams, full: bool = True,
-          box: tuple[tuple[float, float], tuple[float, float]] | None = None,
-          grid: tuple[int, int] = (200, 200)) -> TiSolutionSet:
-    """Symmetric-branch roots plus (optionally) the full 2D solution scan."""
+def solve(params: ModelParams) -> TiSolutionSet:
+    """Symmetric-branch roots plus the full 2D solution scan."""
     roots = solve_symmetric_roots(params)
     _, label, _ = classify_scalar_family(*_reduced_ab(params), params.k)
-    labels = tuple(roots) if (label == THREE and len(roots) == 3) else None
-    full_solutions = solve_full(params, box=box, grid=grid, symmetric_roots=roots) if full \
-        else [(1.0, z) for z in roots]
     beta_cr = critical_beta(params.J, params.k) if (params.J < 0 and params.k >= 2) else None
     return TiSolutionSet(params=params, symmetric_roots=roots, classification=label,
-                         labels=labels, full_solutions=full_solutions, beta_cr=beta_cr)
+                         full_solutions=solve_full(params, symmetric_roots=roots),
+                         beta_cr=beta_cr)
 
 
-def _default_box(params: ModelParams) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Box containing the invariant range of the constant-law map.
-
-    Each component of k * law_map lies in k * [-2|ln theta|, 2|ln theta|], so
-    every solution has weights inside [theta^(-2k), theta^(2k)]; the box is
-    that interval (inflated), never smaller than [1e-6, 1e6].
-    """
-    span = min(2.0 * params.k * abs(math.log(params.theta)) + 1.0, 690.0)
-    lo = min(1e-6, math.exp(-span))
-    hi = max(1e6, math.exp(span))
-    return ((lo, hi), (lo, hi))
-
-
-def solve_full(params: ModelParams,
-               box: tuple[tuple[float, float], tuple[float, float]] | None = None,
-               grid: tuple[int, int] = (200, 200),
-               resid_tol: float = 1e-11, dedupe_tol: float = 1e-8,
+def solve_full(params: ModelParams, grid: tuple[int, int] = (200, 200),
                symmetric_roots: list[float] | None = None) -> list[tuple[float, float]]:
-    """All constant-law solutions (z0, z1) inside the box.
+    """All constant-law solutions (z0, z1) whose weights are normal floats.
 
-    Dense log-grid residual scan, batched damped Newton from every local
-    minimum (and from the symmetric-branch seeds, scanned here unless given),
-    then deduplication.  The z0 = 1 branch is always present; for nonnegative
-    coupling the result is a single solution on that branch.
+    Dense residual scan on a grid of h = ln z, batched damped Newton from
+    every local minimum (and from the symmetric-branch seeds, scanned here
+    unless given), then deduplication.  Each component of k * law_map lies in
+    k * [-2|ln theta|, 2|ln theta|], so every solution has |h_i| below
+    2k|ln theta| + 1; the grid spans that, at least ln(1e6) and at most
+    LOG_WEIGHT_MAX, and solutions past LOG_WEIGHT_MAX, which no weight can
+    express, are left out.  The z0 = 1 branch is always present; for
+    nonnegative coupling the result is a single solution on that branch.
     """
     if params.m != 2:
         raise ValueError("the 2D solver is specific to m = 2")
-    if box is None:
-        box = _default_box(params)
-    (z0_lo, z0_hi), (z1_lo, z1_hi) = box
-    if not (0 < z0_lo < z0_hi and 0 < z1_lo < z1_hi):
-        (z0_lo, z0_hi), (z1_lo, z1_hi) = _default_box(params)
-
     k, theta = params.k, params.theta
-    h0 = np.log(np.geomspace(z0_lo, z0_hi, grid[0]))
-    h1 = np.log(np.geomspace(z1_lo, z1_hi, grid[1]))
-    hh = np.stack(np.meshgrid(h0, h1, indexing="ij"), axis=-1)
+    bound = min(2.0 * k * abs(math.log(theta)) + 1.0, LOG_WEIGHT_MAX)
+    lo, hi = min(1e-6, math.exp(-bound)), max(1e6, math.exp(bound))
+    axes = [np.log(np.geomspace(lo, hi, n)) for n in grid]
+    hh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     resid = hh - k * law_map(hh, 2, theta)
     norm = np.max(np.abs(resid), axis=-1)
 
@@ -292,20 +277,9 @@ def solve_full(params: ModelParams,
     x = batched_newton(system, np.array(starts), 60, 2.0 * k * abs(math.log(theta)) + 20.0)
 
     r = np.max(np.abs(x - k * law_map(x, 2, theta)), axis=-1)
-    good = x[r <= resid_tol]
-
-    kept: list[np.ndarray] = []
-    for h in sorted(map(tuple, good)):
-        h = np.asarray(h)
-        if all(np.max(np.abs(h - other)) > dedupe_tol for other in kept):
-            kept.append(h)
-    sols = []
-    margin = 1.0 + 1e-9
-    for h in kept:
-        z0, z1 = math.exp(h[0]), math.exp(h[1])
-        if z0_lo / margin <= z0 <= z0_hi * margin and z1_lo / margin <= z1 <= z1_hi * margin:
-            sols.append((z0, z1))
-    return sorted(sols)
+    kept = dedupe(x[r <= RESID_TOL], DEDUPE_TOL)
+    kept = kept[np.max(np.abs(kept), axis=-1) <= math.log(hi) + 1e-9]
+    return sorted((math.exp(a), math.exp(b)) for a, b in kept)
 
 
 @dataclass
@@ -319,14 +293,8 @@ class GeneralMReport:
     symmetric: bool
     last_delta: float
 
-    def to_json_dict(self) -> dict:
-        return {"converged": self.converged, "iterations": self.iterations,
-                "h": [float(v) for v in self.h], "residual": self.residual,
-                "symmetric": self.symmetric, "last_delta": self.last_delta}
 
-
-def iterate_general_m(params: ModelParams, init=None, max_iter: int = 2000,
-                      tol: float = 1e-12, damping: float = 0.5) -> GeneralMReport:
+def iterate_general_m(params: ModelParams, init=None, max_iter: int = 2000) -> GeneralMReport:
     """Damped iteration h <- (1-d) h + d * k * law_map(h) for any m >= 2.
 
     Divergence is reported, never raised.  The symmetry flag records whether
@@ -337,17 +305,17 @@ def iterate_general_m(params: ModelParams, init=None, max_iter: int = 2000,
     delta = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        nxt = (1.0 - damping) * h + damping * k * law_map(h, m, theta)
+        nxt = (1.0 - DAMPING) * h + DAMPING * k * law_map(h, m, theta)
         delta = float(np.max(np.abs(nxt - h)))
         h = nxt
         if not np.all(np.isfinite(h)):
             return GeneralMReport(False, iterations, h, math.inf, False, delta)
-        if delta <= tol:
+        if delta <= GENERAL_M_TOL:
             break
     residual = float(np.max(np.abs(h - k * law_map(h, m, theta))))
     u = np.concatenate([h, [0.0]])
     symmetric = bool(np.max(np.abs(u - u[::-1])) <= 1e-8)
-    return GeneralMReport(delta <= tol, iterations, h, residual, symmetric, delta)
+    return GeneralMReport(delta <= GENERAL_M_TOL, iterations, h, residual, symmetric, delta)
 
 
 def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float,

@@ -70,17 +70,6 @@ def parent(w: Word) -> Word | None:
     return Word(w.letters[:-1])
 
 
-def neighbors(w: Word, k: int) -> list[Word]:
-    """All k+1 neighbours w·a_i, in generator order."""
-    out = []
-    for a in range(1, k + 2):
-        if w.letters and w.letters[-1] == a:
-            out.append(Word(w.letters[:-1]))
-        else:
-            out.append(Word(w.letters + (a,)))
-    return out
-
-
 def direct_successors(w: Word, k: int) -> list[Word]:
     """One-letter extensions that do not cancel, in generator order.
 
@@ -167,32 +156,21 @@ class SubgroupSpec:
         """Whether the subgroup contains some generator (I(K) nonempty)."""
         return not self.is_full
 
-    def label(self) -> str:
-        return "even_words" if self.is_full else "A=" + ",".join(map(str, sorted(self.parity_set)))
+    def neighbour_counts(self, coset: int) -> tuple[int, int]:
+        """How many of the k+1 neighbours of a vertex in `coset` lie in cosets 0 and 1.
 
-
-def coset_of(w: Word, spec: SubgroupSpec) -> int:
-    """0 for the subgroup itself, 1 for the other coset."""
-    return sum(1 for a in w.letters if a in spec.parity_set) % 2
-
-
-def coset_profile(w: Word, spec: SubgroupSpec) -> tuple[int, tuple[int, int]]:
-    """Coset of w and the counts of its k+1 neighbours in each coset."""
-    c = coset_of(w, spec)
-    q = [0, 0]
-    for y in neighbors(w, spec.k):
-        q[coset_of(y, spec)] += 1
-    return c, (q[0], q[1])
+        Coset 0 is the subgroup.  A step by a letter of A switches the coset,
+        a step by any other letter keeps it.
+        """
+        switch = len(self.parity_set)
+        keep = self.k + 1 - switch
+        return (keep, switch) if coset == 0 else (switch, keep)
 
 
 @lru_cache(maxsize=None)
-def _cached_ball(k: int, n: int) -> tuple[Word, ...]:
-    return tuple(ball(k, n))
-
-
 def cached_ball(k: int, n: int) -> tuple[Word, ...]:
     """Memoised ball enumeration (the hot path for the finite-volume oracles)."""
-    return _cached_ball(k, n)
+    return tuple(ball(k, n))
 
 
 @dataclass(frozen=True)

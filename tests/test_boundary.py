@@ -129,6 +129,20 @@ def test_jacobian_matches_finite_differences(theta, h):
         np.testing.assert_allclose(jac[..., j], fd, atol=1e-8)
 
 
+@pytest.mark.parametrize("theta", [math.exp(-3.0), 0.5, 1.8])
+def test_jacobian_past_the_overflow_of_e_h(theta):
+    # products of e^h overflowed past h ~ 355 and gave inf/inf = nan entries
+    h = np.array([[600.0, 600.0], [800.0, -50.0], [-900.0, 2000.0], [710.0, 710.0]])
+    step = 1e-5
+    jac = law_map_jac(h, theta)
+    assert np.all(np.isfinite(jac))
+    for j in range(2):
+        dh = np.zeros(2)
+        dh[j] = step
+        fd = (law_map(h + dh, 2, theta) - law_map(h - dh, 2, theta)) / (2 * step)
+        np.testing.assert_allclose(jac[..., j], fd, atol=1e-8)
+
+
 def test_compatibility_residual_fixed_point(fm_params, fm_roots):
     for z in fm_roots:
         fld = constant_field(np.array([0.0, math.log(z)]), fm_params, 2)

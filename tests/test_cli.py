@@ -271,6 +271,24 @@ def test_large_k_beta_solves_without_overflow(tmp_path, capsys):
     assert "OverflowError" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["3", "3.5"])
+def test_large_k_lists_every_root_and_flip_partner(tmp_path, beta):
+    # the high root is e^600 and e^700: the 2D scan once stopped at e^690, and
+    # the Jacobian overflowed past e^355, which dropped solutions
+    out = tmp_path / "ti.json"
+    assert run(["solve-ti", "--k", "200", "--J", "-1", "--beta", beta, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    sols = data["full_solutions"]
+    for z in data["symmetric_roots"]:
+        assert any(z0 == 1.0 and abs(z1 / z - 1.0) <= 1e-12 for z0, z1 in sols)
+    # each solution's spin-flip partner (1/z0, z1/z0) is listed
+    for z0, z1 in sols:
+        assert min(abs(w0 * z0 - 1.0) + abs(w1 * z0 / z1 - 1.0) for w0, w1 in sols) <= 1e-9
+    # the pair near h = +-(2k ln theta, k ln theta) has weights past e^1200,
+    # which no float holds, so it is left out
+    assert len(sols) == 5
+
+
 def test_usage_exit_codes():
     assert run(["solve-ti"]) == 2              # missing --k
     assert run(["no-such-command"]) == 2

@@ -22,9 +22,6 @@ def test_params_validation():
         ModelParams(k=2, m=0, J=1.0, beta=1.0)
     with pytest.raises(ValueError):
         ModelParams(k=2, m=2, J=1.0, beta=-0.1)
-    assert ModelParams(k=2, m=2, J=-1.0, beta=1.0).regime == "FM"
-    assert ModelParams(k=2, m=2, J=1.0, beta=1.0).regime == "AFM"
-    assert ModelParams(k=2, m=2, J=0.0, beta=1.0).regime == "FREE"
 
 
 @pytest.mark.parametrize("J, beta", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
@@ -39,7 +36,6 @@ def test_params_reject_non_finite(J, beta):
 def test_from_theta():
     p = ModelParams.from_theta(k=2, m=2, theta=0.5)
     assert p.theta == pytest.approx(0.5, abs=1e-15)
-    assert p.regime == "FM"
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ModelParams.from_theta(k=2, m=2, theta=bad)

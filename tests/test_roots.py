@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from sostree.roots import batched_newton
+from sostree.roots import batched_newton, dedupe, find_roots
 
 
 def test_batched_newton_skips_only_singular_starts():
@@ -30,3 +31,26 @@ def test_batched_newton_caps_steps_and_clips():
     np.testing.assert_array_equal(x, [[12.0, 12.0]])
     x = batched_newton(system, np.zeros((1, 2)), 2, 50.0)
     np.testing.assert_array_equal(x, [[10.0, 10.0]])
+
+
+def test_dedupe_keeps_the_sorted_first_row_of_each_cluster():
+    # the threshold is tol * max(1, |row|) = 2e-8 here, in the max norm
+    tol = 1e-8
+    rows = np.array([[1.0 + 0.5e-8, 2.0], [3.0, 0.0], [1.0, 2.0 + 1.98e-8], [1.0, 2.0]])
+    np.testing.assert_array_equal(dedupe(rows, tol), [[1.0, 2.0], [3.0, 0.0]])
+    # just past tol, both rows stay
+    far = np.array([[1.0, 2.0], [1.0, 2.0 + 2.02e-8]])
+    np.testing.assert_array_equal(dedupe(far[::-1], tol), far)
+    assert dedupe(np.empty((0, 3)), tol).shape == (0, 3)
+
+
+def test_dedupe_is_relative_for_large_roots():
+    # roots near 1e300 are 1e291 apart at a relative gap of 1e-9
+    big = 1e300
+    roots = np.array([[big * (1 + 5e-10)], [big], [big * (1 + 2e-9)]])
+    np.testing.assert_array_equal(dedupe(roots, 1e-9), [[big], [big * (1 + 2e-9)]])
+
+    def f(x):
+        return (x / big - 1.0) * (x / big - 2.0)
+
+    assert find_roots(f, 0.1 * big, 3 * big) == pytest.approx([big, 2 * big], rel=1e-12)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from sostree.periodic import coset_equations
 from sostree.tree import (IDENTITY, SubgroupSpec, Word, ball, ball_geometry, ball_size,
-                          coset_of, coset_profile, direct_successors, neighbors, parent,
-                          reduce_letters, sphere, sphere_size, vertex_addresses)
+                          direct_successors, parent, reduce_letters, sphere, sphere_size,
+                          vertex_addresses)
 
 
 def test_reduce_cancels_squares():
@@ -57,13 +60,35 @@ def test_group_operation_consistency():
         assert reduce_letters(ab.letters, k) == ab
 
 
+# The word walk: the tests below build neighbours and cosets from words
+# themselves and check SubgroupSpec and coset_equations against them.
+
+def _neighbours(w, k):
+    """All k+1 neighbours w.a, in generator order."""
+    return [reduce_letters(w.letters + (a,), k) for a in range(1, k + 2)]
+
+
+def _coset(w, spec):
+    """0 for the subgroup itself, 1 for the other coset."""
+    return sum(a in spec.parity_set for a in w.letters) % 2
+
+
+def _walk_counts(w, spec):
+    """How many neighbours of w lie in cosets 0 and 1."""
+    q = [0, 0]
+    for y in _neighbours(w, spec.k):
+        q[_coset(y, spec)] += 1
+    return tuple(q)
+
+
 def test_neighbors_structure():
     k = 2
     for w in ball(k, 3):
-        ns = neighbors(w, k)
-        assert len(ns) == k + 1
+        ns = _neighbours(w, k)
+        assert len(ns) == len(set(ns)) == k + 1
         if w.letters:
             assert parent(w) in ns
+            assert set(direct_successors(w, k)) == set(ns) - {parent(w)}
         assert all(abs(len(y) - len(w)) == 1 for y in ns)
 
 
@@ -71,33 +96,55 @@ def test_coset_profile_even_words():
     k = 3
     spec = SubgroupSpec(k=k, parity_set=frozenset(range(1, k + 2)))
     assert not spec.contains_generator
-    c, q = coset_profile(IDENTITY, spec)
-    assert (c, q) == (0, (0, k + 1))
+    assert spec.neighbour_counts(_coset(IDENTITY, spec)) == (0, k + 1)
     # every vertex has all neighbours in the opposite-length-parity coset
     for w in ball(k, 3):
-        _, q = coset_profile(w, spec)
+        q = _walk_counts(w, spec)
+        assert q == spec.neighbour_counts(_coset(w, spec))
         assert sorted(q) == [0, k + 1]
 
 
 def test_coset_profile_single_generator():
     spec = SubgroupSpec(k=2, parity_set=frozenset({1}))
     assert spec.contains_generator
-    c, q = coset_profile(IDENTITY, spec)
-    assert (c, q) == (0, (2, 1))
+    assert _coset(IDENTITY, spec) == 0
+    assert spec.neighbour_counts(0) == _walk_counts(IDENTITY, spec) == (2, 1)
 
 
 def test_profile_is_permutation_invariant():
     # q(x) is a permutation of q(e) and the nonzero count is constant
-    rng = np.random.default_rng(11)
     k = 3
     for a_size in (1, 2, 3, 4):
         spec = SubgroupSpec(k=k, parity_set=frozenset(range(1, a_size + 1)))
-        _, q_e = coset_profile(IDENTITY, spec)
+        q_e = spec.neighbour_counts(0)
         n_e = sum(1 for v in q_e if v)
         for w in ball(k, 4):
-            _, q = coset_profile(w, spec)
+            q = _walk_counts(w, spec)
             assert sorted(q) == sorted(q_e)
             assert sum(1 for v in q if v) == n_e
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_subgroup_counts_match_word_walk(k):
+    # for every parity set A: the counts of SubgroupSpec agree with the walk at
+    # every vertex, and coset_equations lists exactly the (coset, parent coset,
+    # successor counts) triples met in the ball
+    generators = range(1, k + 2)
+    for size in range(1, k + 2):
+        for letters in itertools.combinations(generators, size):
+            spec = SubgroupSpec(k=k, parity_set=frozenset(letters))
+            assert spec.contains_generator == (size < k + 1)
+            seen = set()
+            for w in ball(k, 3):
+                n = _coset(w, spec)
+                assert spec.neighbour_counts(n) == _walk_counts(w, spec)
+                if w.letters:
+                    succ = [0, 0]
+                    for s in direct_successors(w, k):
+                        succ[_coset(s, spec)] += 1
+                    seen.add((n, _coset(parent(w), spec), tuple(succ)))
+            assert set(coset_equations(spec)) == seen
+            assert len(coset_equations(spec)) == len(seen)
 
 
 def test_subgroup_spec_validation():
