@@ -293,6 +293,13 @@ class BoundsReport:
         return all(v == 0 for v in self.violations.values())
 
 
+def _ratio_check(num: np.ndarray, den: np.ndarray, ceiling: float) -> tuple[float, int]:
+    """Largest num/den over den > 1e-12 (0 if none), and how many ratios pass the ceiling."""
+    keep = den > 1e-12
+    ratios = num[keep] / den[keep]
+    return (float(np.max(ratios)) if ratios.size else 0.0), int(np.sum(ratios > ceiling))
+
+
 def derivative_bounds(theta: float, sample_count: int, seed: int = 0,
                       step: float = 1e-5, tol: float = 1e-6) -> BoundsReport:
     """Sampled verification of the m=2 derivative and Lipschitz ceilings.
@@ -326,29 +333,19 @@ def derivative_bounds(theta: float, sample_count: int, seed: int = 0,
 
     # (b) pair ratios in the max norm
     num = np.max(np.abs(law_map(h, 2, theta) - law_map(l, 2, theta)), axis=-1)
-    den = np.max(np.abs(h - l), axis=-1)
-    keep = den > 1e-12
-    ratios = num[keep] / den[keep]
-    worst["pair"] = float(np.max(ratios)) if ratios.size else 0.0
-    violations["pair"] = int(np.sum(ratios > c_pair + tol))
+    worst["pair"], violations["pair"] = _ratio_check(num, np.max(np.abs(h - l), axis=-1),
+                                                     c_pair + tol)
 
     # (c) slice pairs (0, h1) vs (0, l1)
     hs = np.column_stack([np.zeros(sample_count), rng.uniform(-10, 10, sample_count)])
     ls = np.column_stack([np.zeros(sample_count), rng.uniform(-10, 10, sample_count)])
     num = np.max(np.abs(law_map(hs, 2, theta) - law_map(ls, 2, theta)), axis=-1)
-    den = np.max(np.abs(hs - ls), axis=-1)
-    keep = den > 1e-12
-    ratios = num[keep] / den[keep]
-    worst["slice"] = float(np.max(ratios)) if ratios.size else 0.0
-    violations["slice"] = int(np.sum(ratios > c_slice + tol))
+    worst["slice"], violations["slice"] = _ratio_check(num, np.max(np.abs(hs - ls), axis=-1),
+                                                       c_slice + tol)
 
     # (d) first component against |h_0|
-    f0 = np.abs(law_map(h, 2, theta)[..., 0])
-    h0 = np.abs(h[..., 0])
-    keep = h0 > 1e-12
-    ratios = f0[keep] / h0[keep]
-    worst["first"] = float(np.max(ratios)) if ratios.size else 0.0
-    violations["first"] = int(np.sum(ratios > c_first + tol))
+    worst["first"], violations["first"] = _ratio_check(
+        np.abs(law_map(h, 2, theta)[..., 0]), np.abs(h[..., 0]), c_first + tol)
 
     return BoundsReport(theta=theta, samples=sample_count,
                         bound_partial=c_partial, bound_pair=c_pair,

@@ -38,7 +38,7 @@ def _fmt(x: float) -> str:
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="tree order")
-    p.add_argument("--m", type=int, default=2, help="max spin (default 2)")
+    p.add_argument("--m", type=int, help="max spin (default 2, the only value supported)")
     p.add_argument("--J", type=float, help="coupling")
     p.add_argument("--beta", type=float, help="inverse temperature")
     p.add_argument("--theta", type=float, help="activation, replaces (J, beta)")
@@ -56,6 +56,8 @@ def _resolve_params(args) -> ModelParams:
     m = args.m if args.m is not None else (base.m if base else 2)
     if k is None:
         raise UsageError("tree order --k is required")
+    if m != 2:
+        raise UsageError(f"every command requires m = 2, got m = {m}")
     if args.theta is not None:
         if args.J is not None or args.beta is not None:
             raise UsageError("--theta replaces (J, beta); do not give both")
@@ -71,7 +73,6 @@ def _resolve_params(args) -> ModelParams:
         return ModelParams(k=k, m=m, J=J, beta=beta)
     except ValueError as bad:
         raise UsageError(str(bad)) from None
-
 
 
 def _emit(args, text: str, manifest: dict) -> None:
@@ -94,8 +95,6 @@ def _manifest(command: str, args, params: ModelParams | None = None, **extra) ->
 
 def cmd_solve_ti(args) -> int:
     params = _resolve_params(args)
-    if params.m != 2:
-        raise UsageError("the TI solver requires m = 2")
     result = ti.solve(params)
     _emit(args, json.dumps(result.to_json_dict(), indent=2) + "\n",
           _manifest("solve-ti", args, params))
@@ -122,15 +121,18 @@ def cmd_phase_diagram(args) -> int:
         raise UsageError("give --beta-min, --beta-max and --beta-step")
     if not (0 <= args.beta_min < args.beta_max) or args.beta_step <= 0:
         raise UsageError("invalid beta range")
-    betas = []
+    sweep = []
     b = args.beta_min
     while b <= args.beta_max + 1e-15:
-        betas.append(round(b, 12))
+        try:
+            sweep.append(ModelParams(k=args.k, m=2, J=args.J, beta=round(b, 12)))
+        except ValueError as bad:
+            raise UsageError(str(bad)) from None
         b += args.beta_step
     rows = ["beta,root_count,z_minus,z_mid,z_plus,beta_cr_flag"]
     flagged = False
-    for beta in betas:
-        roots = ti.solve_symmetric_roots(ModelParams(k=args.k, m=2, J=args.J, beta=beta))
+    for params in sweep:
+        roots = ti.solve_symmetric_roots(params)
         count = len(roots)
         z_minus = z_mid = z_plus = ""
         if count == 1:
@@ -143,7 +145,7 @@ def cmd_phase_diagram(args) -> int:
         if count > 1 and not flagged:
             flag = 1
             flagged = True
-        rows.append(f"{_fmt(beta)},{count},{z_minus},{z_mid},{z_plus},{flag}")
+        rows.append(f"{_fmt(params.beta)},{count},{z_minus},{z_mid},{z_plus},{flag}")
     _emit(args, "\n".join(rows) + "\n",
           _manifest("phase-diagram", args, J=args.J, k=args.k,
                     beta_min=args.beta_min, beta_max=args.beta_max,
@@ -195,12 +197,12 @@ def _pick_branch(roots: list[float], branch: str) -> float:
 
 def cmd_sample(args) -> int:
     params = _resolve_params(args)
-    if args.depth < 0:
-        raise UsageError("--depth must be >= 0")
+    for name in ("depth", "seed", "count"):
+        if getattr(args, name) < 0:
+            raise UsageError(f"--{name} must be >= 0")
     roots = ti.solve_symmetric_roots(params)
     z = _pick_branch(roots, args.branch)
-    # the root distribution comes from the depth-1 measure, even at depth 0
-    fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, max(args.depth, 1))
+    fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, args.depth)
     samples, labels = measure.sample(fld, params, args.depth, args.seed, args.count)
     _emit(args, measure.samples_to_csv(samples, labels),
           _manifest("sample", args, params, depth=args.depth, seed=args.seed,
@@ -226,7 +228,7 @@ def cmd_verify(args) -> int:
     if args.source == "ti":
         roots = ti.solve_symmetric_roots(params)
         z = _pick_branch(roots, args.branch)
-        fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, max(args.depth, n_oracle))
+        fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, args.depth)
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
         r = boundary.compatibility_residual(fld, params)
@@ -235,7 +237,7 @@ def cmd_verify(args) -> int:
         ok &= _check(lines, f"compatibility_oracle(n={n_oracle})<=1e-10", v <= 1e-10, v)
         d = measure.dlr_oracle(fld, params, 0)
         ok &= _check(lines, "dlr_oracle(n=0)<=1e-10", d <= 1e-10, d)
-        sym = measure.symmetry_check(fld, params, min(args.depth, n_oracle))
+        sym = measure.symmetry_check(fld, params, n_oracle)
         ok &= _check(lines, "spin_flip_symmetry", sym, sym)
     elif args.source == "period2":
         if params.theta <= 1:

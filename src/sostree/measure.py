@@ -5,16 +5,16 @@ A boundary-law field determines, on each ball, the probability table
     mu_n(sigma) ~ exp(J*beta * sum_edges |gaps| + sum over the outer sphere
                       of the unreduced law component at the vertex's spin),
 
-with the root law standing in for the sphere term at depth 0.  The table
-route enumerates every configuration (guarded by a size cap) and is the
-independent oracle for everything else: marginalisation consistency between
-depths, the DLR property against raw Gibbs kernels, spin-flip symmetry, and
-the per-edge sampling kernels.
+with the root law standing in for the sphere term at depth 0.  It is a
+tree-indexed Markov chain: one upward message sweep gives its partition
+function, root marginal and edge kernels at any size.  The table route
+enumerates every configuration (under a size cap) and is the independent
+oracle: marginalisation consistency between depths, the DLR property
+against raw Gibbs kernels, spin-flip symmetry, and the sweep itself.
 
-Fields, transfer messages, sampling kernels and configurations are arrays
-whose vertex axis follows tree.ball_geometry (breadth-first, root first), so
-the transfer recursion and the sampler take one numpy step per level and the
-enumeration loops only over the columns of its table.
+Fields, messages, kernels and configurations are arrays whose vertex axis
+follows tree.ball_geometry (breadth-first, root first), so the sweep and the
+sampler take one numpy step per level.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .boundary import BoundaryLawField, _sorted_lse, pair_exponents, unreduce
 from .model import ModelParams, edge_gap_sum
-from .tree import BallGeometry, Word, ball_geometry, ball_size
+from .tree import BallGeometry, Word, ball_geometry
 
 EXACT_TABLE_CAP = 10 ** 6
 SYMMETRY_TOL = 1e-10   # total-variation gap below which a measure counts as flip-symmetric
@@ -60,12 +60,12 @@ def _config_columns(q: int, n_vertices: int) -> np.ndarray:
     return cols
 
 
-def _ball_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
-    """Unreduced laws of the depth-n ball, one row per vertex."""
+def _sphere_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
+    """Unreduced laws of the radius-n sphere (the root law at n = 0), one row per vertex."""
     if fld.k != params.k or not 0 <= n <= fld.depth:
         raise ValueError(f"a depth-{fld.depth} field of order {fld.k} does not cover "
                          f"the depth-{n} ball of order {params.k}")
-    return unreduce(fld.laws[:ball_size(params.k, n)])
+    return unreduce(fld.laws[ball_geometry(params.k, n).level(n)])
 
 
 def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
@@ -74,9 +74,7 @@ def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.n
     geo = ball_geometry(params.k, n)
     cols = _config_columns(q, geo.n_vertices)
     logw = params.J * params.beta * edge_gap_sum(cols, params.k, n)
-    # the outer sphere's laws, or the root law standing in for them at depth 0
-    outer = geo.level(n)
-    for j, h in enumerate(_ball_laws(fld, params, n)[outer], start=outer.start):
+    for j, h in enumerate(_sphere_laws(fld, params, n), start=geo.offsets[n]):
         logw += h[cols[:, j]]
     return logw
 
@@ -87,7 +85,6 @@ class FiniteVolumeMeasure:
 
     params: ModelParams
     depth: int
-    field: BoundaryLawField
     log_z: float
     probs: np.ndarray
 
@@ -114,43 +111,50 @@ def finite_volume_measure(fld: BoundaryLawField, params: ModelParams,
     hi = float(np.max(logw))
     w = np.exp(logw - hi)
     total = float(np.sum(w))
-    return FiniteVolumeMeasure(params=params, depth=n, field=fld,
-                               log_z=hi + math.log(total), probs=w / total)
+    return FiniteVolumeMeasure(params=params, depth=n, log_z=hi + math.log(total),
+                               probs=w / total)
 
 
-def _transfer_child_sums(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
-    """Summed upward log messages at the root, one entry per root spin."""
+def _messages(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
+    """Upward log messages of every vertex of the depth-n ball, shape (n_vertices, q).
+
+    Row x is the log weight of the ball beneath x given the spin at x: the
+    unreduced law on the outer sphere, else the sum over successors y of the
+    log-sum-exp of pair_exponents(row y).  Row 0 gives log Z and the root marginal.
+    """
     geo = ball_geometry(params.k, n)
-    sums = _ball_laws(fld, params, n)[geo.level(n)]
+    msgs = np.empty((geo.n_vertices, params.m + 1))
+    msgs[geo.level(n)] = _sphere_laws(fld, params, n)
     # sweep inward: each level's messages, summed over every sibling block
     for d in range(n - 1, -1, -1):
-        msgs = _sorted_lse(pair_exponents(sums, params.theta), axis=-1)
-        sums = geo.successor_blocks(msgs, d).sum(axis=1)
-    return sums[0]
+        lse = _sorted_lse(pair_exponents(msgs[geo.level(d + 1)], params.theta), axis=-1)
+        msgs[geo.level(d)] = geo.successor_blocks(lse, d).sum(axis=1)
+    return msgs
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def log_partition(fld: BoundaryLawField, params: ModelParams, n: int,
-                  method: str = "auto") -> float:
-    """Log normalising constant, by table enumeration or transfer recursion."""
-    if method not in ("auto", "enumerate", "transfer"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "enumerate" or (
-            method == "auto" and enumerable(params.m + 1, ball_size(params.k, n))):
-        logw = log_weight_table(fld, params, n)
-        hi = float(np.max(logw))
-        return hi + math.log(float(np.sum(np.exp(logw - hi))))
-    return float(_sorted_lse(_transfer_child_sums(fld, params, n), axis=-1))
+                  method: str = "transfer") -> float:
+    """Log normalising constant, by the message sweep or by table enumeration."""
+    if method == "transfer":
+        return float(_sorted_lse(_messages(fld, params, n)[0], axis=-1))
+    if method == "enumerate":
+        return finite_volume_measure(fld, params, n).log_z
+    raise ValueError(f"unknown method {method!r}")
 
 
 def root_marginal(fld: BoundaryLawField, params: ModelParams, n: int,
                   method: str = "transfer") -> np.ndarray:
-    """Exact root marginal of the depth-n measure."""
+    """Exact root marginal of the depth-n measure, by the message sweep or the table."""
+    if method == "transfer":
+        return _softmax(_messages(fld, params, n)[0])
     if method == "table":
-        mu = finite_volume_measure(fld, params, n)
-        return mu.marginal([Word()])
-    s = _transfer_child_sums(fld, params, n)
-    w = np.exp(s - np.max(s))
-    return w / np.sum(w)
+        return finite_volume_measure(fld, params, n).marginal([Word()])
+    raise ValueError(f"unknown method {method!r}")
 
 
 def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int) -> float:
@@ -162,7 +166,6 @@ def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int) -> 
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    q = params.m + 1
     inner = finite_volume_measure(fld, params, n - 1)
     outer = finite_volume_measure(fld, params, n)
     inner_size = inner.probs.shape[0]
@@ -250,14 +253,11 @@ def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int) -> bool:
 
 @dataclass
 class TransitionKernel:
-    """Root distribution plus the per-vertex child kernels used for sampling.
+    """The depth-`depth` measure as a chain: exact root marginal and child kernels.
 
-    kernels[j, i] is the distribution of the spin at vertex j beneath a
-    parent with spin i: mass on spin s proportional to theta^|i-s| * exp(the
-    unreduced law component s at j).  Rows follow the breadth-first layout;
-    row 0 (the root) is never used, because the root spin comes from
-    root_dist, the exact root marginal of the depth-1 measure, which is what
-    the root convention prescribes.
+    kernels[j, i] is the law of the spin at vertex j given its parent's spin
+    i: mass on s proportional to theta^|i-s| * exp(message of j at s).  Rows
+    follow the breadth-first layout; row 0 (the root) is never used.
     """
 
     root_dist: np.ndarray
@@ -266,17 +266,14 @@ class TransitionKernel:
 
 def transition_kernel(fld: BoundaryLawField, params: ModelParams,
                       depth: int) -> TransitionKernel:
-    root_dist = root_marginal(fld, params, 1, method="table")
-    logits = pair_exponents(_ball_laws(fld, params, depth), params.theta)
-    logits -= logits.max(axis=-1, keepdims=True)
-    table = np.exp(logits)
-    return TransitionKernel(root_dist=root_dist,
-                            kernels=table / table.sum(axis=-1, keepdims=True))
+    msgs = _messages(fld, params, depth)
+    return TransitionKernel(root_dist=_softmax(msgs[0]),
+                            kernels=_softmax(pair_exponents(msgs, params.theta)))
 
 
 def sample(fld: BoundaryLawField, params: ModelParams, depth: int,
            seed: int, count: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Forward samples of the depth-`depth` splitting measure.
+    """Exact forward samples of the depth-`depth` measure of any field.
 
     Returns the (count, n_vertices) spin array and the vertex labels of its
     columns.  Stream contract: one generator seeded with `seed`; one block

@@ -62,6 +62,12 @@ def test_config_file(tmp_path):
     assert json.loads(out.read_text())["params"]["beta"] == 2.0
 
 
+def test_config_file_m_must_be_2(tmp_path):
+    cfg = tmp_path / "params.txt"
+    cfg.write_text("k = 2\nm = 3\nJ = -1.0\nbeta = 2.0\n")
+    assert run(["solve-ti", "--config", str(cfg)]) == 2
+
+
 def test_critical_beta_command(tmp_path):
     out = tmp_path / "cb.json"
     assert run(["critical-beta", "--k", "2", "--J", "-1", "--out", str(out)]) == 0
@@ -250,6 +256,19 @@ def test_sample_depth_zero(tmp_path):
      "--beta-step", "1"],
     # theta^(-k) = e^(-1000) underflows
     ["solve-ti", "--k", "200", "--J", "1", "--beta", "5"],
+    # every command requires m = 2
+    ["solve-periodic", "--k", "2", "--m", "3", "--theta", "1.5"],
+    ["sample", "--k", "2", "--m", "1", "--J", "-1", "--beta", "2"],
+    ["verify", "--source", "ti", "--k", "2", "--m", "3", "--J", "-1", "--beta", "2"],
+    ["verify", "--source", "period2", "--k", "200", "--m", "3", "--theta", "1.07"],
+    ["verify", "--source", "nonti", "--k", "2", "--m", "1", "--J", "-1", "--beta", "2",
+     "--t", "0.3", "--s", "1.2"],
+    ["phase-diagram", "--k", "0", "--J", "-1", "--beta-min", "1", "--beta-max", "2",
+     "--beta-step", "0.5"],
+    ["phase-diagram", "--k", "2", "--J", "1000", "--beta-min", "1", "--beta-max", "2",
+     "--beta-step", "0.5"],
+    ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--count", "-1"],
+    ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--seed", "-1"],
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
@@ -264,11 +283,19 @@ def test_large_k_beta_solves_without_overflow(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["classification"] == "THREE" and len(data["symmetric_roots"]) == 3
     assert capsys.readouterr().err == ""
-    # sampling gets past the root scan; its depth-1 root marginal is enumerated,
-    # which 3^202 configurations put past the cap
-    run(["sample", "--k", "200", "--J", "-1", "--beta", "3", "--depth", "0",
-         "--out", str(tmp_path / "s.csv")])
-    assert "OverflowError" not in capsys.readouterr().err
+    # sampling gets past the root scan, and the message sweep needs no enumeration
+    assert run(["sample", "--k", "200", "--J", "-1", "--beta", "3", "--depth", "0",
+                "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sample_past_the_enumeration_cap(tmp_path):
+    # 3^14 configurations: the depth-1 ball at k = 12 is past the table cap
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--k", "12", "--J", "-1", "--beta", "2", "--depth", "1",
+                "--count", "5", "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert len(lines[0].split(",")) == 14 and len(lines) == 7
 
 
 @pytest.mark.parametrize("beta", ["3", "3.5"])

@@ -51,6 +51,22 @@ def test_transfer_matches_enumeration(k, n, m, theta, seed):
                                rtol=0, atol=1e-9)
 
 
+def test_log_partition_default_is_the_sweep(fm_params):
+    for n in range(3):
+        fld = random_field(fm_params, n, seed=n)
+        assert measure.log_partition(fld, fm_params, n) == \
+            measure.log_partition(fld, fm_params, n, method="transfer")
+
+
+def test_unknown_method_names_are_rejected(fm_params, fm_high_field):
+    for method in ("auto", "table"):
+        with pytest.raises(ValueError):
+            measure.log_partition(fm_high_field, fm_params, 1, method=method)
+    for method in ("auto", "enumerate"):
+        with pytest.raises(ValueError):
+            measure.root_marginal(fm_high_field, fm_params, 1, method=method)
+
+
 def test_measure_rejects_field_not_covering_ball(fm_params, fm_high_field):
     with pytest.raises(ValueError):
         measure.log_partition(fm_high_field, fm_params, 4, method="transfer")
@@ -224,6 +240,30 @@ def test_sampling_marginal_fidelity(fm_params, fm_high_field):
     emp = np.bincount(s[:, 0], minlength=3) / s.shape[0]
     exact = measure.root_marginal(fm_high_field, fm_params, 3, method="transfer")
     assert 0.5 * np.abs(emp - exact).sum() <= 0.02
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(0, 3), m=st.integers(1, 3),
+       theta=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1))
+def test_transition_kernel_chains_to_the_table_measure(k, n, m, theta, seed):
+    # any field, consistent or not: root_dist chained through the kernels gives
+    # the enumerated root marginal and every (parent, vertex) pair marginal
+    params = ModelParams.from_theta(k=k, m=m, theta=theta)
+    while (m + 1) ** ball_size(k, n) > 3 ** 10:
+        n -= 1
+    fld = random_field(params, n, seed, scale=3.0)
+    kern = measure.transition_kernel(fld, params, n)
+    mu = measure.finite_volume_measure(fld, params, n)
+    geo = mu.geometry
+    np.testing.assert_allclose(kern.root_dist, mu.marginal([Word()]), rtol=0, atol=1e-12)
+    marginals = np.empty((geo.n_vertices, m + 1))
+    marginals[0] = kern.root_dist
+    for v in range(1, geo.n_vertices):
+        u = geo.parent_index[v]
+        pair = marginals[u][:, None] * kern.kernels[v]
+        marginals[v] = pair.sum(axis=0)
+        np.testing.assert_allclose(pair, mu.marginal([geo.words[u], geo.words[v]]),
+                                   rtol=0, atol=1e-12)
 
 
 def test_kernel_flip_equivariance(fm_params, fm_roots):
