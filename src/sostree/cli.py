@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, boundary, measure, nonti, periodic, ti
 from .model import ModelParams, parse_params_text
-from .tree import SubgroupSpec, ball_size
+from .tree import SubgroupSpec
 
 
 class UsageError(Exception):
@@ -186,13 +186,13 @@ def cmd_build_nonti(args) -> int:
     return 0
 
 
-def _pick_branch(roots: list[float], branch: str) -> float:
-    if branch == "auto":
-        return roots[-1]
-    want = {"low": 0, "mid": 1, "high": 2}[branch]
-    if len(roots) != 3:
+def _branch_field(params: ModelParams, branch: str, depth: int):
+    """The chosen symmetric root z and its constant field on the depth-`depth` ball."""
+    roots = ti.solve_symmetric_roots(params)
+    if branch != "auto" and len(roots) != 3:
         raise UsageError(f"branch {branch!r} needs three symmetric solutions, found {len(roots)}")
-    return roots[want]
+    z = roots[{"auto": -1, "low": 0, "mid": 1, "high": 2}[branch]]
+    return z, boundary.constant_field(np.array([0.0, math.log(z)]), params, depth)
 
 
 def cmd_sample(args) -> int:
@@ -200,9 +200,7 @@ def cmd_sample(args) -> int:
     for name in ("depth", "seed", "count"):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be >= 0")
-    roots = ti.solve_symmetric_roots(params)
-    z = _pick_branch(roots, args.branch)
-    fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, args.depth)
+    z, fld = _branch_field(params, args.branch, args.depth)
     samples, labels = measure.sample(fld, params, args.depth, args.seed, args.count)
     _emit(args, measure.samples_to_csv(samples, labels),
           _manifest("sample", args, params, depth=args.depth, seed=args.seed,
@@ -210,61 +208,50 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _check(lines: list[str], name: str, ok: bool, value) -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'} {name} = {value}")
-    return ok
+def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int) -> list[tuple]:
+    v = measure.compatibility_oracle(fld, params, n)
+    d = measure.dlr_oracle(fld, params, 0)
+    return [(f"compatibility_oracle(n={n})<=1e-10", v <= 1e-10, v),
+            ("dlr_oracle(n=0)<=1e-10", d <= 1e-10, d)]
 
 
 def cmd_verify(args) -> int:
     params = _resolve_params(args)
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
-    lines: list[str] = []
-    ok = True
-    n_oracle = args.depth
-    while not measure.enumerable(params.m + 1, ball_size(params.k, n_oracle)) and n_oracle > 1:
-        n_oracle -= 1
 
     if args.source == "ti":
-        roots = ti.solve_symmetric_roots(params)
-        z = _pick_branch(roots, args.branch)
-        fld = boundary.constant_field(np.array([0.0, math.log(z)]), params, args.depth)
+        _, fld = _branch_field(params, args.branch, args.depth)
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
         r = boundary.compatibility_residual(fld, params)
-        ok &= _check(lines, "compatibility_residual<=1e-10", r <= 1e-10, r)
-        v = measure.compatibility_oracle(fld, params, n_oracle)
-        ok &= _check(lines, f"compatibility_oracle(n={n_oracle})<=1e-10", v <= 1e-10, v)
-        d = measure.dlr_oracle(fld, params, 0)
-        ok &= _check(lines, "dlr_oracle(n=0)<=1e-10", d <= 1e-10, d)
-        sym = measure.symmetry_check(fld, params, n_oracle)
-        ok &= _check(lines, "spin_flip_symmetry", sym, sym)
+        sym = measure.symmetry_check(fld, params, args.depth)
+        rows = [("compatibility_residual<=1e-10", r <= 1e-10, r),
+                *_oracle_rows(fld, params, args.depth),
+                ("spin_flip_symmetry", sym, sym)]
     elif args.source == "period2":
         if params.theta <= 1:
             raise UsageError("period2 verification needs the antiferromagnetic regime")
         value, holds = periodic.cycle_instability(params)
-        ok &= _check(lines, "instability>1", holds, value)
         cycles = [s for s in periodic.solve_two_cycle_symmetric(params)
                   if s.type == periodic.CYCLE]
-        ok &= _check(lines, "cycle_found", bool(cycles), len(cycles))
+        rows = [("instability>1", holds, value),
+                ("cycle_found", bool(cycles), len(cycles))]
         if cycles:
             psi = ti.SliceMap(params.theta, params.k)
             s = cycles[0]
             res = max(abs(s.z - float(psi(s.t))), abs(s.t - float(psi(s.z))))
-            if args.perturb:
-                res += abs(args.perturb)
-            ok &= _check(lines, "alternating_residual<=1e-12", res <= 1e-12, res)
             fld = periodic.expand_two_cycle_field(s.z, s.t, params, 2)
             if args.perturb:
                 fld = boundary.perturb_field(fld, args.perturb)
             r = boundary.compatibility_residual(fld, params)
-            ok &= _check(lines, "expanded_field_residual<=1e-10", r <= 1e-10, r)
-    elif args.source == "nonti":
+            rows += [("alternating_residual<=1e-12", res <= 1e-12, res),
+                     ("expanded_field_residual<=1e-10", r <= 1e-10, r)]
+    else:
         try:
-            built = nonti.build_field(args.t, args.s, params, args.depth)
+            fld = nonti.build_field(args.t, args.s, params, args.depth).field
         except ValueError as bad:
             raise UsageError(str(bad)) from None
-        fld = built.field
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
         roots = ti.solve_symmetric_roots(params)
@@ -273,20 +260,15 @@ def cmd_verify(args) -> int:
         z1_lo, z1_hi = math.exp(h1.min()), math.exp(h1.max())
         in_box = (z1_lo >= roots[0] - 1e-9 and z1_hi <= roots[-1] + 1e-9
                   and math.exp(h0.min()) == math.exp(h0.max()) == 1.0)
-        ok &= _check(lines, "sandwich_bounds", in_box, f"[{z1_lo},{z1_hi}]")
         r = boundary.compatibility_residual(fld, params)
-        ok &= _check(lines, "compatibility_residual==0", r == 0.0, r)
-        v = measure.compatibility_oracle(fld, params, n_oracle)
-        ok &= _check(lines, f"compatibility_oracle(n={n_oracle})<=1e-10", v <= 1e-10, v)
-        d = measure.dlr_oracle(fld, params, 0)
-        ok &= _check(lines, "dlr_oracle(n=0)<=1e-10", d <= 1e-10, d)
-    else:
-        raise UsageError(f"unknown source {args.source!r}")
+        rows = [("sandwich_bounds", in_box, f"[{z1_lo},{z1_hi}]"),
+                ("compatibility_residual==0", r == 0.0, r),
+                *_oracle_rows(fld, params, args.depth)]
 
-    report = "\n".join(lines) + "\n"
+    report = "".join(f"{'PASS' if ok else 'FAIL'} {name} = {value}\n" for name, ok, value in rows)
     _emit(args, report, _manifest("verify", args, params, source=args.source,
                                   depth=args.depth, perturb=args.perturb))
-    if not ok:
+    if not all(ok for _, ok, _ in rows):
         raise VerificationFailure(report)
     return 0
 

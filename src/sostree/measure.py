@@ -7,10 +7,11 @@ A boundary-law field determines, on each ball, the probability table
 
 with the root law standing in for the sphere term at depth 0.  It is a
 tree-indexed Markov chain: one upward message sweep gives its partition
-function, root marginal and edge kernels at any size.  The table route
-enumerates every configuration (under a size cap) and is the independent
-oracle: marginalisation consistency between depths, the DLR property
-against raw Gibbs kernels, spin-flip symmetry, and the sweep itself.
+function, root marginal and edge kernels at any size.  Enumerating the
+table is the independent oracle, up to EXACT_TABLE_CAP configurations:
+marginalisation consistency between depths, the DLR property against raw
+Gibbs kernels, spin-flip symmetry, and the sweep itself.  Past the cap the
+oracles compare chains from the sweep (worst root-law or edge-kernel gap).
 
 Fields, messages, kernels and configurations are arrays whose vertex axis
 follows tree.ball_geometry (breadth-first, root first), so the sweep and the
@@ -30,7 +31,7 @@ from .model import ModelParams, edge_gap_sum
 from .tree import BallGeometry, Word, ball_geometry
 
 EXACT_TABLE_CAP = 10 ** 6
-SYMMETRY_TOL = 1e-10   # total-variation gap below which a measure counts as flip-symmetric
+SYMMETRY_TOL = 1e-10   # flip gap (table total variation, else chain gap) counted as symmetric
 
 
 class ScaleError(Exception):
@@ -157,19 +158,27 @@ def root_marginal(fld: BoundaryLawField, params: ModelParams, n: int,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _chain_gap(a: np.ndarray, b: np.ndarray, theta: float) -> float:
+    """Worst absolute gap between two message arrays' root laws and shared-row kernels."""
+    rows = slice(1, min(len(a), len(b)))
+    chains = [(_softmax(x[0]), _softmax(pair_exponents(x[rows], theta))) for x in (a, b)]
+    return float(max(np.abs(u - v).max(initial=0.0) for u, v in zip(*chains)))
+
+
 def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int) -> float:
     """Worst defect of marginalisation consistency between depths n and n-1.
 
     Brute force on both tables: the depth-n table is summed over the outer
     sphere and compared entrywise with the depth-(n-1) table built from the
-    same field.
+    same field.  Past the cap: the chain gap over the depth-(n-1) ball.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
+        return _chain_gap(_messages(fld, params, n), _messages(fld, params, n - 1), params.theta)
     inner = finite_volume_measure(fld, params, n - 1)
     outer = finite_volume_measure(fld, params, n)
-    inner_size = inner.probs.shape[0]
-    collapsed = outer.probs.reshape(inner_size, -1).sum(axis=1)
+    collapsed = outer.probs.reshape(inner.probs.size, -1).sum(axis=1)
     return float(np.max(np.abs(collapsed - inner.probs)))
 
 
@@ -218,12 +227,16 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int) -> DlrBrea
     agrees with the Gibbs kernel identically in exact arithmetic, whatever
     the field; the equation face compares the separately built depth-n table
     against the kernel averaged over the sphere marginal, and detects fields
-    that fail the consistency recursion.
+    that fail the consistency recursion.  Past the cap the conditional face
+    is 0.0, as raw theta^|i-j| weights condition to the Gibbs kernel by
+    construction, and the equation face is the depth n+1 vs n chain gap.
     """
+    if not enumerable(params.m + 1, ball_geometry(params.k, n + 1).n_vertices):
+        return DlrBreakdown(conditional_tv=0.0,
+                            equation_tv=compatibility_oracle(fld, params, n + 1))
     outer = finite_volume_measure(fld, params, n + 1)
     inner = finite_volume_measure(fld, params, n)
-    inner_size = inner.probs.shape[0]
-    joint = outer.probs.reshape(inner_size, -1)
+    joint = outer.probs.reshape(inner.probs.size, -1)
     boundary = joint.sum(axis=0)
     kernel = _gibbs_kernel_table(params, n)
 
@@ -244,8 +257,12 @@ def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int) -> bool:
     """Whether the depth-n measure is invariant under the global spin flip.
 
     Flipping every spin j -> m-j maps the table index i to (m+1)^N - 1 - i,
-    so the flipped table is the reversed one.
+    so the flipped table is the reversed one.  Past the cap, the chain gap to
+    its flip (reversed messages: root law and kernels reversed on both axes).
     """
+    if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
+        msgs = _messages(fld, params, n)
+        return _chain_gap(msgs, msgs[:, ::-1], params.theta) <= SYMMETRY_TOL
     mu = finite_volume_measure(fld, params, n)
     tv = 0.5 * float(np.abs(mu.probs - mu.probs[::-1]).sum())
     return tv <= SYMMETRY_TOL

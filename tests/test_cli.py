@@ -188,19 +188,43 @@ def test_verify_free_regime_uniform(tmp_path):
                 "--beta", "1", "--depth", "2"]) == 0
 
 
-def test_verify_period2(tmp_path):
+def test_verify_period2(tmp_path, capsys):
     assert run(["verify", "--source", "period2", "--k", "200", "--m", "2",
                 "--theta", "1.07"]) == 0
     assert run(["verify", "--source", "period2", "--k", "2", "--m", "2",
                 "--J", "-1", "--beta", "2"]) == 2
+    # the perturbed expanded field is the negative control; the cycle itself
+    # is not perturbed, so its alternating residual still passes
+    capsys.readouterr()
+    assert run(["verify", "--source", "period2", "--k", "200", "--theta", "1.07",
+                "--perturb", "1e-3"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("PASS alternating_residual") for line in lines)
+    assert any(line.startswith("FAIL expanded_field_residual") for line in lines)
 
 
-def test_verify_nonti(tmp_path):
+def test_verify_nonti(tmp_path, capsys):
     assert run(["verify", "--source", "nonti", "--k", "2", "--m", "2", "--J", "-1",
                 "--beta", "2", "--t", "0.3", "--s", "1.2", "--depth", "4"]) == 0
+    # the oracles check the requested depth, past the enumeration cap too
+    assert "PASS compatibility_oracle(n=4)" in capsys.readouterr().out
     assert run(["verify", "--source", "nonti", "--k", "2", "--m", "2", "--J", "-1",
                 "--beta", "2", "--t", "0.3", "--s", "1.2", "--depth", "4",
                 "--perturb", "0.1"]) == 3
+
+
+def test_verify_past_the_enumeration_cap(capsys):
+    # 3^22 configurations in the depth-1 ball at k = 20: the oracles compare
+    # chains from the message sweep instead of enumerating
+    assert run(["verify", "--source", "ti", "--k", "20", "--J", "-1", "--beta", "2"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("PASS ") for line in lines)
+    assert "compatibility_oracle(n=2)" in captured.out
+    assert captured.err == ""
+    assert run(["verify", "--source", "ti", "--k", "12", "--J", "-1", "--beta", "2",
+                "--perturb", "1e-3"]) == 3
+    assert capsys.readouterr().err == ""
 
 
 # sha256 of each command's output file.  The field outputs were pinned from
@@ -220,12 +244,20 @@ PINNED_OUTPUTS = [
       "--beta-step", "0.005"], "6622bafe7fbe70437728d3e48e29831062499d686ee4181b96a7938f2581e6e2"),
     (["solve-periodic", "--k", "200", "--theta", "1.08", "--subgroup", "full"],
      "f8b3504e9183fdae1a7dbf0a43be5442d7578c50de3aa972adec59a609150e1e"),
+    (["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--branch", "high",
+      "--depth", "2"], "0ef38f39a3660041b2a3a40973cbeab5331e537e0c3b85046360b1b761e617ea"),
+    (["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3",
+      "--s", "1.2", "--depth", "2"],
+     "2cbf9960beb5f9d2644e604aed9a69f84d978aa0af9cfc5430e2ee0767955f26"),
+    (["verify", "--source", "period2", "--k", "200", "--theta", "1.07"],
+     "d8c824c3e27d3c0d69d02b9cc2fe7136b7212a82350de8ab1b033fe6ea4b3e8a"),
 ]
 
 
 @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
                          ids=["nonti-k2-depth8", "nonti-k3-depth5", "sample-k3-depth4",
-                              "solve-ti-k2", "phase-diagram-k2", "solve-periodic-k200"])
+                              "solve-ti-k2", "phase-diagram-k2", "solve-periodic-k200",
+                              "verify-ti-k2", "verify-nonti-k2", "verify-period2-k200"])
 def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0

@@ -1,4 +1,6 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +11,23 @@ from hypothesis import strategies as st
 from sostree import boundary, measure, nonti, periodic, ti
 from sostree.boundary import BoundaryLawField, constant_field, perturb_field
 from sostree.model import ModelParams, hamiltonian
-from sostree.tree import Word, ball_size, cached_ball
+from sostree.tree import Word, ball_geometry, ball_size, cached_ball
 
 
 def random_field(params, depth, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     laws = rng.normal(scale=scale, size=(ball_size(params.k, depth), params.m))
     return BoundaryLawField(k=params.k, depth=depth, laws=laws)
+
+
+def on_both_routes(test):
+    """Run an oracle test by enumeration, then on the message sweep forced by a zero cap."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        test(*args, **kwargs)
+        with mock.patch.object(measure, "EXACT_TABLE_CAP", 0):
+            test(*args, **kwargs)
+    return run
 
 
 def test_log_partition_uniform_cases():
@@ -88,6 +100,7 @@ def test_table_probabilities_normalised(fm_params, fm_high_field):
     assert abs(mu.probs.sum() - 1.0) <= 1e-12
 
 
+@on_both_routes
 def test_compatibility_oracle_on_solutions(fm_params, fm_roots, afm_params, afm_field):
     for z in fm_roots:
         fld = constant_field(np.array([0.0, math.log(z)]), fm_params, 2)
@@ -96,18 +109,21 @@ def test_compatibility_oracle_on_solutions(fm_params, fm_roots, afm_params, afm_
     assert measure.compatibility_oracle(afm_field, afm_params, 2) <= 1e-10
 
 
+@on_both_routes
 def test_compatibility_oracle_negative_control():
     p = ModelParams.from_theta(k=2, m=2, theta=0.5)
     fld = constant_field(np.zeros(2), p, 2)
     assert measure.compatibility_oracle(fld, p, 2) > 1e-3
 
 
+@on_both_routes
 def test_compatibility_oracle_uniform_case():
     p = ModelParams(k=2, m=2, J=0.0, beta=1.0)
     fld = constant_field(np.zeros(2), p, 2)
     assert measure.compatibility_oracle(fld, p, 2) <= 1e-12
 
 
+@on_both_routes
 def test_oracle_equivalence_with_field_residual(fm_params):
     # the enumeration oracle and the recursion defect agree on pass/fail
     good = constant_field(np.array([0.0, math.log(ti.solve_symmetric_roots(fm_params)[1])]),
@@ -119,6 +135,7 @@ def test_oracle_equivalence_with_field_residual(fm_params):
     assert measure.compatibility_oracle(bad, fm_params, 2) > 1e-4
 
 
+@on_both_routes
 def test_dlr_oracle_compatible_fields(fm_params, fm_roots, afm_params, afm_field):
     for z in fm_roots:
         fld = constant_field(np.array([0.0, math.log(z)]), fm_params, 2)
@@ -127,12 +144,14 @@ def test_dlr_oracle_compatible_fields(fm_params, fm_roots, afm_params, afm_field
     assert measure.dlr_oracle(afm_field, afm_params, 0) <= 1e-10
 
 
+@on_both_routes
 def test_dlr_oracle_uniform(fm_params):
     p = ModelParams(k=2, m=2, J=0.0, beta=1.0)
     fld = constant_field(np.zeros(2), p, 1)
     assert measure.dlr_oracle(fld, p, 0) <= 1e-12
 
 
+@on_both_routes
 def test_dlr_conditional_face_is_field_independent(fm_params):
     # conditioning on the sphere cancels the law, whatever the field
     fld = random_field(fm_params, 1, seed=13)
@@ -141,6 +160,7 @@ def test_dlr_conditional_face_is_field_independent(fm_params):
     assert br.equation_tv > 1e-3
 
 
+@on_both_routes
 def test_dlr_oracle_negative_control(fm_params, fm_roots):
     fld = constant_field(np.array([0.0, math.log(fm_roots[2])]), fm_params, 2)
     bad = perturb_field(fld, 0.5)
@@ -190,6 +210,7 @@ def test_kernel_equivalence_for_built_field_types(fm_params):
     assert measure.dlr_oracle(built.field, fm_params, 0) <= 1e-10
 
 
+@on_both_routes
 def test_symmetry_check(fm_params, fm_roots):
     sym = constant_field(np.array([0.0, math.log(fm_roots[0])]), fm_params, 2)
     assert measure.symmetry_check(sym, fm_params, 2)
@@ -264,6 +285,62 @@ def test_transition_kernel_chains_to_the_table_measure(k, n, m, theta, seed):
         marginals[v] = pair.sum(axis=0)
         np.testing.assert_allclose(pair, mu.marginal([geo.words[u], geo.words[v]]),
                                    rtol=0, atol=1e-12)
+
+
+def _table_chain(fld, params, n):
+    """Root marginal and (parent, vertex) kernels of the enumerated depth-n table."""
+    mu = measure.finite_volume_measure(fld, params, n)
+    geo = mu.geometry
+    pairs = [mu.marginal([geo.words[geo.parent_index[v]], geo.words[v]])
+             for v in range(1, geo.n_vertices)]
+    kernels = np.array([pair / pair.sum(axis=1, keepdims=True) for pair in pairs])
+    return mu.marginal([Word()]), kernels.reshape(-1, params.m + 1, params.m + 1)
+
+
+def _filled_field(params, depth, seed, symmetric):
+    """Random sphere laws, flip-symmetric on request, filled inward as the builders do."""
+    geo = ball_geometry(params.k, depth)
+    u = boundary.unreduce(np.random.default_rng(seed).normal(
+        size=(geo.level_sizes[depth], params.m)))
+    if symmetric:
+        u = u + u[:, ::-1]
+    laws = np.empty((geo.n_vertices, params.m))
+    laws[geo.level(depth)] = (u - u[:, -1:])[:, :params.m]
+    for d in range(depth - 1, -1, -1):
+        laws[geo.level(d)] = boundary.successor_law_sums(laws, geo, d, params)
+    return BoundaryLawField(k=params.k, depth=depth, laws=laws)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 3), m=st.integers(1, 3),
+       theta=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1),
+       eps=st.floats(1e-6, 0.1), sign=st.sampled_from([0, 1, -1]), symmetric=st.booleans())
+def test_sweep_oracles_agree_with_the_tables(k, n, m, theta, seed, eps, sign, symmetric):
+    params = ModelParams.from_theta(k=k, m=m, theta=theta)
+    while (m + 1) ** ball_size(k, n) > 3 ** 10:
+        n -= 1
+    # on any field, the forced sweep is the root and kernel gap of the two tables
+    fld = random_field(params, n, seed, scale=3.0)
+    with mock.patch.object(measure, "EXACT_TABLE_CAP", 0):
+        swept = measure.compatibility_oracle(fld, params, n)
+    (root_n, kern_n), (root_in, kern_in) = (_table_chain(fld, params, d) for d in (n, n - 1))
+    gap = max(np.abs(root_n - root_in).max(), np.abs(kern_n[:len(kern_in)] - kern_in).max(initial=0))
+    assert abs(swept - gap) <= 1e-12
+    # on builder fields, perturbed or not, both routes reach the same verdicts
+    fld = _filled_field(params, n, seed, symmetric)
+    if sign:
+        fld = perturb_field(fld, sign * eps)
+
+    def verdicts():
+        return (measure.compatibility_oracle(fld, params, n) <= 1e-10,
+                measure.dlr_oracle(fld, params, n - 1) <= 1e-10,
+                measure.symmetry_check(fld, params, n))
+
+    table = verdicts()
+    with mock.patch.object(measure, "EXACT_TABLE_CAP", 0):
+        assert verdicts() == table
+    if not sign:
+        assert table == (True, True, symmetric)
 
 
 def test_kernel_flip_equivariance(fm_params, fm_roots):
