@@ -2,8 +2,10 @@
 
 Commands emit JSON or CSV; CSV uses '.' decimals, ',' separators, LF line
 endings and 17 significant digits so numbers round-trip at 64-bit precision.
-Every file-producing run writes a manifest (resolved configuration, seed,
-package version) alongside the output, and is deterministic given it.
+Every file-producing run writes a manifest alongside the output (the resolved
+parameters, every flag of the command, `sample`'s chosen root z and the
+package version), and is deterministic given it.  `COMMANDS` declares each
+command once, and `main` writes every output and manifest.
 
 Exit codes: 0 ok, 1 internal error, 2 usage error, 3 verification failure.
 """
@@ -16,6 +18,7 @@ import math
 import sys
 import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,21 +31,18 @@ class UsageError(Exception):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="tree order")
-    p.add_argument("--m", type=int, help="max spin (default 2, the only value supported)")
-    p.add_argument("--J", type=float, help="coupling")
-    p.add_argument("--beta", type=float, help="inverse temperature")
-    p.add_argument("--theta", type=float, help="activation, replaces (J, beta)")
-    p.add_argument("--config", type=str, help="key=value parameter file")
+PARAM_FLAGS = (
+    ("--k", {"type": int, "help": "tree order"}),
+    ("--m", {"type": int, "help": "max spin (default 2, the only value supported)"}),
+    ("--J", {"type": float, "help": "coupling"}),
+    ("--beta", {"type": float, "help": "inverse temperature"}),
+    ("--theta", {"type": float, "help": "activation, replaces (J, beta)"}),
+    ("--config", {"type": str, "help": "key=value parameter file"}),
+)
 
 
 def _resolve_params(args) -> ModelParams:
@@ -58,63 +58,45 @@ def _resolve_params(args) -> ModelParams:
         raise UsageError("tree order --k is required")
     if m != 2:
         raise UsageError(f"every command requires m = 2, got m = {m}")
-    if args.theta is not None:
-        if args.J is not None or args.beta is not None:
-            raise UsageError("--theta replaces (J, beta); do not give both")
-        try:
-            return ModelParams.from_theta(k=k, m=m, theta=args.theta)
-        except ValueError as bad:
-            raise UsageError(str(bad)) from None
-    J = args.J if args.J is not None else (base.J if base else None)
-    beta = args.beta if args.beta is not None else (base.beta if base else None)
-    if J is None or beta is None:
-        raise UsageError("give --J and --beta (or --theta, or --config)")
     try:
+        if args.theta is not None:
+            if args.J is not None or args.beta is not None:
+                raise UsageError("--theta replaces (J, beta); do not give both")
+            return ModelParams.from_theta(k=k, m=m, theta=args.theta)
+        J = args.J if args.J is not None else (base.J if base else None)
+        beta = args.beta if args.beta is not None else (base.beta if base else None)
+        if J is None or beta is None:
+            raise UsageError("give --J and --beta (or --theta, or --config)")
         return ModelParams(k=k, m=m, J=J, beta=beta)
     except ValueError as bad:
         raise UsageError(str(bad)) from None
 
 
-def _emit(args, text: str, manifest: dict) -> None:
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        out.write_text(text)
-        manifest = dict(manifest)
-        manifest["version"] = __version__
-        Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(text)
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _manifest(command: str, args, params: ModelParams | None = None, **extra) -> dict:
-    cfg = dict(extra)
-    if params is not None:
-        cfg["params"] = params.to_dict()
-    return {"command": command, "config": cfg}
+class Output(NamedTuple):
+    text: str
+    derived: dict = {}      # values the run chose that its manifest records
+    ok: bool = True         # False when a `verify` check fails
 
 
-def cmd_solve_ti(args) -> int:
-    params = _resolve_params(args)
-    result = ti.solve(params)
-    _emit(args, json.dumps(result.to_json_dict(), indent=2) + "\n",
-          _manifest("solve-ti", args, params))
-    return 0
+def cmd_solve_ti(args, params: ModelParams) -> Output:
+    return Output(_json(ti.solve(params).to_json_dict()))
 
 
-def cmd_critical_beta(args) -> int:
+def cmd_critical_beta(args, params: None) -> Output:
     if args.k is None or args.J is None:
         raise UsageError("give --k and --J")
     try:
         value = ti.critical_beta(args.J, args.k)
     except ValueError as bad:
         raise UsageError(str(bad)) from None
-    payload = {"J": args.J, "k": args.k, "beta_cr": value}
-    _emit(args, json.dumps(payload, indent=2) + "\n",
-          _manifest("critical-beta", args, J=args.J, k=args.k))
-    return 0
+    return Output(_json({"J": args.J, "k": args.k, "beta_cr": value}))
 
 
-def cmd_phase_diagram(args) -> int:
+def cmd_phase_diagram(args, params: None) -> Output:
     if args.k is None or args.J is None:
         raise UsageError("give --k and --J")
     if args.beta_min is None or args.beta_max is None or args.beta_step is None:
@@ -141,16 +123,10 @@ def cmd_phase_diagram(args) -> int:
             z_minus, z_plus = _fmt(roots[0]), _fmt(roots[1])
         else:
             z_minus, z_mid, z_plus = (_fmt(z) for z in roots)
-        flag = 0
-        if count > 1 and not flagged:
-            flag = 1
-            flagged = True
+        flag = int(count > 1 and not flagged)
+        flagged = flagged or count > 1
         rows.append(f"{_fmt(params.beta)},{count},{z_minus},{z_mid},{z_plus},{flag}")
-    _emit(args, "\n".join(rows) + "\n",
-          _manifest("phase-diagram", args, J=args.J, k=args.k,
-                    beta_min=args.beta_min, beta_max=args.beta_max,
-                    beta_step=args.beta_step))
-    return 0
+    return Output("\n".join(rows) + "\n")
 
 
 def _parse_subgroup(text: str, k: int) -> SubgroupSpec:
@@ -166,24 +142,20 @@ def _parse_subgroup(text: str, k: int) -> SubgroupSpec:
         raise UsageError(str(bad)) from None
 
 
-def cmd_solve_periodic(args) -> int:
-    params = _resolve_params(args)
+def cmd_solve_periodic(args, params: ModelParams) -> Output:
     spec = _parse_subgroup(args.subgroup, params.k)
-    report = periodic.classify_by_subgroup(spec, params)
-    _emit(args, json.dumps(report, indent=2) + "\n",
-          _manifest("solve-periodic", args, params, subgroup=args.subgroup))
-    return 0
+    return Output(_json(periodic.classify_by_subgroup(spec, params)))
 
 
-def cmd_build_nonti(args) -> int:
-    params = _resolve_params(args)
+def _nonti_field(args, params: ModelParams) -> nonti.NonTiField:
     try:
-        built = nonti.build_field(args.t, args.s, params, args.depth)
+        return nonti.build_field(args.t, args.s, params, args.depth)
     except ValueError as bad:
         raise UsageError(str(bad)) from None
-    _emit(args, json.dumps(built.to_json_dict(), indent=2) + "\n",
-          _manifest("build-nonti", args, params, t=args.t, s=args.s, depth=args.depth))
-    return 0
+
+
+def cmd_build_nonti(args, params: ModelParams) -> Output:
+    return Output(_json(_nonti_field(args, params).to_json_dict()))
 
 
 def _branch_field(params: ModelParams, branch: str, depth: int):
@@ -195,17 +167,13 @@ def _branch_field(params: ModelParams, branch: str, depth: int):
     return z, boundary.constant_field(np.array([0.0, math.log(z)]), params, depth)
 
 
-def cmd_sample(args) -> int:
-    params = _resolve_params(args)
+def cmd_sample(args, params: ModelParams) -> Output:
     for name in ("depth", "seed", "count"):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be >= 0")
     z, fld = _branch_field(params, args.branch, args.depth)
     samples, labels = measure.sample(fld, params, args.depth, args.seed, args.count)
-    _emit(args, measure.samples_to_csv(samples, labels),
-          _manifest("sample", args, params, depth=args.depth, seed=args.seed,
-                    count=args.count, branch=args.branch, z=z))
-    return 0
+    return Output(measure.samples_to_csv(samples, labels), {"z": z})
 
 
 def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int) -> list[tuple]:
@@ -215,8 +183,7 @@ def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int) ->
             ("dlr_oracle(n=0)<=1e-10", d <= 1e-10, d)]
 
 
-def cmd_verify(args) -> int:
-    params = _resolve_params(args)
+def cmd_verify(args, params: ModelParams) -> Output:
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
 
@@ -248,10 +215,7 @@ def cmd_verify(args) -> int:
             rows += [("alternating_residual<=1e-12", res <= 1e-12, res),
                      ("expanded_field_residual<=1e-10", r <= 1e-10, r)]
     else:
-        try:
-            fld = nonti.build_field(args.t, args.s, params, args.depth).field
-        except ValueError as bad:
-            raise UsageError(str(bad)) from None
+        fld = _nonti_field(args, params).field
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
         roots = ti.solve_symmetric_roots(params)
@@ -266,11 +230,47 @@ def cmd_verify(args) -> int:
                 *_oracle_rows(fld, params, args.depth)]
 
     report = "".join(f"{'PASS' if ok else 'FAIL'} {name} = {value}\n" for name, ok, value in rows)
-    _emit(args, report, _manifest("verify", args, params, source=args.source,
-                                  depth=args.depth, perturb=args.perturb))
-    if not all(ok for _, ok, _ in rows):
-        raise VerificationFailure(report)
-    return 0
+    return Output(report, ok=all(ok for _, ok, _ in rows))
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[..., Output]
+    flags: tuple = ()       # the command's own (flag, add_argument keywords)
+    model_params: bool = True
+
+
+BRANCH = {"choices": ["auto", "low", "mid", "high"], "default": "auto"}
+K_AND_J = (("--k", {"type": int}), ("--J", {"type": float}))
+
+COMMANDS = {
+    "solve-ti": Command("translation-invariant solutions", cmd_solve_ti),
+    "critical-beta": Command("closed-form symmetric threshold", cmd_critical_beta,
+                             K_AND_J, model_params=False),
+    "phase-diagram": Command("symmetric root count over a beta range", cmd_phase_diagram,
+                             K_AND_J + (("--beta-min", {"type": float}),
+                                        ("--beta-max", {"type": float}),
+                                        ("--beta-step", {"type": float})),
+                             model_params=False),
+    "solve-periodic": Command("periodic solutions by parity subgroup", cmd_solve_periodic, (
+        ("--subgroup", {"default": "full", "help": "'full' or generator list '1,3'"}),)),
+    "build-nonti": Command("path-pair field on a finite ball", cmd_build_nonti, (
+        ("--t", {"type": float, "required": True}),
+        ("--s", {"type": float, "required": True}),
+        ("--depth", {"type": int, "default": 6}))),
+    "sample": Command("forward samples from a constant-law measure", cmd_sample, (
+        ("--depth", {"type": int, "default": 3}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--count", {"type": int, "default": 1000}),
+        ("--branch", BRANCH))),
+    "verify": Command("run the oracle suite on a named solution", cmd_verify, (
+        ("--source", {"choices": ["ti", "period2", "nonti"], "required": True}),
+        ("--branch", BRANCH),
+        ("--t", {"type": float, "default": 0.0}),
+        ("--s", {"type": float, "default": 0.0}),
+        ("--depth", {"type": int, "default": 2}),
+        ("--perturb", {"type": float, "default": 0.0}))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,83 +278,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sostree",
         description="Boundary-law solvers and finite-volume verifiers on Cayley trees")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve-ti", help="translation-invariant solutions")
-    _add_param_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_solve_ti)
-
-    p = sub.add_parser("critical-beta", help="closed-form symmetric threshold")
-    p.add_argument("--k", type=int)
-    p.add_argument("--J", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_critical_beta)
-
-    p = sub.add_parser("phase-diagram", help="symmetric root count over a beta range")
-    p.add_argument("--k", type=int)
-    p.add_argument("--J", type=float)
-    p.add_argument("--beta-min", type=float)
-    p.add_argument("--beta-max", type=float)
-    p.add_argument("--beta-step", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_phase_diagram)
-
-    p = sub.add_parser("solve-periodic", help="periodic solutions by parity subgroup")
-    _add_param_flags(p)
-    p.add_argument("--subgroup", default="full", help="'full' or generator list '1,3'")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_solve_periodic)
-
-    p = sub.add_parser("build-nonti", help="path-pair field on a finite ball")
-    _add_param_flags(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_build_nonti)
-
-    p = sub.add_parser("sample", help="forward samples from a constant-law measure")
-    _add_param_flags(p)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--branch", choices=["auto", "low", "mid", "high"], default="auto")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("verify", help="run the oracle suite on a named solution")
-    _add_param_flags(p)
-    p.add_argument("--source", choices=["ti", "period2", "nonti"], required=True)
-    p.add_argument("--branch", choices=["auto", "low", "mid", "high"], default="auto")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--perturb", type=float, default=0.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for flag, options in PARAM_FLAGS if cmd.model_params else ():
+            p.add_argument(flag, **options)
+        recorded = [p.add_argument(flag, **options).dest for flag, options in cmd.flags]
+        p.add_argument("--out")
+        p.set_defaults(cmd=cmd, recorded=recorded)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2
     try:
         # far from the solutions, exp(h) and the root-scan products overflow
         # to inf by design (such Newton starts are dropped), so stay quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            params = _resolve_params(args) if args.cmd.model_params else None
+            output = args.cmd.run(args, params)
+        if not args.out:
+            sys.stdout.write(output.text)
+        else:
+            config = {dest: getattr(args, dest) for dest in args.recorded} | output.derived
+            if params is not None:
+                config["params"] = params.to_dict()
+            manifest = {"command": args.command, "config": config, "version": __version__}
+            Path(args.out).write_text(output.text)
+            Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     except (UsageError, ti.FloatRangeError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
-    except VerificationFailure:
-        return 3
     except Exception:
         traceback.print_exc()
         return 1
+    return 0 if output.ok else 3
 
 
 if __name__ == "__main__":

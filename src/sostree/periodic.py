@@ -247,21 +247,20 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
         value, holds = cycle_instability(params, ti_set.symmetric_roots)
         instability = {"value": value, "holds": holds}
 
-    if not spec.is_full:
-        statement = ("subgroup contains a generator: periodic solutions "
-                     "coincide with the translation-invariant ones")
-        solutions = [Period2Solution(z=z1, t=z1, type=FIXED, full_pair=((z0, z1), (z0, z1)))
-                     for z0, z1 in ti_set.full_solutions]
-    elif not afm:
-        statement = ("nonpositive coupling: the alternating system admits only "
-                     "equal pairs, so periodic solutions are translation-invariant")
-        solutions = [Period2Solution(z=z1, t=z1, type=FIXED, full_pair=((z0, z1), (z0, z1)))
-                     for z0, z1 in ti_set.full_solutions]
-    else:
+    if spec.is_full and afm:
         solutions = solve_two_cycle_symmetric(params)
         n_cyc = sum(1 for s in solutions if s.type == CYCLE)
         statement = (f"even-word subgroup, antiferromagnetic regime: "
                      f"{n_cyc} chess-board solutions alongside the translation-invariant ones")
+    else:
+        solutions = [Period2Solution(z=z1, t=z1, type=FIXED, full_pair=((z0, z1), (z0, z1)))
+                     for z0, z1 in ti_set.full_solutions]
+        if not spec.is_full:
+            statement = ("subgroup contains a generator: periodic solutions "
+                         "coincide with the translation-invariant ones")
+        else:
+            statement = ("nonpositive coupling: the alternating system admits only "
+                         "equal pairs, so periodic solutions are translation-invariant")
 
     return {
         "params": params.to_dict(),

@@ -107,12 +107,11 @@ def dedupe(rows: np.ndarray, tol: float) -> np.ndarray:
 
 
 def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-               df: Callable[[np.ndarray], np.ndarray] | None = None,
-               n_grid: int = 4096) -> list[float]:
+               df: Callable[[np.ndarray], np.ndarray], n_grid: int = 4096) -> list[float]:
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
-    `f` and `df` must accept arrays.  When `df` is given, brackets containing
-    a sign change of `df` are additionally split at the interior extremum,
+    `f` and its derivative `df` must accept arrays.  Brackets containing a
+    sign change of `df` are additionally split at the interior extremum,
     which recovers root pairs too close for the base grid to separate.
     """
     if not (0 < lo < hi):
@@ -123,34 +122,28 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     def f1(x: float) -> float:
         return float(f(np.asarray([x]))[0])
 
-    df1 = None
-    if df is not None:
-        def df1(x: float) -> float:
-            return float(df(np.asarray([x]))[0])
+    def df1(x: float) -> float:
+        return float(df(np.asarray([x]))[0])
 
     roots: list[float] = [float(xs[i]) for i in np.nonzero(fs == 0.0)[0]]
     sign = np.sign(fs)
     cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     brackets = [(float(xs[i]), float(xs[i + 1])) for i in cross]
 
-    if df is not None:
-        # split cells where the derivative changes sign but f does not
-        dsign = np.sign(np.asarray(df(xs), dtype=float))
-        for i in np.nonzero(dsign[:-1] * dsign[1:] < 0)[0]:
-            if sign[i] * sign[i + 1] < 0:
-                continue  # already a plain bracket
-            a, b = float(xs[i]), float(xs[i + 1])
-            xe = bisect(df1, a, b, rel_tol=1e-13)
-            fe = f1(xe)
-            if fe == 0.0:
-                roots.append(xe)
-            elif fe * fs[i] < 0:
-                brackets.append((a, xe))
-                brackets.append((xe, b))
+    # split cells where the derivative changes sign but f does not
+    dsign = np.sign(np.asarray(df(xs), dtype=float))
+    for i in np.nonzero(dsign[:-1] * dsign[1:] < 0)[0]:
+        if sign[i] * sign[i + 1] < 0:
+            continue  # already a plain bracket
+        a, b = float(xs[i]), float(xs[i + 1])
+        xe = bisect(df1, a, b, rel_tol=1e-13)
+        fe = f1(xe)
+        if fe == 0.0:
+            roots.append(xe)
+        elif fe * fs[i] < 0:
+            brackets.append((a, xe))
+            brackets.append((xe, b))
 
     for a, b in brackets:
-        x = bisect(f1, a, b)
-        if df is not None:
-            x = newton_polish(f1, df1, x, a, b)
-        roots.append(x)
+        roots.append(newton_polish(f1, df1, bisect(f1, a, b), a, b))
     return dedupe(np.reshape(roots, (-1, 1)), ROOT_DEDUPE_TOL)[:, 0].tolist()

@@ -159,6 +159,17 @@ def test_compatibility_residual_zero_field():
     assert compatibility_residual(constant_field(np.zeros(2), p1, 2), p1) == 0.0
 
 
+def test_compatibility_residual_checks_the_root(fm_params, fm_roots):
+    # a depth-1 field has no non-root vertex to check: only the root
+    # convention (the sum over its k+1 successors) can expose a bad root law
+    fld = constant_field(np.array([0.0, math.log(fm_roots[-1])]), fm_params, 1)
+    assert compatibility_residual(fld, fm_params) <= 1e-12
+    laws = fld.laws.copy()
+    laws[0, -1] += 1e-3
+    shifted = BoundaryLawField(k=fld.k, depth=1, laws=laws)
+    assert compatibility_residual(shifted, fm_params) == pytest.approx(1e-3, rel=1e-6)
+
+
 def test_field_rejects_wrong_row_count():
     with pytest.raises(ValueError):
         BoundaryLawField(k=2, depth=2, laws=np.zeros((ball_size(2, 2) - 1, 2)))

@@ -227,6 +227,17 @@ def test_verify_past_the_enumeration_cap(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("k", ["10", "12"])
+def test_verify_depth_one_checks_the_root_law(k, capsys):
+    # at depth 1 the residual checks only the root convention; the frozen
+    # high-branch measure hides a 1e-3 shift from the probability oracles
+    argv = ["verify", "--source", "ti", "--k", k, "--J", "-1", "--beta", "2", "--depth", "1"]
+    assert run(argv) == 0
+    assert "PASS compatibility_residual<=1e-10 = 0.0\n" in capsys.readouterr().out
+    assert run(argv + ["--perturb", "1e-3"]) == 3
+    assert "FAIL compatibility_residual<=1e-10" in capsys.readouterr().out
+
+
 # sha256 of each command's output file.  The field outputs were pinned from
 # the dict-based field implementation and the solver outputs from the generic
 # sorted-LSE update, before the m = 2 kernel; both must reproduce every byte.
@@ -301,6 +312,11 @@ def test_sample_depth_zero(tmp_path):
      "--beta-step", "0.5"],
     ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--count", "-1"],
     ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--seed", "-1"],
+    # --k and --J are checked by hand: argparse's required=True prints two lines
+    ["critical-beta", "--k", "2"],
+    ["critical-beta", "--J", "-1"],
+    ["phase-diagram", "--J", "-1", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
+    ["phase-diagram", "--k", "2", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
@@ -364,4 +380,28 @@ def test_manifest_round_trip_reproduces_output(tmp_path):
     assert run(["solve-ti", "--k", str(p["k"]), "--m", str(p["m"]),
                 "--J", str(p["J"]), "--beta", str(p["beta"]),
                 "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def _argv_from_manifest(manifest: dict) -> list[str]:
+    config = dict(manifest["config"])
+    p = config.pop("params")
+    argv = [manifest["command"], "--k", str(p["k"]), "--m", str(p["m"]),
+            "--J", repr(p["J"]), "--beta", repr(p["beta"])]
+    for key, value in config.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--branch", "low"],
+    ["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2",
+     "--t", "0.3", "--s", "1.2"],
+])
+def test_verify_manifest_records_every_flag(tmp_path, argv):
+    # the manifest's config alone reruns the command to the same bytes
+    out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
+    assert run(argv + ["--out", str(out1)]) == 0
+    manifest = json.loads((tmp_path / "r1.txt.manifest.json").read_text())
+    assert run(_argv_from_manifest(manifest) + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()

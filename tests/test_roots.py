@@ -53,4 +53,7 @@ def test_dedupe_is_relative_for_large_roots():
     def f(x):
         return (x / big - 1.0) * (x / big - 2.0)
 
-    assert find_roots(f, 0.1 * big, 3 * big) == pytest.approx([big, 2 * big], rel=1e-12)
+    def df(x):
+        return (2.0 * x / big - 3.0) / big
+
+    assert find_roots(f, 0.1 * big, 3 * big, df) == pytest.approx([big, 2 * big], rel=1e-12)
