@@ -106,13 +106,18 @@ def dedupe(rows: np.ndarray, tol: float) -> np.ndarray:
     return np.array(kept, dtype=float).reshape(-1, rows.shape[1])
 
 
-def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-               df: Callable[[np.ndarray], np.ndarray], n_grid: int = 4096) -> list[float]:
+@np.errstate(over="ignore", invalid="ignore")
+def find_roots(f: Callable, lo: float, hi: float, df: Callable,
+               n_grid: int = 4096) -> list[float]:
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
-    `f` and its derivative `df` must accept arrays.  Brackets containing a
-    sign change of `df` are additionally split at the interior extremum,
-    which recovers root pairs too close for the base grid to separate.
+    `f` and its derivative `df` receive both the grid array and single
+    `np.float64` points (bisection, extremum splits, Newton polish); numpy
+    scalars give the same bits as 1-element arrays at a fraction of the
+    cost.  Brackets containing a sign change of `df` are additionally split
+    at the interior extremum, which recovers root pairs too close for the
+    base grid to separate.  Far from the roots f and the bracket products may
+    overflow to inf by design, so the scan keeps overflow warnings off.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi for a log grid")
@@ -120,10 +125,10 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     fs = np.asarray(f(xs), dtype=float)
 
     def f1(x: float) -> float:
-        return float(f(np.asarray([x]))[0])
+        return float(f(np.float64(x)))
 
     def df1(x: float) -> float:
-        return float(df(np.asarray([x]))[0])
+        return float(df(np.float64(x)))
 
     roots: list[float] = [float(xs[i]) for i in np.nonzero(fs == 0.0)[0]]
     sign = np.sign(fs)

@@ -253,8 +253,8 @@ def solve_full(params: ModelParams, grid: tuple[int, int] = (200, 200),
     lo, hi = min(1e-6, math.exp(-bound)), max(1e6, math.exp(bound))
     axes = [np.log(np.geomspace(lo, hi, n)) for n in grid]
     hh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    resid = hh - k * law_map(hh, 2, theta)
-    norm = np.max(np.abs(resid), axis=-1)
+    r = np.abs(hh - k * law_map(hh, 2, theta))
+    norm = np.maximum(r[..., 0], r[..., 1])
 
     padded = np.pad(norm, 1, constant_values=np.inf)
     is_min = np.ones_like(norm, dtype=bool)

@@ -262,13 +262,25 @@ PINNED_OUTPUTS = [
      "2cbf9960beb5f9d2644e604aed9a69f84d978aa0af9cfc5430e2ee0767955f26"),
     (["verify", "--source", "period2", "--k", "200", "--theta", "1.07"],
      "d8c824c3e27d3c0d69d02b9cc2fe7136b7212a82350de8ab1b033fe6ea4b3e8a"),
+    # the k = 3 count transition sits at beta = 1.4957
+    (["phase-diagram", "--k", "3", "--J", "-1", "--beta-min", "1.48", "--beta-max", "1.52",
+      "--beta-step", "0.002"], "781d9e466d268f18f48bf9968b4b825fc11d91e92b16d445f877407915d969cb"),
+    (["phase-diagram", "--k", "2", "--J", "1", "--beta-min", "0.5", "--beta-max", "3",
+      "--beta-step", "0.1"], "b48c8f6a714a4c1fd2a23696be6511fbd7628e28e18b11879524bdbda1a5e48e"),
+    (["phase-diagram", "--k", "200", "--J", "-1", "--beta-min", "0.2", "--beta-max", "3.5",
+      "--beta-step", "0.1"], "b88d85523d859091f087eebcab1d858fd9df11802d48e8d3c8eab94c7846f3ab"),
+    # the slice map's derivative overflows in this scan
+    (["solve-ti", "--k", "200", "--J", "-1", "--beta", "1.612"],
+     "25775e27d39bdd766e99f2cc1ff72a429a92d060e4ecdb1826b44e5d47c42dba"),
 ]
 
 
 @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS,
                          ids=["nonti-k2-depth8", "nonti-k3-depth5", "sample-k3-depth4",
                               "solve-ti-k2", "phase-diagram-k2", "solve-periodic-k200",
-                              "verify-ti-k2", "verify-nonti-k2", "verify-period2-k200"])
+                              "verify-ti-k2", "verify-nonti-k2", "verify-period2-k200",
+                              "phase-diagram-k3", "phase-diagram-k2-afm", "phase-diagram-k200",
+                              "solve-ti-k200"])
 def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0

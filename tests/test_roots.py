@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sostree import periodic, roots, ti
+from sostree.model import ModelParams
 from sostree.roots import batched_newton, dedupe, find_roots
 
 
@@ -57,3 +59,38 @@ def test_dedupe_is_relative_for_large_roots():
         return (2.0 * x / big - 3.0) / big
 
     assert find_roots(f, 0.1 * big, 3 * big, df) == pytest.approx([big, 2 * big], rel=1e-12)
+
+
+def _bits(fn, xs):
+    """fn on each point as an np.float64 and as a 1-element array, as int64 bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scalar = np.array([fn(x) for x in xs])   # iterating xs gives np.float64
+        array = np.concatenate([fn(x) for x in xs[:, None]])
+    return scalar.view(np.int64), array.view(np.int64)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 200])
+@pytest.mark.parametrize("theta", [0.2, 1.4])
+def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, theta):
+    # find_roots evaluates single points as np.float64 scalars; the scans'
+    # functions must give the same bits there as on 1-element arrays, over
+    # 1e4 log-spaced points of each scan's own [lo, hi]
+    scans = []
+
+    def recording(f, lo, hi, df, n_grid=4096):
+        scans.append((f, df, lo, hi))
+        return roots.find_roots(f, lo, hi, df, n_grid)
+
+    monkeypatch.setattr(ti, "find_roots", recording)
+    monkeypatch.setattr(periodic, "find_roots", recording)
+    params = ModelParams.from_theta(k, 2, theta)
+    ti.solve_symmetric_roots(params)
+    periodic.solve_two_cycle_symmetric(params)
+    (_, _, sym_lo, sym_hi), (residual, _, pp_lo, pp_hi) = scans[0], scans[-1]
+
+    psi = ti.SliceMap(params.theta, k)
+    xs = np.geomspace(sym_lo, sym_hi, 10_000)
+    for fn in (psi, psi.deriv):
+        np.testing.assert_array_equal(*_bits(fn, xs))
+    # the psi∘psi residual of the two-cycle scan
+    np.testing.assert_array_equal(*_bits(residual, np.geomspace(pp_lo, pp_hi, 10_000)))

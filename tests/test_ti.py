@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ def test_symmetric_roots_fm_above_transition(fm_params, fm_roots):
     psi = ti.SliceMap(fm_params.theta, fm_params.k)
     for z in fm_roots:
         assert float(psi(z)) == pytest.approx(z, abs=1e-11)
+
+
+def test_symmetric_roots_are_quiet_where_the_scan_overflows():
+    # at k = 200 the slice map's derivative (beta = 1.612) and the extremum
+    # split's bracket product (beta = 2.225) overflow to inf by design
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1.612, 2.225):
+            assert len(ti.solve_symmetric_roots(ModelParams(200, 2, -1.0, beta))) == 3
 
 
 def test_symmetric_roots_afm_unique(afm_params):
