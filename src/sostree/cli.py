@@ -155,7 +155,7 @@ def _nonti_field(args, params: ModelParams) -> nonti.NonTiField:
 
 
 def cmd_build_nonti(args, params: ModelParams) -> Output:
-    return Output(_json(_nonti_field(args, params).to_json_dict()))
+    return Output(_nonti_field(args, params).to_json_text())
 
 
 def _branch_field(params: ModelParams, branch: str, depth: int):

@@ -325,7 +325,19 @@ def sample(fld: BoundaryLawField, params: ModelParams, depth: int,
 
 
 def samples_to_csv(samples: np.ndarray, labels: Sequence[str]) -> str:
-    """CSV text: header of vertex labels, one row per configuration."""
-    lines = [",".join(labels)]
-    lines += [",".join(map(str, row.tolist())) for row in samples]
-    return "\n".join(lines) + "\n"
+    """CSV text: header of vertex labels, one row per configuration.
+
+    The body is one byte buffer.  Each cell gathers its spin's text, ended
+    by "," or, in the last column, by a newline, from a table of null-padded
+    tokens; dropping the null bytes leaves the rows.  Spins are small integers.
+    """
+    header = ",".join(labels) + "\n"
+    if not samples.size:
+        return header
+    lo = int(samples.min())
+    tokens = [str(v) for v in range(lo, int(samples.max()) + 1)]
+    table = np.array([(t + end).encode() for end in ",\n" for t in tokens])
+    # row-end tokens follow the comma-ended ones in the table
+    row_end = np.where(np.arange(samples.shape[1]) == samples.shape[1] - 1, len(tokens), 0)
+    cells = table[row_end + samples - lo].view(np.uint8)
+    return header + cells[cells != 0].tobytes().decode()

@@ -11,6 +11,7 @@ stabilises as the depth grows.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -103,6 +104,36 @@ class NonTiField:
         labels = ball_geometry(self.field.k, self.depth).labels
         data["component_map"] = dict(zip(labels, self.components.tolist()))
         return data
+
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json_dict(), indent=2) + "\n"`, written block by block.
+
+        Each entry and component line comes from one format string; floats
+        are formatted a column at a time, as json does it (see _json_floats).
+        """
+        fld = self.field
+        entry = ('    {\n      "vertex": "%s",\n      "h": [\n        '
+                 + ",\n        ".join(["%s"] * fld.laws.shape[1]) + "\n      ]\n    }")
+        columns = map(_json_floats, fld.laws.T.tolist())
+        entries = [entry % row for row in zip(ball_geometry(fld.k, fld.depth).labels, *columns)]
+        components = ['    "%s": %s' % pair for pair
+                      in zip(ball_geometry(fld.k, self.depth).labels, self.components.tolist())]
+        return "".join([
+            '{\n  "depth": %s,\n  "entries": [\n' % json.dumps(fld.depth),
+            ",\n".join(entries),
+            '\n  ],\n  "t": %s,\n  "s": %s,\n  "component_map": {\n'
+            % (json.dumps(self.t), json.dumps(self.s)),
+            ",\n".join(components),
+            "\n  }\n}\n"])
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """json's text for each float: float.__repr__, with NaN / Infinity / -Infinity."""
+    text = list(map(float.__repr__, values))
+    return list(map(_NON_FINITE.get, text, text))
 
 
 def extreme_laws(params: ModelParams) -> dict[int, np.ndarray]:

@@ -50,14 +50,13 @@ class SliceMap:
     k: int
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
         t = self.theta
         return np.exp(self.k * (np.log(2 * t + z) - np.log(1 + t * t + t * z)))
 
     def deriv(self, z):
-        z = np.asarray(z, dtype=float)
         t = self.theta
-        return self.k * self(z) * (1 - t * t) / ((2 * t + z) * (1 + t * t + t * z))
+        num, den = 2 * t + z, 1 + t * t + t * z
+        return self.k * np.exp(self.k * (np.log(num) - np.log(den))) * (1 - t * t) / (num * den)
 
     @property
     def at_zero(self) -> float:

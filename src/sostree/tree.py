@@ -9,7 +9,9 @@ combinatorics.
 
 This module also owns the breadth-first layout of a ball (`ball_geometry`):
 every field, kernel and spin configuration on a ball elsewhere in the package
-is an array whose rows follow it.
+is an array whose rows follow it.  The layout is index arithmetic and its
+vertex labels are built as strings level by level; `Word`s are built only on
+demand, for callers that look vertices up by word.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ class SubgroupSpec:
 
 @lru_cache(maxsize=None)
 def cached_ball(k: int, n: int) -> tuple[Word, ...]:
-    """Memoised ball enumeration (the hot path for the finite-volume oracles)."""
+    """Memoised ball enumeration, behind BallGeometry.words."""
     return tuple(ball(k, n))
 
 
@@ -181,11 +183,12 @@ class BallGeometry:
     generator order, which is also the (length, letters) order of the words.
     The direct successors of each level-d vertex are one contiguous block of
     level d+1: k+1 rows beneath the origin, k rows beneath any other vertex.
+    The layout is built without words; `words` and `index` enumerate the
+    ball on first use.
     """
 
     k: int
     depth: int
-    words: tuple[Word, ...]
     offsets: tuple[int, ...]          # first row of each level, then the row count
     parent_index: np.ndarray          # parent row per vertex (-1 for the origin)
     digits: np.ndarray                # position of each vertex in its sibling block
@@ -195,9 +198,27 @@ class BallGeometry:
         return self.offsets[-1]
 
     @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """The reduced word of each row."""
+        return cached_ball(self.k, self.depth)
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        """str(word) per row, for JSON and CSV."""
-        return tuple(map(str, self.words))
+        """str(word) per row, for JSON and CSV.
+
+        Built level by level: a vertex's successors append, in order, each
+        generator other than its own last letter to its label.
+        """
+        # last letter 0 is the origin, whose label "e" is no prefix
+        successors = [[(("." if last else "") + str(a), a)
+                       for a in range(1, self.k + 2) if a != last]
+                      for last in range(self.k + 2)]
+        level = [("", 0)]
+        labels = ["e"]
+        for _ in range(self.depth):
+            level = [(label + step, a) for label, last in level for step, a in successors[last]]
+            labels.extend(label for label, _ in level)
+        return tuple(labels)
 
     @cached_property
     def index(self) -> dict[Word, int]:
@@ -221,7 +242,6 @@ class BallGeometry:
 def ball_geometry(k: int, depth: int) -> BallGeometry:
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    words = cached_ball(k, depth)
     sizes = [sphere_size(k, d) for d in range(depth + 1)]
     offsets = tuple(int(x) for x in np.cumsum([0] + sizes))
     parent_index = [np.array([-1])]
@@ -231,6 +251,6 @@ def ball_geometry(k: int, depth: int) -> BallGeometry:
         local = np.arange(sizes[d + 1])
         parent_index.append(offsets[d] + local // branching)
         digits.append(local % branching)
-    return BallGeometry(k=k, depth=depth, words=words, offsets=offsets,
+    return BallGeometry(k=k, depth=depth, offsets=offsets,
                         parent_index=np.concatenate(parent_index).astype(np.int64),
                         digits=np.concatenate(digits).astype(np.int64))

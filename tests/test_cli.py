@@ -272,6 +272,14 @@ PINNED_OUTPUTS = [
     # the slice map's derivative overflows in this scan
     (["solve-ti", "--k", "200", "--J", "-1", "--beta", "1.612"],
      "25775e27d39bdd766e99f2cc1ff72a429a92d060e4ecdb1826b44e5d47c42dba"),
+    # the deep-ball shapes of the field JSON and sample CSV writers
+    (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
+      "--depth", "10"], "856a29821e405b63df94d3e03d931a2b397846dc5e68b17cc48f05641c4d464d"),
+    (["build-nonti", "--k", "3", "--J", "-1", "--beta", "2", "--t", "0.2", "--s", "1.1",
+      "--depth", "7"], "30ffe0681e6f18e01de5bb2d890555dcfc9c2a644c1396f7974dba4a86b9e5c8"),
+    (["sample", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "8", "--seed", "3",
+      "--count", "200", "--branch", "mid"],
+     "c1438d516c68dfdfc54b90190bfd6a29bad3177729bf371dc1a929dd12cb4905"),
 ]
 
 
@@ -280,7 +288,8 @@ PINNED_OUTPUTS = [
                               "solve-ti-k2", "phase-diagram-k2", "solve-periodic-k200",
                               "verify-ti-k2", "verify-nonti-k2", "verify-period2-k200",
                               "phase-diagram-k3", "phase-diagram-k2-afm", "phase-diagram-k200",
-                              "solve-ti-k200"])
+                              "solve-ti-k200", "nonti-k2-depth10", "nonti-k3-depth7",
+                              "sample-k2-depth8"])
 def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0

@@ -367,6 +367,29 @@ def test_samples_to_csv(fm_params, fm_high_field):
     assert all(len(line.split(",")) == 4 for line in lines[1:])
 
 
+def _row_join_csv(samples, labels):
+    return "\n".join([",".join(labels)] + [",".join(map(str, r.tolist())) for r in samples]) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("depth, count", [(0, 4), (2, 0), (3, 25)])
+def test_samples_to_csv_is_the_row_join(m, depth, count):
+    params = ModelParams.from_theta(k=2, m=m, theta=0.4)
+    s, labels = measure.sample(random_field(params, depth, seed=m), params, depth,
+                               seed=depth, count=count)
+    assert measure.samples_to_csv(s, labels) == _row_join_csv(s, labels)
+
+
+def test_samples_to_csv_writes_multi_digit_spins():
+    rng = np.random.default_rng(3)
+    labels = ball_geometry(3, 2).labels
+    for low, high in [(0, 13), (8, 13), (-12, 200)]:
+        s = rng.integers(low, high, size=(40, len(labels))).astype(np.int16)
+        assert measure.samples_to_csv(s, labels) == _row_join_csv(s, labels)
+    s = np.full((2, 1), 12, dtype=np.int8)
+    assert measure.samples_to_csv(s, ("e",)) == "e\n12\n12\n"
+
+
 def test_sample_configs_cover_ball(fm_params, fm_high_field):
     s, v = measure.sample(fm_high_field, fm_params, 2, seed=1, count=2)
     assert s.shape == (2, ball_size(2, 2))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -216,3 +217,30 @@ def test_field_json_payload(fm_params):
     assert data["depth"] == 3
     assert len(data["component_map"]) == ball_size(2, 3)
     assert any(e["vertex"] == "e" for e in data["entries"])
+
+
+def _dumps(nf):
+    return json.dumps(nf.to_json_dict(), indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(allow_nan=False), s=st.floats(allow_nan=False))
+def test_field_json_text_is_json_dumps(k, depth, seed, t, s):
+    rng = np.random.default_rng(seed)
+    n = ball_size(k, depth)
+    fld = boundary.BoundaryLawField(k=k, depth=depth, laws=rng.normal(scale=50.0, size=(n, 2)))
+    nf = nonti.NonTiField(depth=depth, t=t, s=s, field=fld,
+                          components=rng.integers(1, 4, size=n))
+    assert nf.to_json_text() == _dumps(nf)
+
+
+def test_field_json_text_writes_json_floats():
+    special = [-0.0, 0.0, 1e-300, 1e300, 5e-324, 0.1, math.nan, math.inf, -math.inf]
+    fld = boundary.BoundaryLawField(k=2, depth=2, laws=np.resize(special, (ball_size(2, 2), 2)))
+    for t, s in [(0.0, -0.0), (math.nan, math.inf), (-math.inf, 1e300), (1, 2)]:
+        nf = nonti.NonTiField(depth=2, t=t, s=s, field=fld,
+                              components=np.arange(ball_size(2, 2)) % 3 + 1)
+        text = nf.to_json_text()
+        assert text == _dumps(nf)
+        assert "NaN" in text and "Infinity" in text and "-Infinity" in text

@@ -188,6 +188,12 @@ def test_ball_geometry_layout(k, n):
         assert np.all(geo.parent_index[blocks] == rows[geo.level(d)][:, None])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ball_labels_are_the_words(k):
+    for n in range(7):
+        assert ball_geometry(k, n).labels == tuple(map(str, ball(k, n)))
+
+
 def test_word_serialization_round_trip():
     for w in ball(3, 3):
         assert Word.parse(str(w)) == w
