@@ -10,12 +10,14 @@ tree-indexed Markov chain: one upward message sweep gives its partition
 function, root marginal and edge kernels at any size.  Enumerating the
 table is the independent oracle, up to EXACT_TABLE_CAP configurations:
 marginalisation consistency between depths, the DLR property against raw
-Gibbs kernels, spin-flip symmetry, and the sweep itself.  Past the cap the
-oracles compare chains from the sweep (worst root-law or edge-kernel gap).
+Gibbs kernels, spin-flip symmetry, and the sweep itself.  The table is a
+(q,)^N tensor of edge-gap sums with one axis per vertex, not an array of
+configurations.  Past the cap the oracles compare chains from the sweep
+(worst root-law or edge-kernel gap).
 
-Fields, messages, kernels and configurations are arrays whose vertex axis
-follows tree.ball_geometry (breadth-first, root first), so the sweep and the
-sampler take one numpy step per level.
+Fields, messages, kernels and the table's axes follow tree.ball_geometry
+(breadth-first, root first), so the sweep and the sampler take one numpy
+step per level.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .boundary import BoundaryLawField, _sorted_lse, pair_exponents, unreduce
-from .model import ModelParams, edge_gap_sum
+from .model import ModelParams
 from .tree import BallGeometry, Word, ball_geometry
 
 EXACT_TABLE_CAP = 10 ** 6
@@ -43,22 +45,31 @@ def enumerable(q: int, n_vertices: int) -> bool:
     return q ** n_vertices <= EXACT_TABLE_CAP
 
 
-def _config_columns(q: int, n_vertices: int) -> np.ndarray:
-    """All configurations as an (N, n_vertices) array.
+def _edge_tensor(table: np.ndarray, geo: BallGeometry, edges: range) -> np.ndarray:
+    """Sum of table[s(parent j), s(j)] over the edges j, for every configuration.
 
-    The first (breadth-first) vertex is the most significant digit, so the
-    table index factorises as inner-ball index times outer-sphere block; the
-    marginalisation oracles lean on that layout.
+    The result has one axis of length q per vertex of `geo`, in breadth-first
+    order, so the first vertex is the most significant digit of the C-order
+    flattening and the flat index factorises as inner-ball index times
+    outer-sphere block; the marginalisation oracles lean on that layout.
+    Edge terms are added in vertex order, starting from zero.
     """
+    q, n_vertices = len(table), geo.n_vertices
     if not enumerable(q, n_vertices):
         raise ScaleError(
             f"{q}^{n_vertices} configurations exceed the exact-mode cap {EXACT_TABLE_CAP}")
-    size = q ** n_vertices
-    idx = np.arange(size, dtype=np.int64)
-    cols = np.empty((size, n_vertices), dtype=np.int8)
-    for j in range(n_vertices):
-        cols[:, j] = (idx // q ** (n_vertices - 1 - j)) % q
-    return cols
+    total = np.zeros((q,) * n_vertices, dtype=table.dtype)
+    for j in edges:
+        shape = [1] * n_vertices
+        shape[geo.parent_index[j]] = shape[j] = q
+        total += table.reshape(shape)
+    return total
+
+
+def _gap_table(q: int) -> np.ndarray:
+    """|i - j| over spin pairs, as int16: any gap sum under the cap is below 1000."""
+    spins = np.arange(q, dtype=np.int16)
+    return np.abs(spins[:, None] - spins[None, :])
 
 
 def _sphere_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
@@ -71,13 +82,12 @@ def _sphere_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarr
 
 def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
     """Unnormalised log weights of every configuration of the depth-n ball."""
-    q = params.m + 1
     geo = ball_geometry(params.k, n)
-    cols = _config_columns(q, geo.n_vertices)
-    logw = params.J * params.beta * edge_gap_sum(cols, params.k, n)
+    logw = params.J * params.beta * _edge_tensor(
+        _gap_table(params.m + 1), geo, range(1, geo.n_vertices))
     for j, h in enumerate(_sphere_laws(fld, params, n), start=geo.offsets[n]):
-        logw += h[cols[:, j]]
-    return logw
+        logw += h.reshape((-1,) + (1,) * (geo.n_vertices - 1 - j))
+    return logw.reshape(-1)
 
 
 @dataclass
@@ -188,21 +198,14 @@ def _gibbs_kernel_table(params: ModelParams, n: int) -> np.ndarray:
     Built from raw energies only (no boundary law), normalised per boundary
     configuration.
     """
-    q = params.m + 1
     geo_in = ball_geometry(params.k, n)
     geo_out = ball_geometry(params.k, n + 1)
-    cols_in = _config_columns(q, geo_in.n_vertices)
-    n_outer = geo_out.n_vertices - geo_in.n_vertices
-    cols_out = _config_columns(q, n_outer)
+    gaps = _gap_table(params.m + 1)
     jb = params.J * params.beta
 
-    energy_in = jb * edge_gap_sum(cols_in, params.k, n)
-    cross = np.zeros((cols_in.shape[0], cols_out.shape[0]))
-    for jo in range(n_outer):
-        pj = geo_out.parent_index[geo_in.n_vertices + jo]
-        gaps = np.abs(cols_in[:, pj].astype(np.int16)[:, None]
-                      - cols_out[:, jo].astype(np.int16)[None, :])
-        cross += jb * gaps
+    energy_in = jb * _edge_tensor(gaps, geo_in, range(1, geo_in.n_vertices)).reshape(-1)
+    cross = _edge_tensor(jb * gaps, geo_out, range(geo_in.n_vertices, geo_out.n_vertices))
+    cross = cross.reshape(energy_in.size, -1)
 
     logits = energy_in[:, None] + cross
     logits -= logits.max(axis=0, keepdims=True)

@@ -77,20 +77,6 @@ def parse_params_text(text: str) -> ModelParams:
         raise ValueError(f"config missing key {missing.args[0]!r}") from None
 
 
-def edge_gap_sum(spins: np.ndarray, k: int, depth: int) -> np.ndarray:
-    """Sum of |s(x) - s(parent of x)| over the edges of the depth ball, per row.
-
-    `spins` has shape (..., ball_size(k, depth)) in breadth-first order.  The
-    gaps are added one edge at a time into one vector, so no (rows x edges)
-    array is ever formed.
-    """
-    parent_index = ball_geometry(k, depth).parent_index
-    total = np.zeros(spins.shape[:-1])
-    for j in range(1, spins.shape[-1]):
-        total += np.abs(spins[..., j].astype(np.int16) - spins[..., parent_index[j]])
-    return total
-
-
 def hamiltonian(spins, params: ModelParams, depth: int) -> np.ndarray:
     """Energy over all edges with both endpoints inside the ball.
 
@@ -103,4 +89,9 @@ def hamiltonian(spins, params: ModelParams, depth: int) -> np.ndarray:
         raise ValueError(f"configuration needs {width} spins, one per ball vertex")
     if spins.size and not (spins.min() >= 0 and spins.max() <= params.m):
         raise ValueError(f"spins must lie in 0..{params.m}")
-    return -params.J * edge_gap_sum(spins, params.k, depth)
+    # gaps are added one edge at a time, so no (rows x edges) array is formed
+    parent_index = ball_geometry(params.k, depth).parent_index
+    total = np.zeros(spins.shape[:-1])
+    for j in range(1, width):
+        total += np.abs(spins[..., j].astype(np.int16) - spins[..., parent_index[j]])
+    return -params.J * total

@@ -237,13 +237,14 @@ def solve_full(params: ModelParams, grid: tuple[int, int] = (200, 200),
     """All constant-law solutions (z0, z1) whose weights are normal floats.
 
     Dense residual scan on a grid of h = ln z, batched damped Newton from
-    every local minimum (and from the symmetric-branch seeds, scanned here
-    unless given), then deduplication.  Each component of k * law_map lies in
-    k * [-2|ln theta|, 2|ln theta|], so every solution has |h_i| below
-    2k|ln theta| + 1; the grid spans that, at least ln(1e6) and at most
-    LOG_WEIGHT_MAX, and solutions past LOG_WEIGHT_MAX, which no weight can
-    express, are left out.  The z0 = 1 branch is always present; for
-    nonnegative coupling the result is a single solution on that branch.
+    every local minimum, then deduplication.  Each component of k * law_map
+    lies in k * [-2|ln theta|, 2|ln theta|], so every solution has |h_i|
+    below 2k|ln theta| + 1; the grid spans that, at least ln(1e6) and at
+    most LOG_WEIGHT_MAX, and solutions past LOG_WEIGHT_MAX, which no weight
+    can express, are left out.  The z0 = 1 branch is always present and
+    exact: it is (1.0, z) for each symmetric root z (scanned here unless
+    given), and Newton limits within the dedupe tolerance of it are dropped.
+    For nonnegative coupling the result is a single solution on that branch.
     """
     if params.m != 2:
         raise ValueError("the 2D solver is specific to m = 2")
@@ -263,22 +264,24 @@ def solve_full(params: ModelParams, grid: tuple[int, int] = (200, 200),
                 continue
             is_min &= norm <= padded[1 + di:1 + di + norm.shape[0],
                                      1 + dj:1 + dj + norm.shape[1]]
-    starts = [hh[idx] for idx in zip(*np.nonzero(is_min))]
-    if symmetric_roots is None:
-        symmetric_roots = solve_symmetric_roots(params)
-    starts += [np.array([0.0, math.log(z)]) for z in symmetric_roots]
 
     eye = np.eye(2)
 
     def system(x):
         return x - k * law_map(x, 2, theta), eye - k * law_map_jac(x, theta)
 
-    x = batched_newton(system, np.array(starts), 60, 2.0 * k * abs(math.log(theta)) + 20.0)
+    x = batched_newton(system, hh[is_min], 60, 2.0 * k * abs(math.log(theta)) + 20.0)
 
     r = np.max(np.abs(x - k * law_map(x, 2, theta)), axis=-1)
-    kept = dedupe(x[r <= RESID_TOL], DEDUPE_TOL)
-    kept = kept[np.max(np.abs(kept), axis=-1) <= math.log(hi) + 1e-9]
-    return sorted((math.exp(a), math.exp(b)) for a, b in kept)
+    x = x[r <= RESID_TOL]
+    # limits that dedupe would merge with the slice give way to the exact roots
+    x = x[np.abs(x[:, 0]) > DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))]
+    h_max = math.log(hi) + 1e-9
+    if symmetric_roots is None:
+        symmetric_roots = solve_symmetric_roots(params)
+    kept = [(math.exp(a), math.exp(b)) for a, b in dedupe(x, DEDUPE_TOL)
+            if max(abs(a), abs(b)) <= h_max]
+    return sorted(kept + [(1.0, z) for z in symmetric_roots if abs(math.log(z)) <= h_max])
 
 
 @dataclass

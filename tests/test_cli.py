@@ -250,11 +250,11 @@ PINNED_OUTPUTS = [
       "--count", "50", "--branch", "mid"],
      "d86f76ef04de20f64cc1733713950f91cd6da5740c45e36232b87d4e32eb8e5f"),
     (["solve-ti", "--k", "2", "--J", "-1", "--beta", "2.3"],
-     "7234167b29f3c50275b4db0394e5379d2e01b52b88fc1aeac6b82ea3d0fde9ad"),
+     "0203b6896d9ed23a0073725722b9104e0d4a0e9deb31e3801ade4cda2a1b8953"),
     (["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1.90", "--beta-max", "2.00",
       "--beta-step", "0.005"], "6622bafe7fbe70437728d3e48e29831062499d686ee4181b96a7938f2581e6e2"),
     (["solve-periodic", "--k", "200", "--theta", "1.08", "--subgroup", "full"],
-     "f8b3504e9183fdae1a7dbf0a43be5442d7578c50de3aa972adec59a609150e1e"),
+     "75eb0104d59fd371f0bf013dc674f83ec130909fdfff313cd4cea2e2ffcf9151"),
     (["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--branch", "high",
       "--depth", "2"], "0ef38f39a3660041b2a3a40973cbeab5331e537e0c3b85046360b1b761e617ea"),
     (["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3",
@@ -271,7 +271,7 @@ PINNED_OUTPUTS = [
       "--beta-step", "0.1"], "b88d85523d859091f087eebcab1d858fd9df11802d48e8d3c8eab94c7846f3ab"),
     # the slice map's derivative overflows in this scan
     (["solve-ti", "--k", "200", "--J", "-1", "--beta", "1.612"],
-     "25775e27d39bdd766e99f2cc1ff72a429a92d060e4ecdb1826b44e5d47c42dba"),
+     "68582cf99b43fed9f4ace4541f72eb4094506760797040525e6a1b853da8297d"),
     # the deep-ball shapes of the field JSON and sample CSV writers
     (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
       "--depth", "10"], "856a29821e405b63df94d3e03d931a2b397846dc5e68b17cc48f05641c4d464d"),

@@ -95,6 +95,28 @@ def test_log_partition_scale_guard(fm_params, fm_high_field):
     assert np.isfinite(measure.log_partition(fm_high_field, fm_params, 3, method="transfer"))
 
 
+@pytest.mark.parametrize("k, n", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_log_weight_table_matches_the_hamiltonian(k, n, m):
+    # configurations enumerated independently: row i spells i in base q, first
+    # vertex most significant, so this pins the table layout and edge set
+    params = ModelParams(k=k, m=m, J=-0.7, beta=1.3)
+    fld = random_field(params, n, seed=m)
+    geo = ball_geometry(k, n)
+    if not measure.enumerable(m + 1, geo.n_vertices):
+        with pytest.raises(measure.ScaleError):
+            measure.log_weight_table(fld, params, n)
+        return
+    spins = np.indices((m + 1,) * geo.n_vertices).reshape(geo.n_vertices, -1).T
+    ref = -params.beta * hamiltonian(spins, params, n)
+    sphere = boundary.unreduce(fld.laws[geo.level(n)])
+    for j, law in zip(range(geo.offsets[n], geo.n_vertices), sphere):
+        ref += law[spins[:, j]]
+    table = measure.log_weight_table(fld, params, n)
+    assert table.shape == ref.shape
+    assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_table_probabilities_normalised(fm_params, fm_high_field):
     mu = measure.finite_volume_measure(fm_high_field, fm_params, 2)
     assert abs(mu.probs.sum() - 1.0) <= 1e-12

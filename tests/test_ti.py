@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -159,6 +160,27 @@ def test_solve_full_fm_above_transition(fm_params, fm_roots):
     for z0, z1 in sols:
         fld = boundary.constant_field(np.array([math.log(z0), math.log(z1)]), fm_params, 2)
         assert measure.compatibility_oracle(fld, fm_params, 2) <= 1e-10
+
+
+def test_solve_full_slice_is_exact():
+    # slice entries are the symmetric roots verbatim, never a Newton limit
+    # a few ulps off z0 = 1
+    rng = random.Random(1)
+    for _ in range(40):
+        p = ModelParams(k=rng.randint(2, 6), m=2, J=-1.0, beta=rng.uniform(0.3, 3.0))
+        roots = ti.solve_symmetric_roots(p)
+        for z0, z1 in ti.solve_full(p, symmetric_roots=roots):
+            if abs(z0 - 1.0) < 1e-6:
+                assert z0 == 1.0 and z1 in roots, (p, z0, z1)
+
+
+def test_solve_full_leaves_out_slice_roots_past_the_weight_range():
+    # theta^-k = e^708.5: the top symmetric root is a float, but its weight
+    # lies past LOG_WEIGHT_MAX like any off-slice solution there
+    p = ModelParams(k=200, m=2, J=-1.0, beta=3.5425)
+    roots = ti.solve_symmetric_roots(p)
+    assert math.log(roots[2]) > ti.LOG_WEIGHT_MAX
+    assert ti.solve_full(p, symmetric_roots=roots) == [(1.0, z) for z in roots[:2]]
 
 
 def test_beta_trend_of_outer_roots():
