@@ -198,7 +198,8 @@ def constant_field(h: np.ndarray, params: ModelParams, depth: int) -> BoundaryLa
     """Field equal to h at every non-root vertex (root set by the convention)."""
     h = np.asarray(h, dtype=float)
     laws = np.tile(h, (ball_size(params.k, depth), 1))
-    laws[0] = (params.k + 1) * law_map(h, params.m, params.theta)
+    # the root's k+1 successor updates, summed as successor_law_sums sums them
+    laws[0] = law_map(np.tile(h, (1, params.k + 1, 1)), params.m, params.theta).sum(axis=1)[0]
     return BoundaryLawField(k=params.k, depth=depth, laws=laws)
 
 

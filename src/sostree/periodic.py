@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ti
-from .boundary import BoundaryLawField, law_map, law_map_jac
+from .boundary import BoundaryLawField, constant_field, law_map, law_map_jac
 from .model import ModelParams
 from .roots import batched_newton, dedupe, find_roots
 from .tree import SubgroupSpec, ball_geometry
@@ -222,14 +222,11 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
 def expand_two_cycle_field(z: float, t: float, params: ModelParams,
                            depth: int) -> BoundaryLawField:
     """Two-coset-periodic field: law (0, ln z) on even words, (0, ln t) on odd."""
-    law_even = np.array([0.0, math.log(z)])
-    law_odd = np.array([0.0, math.log(t)])
+    fld = constant_field(np.array([0.0, math.log(t)]), params, depth)
     geo = ball_geometry(params.k, depth)
-    laws = np.empty((geo.n_vertices, 2))
-    laws[0] = (params.k + 1) * law_map(law_odd, params.m, params.theta)
-    for d in range(1, depth + 1):
-        laws[geo.level(d)] = law_even if d % 2 == 0 else law_odd
-    return BoundaryLawField(k=params.k, depth=depth, laws=laws)
+    for d in range(2, depth + 1, 2):
+        fld.laws[geo.level(d)] = (0.0, math.log(z))
+    return fld
 
 
 def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:

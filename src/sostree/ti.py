@@ -5,19 +5,20 @@ single-site weights z_i = exp(h_i) this is a pair of fixed-point equations
 whose z0 = 1 branch reduces to the scalar problem z = SliceMap(theta, k)(z);
 the change of variables x = z/(2 theta), a = 2 theta^(k+1), b = (1+theta^2) /
 (2 theta^2) turns that into the one-parameter family a*x = ((1+x)/(b+x))^k
-whose root count has a closed-form classification.
-"""
+whose root count has a closed-form classification.  Off that branch,
+z0 = u^k eliminates z1 = w(u) exactly, and the rest is one scalar equation
+in u (see solve_full)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .boundary import law_map, law_map_jac
 from .model import ModelParams
-from .roots import batched_newton, dedupe, find_roots
+from .roots import POLISH_STEPS, ROOT_REL_TOL, batched_newton, bisect, dedupe, find_roots
 
 UNIQUE = "UNIQUE"
 BOUNDARY_TWO = "BOUNDARY_TWO"
@@ -188,18 +189,13 @@ def solve_symmetric_roots(params: ModelParams) -> list[float]:
     roots = find_roots(f, lo, hi, df=df, n_grid=SCAN_GRID)
 
     expected, label, _ = classify_scalar_family(
-        *_reduced_ab(params), params.k)
+        *astuple(ReducedForm.from_params(params)), params.k)
     if label != BOUNDARY_TWO and len(roots) != expected:
         roots = find_roots(f, lo, hi, df=df, n_grid=16 * SCAN_GRID)
         if len(roots) != expected:
             raise RuntimeError(
                 f"scan found {len(roots)} symmetric roots, classification expects {expected}")
     return roots
-
-
-def _reduced_ab(params: ModelParams) -> tuple[float, float]:
-    form = ReducedForm.from_params(params)
-    return form.a, form.b
 
 
 @dataclass
@@ -225,58 +221,79 @@ class TiSolutionSet:
 def solve(params: ModelParams) -> TiSolutionSet:
     """Symmetric-branch roots plus the full 2D solution scan."""
     roots = solve_symmetric_roots(params)
-    _, label, _ = classify_scalar_family(*_reduced_ab(params), params.k)
+    _, label, _ = classify_scalar_family(*astuple(ReducedForm.from_params(params)), params.k)
     beta_cr = critical_beta(params.J, params.k) if (params.J < 0 and params.k >= 2) else None
     return TiSolutionSet(params=params, symmetric_roots=roots, classification=label,
                          full_solutions=solve_full(params, symmetric_roots=roots),
                          beta_cr=beta_cr)
 
 
-def solve_full(params: ModelParams, grid: tuple[int, int] = (200, 200),
+def _log_e(a: int, t):
+    """ln E_a(u) = ln((u^a - 1) / (u - 1)) at u = e^-t < 1, and its t-derivative.
+
+    E_a(1/u) = u^(1-a) E_a(u) gives u > 1; written in e^-t, nothing overflows.
+    """
+    ma, m1 = -np.expm1(-a * t), -np.expm1(-t)
+    return np.log(ma / m1), a * np.exp(-a * t) / ma - np.exp(-t) / m1
+
+
+def solve_full(params: ModelParams,
                symmetric_roots: list[float] | None = None) -> list[tuple[float, float]]:
     """All constant-law solutions (z0, z1) whose weights are normal floats.
 
-    Dense residual scan on a grid of h = ln z, batched damped Newton from
-    every local minimum, then deduplication.  Each component of k * law_map
-    lies in k * [-2|ln theta|, 2|ln theta|], so every solution has |h_i|
-    below 2k|ln theta| + 1; the grid spans that, at least ln(1e6) and at
-    most LOG_WEIGHT_MAX, and solutions past LOG_WEIGHT_MAX, which no weight
-    can express, are left out.  The z0 = 1 branch is always present and
-    exact: it is (1.0, z) for each symmetric root z (scanned here unless
-    given), and Newton limits within the dedupe tolerance of it are dropped.
-    For nonnegative coupling the result is a single solution on that branch.
+    With z0 = u^k, off the slice u = 1 the first fixed-point equation gives
+    z1 = w(u) = (u E_(k-1) - theta^2 E_(k+1)) / theta, and the second becomes
+    g(u) = 0, scanned over u < 1 and u > 1 on {w > 0}, cut just inside the
+    zeros e^(+-t_r) of w (its numerator is palindromic with signs - + ... + -
+    or all -, so it has two positive zeros or none).  Each root u seeds (k ln u, ln w)
+    and its spin-flip image (-h0, h1 - h0); so do the pure states
+    +-(2k ln theta, k ln theta), where w drops below the precision of u.
+    POLISH_STEPS batched Newton steps polish the seeds.  Every solution has
+    |h_i| <= 2k|ln theta|; those past LOG_WEIGHT_MAX, which no weight can
+    express, are left out.  The z0 = 1 branch is exact: (1.0, z) for each
+    symmetric root z (scanned here unless given), and Newton limits within
+    the dedupe tolerance of it are dropped.
     """
     if params.m != 2:
         raise ValueError("the 2D solver is specific to m = 2")
-    k, theta = params.k, params.theta
-    bound = min(2.0 * k * abs(math.log(theta)) + 1.0, LOG_WEIGHT_MAX)
-    lo, hi = min(1e-6, math.exp(-bound)), max(1e6, math.exp(bound))
-    axes = [np.log(np.geomspace(lo, hi, n)) for n in grid]
-    hh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    r = np.abs(hh - k * law_map(hh, 2, theta))
-    norm = np.maximum(r[..., 0], r[..., 1])
+    k, theta, lt = params.k, params.theta, math.log(params.theta)
+    bound = min(2.0 * k * abs(lt) + 1.0, LOG_WEIGHT_MAX)
 
-    padded = np.pad(norm, 1, constant_values=np.inf)
-    is_min = np.ones_like(norm, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            is_min &= norm <= padded[1 + di:1 + di + norm.shape[0],
-                                     1 + dj:1 + dj + norm.shape[1]]
+    def sign_w(t):   # ln(u E_(k-1) / E_(k+1)) - 2 ln theta at |ln u| = t: > 0 iff w > 0 (k > 1)
+        (gm, dm), (gp, dp) = _log_e(k - 1, t), _log_e(k + 1, t)
+        return -t + gm - gp - 2.0 * lt, -1.0 + dm - dp, gp, dp
+
+    def g(u):        # g, dg/du and ln w
+        s = np.log(u)
+        q, dq, gp, dp = sign_w(np.abs(s))
+        lw = k * np.maximum(s, 0.0) + gp + lt + np.log(np.expm1(q))
+        dlw = k * (s > 0) + np.sign(s) * (dp + dq / -np.expm1(-q))
+        a, w = theta * np.exp(k * s), np.exp(lw)
+        d, p, c = theta * (a + w) + 1.0, a + w + theta, k * a + w * dlw
+        return lw / k + np.log(d) - np.log(p), (dlw / k + theta * c / d - c / p) / u, lw
+
+    seeds = [(2.0 * k * lt, k * lt), (-2.0 * k * lt, -k * lt)]
+    t0, t_end = DEDUPE_TOL / k, bound / k   # k|ln u| <= DEDUPE_TOL lies on the slice
+    if k > 1 and sign_w(t0)[0] > 0 >= sign_w(t_end)[0]:
+        t_r = bisect(lambda t: sign_w(t)[0], t0, t_end)
+        t_end = t_r - ROOT_REL_TOL * max(1.0, t_r)   # past the bracket, inside w > 0
+    if k > 1 and t_end > 2.0 * t0 and sign_w(t_end)[0] > 0:
+        for a, b in ((math.exp(-t_end), math.exp(-t0)), (math.exp(t0), math.exp(t_end))):
+            for u in find_roots(lambda v: g(v)[0], a, b, df=lambda v: g(v)[1], n_grid=SCAN_GRID):
+                s, lw = k * math.log(u), float(g(u)[2])
+                seeds += [(s, lw), (-s, lw - s)]
 
     eye = np.eye(2)
 
     def system(x):
         return x - k * law_map(x, 2, theta), eye - k * law_map_jac(x, theta)
 
-    x = batched_newton(system, hh[is_min], 60, 2.0 * k * abs(math.log(theta)) + 20.0)
-
+    x = batched_newton(system, np.array(seeds), POLISH_STEPS, 2.0 * k * abs(lt) + 20.0)
     r = np.max(np.abs(x - k * law_map(x, 2, theta)), axis=-1)
     x = x[r <= RESID_TOL]
     # limits that dedupe would merge with the slice give way to the exact roots
     x = x[np.abs(x[:, 0]) > DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))]
-    h_max = math.log(hi) + 1e-9
+    h_max = math.log(max(1e6, math.exp(bound))) + 1e-9
     if symmetric_roots is None:
         symmetric_roots = solve_symmetric_roots(params)
     kept = [(math.exp(a), math.exp(b)) for a, b in dedupe(x, DEDUPE_TOL)

@@ -53,8 +53,7 @@ def test_criterion_02_afm_uniqueness_sweep():
     for J in (0.5, 1.0, 2.0):
         for k in (2, 3, 4):
             for i in range(1, 51):
-                sols = ti.solve_full(ModelParams(k=k, m=2, J=J, beta=0.1 * i),
-                                     grid=(60, 60))
+                sols = ti.solve_full(ModelParams(k=k, m=2, J=J, beta=0.1 * i))
                 n_checked += 1
                 if len(sols) != 1:
                     report(2, False, f"J={J} k={k} beta={0.1 * i:.1f}: {len(sols)} solutions")

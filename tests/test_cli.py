@@ -238,6 +238,19 @@ def test_verify_depth_one_checks_the_root_law(k, capsys):
     assert "FAIL compatibility_residual<=1e-10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--source", "ti", "--k", "6", "--J", "-1", "--beta", "2.1493", "--depth", "1",
+      "--branch", "low"], "PASS compatibility_residual<=1e-10 = 0.0\n"),
+    (["verify", "--source", "period2", "--k", "200", "--theta", "1.0958"],
+     "PASS expanded_field_residual<=1e-10 = 0.0\n"),
+])
+def test_verify_root_row_is_exact(argv, line, capsys):
+    # the field builders sum the root's k+1 successor updates the way the
+    # residual does, so the root row reads 0.0 like every other row
+    assert run(argv) == 0
+    assert line in capsys.readouterr().out
+
+
 # sha256 of each command's output file.  The field outputs were pinned from
 # the dict-based field implementation and the solver outputs from the generic
 # sorted-LSE update, before the m = 2 kernel; both must reproduce every byte.
@@ -250,7 +263,7 @@ PINNED_OUTPUTS = [
       "--count", "50", "--branch", "mid"],
      "d86f76ef04de20f64cc1733713950f91cd6da5740c45e36232b87d4e32eb8e5f"),
     (["solve-ti", "--k", "2", "--J", "-1", "--beta", "2.3"],
-     "0203b6896d9ed23a0073725722b9104e0d4a0e9deb31e3801ade4cda2a1b8953"),
+     "3ae18fec0ba9370688596806559932b2c3fa5417ec41e59721b9f620c5c329b4"),
     (["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1.90", "--beta-max", "2.00",
       "--beta-step", "0.005"], "6622bafe7fbe70437728d3e48e29831062499d686ee4181b96a7938f2581e6e2"),
     (["solve-periodic", "--k", "200", "--theta", "1.08", "--subgroup", "full"],
@@ -271,7 +284,7 @@ PINNED_OUTPUTS = [
       "--beta-step", "0.1"], "b88d85523d859091f087eebcab1d858fd9df11802d48e8d3c8eab94c7846f3ab"),
     # the slice map's derivative overflows in this scan
     (["solve-ti", "--k", "200", "--J", "-1", "--beta", "1.612"],
-     "68582cf99b43fed9f4ace4541f72eb4094506760797040525e6a1b853da8297d"),
+     "a4e44c748c895e5f1569391432c43c886df217752e93069d155617ef58b82da5"),
     # the deep-ball shapes of the field JSON and sample CSV writers
     (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
       "--depth", "10"], "856a29821e405b63df94d3e03d931a2b397846dc5e68b17cc48f05641c4d464d"),

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sostree import boundary, ti
 from sostree.model import ModelParams
@@ -181,6 +184,62 @@ def test_solve_full_leaves_out_slice_roots_past_the_weight_range():
     roots = ti.solve_symmetric_roots(p)
     assert math.log(roots[2]) > ti.LOG_WEIGHT_MAX
     assert ti.solve_full(p, symmetric_roots=roots) == [(1.0, z) for z in roots[:2]]
+
+
+def _certified_off_slice_count(params: ModelParams) -> int:
+    # with z0 = u^k, z1 = w(u) off the slice, the solutions are the real roots
+    # u > 0, u != 1 with w(u) > 0 of w D^k - P^k (degree k^2), here isolated
+    # exactly over the rational value of the float theta
+    k, th, u = params.k, sympy.Rational(params.theta), sympy.Symbol("u")
+    w = sympy.Poly((u * sum(u**j for j in range(k - 1))
+                    - th**2 * sum(u**j for j in range(k + 1))) / th, u)
+    d = sympy.Poly(th**2 * u**k + 1, u) + th * w
+    p = sympy.Poly(th * u**k + th, u) + w
+    poly = (w * d**k - p**k).sqf_part()
+    assert poly.degree() <= k * k
+    count = 0
+    for (a, b), _ in poly.intervals(inf=0, eps=sympy.Rational(1, 10**20)):
+        if b <= 0 or (a <= 1 <= b and poly.eval(1) == 0):
+            continue
+        # w does not vanish at a root (there the polynomial is -(theta u^k + theta)^k)
+        wa, wb = w.eval(a), w.eval(b)
+        assert wa * wb > 0
+        count += bool(wa > 0)
+    return count
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 5), J=st.sampled_from([-1.0, 1.0]), beta=st.floats(0.3, 3.0))
+def test_solve_full_off_slice_count_is_certified(k, J, beta):
+    p = ModelParams(k=k, m=2, J=J, beta=beta)
+    found = sum(z0 != 1.0 for z0, _ in ti.solve_full(p))
+    assert found == _certified_off_slice_count(p)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 200])
+@pytest.mark.parametrize("J", [-1.0, 1.0])
+def test_solve_full_is_closed_under_the_spin_flip(k, J):
+    # (z0, z1) -> (1/z0, z1/z0) maps solutions to solutions; each image whose
+    # weights are normal floats is listed too
+    for beta in (0.5, 1.612, 2.3, 3.0):
+        p = ModelParams(k=k, m=2, J=J, beta=beta)
+        hs = np.log(np.array(ti.solve_full(p)))
+        for h0, h1 in hs:
+            image = np.array([-h0, h1 - h0])
+            if np.max(np.abs(image)) <= ti.LOG_WEIGHT_MAX:
+                gap = np.min(np.max(np.abs(hs - image), axis=1))
+                assert gap <= ti.DEDUPE_TOL * max(1.0, np.max(np.abs(image))), (p, h0, h1)
+
+
+def test_solve_full_is_quiet_at_k_200():
+    # the u-scan reaches u^k = e^708 and w down to its zeros; nothing may
+    # overflow or divide by zero.  At beta = 3 the pure-state pair near
+    # h = +-(1200, 600) lies past the float range and is left out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = [len(ti.solve_full(ModelParams(200, 2, -1.0, beta)))
+                  for beta in (0.5, 1.612, 3.0)]
+    assert counts == [7, 7, 5]
 
 
 def test_beta_trend_of_outer_roots():
