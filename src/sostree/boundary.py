@@ -65,26 +65,33 @@ def unreduce(h: np.ndarray) -> np.ndarray:
 
 
 _GAPS_M2 = np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float)
-# Rows per block of the m = 2 kernel, so that its ~15 temporaries of 96 kB
-# stay in a per-core cache; on a Xeon with 2 MB of L2 per core a 200x200 grid
-# ran about 3x faster in blocks than in one piece.
-_BLOCK_M2 = 4096
+# Rows per block of the m = 2 kernel.  From about 3000 rows its buffers come
+# back from the allocator with fresh page faults (about 130 per call), so on
+# a 2-core Xeon VM a 20,000-row law_map took about twice as long in blocks of
+# 4096 as in blocks of 2048.
+_BLOCK_M2 = 2048
 
 
 def _law_map_m2(rows: np.ndarray, theta: float, out: np.ndarray) -> None:
     """The m = 2 update of (n, 2) rows into out, bit-identical to the generic path.
 
     The exponents of pair_exponents, as (3, n) planes (row i = parent spin i),
-    are sorted by a min/max network and summed in sorted order.
+    are sorted into lo, mid, hi by a min/max network (lo and mid need no order:
+    IEEE addition commutes) and summed in sorted order, with one exp over the
+    stacked differences from hi, `hi - hi` included.
     """
     lt_gaps = np.log(theta) * _GAPS_M2
-    a = rows[:, 0] + lt_gaps[:, :1]
-    b = rows[:, 1] + lt_gaps[:, 1:2]
-    c = 0.0 + lt_gaps[:, 2:]
-    lo, q = np.minimum(a, b), np.maximum(a, b)
-    mid, hi = np.minimum(q, c), np.maximum(q, c)
-    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
-    s = hi + np.log(np.exp(lo - hi) + np.exp(mid - hi) + np.exp(hi - hi))
+    # order="C": by default the planes would follow rows' strides, interleaved
+    a, b = np.add(rows.T[:, None], lt_gaps.T[:2, :, None], order="C")
+    c = lt_gaps[:, 2:]
+    srt = np.empty((3,) + a.shape)
+    np.minimum(a, b, out=srt[0])
+    q = np.maximum(a, b, out=srt[2])
+    np.minimum(q, c, out=srt[1])
+    hi = np.maximum(q, c, out=srt[2])
+    e = srt - hi
+    s = np.add.reduce(np.exp(e, out=e))
+    s = np.add(hi, np.log(s, out=s), out=s)
     np.subtract(s[:2], s[2], out=out.T)
 
 

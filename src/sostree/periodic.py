@@ -83,14 +83,12 @@ def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
     hi *= 1.0 + 1e-3
 
     def f(z):
-        return psi(psi(z)) - z
-
-    def df(z):
-        pz = psi(z)
-        return psi.deriv(pz) * psi.deriv(z) - 1.0
+        p, dp = psi.with_deriv(z)
+        pp, dpp = psi.with_deriv(p)
+        return pp - z, dpp * dp - 1.0
 
     sols = []
-    for z in find_roots(f, lo, hi, df=df, n_grid=SLICE_GRID):
+    for z in find_roots(f, lo, hi, n_grid=SLICE_GRID):
         t = float(psi(z))
         kind = FIXED if abs(z - t) <= PAIR_TOL * max(1.0, z, t) else CYCLE
         sols.append(Period2Solution(z=z, t=t, type=kind,

@@ -43,20 +43,19 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def newton_polish(f: Callable[[float], float], df: Callable[[float], float],
+def newton_polish(fdf: Callable[[float], tuple[float, float]],
                   x0: float, lo: float, hi: float) -> float:
     """A few guarded Newton steps; falls back to x0 if they do not improve."""
-    x, fx = x0, f(x0)
+    x, (fx, d) = x0, fdf(x0)
     best, best_f = x0, abs(fx)
     for _ in range(POLISH_STEPS):
-        d = df(x)
         if d == 0.0 or not np.isfinite(d):
             break
         step = fx / d
         x_new = x - step
         if not (lo <= x_new <= hi) or not np.isfinite(x_new):
             break
-        fx = f(x_new)
+        fx, d = fdf(x_new)
         x = x_new
         if abs(fx) < best_f:
             best, best_f = x, abs(fx)
@@ -107,42 +106,40 @@ def dedupe(rows: np.ndarray, tol: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def find_roots(f: Callable, lo: float, hi: float, df: Callable,
-               n_grid: int = 4096) -> list[float]:
+def find_roots(fdf: Callable, lo: float, hi: float, n_grid: int = 4096) -> list[float]:
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
-    `f` and its derivative `df` receive both the grid array and single
-    `np.float64` points (bisection, extremum splits, Newton polish); numpy
-    scalars give the same bits as 1-element arrays at a fraction of the
-    cost.  Brackets containing a sign change of `df` are additionally split
-    at the interior extremum, which recovers root pairs too close for the
-    base grid to separate.  Far from the roots f and the bracket products may
-    overflow to inf by design, so the scan keeps overflow warnings off.
+    `fdf` returns f and its derivative together, for both the grid array and
+    single `np.float64` points (bisection, extremum splits, Newton polish);
+    numpy scalars give the same bits as 1-element arrays at a fraction of the
+    cost.  Brackets containing a sign change of f' are additionally split at
+    the interior extremum, which recovers root pairs too close for the base
+    grid to separate.  A cell is skipped when f has one sign at both ends
+    and f' has that sign at the left end: f first moves away from zero, so
+    the extremum is a maximum above zero or a minimum below it.  Far from the
+    roots f and the bracket products may overflow to inf by design, so the
+    scan keeps overflow warnings off.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi for a log grid")
     xs = np.geomspace(lo, hi, n_grid)
-    fs = np.asarray(f(xs), dtype=float)
+    fs, ds = (np.asarray(v, dtype=float) for v in fdf(xs))
 
-    def f1(x: float) -> float:
-        return float(f(np.float64(x)))
-
-    def df1(x: float) -> float:
-        return float(df(np.float64(x)))
+    def fdf1(x: float) -> tuple[float, float]:
+        fx, dx = fdf(np.float64(x))
+        return float(fx), float(dx)
 
     roots: list[float] = [float(xs[i]) for i in np.nonzero(fs == 0.0)[0]]
-    sign = np.sign(fs)
-    cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    brackets = [(float(xs[i]), float(xs[i + 1])) for i in cross]
+    sign, dsign = np.sign(fs), np.sign(ds)
+    sprod = sign[:-1] * sign[1:]
+    brackets = [(float(xs[i]), float(xs[i + 1])) for i in np.nonzero(sprod < 0)[0]]
 
     # split cells where the derivative changes sign but f does not
-    dsign = np.sign(np.asarray(df(xs), dtype=float))
-    for i in np.nonzero(dsign[:-1] * dsign[1:] < 0)[0]:
-        if sign[i] * sign[i + 1] < 0:
-            continue  # already a plain bracket
+    plain_or_away = (sprod < 0) | (sprod > 0) & (sign[:-1] == dsign[:-1])
+    for i in np.nonzero((dsign[:-1] * dsign[1:] < 0) & ~plain_or_away)[0]:
         a, b = float(xs[i]), float(xs[i + 1])
-        xe = bisect(df1, a, b, rel_tol=1e-13)
-        fe = f1(xe)
+        xe = bisect(lambda x: fdf1(x)[1], a, b, rel_tol=1e-13)
+        fe = fdf1(xe)[0]
         if fe == 0.0:
             roots.append(xe)
         elif fe * fs[i] < 0:
@@ -150,5 +147,5 @@ def find_roots(f: Callable, lo: float, hi: float, df: Callable,
             brackets.append((xe, b))
 
     for a, b in brackets:
-        roots.append(newton_polish(f1, df1, bisect(f1, a, b), a, b))
+        roots.append(newton_polish(fdf1, bisect(lambda x: fdf1(x)[0], a, b), a, b))
     return dedupe(np.reshape(roots, (-1, 1)), ROOT_DEDUPE_TOL)[:, 0].tolist()

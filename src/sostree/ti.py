@@ -54,10 +54,12 @@ class SliceMap:
         t = self.theta
         return np.exp(self.k * (np.log(2 * t + z) - np.log(1 + t * t + t * z)))
 
-    def deriv(self, z):
+    def with_deriv(self, z):
+        """(psi(z), psi'(z)), with psi computed once, as __call__ computes it."""
         t = self.theta
         num, den = 2 * t + z, 1 + t * t + t * z
-        return self.k * np.exp(self.k * (np.log(num) - np.log(den))) * (1 - t * t) / (num * den)
+        p = np.exp(self.k * (np.log(num) - np.log(den)))
+        return p, self.k * p * (1 - t * t) / (num * den)
 
     @property
     def at_zero(self) -> float:
@@ -136,18 +138,13 @@ def scan_scalar_roots(a: float, b: float, k: int) -> list[float]:
     """Sign-scan oracle for the reduced family, independent of the classification."""
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(k * (np.log1p(x) - np.log(b + x))) - a * x
-
-    def dg(x):
-        x = np.asarray(x, dtype=float)
         r = np.exp(k * (np.log1p(x) - np.log(b + x)))
-        return r * k * (b - 1.0) / ((1.0 + x) * (b + x)) - a
+        return r - a * x, r * k * (b - 1.0) / ((1.0 + x) * (b + x)) - a
 
     ratio_lo, ratio_hi = sorted((b ** (-k), 1.0))
     lo = 0.25 * ratio_lo / a
     hi = 4.0 * ratio_hi / a
-    return find_roots(g, lo, hi, df=dg, n_grid=SCAN_GRID)
+    return find_roots(g, lo, hi, n_grid=SCAN_GRID)
 
 
 def critical_beta(J: float, k: int) -> float:
@@ -171,10 +168,8 @@ def solve_symmetric_roots(params: ModelParams) -> list[float]:
     psi = SliceMap(params.theta, params.k)
 
     def f(z):
-        return psi(z) - z
-
-    def df(z):
-        return psi.deriv(z) - 1.0
+        p, dp = psi.with_deriv(z)
+        return p - z, dp - 1.0
 
     r_lo, r_hi = psi.range_interval()
     if r_lo == 0.0 or r_hi == math.inf:
@@ -186,12 +181,12 @@ def solve_symmetric_roots(params: ModelParams) -> list[float]:
     far = 1e300 if -2 * params.k * math.log(params.theta) > 691.0 \
         else min(params.theta ** (-2 * params.k), 1e300)
     hi = max(10.0, far, 2.0 * r_hi)
-    roots = find_roots(f, lo, hi, df=df, n_grid=SCAN_GRID)
+    roots = find_roots(f, lo, hi, n_grid=SCAN_GRID)
 
     expected, label, _ = classify_scalar_family(
         *astuple(ReducedForm.from_params(params)), params.k)
     if label != BOUNDARY_TWO and len(roots) != expected:
-        roots = find_roots(f, lo, hi, df=df, n_grid=16 * SCAN_GRID)
+        roots = find_roots(f, lo, hi, n_grid=16 * SCAN_GRID)
         if len(roots) != expected:
             raise RuntimeError(
                 f"scan found {len(roots)} symmetric roots, classification expects {expected}")
@@ -231,7 +226,7 @@ def solve(params: ModelParams) -> TiSolutionSet:
 def _log_e(a: int, t):
     """ln E_a(u) = ln((u^a - 1) / (u - 1)) at u = e^-t < 1, and its t-derivative.
 
-    E_a(1/u) = u^(1-a) E_a(u) gives u > 1; written in e^-t, nothing overflows.
+    Written in e^-t, nothing overflows.
     """
     ma, m1 = -np.expm1(-a * t), -np.expm1(-t)
     return np.log(ma / m1), a * np.exp(-a * t) / ma - np.exp(-t) / m1
@@ -243,10 +238,11 @@ def solve_full(params: ModelParams,
 
     With z0 = u^k, off the slice u = 1 the first fixed-point equation gives
     z1 = w(u) = (u E_(k-1) - theta^2 E_(k+1)) / theta, and the second becomes
-    g(u) = 0, scanned over u < 1 and u > 1 on {w > 0}, cut just inside the
-    zeros e^(+-t_r) of w (its numerator is palindromic with signs - + ... + -
-    or all -, so it has two positive zeros or none).  Each root u seeds (k ln u, ln w)
-    and its spin-flip image (-h0, h1 - h0); so do the pure states
+    g(u) = 0, scanned over u < 1 on {w > 0}, cut just inside the zero e^-t_r
+    of w (its numerator is palindromic with signs - + ... + - or all -, so it
+    has two positive zeros r, 1/r or none).  Each root u seeds (k ln u, ln w)
+    and its spin-flip image (-h0, h1 - h0), which is the root 1/u of the
+    mirror half u > 1, left unscanned; so do the pure states
     +-(2k ln theta, k ln theta), where w drops below the precision of u.
     POLISH_STEPS batched Newton steps polish the seeds.  Every solution has
     |h_i| <= 2k|ln theta|; those past LOG_WEIGHT_MAX, which no weight can
@@ -263,12 +259,12 @@ def solve_full(params: ModelParams,
         (gm, dm), (gp, dp) = _log_e(k - 1, t), _log_e(k + 1, t)
         return -t + gm - gp - 2.0 * lt, -1.0 + dm - dp, gp, dp
 
-    def g(u):        # g, dg/du and ln w
-        s = np.log(u)
-        q, dq, gp, dp = sign_w(np.abs(s))
-        lw = k * np.maximum(s, 0.0) + gp + lt + np.log(np.expm1(q))
-        dlw = k * (s > 0) + np.sign(s) * (dp + dq / -np.expm1(-q))
-        a, w = theta * np.exp(k * s), np.exp(lw)
+    def g(u):        # g, dg/du and ln w at u < 1
+        t = -np.log(u)
+        q, dq, gp, dp = sign_w(t)
+        lw = gp + lt + np.log(np.expm1(q))
+        dlw = dq / np.expm1(-q) - dp
+        a, w = theta * np.exp(-k * t), np.exp(lw)
         d, p, c = theta * (a + w) + 1.0, a + w + theta, k * a + w * dlw
         return lw / k + np.log(d) - np.log(p), (dlw / k + theta * c / d - c / p) / u, lw
 
@@ -278,10 +274,10 @@ def solve_full(params: ModelParams,
         t_r = bisect(lambda t: sign_w(t)[0], t0, t_end)
         t_end = t_r - ROOT_REL_TOL * max(1.0, t_r)   # past the bracket, inside w > 0
     if k > 1 and t_end > 2.0 * t0 and sign_w(t_end)[0] > 0:
-        for a, b in ((math.exp(-t_end), math.exp(-t0)), (math.exp(t0), math.exp(t_end))):
-            for u in find_roots(lambda v: g(v)[0], a, b, df=lambda v: g(v)[1], n_grid=SCAN_GRID):
-                s, lw = k * math.log(u), float(g(u)[2])
-                seeds += [(s, lw), (-s, lw - s)]
+        # u > 1 roots are the flip images 1/u of these, seeded from each below
+        for u in find_roots(lambda v: g(v)[:2], math.exp(-t_end), math.exp(-t0), SCAN_GRID):
+            s, lw = k * math.log(u), float(g(u)[2])
+            seeds += [(s, lw), (-s, lw - s)]
 
     eye = np.eye(2)
 

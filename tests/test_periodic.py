@@ -46,7 +46,9 @@ def test_slice_map_derivative_matches_finite_differences():
         for _ in range(30):
             z = float(rng.uniform(0.01, 5.0))
             fd = (float(psi(z + 1e-6)) - float(psi(z - 1e-6))) / 2e-6
-            assert float(psi.deriv(z)) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            value, slope = psi.with_deriv(z)
+            assert value == psi(z)
+            assert float(slope) == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_instability_value_is_slope_at_fixed_point(cycle_params):

@@ -3,7 +3,7 @@ import pytest
 
 from sostree import periodic, roots, ti
 from sostree.model import ModelParams
-from sostree.roots import batched_newton, dedupe, find_roots
+from sostree.roots import batched_newton, bisect, dedupe, find_roots
 
 
 def test_batched_newton_skips_only_singular_starts():
@@ -52,20 +52,50 @@ def test_dedupe_is_relative_for_large_roots():
     roots = np.array([[big * (1 + 5e-10)], [big], [big * (1 + 2e-9)]])
     np.testing.assert_array_equal(dedupe(roots, 1e-9), [[big], [big * (1 + 2e-9)]])
 
-    def f(x):
-        return (x / big - 1.0) * (x / big - 2.0)
+    def fdf(x):
+        return (x / big - 1.0) * (x / big - 2.0), (2.0 * x / big - 3.0) / big
 
-    def df(x):
-        return (2.0 * x / big - 3.0) / big
+    assert find_roots(fdf, 0.1 * big, 3 * big) == pytest.approx([big, 2 * big], rel=1e-12)
 
-    assert find_roots(f, 0.1 * big, 3 * big, df) == pytest.approx([big, 2 * big], rel=1e-12)
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_root_pair_inside_one_grid_cell_is_found(sign):
+    # the grid 1, 1.19, 1.41, 1.68, 2 puts both roots in one cell with ends of
+    # one sign; f moves towards zero at the cell's left end, so the extremum
+    # split runs and brackets each root
+    def fdf(x):
+        return sign * (x - 1.3) * (x - 1.301), sign * (2.0 * x - 2.601)
+
+    assert find_roots(fdf, 1.0, 2.0, n_grid=5) == pytest.approx([1.3, 1.301], rel=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_cell_where_f_turns_away_from_zero_runs_no_bisection(monkeypatch, sign):
+    # f' changes sign inside the cell (1.19, 1.41), but f moves away from zero
+    # at its left end, so the extremum is a maximum above zero (a minimum
+    # below it) and no root pair can hide there
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "bisect", counting)
+
+    def fdf(x):
+        return sign * (1.0 - (x - 1.3) ** 2), sign * -2.0 * (x - 1.3)
+
+    assert find_roots(fdf, 1.0, 2.0, n_grid=5) == []
+    assert calls == []
 
 
 def _bits(fn, xs):
-    """fn on each point as an np.float64 and as a 1-element array, as int64 bits."""
+    """fn on each point as an np.float64 and as a 1-element array, as int64 bits.
+
+    A fn returning (f, f') gives one column per component."""
     with np.errstate(over="ignore", invalid="ignore"):
         scalar = np.array([fn(x) for x in xs])   # iterating xs gives np.float64
-        array = np.concatenate([fn(x) for x in xs[:, None]])
+        array = np.array([fn(x) for x in xs[:, None]]).reshape(scalar.shape)
     return scalar.view(np.int64), array.view(np.int64)
 
 
@@ -77,20 +107,22 @@ def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, th
     # 1e4 log-spaced points of each scan's own [lo, hi]
     scans = []
 
-    def recording(f, lo, hi, df, n_grid=4096):
-        scans.append((f, df, lo, hi))
-        return roots.find_roots(f, lo, hi, df, n_grid)
+    def recording(fdf, lo, hi, n_grid=4096):
+        scans.append((fdf, lo, hi))
+        return roots.find_roots(fdf, lo, hi, n_grid)
 
     monkeypatch.setattr(ti, "find_roots", recording)
     monkeypatch.setattr(periodic, "find_roots", recording)
     params = ModelParams.from_theta(k, 2, theta)
     ti.solve_symmetric_roots(params)
     periodic.solve_two_cycle_symmetric(params)
-    (_, _, sym_lo, sym_hi), (residual, _, pp_lo, pp_hi) = scans[0], scans[-1]
+    (residual, sym_lo, sym_hi), (pp_residual, pp_lo, pp_hi) = scans[0], scans[-1]
 
     psi = ti.SliceMap(params.theta, k)
     xs = np.geomspace(sym_lo, sym_hi, 10_000)
-    for fn in (psi, psi.deriv):
+    for fn in (psi, psi.with_deriv, residual):
         np.testing.assert_array_equal(*_bits(fn, xs))
-    # the psi∘psi residual of the two-cycle scan
-    np.testing.assert_array_equal(*_bits(residual, np.geomspace(pp_lo, pp_hi, 10_000)))
+    # psi comes out of with_deriv with the bits of psi itself
+    np.testing.assert_array_equal(_bits(psi, xs)[0], _bits(psi.with_deriv, xs)[0][:, 0])
+    # the psi∘psi residual of the two-cycle scan and its derivative
+    np.testing.assert_array_equal(*_bits(pp_residual, np.geomspace(pp_lo, pp_hi, 10_000)))

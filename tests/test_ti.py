@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sostree import boundary, ti
+from sostree import boundary, roots, ti
 from sostree.model import ModelParams
 
 # count transitions located by bisection on the solver's own root count and
@@ -301,3 +301,18 @@ def test_solve_scans_symmetric_roots_once(monkeypatch, fm_params):
     result = ti.solve(fm_params)
     assert len(calls) == 1
     assert len([s for s in result.full_solutions if s[0] == 1.0]) == 3
+
+
+def test_solve_full_scans_one_mirror_half(monkeypatch, fm_params, fm_roots):
+    # the u > 1 roots are the spin-flip images 1/u of the u < 1 roots, so one
+    # u-scan, over u < 1, seeds every off-slice solution
+    scans = []
+
+    def recording(fdf, lo, hi, n_grid=4096):
+        scans.append((lo, hi))
+        return roots.find_roots(fdf, lo, hi, n_grid)
+
+    monkeypatch.setattr(ti, "find_roots", recording)
+    sols = ti.solve_full(fm_params, symmetric_roots=fm_roots)
+    assert len(scans) == 1 and scans[0][1] < 1.0
+    assert any(z0 < 1.0 for z0, _ in sols) and any(z0 > 1.0 for z0, _ in sols)
