@@ -29,6 +29,7 @@ PAIR_TOL = 1e-8      # a pair (z, t) closer than this is a fixed point, not a cy
 RESID_TOL = 1e-10    # limits with a larger defect are not solutions
 DEDUPE_TOL = 1e-8    # 4D solutions closer than this (log space) are one
 DAMPING = 0.5        # weight of the new iterate in the damped iterations
+STEP_TOL = 1e-13     # damped loops stop once no step, Newton once no residual, is larger
 
 
 @dataclass
@@ -103,6 +104,13 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
     Returns (h, l, residual) arrays after a batched Newton polish of the full
     four-dimensional system; residual is the max-norm defect per start.  Each
     step maps h and l in one stacked law_map call.
+
+    `iters` and `newton_iters` are caps.  The damped loop stops after the
+    first step in which no start moved by more than STEP_TOL, and the Newton
+    polish after the step taken from the first evaluation where every
+    residual is at most STEP_TOL.
+    Where the damped map has no attracting fixed point (the k = 200 cycle
+    regime), the damped loop never settles and runs all `iters` steps.
     """
     k, theta, m = params.k, params.theta, params.m
     if m != 2:
@@ -111,7 +119,11 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
     c = 2.0 * k * abs(math.log(theta)) + 1.0
     hl = rng.uniform(-c, c, size=(2, n_starts, 2))   # h then l, as two draws would give
     for _ in range(iters):
-        hl = (1 - DAMPING) * hl + DAMPING * k * law_map(hl[::-1], 2, theta)
+        new = (1 - DAMPING) * hl + DAMPING * k * law_map(hl[::-1], 2, theta)
+        settled = np.all(np.abs(new - hl) <= STEP_TOL)
+        hl = new
+        if settled:
+            break
 
     def system(x):   # x rows are (h, l)
         hl = x.reshape(-1, 2, 2).swapaxes(0, 1)
@@ -119,7 +131,8 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
         jac[:, :2, 2:], jac[:, 2:, :2] = -k * law_map_jac(hl[::-1], theta)
         return (hl - k * law_map(hl[::-1], 2, theta)).swapaxes(0, 1).reshape(-1, 4), jac
 
-    x = batched_newton(system, hl.swapaxes(0, 1).reshape(-1, 4), newton_iters, c + 20.0)
+    x = batched_newton(system, hl.swapaxes(0, 1).reshape(-1, 4), newton_iters, c + 20.0,
+                       tol=STEP_TOL)
     hl = x.reshape(-1, 2, 2).swapaxes(0, 1)
     resid = np.max(np.abs(hl - k * law_map(hl[::-1], 2, theta)), axis=-1)
     return hl[0], hl[1], np.maximum(resid[0], resid[1])
@@ -182,7 +195,7 @@ def parity_residuals(h0: np.ndarray, h1: np.ndarray, spec: SubgroupSpec,
 def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
                           n_starts: int = 50, seed: int = 0,
                           sweeps: int = 4000,
-                          delta_tol: float = 1e-13) -> ParityIterationResult:
+                          delta_tol: float = STEP_TOL) -> ParityIterationResult:
     """Damped cyclic iteration of the coset equations from random starts.
 
     A converged limit of the cyclic sweep satisfies every equation in the

@@ -65,14 +65,20 @@ def newton_polish(fdf: Callable[[float], tuple[float, float]],
 
 
 def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   x: np.ndarray, iters: int, cap: float) -> np.ndarray:
+                   x: np.ndarray, iters: int, cap: float, tol: float = 0.0) -> np.ndarray:
     """Damped Newton from starts x (n, d); `system(x)` gives residuals and Jacobians.
 
     Steps longer than 5 in the max norm are scaled to 5 and iterates clipped
     to [-cap, cap].  A start with a singular Jacobian sits out that step.
+    At most `iters` steps run: the step taken from the first evaluation where
+    every residual is at most `tol` (a nan residual never is) is the last,
+    so a converged start gets one more quadratic step at no extra call of
+    `system`.  With the default `tol = 0.0` that needs an exactly zero
+    residual, where a step does not move x, so every step counts as run.
     """
     for _ in range(iters):
         r, jac = system(x)
+        done = np.all(np.abs(r) <= tol)
         try:
             step = np.linalg.solve(jac, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -84,6 +90,8 @@ def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
                     pass
         scale = np.maximum(1.0, np.max(np.abs(step), axis=-1, keepdims=True) / 5.0)
         x = np.clip(x - step / scale, -cap, cap)
+        if done:
+            break
     return x
 
 

@@ -141,10 +141,19 @@ def test_alternating_full_free_coupling():
     np.testing.assert_allclose(sols[0].full_pair[0], (1.0, 1.0), atol=1e-10)
 
 
-def test_alternating_full_fm_all_equal_pairs(fm_params):
+def test_alternating_full_fm_all_equal_pairs(monkeypatch, fm_params):
+    calls = count_calls(monkeypatch, periodic, "law_map")
     h, l, resid = periodic.alternating_limits(fm_params, n_starts=100, seed=2)
     assert resid.max() <= 1e-10
     assert np.max(np.abs(h - l)) <= 1e-8
+    # every limit is one of the translation-invariant solutions
+    sols = np.log(ti.solve_full(fm_params))
+    for row in h:
+        gap = np.max(np.abs(sols - row), axis=-1) / max(1.0, np.max(np.abs(row)))
+        assert gap.min() <= 1e-10
+    # the loops stop once converged: about a hundred law_map calls, against
+    # 600 damped + 40 Newton steps + the residual if every step ran
+    assert len(calls) < (600 + 40 + 1) / 4
 
 
 def test_alternating_full_afm_slice_solutions_match_scalar(cycle_params):
@@ -234,11 +243,36 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def spy_newton(monkeypatch, calls):
+    """Wrap periodic.batched_newton; returns the law_map call counts at its
+    entry and exit, and one entry per evaluation of its system."""
+    bounds, evals = [], []
+    newton = periodic.batched_newton
+
+    def spy(system, x, *args, **kwargs):
+        def counted(x):
+            evals.append(x)
+            return system(x)
+
+        bounds.append(len(calls))
+        x = newton(counted, x, *args, **kwargs)
+        bounds.append(len(calls))
+        return x
+
+    monkeypatch.setattr(periodic, "batched_newton", spy)
+    return bounds, evals
+
+
 def test_solvers_make_one_update_call_per_step(monkeypatch, fm_params, afm_params):
     calls = count_calls(monkeypatch, periodic, "law_map")
-    # one stacked call per damped step and per Newton step, one for the residual
+    bounds, evals = spy_newton(monkeypatch, calls)
+    # one stacked call per damped step (30 steps do not settle these starts),
+    # one per Newton evaluation (the third finds every residual below
+    # STEP_TOL and stops the polish), one for the residual
     periodic.alternating_limits(fm_params, n_starts=10, seed=0, iters=30, newton_iters=5)
-    assert len(calls) == 30 + 5 + 1
+    assert len(evals) == 3
+    assert bounds == [30, 30 + 3]
+    assert len(calls) == 30 + 3 + 1
     # a negative delta_tol runs every sweep; two images to start, one per
     # coset update, two in the final residuals
     for parity_set, per_sweep in (({1}, 4), ({1, 2, 3}, 2)):
@@ -247,6 +281,19 @@ def test_solvers_make_one_update_call_per_step(monkeypatch, fm_params, afm_param
         periodic.iterate_parity_system(spec, afm_params, n_starts=5, seed=0, sweeps=7,
                                        delta_tol=-1.0)
         assert len(calls) == 2 + per_sweep * 7 + 2
+
+
+def test_unsettled_damped_loop_runs_its_cap(monkeypatch, cycle_params):
+    # at the k = 200 cycle point the damped map has no attracting fixed
+    # point, so the loop never settles and runs all 600 steps; the Newton
+    # polish still finds the cycles
+    calls = count_calls(monkeypatch, periodic, "law_map")
+    bounds, evals = spy_newton(monkeypatch, calls)
+    sols = periodic.solve_two_cycle_full(cycle_params, n_starts=40, seed=3)
+    assert bounds == [600, 600 + len(evals)]
+    assert len(evals) < 40
+    assert len(calls) == 600 + len(evals) + 1
+    assert any(s.type == periodic.CYCLE for s in sols)
 
 
 def test_classify_scans_symmetric_roots_once(monkeypatch, afm_params):

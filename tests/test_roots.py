@@ -35,6 +35,50 @@ def test_batched_newton_caps_steps_and_clips():
     np.testing.assert_array_equal(x, [[10.0, 10.0]])
 
 
+def _counted_square(target, evals):
+    """x^2 = target componentwise, appending to evals at each evaluation."""
+    def system(x):
+        evals.append(x.copy())
+        jac = np.zeros(x.shape + (x.shape[1],))
+        for i in range(x.shape[1]):
+            jac[:, i, i] = 2.0 * x[:, i]
+        return x * x - target, jac
+
+    return system
+
+
+def test_batched_newton_stops_at_the_first_evaluation_within_tol():
+    # from 3 the residuals of x^2 = 4 run 5, 0.69, 0.026, 4.1e-5, 1.1e-10;
+    # the start at the root has residual 0 throughout, so the slow row
+    # decides; the step from the fifth evaluation is still taken, and lands
+    # on the root
+    evals = []
+    x = batched_newton(_counted_square(4.0, evals), np.array([[2.0], [3.0]]), 40, 100.0,
+                       tol=1e-6)
+    assert len(evals) == 5
+    assert np.max(np.abs(evals[-1] ** 2 - 4.0)) <= 1e-6 < np.max(np.abs(evals[-2] ** 2 - 4.0))
+    np.testing.assert_array_equal(x, [[2.0], [2.0]])
+
+
+def test_batched_newton_default_tol_runs_every_step():
+    # no double squares to exactly 2, so no residual is ever 0 and all 40
+    # steps run, as they did before the stop rule
+    evals = []
+    x = batched_newton(_counted_square(2.0, evals), np.array([[1.0], [3.0]]), 40, 100.0)
+    assert len(evals) == 40
+    np.testing.assert_allclose(x, [[np.sqrt(2.0)], [np.sqrt(2.0)]], rtol=1e-15)
+
+
+def test_batched_newton_nan_residual_never_stops_the_loop():
+    # the nan row never compares <= tol, however loose, while the other row
+    # converges
+    evals = []
+    x = batched_newton(_counted_square(4.0, evals), np.array([[np.nan], [3.0]]), 12, 100.0,
+                       tol=1.0)
+    assert len(evals) == 12
+    assert np.isnan(x[0, 0]) and x[1, 0] == 2.0
+
+
 def test_dedupe_keeps_the_sorted_first_row_of_each_cluster():
     # the threshold is tol * max(1, |row|) = 2e-8 here, in the max norm
     tol = 1e-8
