@@ -101,7 +101,7 @@ def cmd_phase_diagram(args, params: None) -> Output:
         raise UsageError("give --k and --J")
     if args.beta_min is None or args.beta_max is None or args.beta_step is None:
         raise UsageError("give --beta-min, --beta-max and --beta-step")
-    if not (0 <= args.beta_min < args.beta_max) or args.beta_step <= 0:
+    if not (0 <= args.beta_min < args.beta_max < math.inf and 0 < args.beta_step < math.inf):
         raise UsageError("invalid beta range")
     sweep = []
     b = args.beta_min
@@ -113,8 +113,7 @@ def cmd_phase_diagram(args, params: None) -> Output:
         b += args.beta_step
     rows = ["beta,root_count,z_minus,z_mid,z_plus,beta_cr_flag"]
     flagged = False
-    for params in sweep:
-        roots = ti.solve_symmetric_roots(params)
+    for params, roots in zip(sweep, ti.symmetric_root_lanes(sweep)):
         count = len(roots)
         z_minus = z_mid = z_plus = ""
         if count == 1:
@@ -147,9 +146,10 @@ def cmd_solve_periodic(args, params: ModelParams) -> Output:
     return Output(_json(periodic.classify_by_subgroup(spec, params)))
 
 
-def _nonti_field(args, params: ModelParams) -> nonti.NonTiField:
+def _nonti_field(args, params: ModelParams,
+                 roots: list[float] | None = None) -> nonti.NonTiField:
     try:
-        return nonti.build_field(args.t, args.s, params, args.depth)
+        return nonti.build_field(args.t, args.s, params, args.depth, roots)
     except ValueError as bad:
         raise UsageError(str(bad)) from None
 
@@ -215,10 +215,10 @@ def cmd_verify(args, params: ModelParams) -> Output:
             rows += [("alternating_residual<=1e-12", res <= 1e-12, res),
                      ("expanded_field_residual<=1e-10", r <= 1e-10, r)]
     else:
-        fld = _nonti_field(args, params).field
+        roots = ti.solve_symmetric_roots(params)
+        fld = _nonti_field(args, params, roots).field
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
-        roots = ti.solve_symmetric_roots(params)
         # exp is monotone, so the extreme rows bound every non-root law
         h0, h1 = fld.laws[1:, 0], fld.laws[1:, 1]
         z1_lo, z1_hi = math.exp(h1.min()), math.exp(h1.max())

@@ -136,9 +136,13 @@ def _json_floats(values: list[float]) -> list[str]:
     return list(map(_NON_FINITE.get, text, text))
 
 
-def extreme_laws(params: ModelParams) -> dict[int, np.ndarray]:
-    """Component -> constant law: 1 -> low root, 2 -> middle, 3 -> high."""
-    roots = ti.solve_symmetric_roots(params)
+def extreme_laws(params: ModelParams,
+                 symmetric_roots: list[float] | None = None) -> dict[int, np.ndarray]:
+    """Component -> constant law: 1 -> low root, 2 -> middle, 3 -> high.
+
+    The symmetric roots are scanned unless given.
+    """
+    roots = ti.solve_symmetric_roots(params) if symmetric_roots is None else symmetric_roots
     if len(roots) != 3:
         raise ValueError(
             "path-pair fields need three symmetric solutions "
@@ -151,13 +155,15 @@ def extreme_laws(params: ModelParams) -> dict[int, np.ndarray]:
     }
 
 
-def build_field(t: float, s: float, params: ModelParams, depth: int) -> NonTiField:
+def build_field(t: float, s: float, params: ModelParams, depth: int,
+                symmetric_roots: list[float] | None = None) -> NonTiField:
     """Field with sphere laws prescribed by the path-pair split, recursed inward.
 
     The consistency equation holds exactly (to the last bit) at interior
     vertices because they are filled from their successors; the prescription
     itself is only attained in the deep-ball limit, which root_convergence
-    quantifies.
+    quantifies.  The symmetric roots behind the extreme laws are scanned
+    unless given.
     """
     if t > s:
         raise ValueError("need t <= s")
@@ -167,7 +173,7 @@ def build_field(t: float, s: float, params: ModelParams, depth: int) -> NonTiFie
     p1 = path_from_parameter(t, k, depth)
     p2 = path_from_parameter(s, k, depth)
     comp = split_components(p1, p2, k, depth)
-    laws_by_comp = extreme_laws(params)
+    laws_by_comp = extreme_laws(params, symmetric_roots)
 
     geo = ball_geometry(k, depth)
     table = np.stack([laws_by_comp[c] for c in (1, 2, 3)])
@@ -193,9 +199,10 @@ class ConvergenceReport:
 
 def root_convergence(t: float, s: float, params: ModelParams,
                      depths: list[int]) -> ConvergenceReport:
-    """Build the field at each depth and track the root law."""
+    """Build the field at each depth, from one scan of the roots, and track the root law."""
     depths = sorted(depths)
-    root_laws = [build_field(t, s, params, d).field.root for d in depths]
+    roots = ti.solve_symmetric_roots(params)
+    root_laws = [build_field(t, s, params, d, roots).field.root for d in depths]
     diffs = [float(np.max(np.abs(b - a))) for a, b in zip(root_laws, root_laws[1:])]
     rates = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
     cauchy = all(b <= a for a, b in zip(diffs, diffs[1:]))
@@ -215,7 +222,8 @@ def field_distance(a: NonTiField, b: NonTiField) -> float:
 def distinctness_check(pairs: list[tuple[float, float]], params: ModelParams,
                        depth: int) -> np.ndarray:
     """Pairwise max-norm distances of the fields built for each (t, s) pair."""
-    fields = [build_field(t, s, params, depth) for t, s in pairs]
+    roots = ti.solve_symmetric_roots(params)
+    fields = [build_field(t, s, params, depth, roots) for t, s in pairs]
     n = len(fields)
     out = np.zeros((n, n))
     for i in range(n):

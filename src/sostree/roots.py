@@ -9,6 +9,7 @@ pairs), so nascent pairs near a bifurcation are not missed.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -17,14 +18,43 @@ BISECT_STEPS = 200      # halvings before bisect gives up on rel_tol
 POLISH_STEPS = 8        # guarded Newton steps after each bisection
 ROOT_REL_TOL = 1e-12    # bracket width at which find_roots stops bisecting
 ROOT_DEDUPE_TOL = 1e-9  # roots closer than this (relative) are one root
+# refinement jobs run one at a time, on np.float64 points, once this few are
+# left: a scan function costs about 3 us there and 17 us on any short array
+FEW_JOBS = 4
+_SEQUENCES = (list, tuple, np.ndarray)   # bounds of several brackets or lanes
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float,
-           rel_tol: float = ROOT_REL_TOL) -> float:
-    flo = f(lo)
+def bisect(f: Callable, lo, hi, rel_tol: float = ROOT_REL_TOL):
+    """A root of f in [lo, hi], whose ends f gives opposite signs, by halving.
+
+    With float bounds f(x) gives the value at a point and one float comes
+    back.  With equal-length sequences of bounds every bracket is bisected
+    at once, each with the steps it would take alone, and the list of roots
+    comes back.  Then f is a pair (one, many) of evaluators: one(x, j) gives
+    the value at x of bracket j, many(xs, ids) the list of values at the
+    points xs of brackets ids, one call per step for all brackets still
+    running.
+    """
+    if not isinstance(lo, _SEQUENCES):
+        return _run([_halving(lo, hi, rel_tol)], lambda x, j: f(x), None)[0]
+    return _run([_halving(a, b, rel_tol) for a, b in zip(lo, hi)], *f)
+
+
+def newton_polish(fdf: tuple[Callable, Callable], x0, lo, hi) -> list[float]:
+    """A few guarded Newton steps from each x0 inside its [lo, hi], all at once.
+
+    `fdf` is a pair of evaluators as `bisect` takes them, which give (f, f')
+    pairs.  A start falls back to x0 if its steps do not improve |f|.
+    """
+    return _run([_newton(x, a, b) for x, a, b in zip(x0, lo, hi)], *fdf)
+
+
+def _halving(lo: float, hi: float, rel_tol: float):
+    """Bisection of one bracket as a coroutine: it yields each point and is sent f there."""
+    flo = yield lo
     if flo == 0.0:
         return lo
-    fhi = f(hi)
+    fhi = yield hi
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
@@ -33,7 +63,7 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(1.0, abs(mid)):
             return mid
-        fmid = f(mid)
+        fmid = yield mid
         if fmid == 0.0:
             return mid
         if flo * fmid < 0:
@@ -43,25 +73,57 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def newton_polish(fdf: Callable[[float], tuple[float, float]],
-                  x0: float, lo: float, hi: float) -> float:
-    """A few guarded Newton steps; falls back to x0 if they do not improve."""
-    x, (fx, d) = x0, fdf(x0)
+def _newton(x0: float, lo: float, hi: float):
+    """Newton polish of one start as a coroutine: it yields each point and is sent (f, f')."""
+    x, (fx, d) = x0, (yield x0)
     best, best_f = x0, abs(fx)
     for _ in range(POLISH_STEPS):
-        if d == 0.0 or not np.isfinite(d):
+        if d == 0.0 or not math.isfinite(d):
             break
-        step = fx / d
-        x_new = x - step
-        if not (lo <= x_new <= hi) or not np.isfinite(x_new):
+        x_new = x - fx / d
+        if not (lo <= x_new <= hi) or not math.isfinite(x_new):
             break
-        fx, d = fdf(x_new)
+        fx, d = yield x_new
         x = x_new
         if abs(fx) < best_f:
             best, best_f = x, abs(fx)
         if fx == 0.0:
             break
     return best
+
+
+def _value_at(x: float):
+    """A job that evaluates f at x once and returns the value."""
+    return (yield x)
+
+
+def _run(jobs: list, one: Callable, many: Callable | None) -> list:
+    """Run coroutine jobs together and return what each returns.
+
+    While more than FEW_JOBS jobs run, each step sends every job the value
+    at the point it yielded, from one call many(points, ids) for all; the
+    last few jobs then run one after another on one(x, j).  A job's steps
+    are the same either way.
+    """
+    out = [None] * len(jobs)
+    ids, points = list(range(len(jobs))), [next(job) for job in jobs]
+    while len(ids) > FEW_JOBS:
+        values, running, points = many(points, ids), [], []
+        for j, value in zip(ids, values):
+            try:
+                points.append(jobs[j].send(value))
+            except StopIteration as stop:
+                out[j] = stop.value
+            else:
+                running.append(j)
+        ids = running
+    for j, point in zip(ids, points):
+        try:
+            while True:
+                point = jobs[j].send(one(point, j))
+        except StopIteration as stop:
+            out[j] = stop.value
+    return out
 
 
 def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -105,55 +167,118 @@ def dedupe(rows: np.ndarray, tol: float) -> np.ndarray:
     than numpy calls here.
     """
     rows = np.asarray(rows, dtype=float)
-    kept: list[list[float]] = []
-    for row in sorted(rows.tolist()):
+    return np.array(_dedupe_rows(rows.tolist(), tol), dtype=float).reshape(-1, rows.shape[1])
+
+
+def _dedupe_rows(rows: list, tol: float) -> list:
+    """`dedupe` on a list of rows (sequences of floats), as a sorted list."""
+    kept: list = []
+    for row in sorted(rows):
         scale = tol * max(1.0, max(map(abs, row)))
         if all(max(abs(a - b) for a, b in zip(row, other)) > scale for other in kept):
             kept.append(row)
-    return np.array(kept, dtype=float).reshape(-1, rows.shape[1])
+    return kept
+
+
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.geomspace(lo, hi, n) for 0 < lo < hi, bit for bit, at half its cost.
+
+    geomspace takes 10 ** linspace(log10 lo, log10 hi, n) with both ends
+    set exactly; this forms the same linspace (steps times the step, plus
+    the start) without geomspace's sign and dtype handling.
+    """
+    start, stop = np.log10(lo), np.log10(hi)
+    y = np.arange(n, dtype=float) * ((stop - start) / (n - 1))
+    y += start
+    xs = np.power(10.0, y)
+    xs[0], xs[-1] = lo, hi
+    return xs
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def find_roots(fdf: Callable, lo: float, hi: float, n_grid: int = 4096) -> list[float]:
+def find_roots(fdf: Callable, lo, hi, n_grid: int = 4096):
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
-    `fdf` returns f and its derivative together, for both the grid array and
-    single `np.float64` points (bisection, extremum splits, Newton polish);
-    numpy scalars give the same bits as 1-element arrays at a fraction of the
-    cost.  Brackets containing a sign change of f' are additionally split at
-    the interior extremum, which recovers root pairs too close for the base
-    grid to separate.  A cell is skipped when f has one sign at both ends
-    and f' has that sign at the left end: f first moves away from zero, so
-    the extremum is a maximum above zero or a minimum below it.  Far from the
+    `fdf` returns f and its derivative together.  With float bounds it is
+    called as fdf(x) and the sorted roots come back as a list.  With P
+    bounds each (`lo` and `hi` sequences) it scans P parameter lanes at
+    once: fdf(x, lane) gets a lane index, an int with that lane's grid and an
+    int array matching x in a refinement batch, and one root list per lane
+    comes back.  Each lane's grid, sign tests and brackets are its own; the
+    refinement of all lanes (extremum splits, bisections, Newton polish)
+    runs as one batch, one fdf call per step for every job still running,
+    with the steps of `bisect` and `newton_polish`, so a lane's roots have
+    the bits of a scan of that lane alone.  The last FEW_JOBS jobs run one
+    by one at `np.float64` points, numpy scalars, which give the bits of
+    arrays at a fraction of the cost; so does a one-lane scan.
+
+    Brackets containing a sign change of f' are additionally split at the
+    interior extremum, which recovers root pairs too close for the base grid
+    to separate.  A cell is skipped when f has one sign at both ends and f'
+    has that sign at the left end: f first moves away from zero, so the
+    extremum is a maximum above zero or a minimum below it.  Far from the
     roots f and the bracket products may overflow to inf by design, so the
     scan keeps overflow warnings off.
     """
-    if not (0 < lo < hi):
+    single = not isinstance(lo, _SEQUENCES)
+    if single:
+        fdf, lo, hi = (lambda x, lane, f=fdf: f(x)), [lo], [hi]
+    if not all(0 < a < b for a, b in zip(lo, hi)):
         raise ValueError("need 0 < lo < hi for a log grid")
-    xs = np.geomspace(lo, hi, n_grid)
-    fs, ds = (np.asarray(v, dtype=float) for v in fdf(xs))
+    roots: list[list[float]] = []
+    brackets: list[tuple[int, float, float]] = []    # (lane, a, b) with one sign change
+    splits: list[tuple[int, float, float]] = []      # cells where only f' changes sign
+    split_f: list[float] = []                        # f at each split cell's left end
+    for lane, (a, b) in enumerate(zip(lo, hi)):
+        xs = _log_grid(a, b, n_grid)
+        fs, ds = (np.asarray(v, dtype=float) for v in fdf(xs, lane))
+        roots.append(xs[fs == 0.0].tolist())
+        # signs of each cell's ends; a zero or nan end has neither sign
+        pos, neg, dpos, dneg = fs > 0, fs < 0, ds > 0, ds < 0
+        cross = pos[:-1] & neg[1:] | neg[:-1] & pos[1:]
+        brackets += [(lane, float(xs[i]), float(xs[i + 1])) for i in np.nonzero(cross)[0]]
+        # split cells where f' changes sign but f does not, unless f moves away from zero
+        turn = dpos[:-1] & dneg[1:] | dneg[:-1] & dpos[1:]
+        away = pos[:-1] & pos[1:] & dpos[:-1] | neg[:-1] & neg[1:] & dneg[:-1]
+        for i in np.nonzero(turn & ~cross & ~away)[0]:
+            splits.append((lane, float(xs[i]), float(xs[i + 1])))
+            split_f.append(fs[i])
 
-    def fdf1(x: float) -> tuple[float, float]:
-        fx, dx = fdf(np.float64(x))
-        return float(fx), float(dx)
+    if splits:
+        lanes, a, b = zip(*splits)
+        xe = bisect(_batch(fdf, lanes, 1), a, b, rel_tol=1e-13)
+        fe = _run([_value_at(x) for x in xe], *_batch(fdf, lanes, 0))
+        for lane, a, b, x, f_x, f_a in zip(lanes, a, b, xe, fe, split_f):
+            if f_x == 0.0:
+                roots[lane].append(x)
+            elif f_x * f_a < 0:
+                brackets += [(lane, a, x), (lane, x, b)]
+    if brackets:
+        lanes, a, b = zip(*brackets)
+        x0 = bisect(_batch(fdf, lanes, 0), a, b)
+        for lane, x in zip(lanes, newton_polish(_batch(fdf, lanes), x0, a, b)):
+            roots[lane].append(x)
+    out = [[x for x, in _dedupe_rows([(x,) for x in r], ROOT_DEDUPE_TOL)] for r in roots]
+    return out[0] if single else out
 
-    roots: list[float] = [float(xs[i]) for i in np.nonzero(fs == 0.0)[0]]
-    sign, dsign = np.sign(fs), np.sign(ds)
-    sprod = sign[:-1] * sign[1:]
-    brackets = [(float(xs[i]), float(xs[i + 1])) for i in np.nonzero(sprod < 0)[0]]
 
-    # split cells where the derivative changes sign but f does not
-    plain_or_away = (sprod < 0) | (sprod > 0) & (sign[:-1] == dsign[:-1])
-    for i in np.nonzero((dsign[:-1] * dsign[1:] < 0) & ~plain_or_away)[0]:
-        a, b = float(xs[i]), float(xs[i + 1])
-        xe = bisect(lambda x: fdf1(x)[1], a, b, rel_tol=1e-13)
-        fe = fdf1(xe)[0]
-        if fe == 0.0:
-            roots.append(xe)
-        elif fe * fs[i] < 0:
-            brackets.append((a, xe))
-            brackets.append((xe, b))
+def _batch(fdf: Callable, lanes: tuple[int, ...], part: int | None = None):
+    """Evaluators (one, many) of `bisect` for jobs whose lanes are `lanes`:
+    f (part 0), f' (part 1) or the pair (f, f'), as floats.
 
-    for a, b in brackets:
-        roots.append(newton_polish(fdf1, bisect(lambda x: fdf1(x)[0], a, b), a, b))
-    return dedupe(np.reshape(roots, (-1, 1)), ROOT_DEDUPE_TOL)[:, 0].tolist()
+    one(x, j) calls fdf at an np.float64 point and many(xs, ids) once at an
+    array of points, which give the same bits.
+    """
+    def one(x, j):
+        f, d = fdf(np.float64(x), lanes[j])
+        if part is None:
+            return float(f), float(d)
+        return float(d) if part else float(f)
+
+    def many(xs, ids):
+        values = fdf(np.array(xs), np.array([lanes[j] for j in ids]))
+        if part is None:
+            return list(zip(values[0].tolist(), values[1].tolist()))
+        return values[part].tolist()
+
+    return one, many

@@ -57,9 +57,7 @@ class SliceMap:
     def with_deriv(self, z):
         """(psi(z), psi'(z)), with psi computed once, as __call__ computes it."""
         t = self.theta
-        num, den = 2 * t + z, 1 + t * t + t * z
-        p = np.exp(self.k * (np.log(num) - np.log(den)))
-        return p, self.k * p * (1 - t * t) / (num * den)
+        return _psi_with_deriv(2 * t, 1 + t * t, 1 - t * t, t, self.k, z)
 
     @property
     def at_zero(self) -> float:
@@ -76,6 +74,14 @@ class SliceMap:
         return lo, hi
 
 
+def _psi_with_deriv(two_t, one_plus, one_minus, t, k, z):
+    """SliceMap(t, k).with_deriv(z) from 2t, 1 + t^2 and 1 - t^2, which are
+    formed first there too; every argument may be an array matching z."""
+    num, den = two_t + z, one_plus + t * z
+    p = np.exp(k * (np.log(num) - np.log(den)))
+    return p, k * p * one_minus / (num * den)
+
+
 @dataclass(frozen=True)
 class ReducedForm:
     """Parameters of the reduced scalar family a*x = ((1+x)/(b+x))^k."""
@@ -85,8 +91,16 @@ class ReducedForm:
 
     @staticmethod
     def from_params(params: ModelParams) -> "ReducedForm":
+        """a and b of params; FloatRangeError where they leave the floats."""
         t = params.theta
-        return ReducedForm(a=2.0 * t ** (params.k + 1), b=(1.0 + t * t) / (2.0 * t * t))
+        try:
+            form = ReducedForm(a=2.0 * t ** (params.k + 1), b=(1.0 + t * t) / (2.0 * t * t))
+        except (OverflowError, ZeroDivisionError):   # theta^(k+1) overflows, theta^2 underflows
+            form = None
+        if form is None or form.a == 0.0 or form.b == math.inf:
+            raise FloatRangeError(f"the reduced family at k = {params.k}, theta = "
+                                  f"{params.theta!r} leaves the float range")
+        return form
 
 
 @dataclass(frozen=True)
@@ -105,11 +119,14 @@ def scalar_family_info(b: float, k: int) -> ScalarFamilyInfo | None:
         raise ValueError("b must be positive")
     if k == 1 or b <= ((k + 1) / (k - 1)) ** 2:
         return None
+    # x1, x2 are the roots of x^2 + p x + b; p < 0 here, so -p + sq does not
+    # cancel, and x1 comes from x1 x2 = b, since -p - sq cancels at large b
     p = 2.0 - (b - 1.0) * (k - 1.0)
-    disc = max(p * p - 4.0 * b, 0.0)
-    sq = math.sqrt(disc)
-    x1 = (-p - sq) / 2.0
+    if p * p == math.inf:
+        raise FloatRangeError(f"the tangency points at b = {b!r}, k = {k} leave the float range")
+    sq = math.sqrt(max(p * p - 4.0 * b, 0.0))
     x2 = (-p + sq) / 2.0
+    x1 = b / x2
 
     def nu(x: float) -> float:
         return (1.0 / x) * ((1.0 + x) / (b + x)) ** k
@@ -161,16 +178,59 @@ def solve_symmetric_roots(params: ModelParams) -> list[float]:
 
     Sign scan on a log grid (with tangent-pair refinement through the
     analytic derivative) plus bisection and a Newton polish; the count is
-    cross-checked against the closed-form classification.
+    cross-checked against the closed-form classification.  This is the
+    one-lane case of symmetric_root_lanes.
     """
+    return symmetric_root_lanes([params])[0]
+
+
+def symmetric_root_lanes(sweep: list[ModelParams]) -> list[list[float]]:
+    """solve_symmetric_roots of every parameter set, scanned as lanes of one find_roots.
+
+    Each lane's roots have the bits of its own scan, and the first
+    parameter set that fails raises what solve_symmetric_roots raises for it.
+    """
+    lanes = _symmetric_lanes(sweep)
+    for roots in lanes:
+        if isinstance(roots, Exception):
+            raise roots
+    return lanes
+
+
+def _symmetric_lanes(sweep: list[ModelParams]) -> list:
+    """The symmetric roots of each parameter set, or the error it raises."""
+    out: list = [None] * len(sweep)
+    lanes, lo, hi, expected = [], [], [], []
+    for i, params in enumerate(sweep):
+        try:
+            bounds, count = _scan_setup(params)
+        except ValueError as bad:
+            out[i] = bad
+            continue
+        lanes.append(i)
+        lo.append(bounds[0])
+        hi.append(bounds[1])
+        expected.append(count)
+    found = find_roots(_slice_residual([sweep[i] for i in lanes]), lo, hi, SCAN_GRID) \
+        if lanes else []
+    retry = [j for j, roots in enumerate(found) if expected[j] not in (None, len(roots))]
+    if retry:
+        again = find_roots(_slice_residual([sweep[lanes[j]] for j in retry]),
+                           [lo[j] for j in retry], [hi[j] for j in retry], 16 * SCAN_GRID)
+        for j, roots in zip(retry, again):
+            found[j] = roots if len(roots) == expected[j] else RuntimeError(
+                f"scan found {len(roots)} symmetric roots, classification expects {expected[j]}")
+    for i, roots in zip(lanes, found):
+        out[i] = roots
+    return out
+
+
+def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
+    """The scan interval of params and the root count the classification
+    expects there (None at a tangency, where the scan decides)."""
     if params.m != 2:
         raise ValueError("the symmetric-slice solver is specific to m = 2")
     psi = SliceMap(params.theta, params.k)
-
-    def f(z):
-        p, dp = psi.with_deriv(z)
-        return p - z, dp - 1.0
-
     r_lo, r_hi = psi.range_interval()
     if r_lo == 0.0 or r_hi == math.inf:
         raise FloatRangeError(f"the symmetric solutions at k = {params.k}, theta = "
@@ -181,16 +241,29 @@ def solve_symmetric_roots(params: ModelParams) -> list[float]:
     far = 1e300 if -2 * params.k * math.log(params.theta) > 691.0 \
         else min(params.theta ** (-2 * params.k), 1e300)
     hi = max(10.0, far, 2.0 * r_hi)
-    roots = find_roots(f, lo, hi, n_grid=SCAN_GRID)
+    form = ReducedForm.from_params(params)
+    count, label, _ = classify_scalar_family(form.a, form.b, params.k)
+    return (lo, hi), None if label == BOUNDARY_TWO else count
 
-    expected, label, _ = classify_scalar_family(
-        *astuple(ReducedForm.from_params(params)), params.k)
-    if label != BOUNDARY_TWO and len(roots) != expected:
-        roots = find_roots(f, lo, hi, n_grid=16 * SCAN_GRID)
-        if len(roots) != expected:
-            raise RuntimeError(
-                f"scan found {len(roots)} symmetric roots, classification expects {expected}")
-    return roots
+
+def _slice_residual(sweep: list[ModelParams]):
+    """psi(z) - z and its derivative on the lanes of sweep, as find_roots takes them.
+
+    theta is each ModelParams' own float (math.exp); np.exp(J * beta) can
+    differ in the last bit, and so move the roots.
+    """
+    # per lane: 2t, 1 + t^2, 1 - t^2, t and k, as Python floats and as arrays
+    consts = [(2 * p.theta, 1 + p.theta * p.theta, 1 - p.theta * p.theta, p.theta, p.k)
+              for p in sweep]
+    arrays = [np.array(column) for column in zip(*consts)]
+
+    def f(z, lane):
+        # an int lane takes Python floats, which are cheaper than numpy scalars
+        lane_consts = consts[lane] if isinstance(lane, int) else [a[lane] for a in arrays]
+        p, dp = _psi_with_deriv(*lane_consts, z)
+        return p - z, dp - 1.0
+
+    return f
 
 
 @dataclass
@@ -335,20 +408,55 @@ def iterate_general_m(params: ModelParams, init=None, max_iter: int = 2000) -> G
 
 def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float,
                                beta_tol: float = 1e-7) -> float:
-    """Bisection on the symmetric root count between a 1-root and a 3-root beta."""
-    def count(beta: float) -> int:
-        return len(solve_symmetric_roots(ModelParams(k=k, m=2, J=J, beta=beta)))
+    """Bisection on the symmetric root count between a 1-root and a 3-root beta.
 
-    c_lo, c_hi = count(lo), count(hi)
+    The scan enforces the classification's count away from tangencies, so
+    the betas the bisection will visit are predicted from the classification
+    and scanned as one lane batch.  The bisection then follows the scanned
+    counts; from the first beta whose scanned count differs from the
+    prediction it predicts and scans again, so the result rests on the scans
+    alone and equals a scan-by-scan bisection bit for bit.
+    """
+    def params(beta: float) -> ModelParams:
+        return ModelParams(k=k, m=2, J=J, beta=beta)
+
+    def predicted(lo: float, hi: float) -> int:
+        # the classification's count at the midpoint, or 2, which ends the
+        # bisection, at a tangency or where the scan raises
+        try:
+            return _scan_setup(params(0.5 * (lo + hi)))[1] or 2
+        except ValueError:
+            return 2
+
+    scanned: dict[float, object] = {}
+
+    def count(lo: float, hi: float) -> int:
+        mid = 0.5 * (lo + hi)
+        if mid not in scanned:
+            path = _count_bisection(lo, hi, beta_tol, predicted)[1]
+            scanned.update(zip(path, _symmetric_lanes([params(b) for b in path])))
+        if isinstance(scanned[mid], Exception):
+            raise scanned[mid]
+        return len(scanned[mid])
+
+    c_lo, c_hi = (len(roots) for roots in symmetric_root_lanes([params(lo), params(hi)]))
     if c_lo != 1 or c_hi < 3:
         raise ValueError(f"bracket does not straddle the transition: counts {c_lo}, {c_hi}")
+    return _count_bisection(lo, hi, beta_tol, count)[0]
+
+
+def _count_bisection(lo: float, hi: float, beta_tol: float, count) -> tuple[float, list[float]]:
+    """Bisection of [lo, hi] on count(lo, hi), the root count at its midpoint:
+    the beta found and the midpoints visited."""
+    visited = []
     while hi - lo > beta_tol:
         mid = 0.5 * (lo + hi)
-        c = count(mid)
+        visited.append(mid)
+        c = count(lo, hi)
         if c == 1:
             lo = mid
         elif c >= 3:
             hi = mid
         else:
-            return mid
-    return 0.5 * (lo + hi)
+            return mid, visited
+    return 0.5 * (lo + hi), visited

@@ -333,6 +333,15 @@ def test_sample_depth_zero(tmp_path):
      "--beta-step", "1"],
     # theta^(-k) = e^(-1000) underflows
     ["solve-ti", "--k", "200", "--J", "1", "--beta", "5"],
+    # p^2 of the tangency quadratic, about b^2 = e^(4 beta) / 4, overflows
+    ["solve-ti", "--k", "2", "--J", "-1", "--beta", "200"],
+    # a non-finite step once gave one row and exit 0, an infinite beta-max no end
+    ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1", "--beta-max", "2",
+     "--beta-step", "nan"],
+    ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1", "--beta-max", "2",
+     "--beta-step", "inf"],
+    ["phase-diagram", "--k", "2", "--J", "0", "--beta-min", "1", "--beta-max", "inf",
+     "--beta-step", "1"],
     # every command requires m = 2
     ["solve-periodic", "--k", "2", "--m", "3", "--theta", "1.5"],
     ["sample", "--k", "2", "--m", "1", "--J", "-1", "--beta", "2"],
@@ -369,6 +378,21 @@ def test_large_k_beta_solves_without_overflow(tmp_path, capsys):
     assert run(["sample", "--k", "200", "--J", "-1", "--beta", "3", "--depth", "0",
                 "--out", str(tmp_path / "s.csv")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_large_beta_ferromagnet_is_solved(capsys):
+    # from beta = 19.5 the tangency point x1 cancelled to 0 and every command
+    # at k = 2 stopped with a ZeroDivisionError traceback
+    for argv in (["solve-ti", "--k", "2", "--J", "-1", "--beta", "19.5"],
+                 ["sample", "--k", "2", "--J", "-1", "--beta", "19.5", "--count", "3"],
+                 ["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "19.5"],
+                 ["solve-periodic", "--k", "2", "--J", "-1", "--beta", "177.5"],
+                 ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "19",
+                  "--beta-max", "20", "--beta-step", "0.5"]):
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert run(["solve-ti", "--k", "2", "--J", "-1", "--beta", "177.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"] == "THREE"
 
 
 def test_sample_past_the_enumeration_cap(tmp_path):

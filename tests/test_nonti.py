@@ -200,6 +200,30 @@ def test_distinctness_matrix(fm_params, fm_roots):
     np.testing.assert_allclose(mat, mat.T)
 
 
+def test_nonti_callers_scan_the_roots_once(monkeypatch, fm_params):
+    # root_convergence builds a field per depth and distinctness_check one per
+    # pair, and `verify --source nonti` needs the roots for its sandwich
+    # check; each scans the symmetric roots once, with the bits of a fresh scan
+    from sostree.cli import main
+
+    hi = (fm_params.k + 1) / fm_params.k
+    before = nonti.root_convergence(0.0, hi, fm_params, depths=[3, 4, 5])
+    calls = []
+    original = ti.solve_symmetric_roots
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(ti, "solve_symmetric_roots", counted)
+    report = nonti.root_convergence(0.0, hi, fm_params, depths=[3, 4, 5])
+    np.testing.assert_array_equal(report.root_laws, before.root_laws)
+    nonti.distinctness_check([(0.0, 0.0), (hi, hi), (0.0, hi)], fm_params, depth=4)
+    assert main(["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2",
+                 "--t", "0.3", "--s", "1.2", "--depth", "2"]) == 0
+    assert calls == [fm_params] * 2 + [ModelParams(k=2, m=2, J=-1.0, beta=2.0)]
+
+
 def test_paths_differing_beyond_depth_are_indistinguishable(fm_params):
     # two parameters whose digit expansions agree to the ball depth
     t1 = 0.4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sostree import periodic, roots, ti
 from sostree.model import ModelParams
@@ -133,22 +135,45 @@ def test_a_cell_where_f_turns_away_from_zero_runs_no_bisection(monkeypatch, sign
     assert calls == []
 
 
-def _bits(fn, xs):
-    """fn on each point as an np.float64 and as a 1-element array, as int64 bits.
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(5e-324, 1e308), ratio=st.floats(1.0, 1e300),
+       n=st.sampled_from([2, 3, 5, 4096, 65536]))
+def test_log_grid_is_geomspace(lo, ratio, n):
+    # the scan's grid has the bits of np.geomspace over the whole float range
+    hi = lo * ratio
+    if not lo < hi < np.inf:
+        return
+    np.testing.assert_array_equal(roots._log_grid(lo, hi, n).view(np.int64),
+                                  np.geomspace(lo, hi, n).view(np.int64))
+
+
+def _bits(fn, xs, lanes=None):
+    """fn on each point of xs as an np.float64, as a 1-element array, and on
+    all of xs in one call, as int64 bits; with lanes, fn(x, lane) takes each
+    point's lane (an int, a 1-element array, the whole array).
 
     A fn returning (f, f') gives one column per component."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scalar = np.array([fn(x) for x in xs])   # iterating xs gives np.float64
-        array = np.array([fn(x) for x in xs[:, None]]).reshape(scalar.shape)
-    return scalar.view(np.int64), array.view(np.int64)
+        if lanes is None:
+            scalar = np.array([fn(x) for x in xs])   # iterating xs gives np.float64
+            single = np.array([fn(x) for x in xs[:, None]])
+            whole = np.array(fn(xs))
+        else:
+            scalar = np.array([fn(x, int(j)) for x, j in zip(xs, lanes)])
+            single = np.array([fn(x, j) for x, j in zip(xs[:, None], lanes[:, None])])
+            whole = np.array(fn(xs, lanes))
+    return (scalar.view(np.int64), single.reshape(scalar.shape).view(np.int64),
+            whole.T.reshape(scalar.shape).view(np.int64))
 
 
 @pytest.mark.parametrize("k", [2, 3, 6, 200])
 @pytest.mark.parametrize("theta", [0.2, 1.4])
 def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, theta):
-    # find_roots evaluates single points as np.float64 scalars; the scans'
-    # functions must give the same bits there as on 1-element arrays, over
-    # 1e4 log-spaced points of each scan's own [lo, hi]
+    # find_roots evaluates single points as np.float64 scalars and refinement
+    # batches as arrays whose points belong to different lanes; the scans'
+    # functions must give the same bits on a scalar, a 1-element array and a
+    # many-element array with a theta and k per point, over 1e4 log-spaced
+    # points of each scan's own [lo, hi]
     scans = []
 
     def recording(fdf, lo, hi, n_grid=4096):
@@ -158,15 +183,20 @@ def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, th
     monkeypatch.setattr(ti, "find_roots", recording)
     monkeypatch.setattr(periodic, "find_roots", recording)
     params = ModelParams.from_theta(k, 2, theta)
-    ti.solve_symmetric_roots(params)
+    sweep = [params, ModelParams.from_theta(k, 2, 1.1 * theta), ModelParams.from_theta(2, 2, 0.5)]
+    ti.symmetric_root_lanes(sweep)
     periodic.solve_two_cycle_symmetric(params)
     (residual, sym_lo, sym_hi), (pp_residual, pp_lo, pp_hi) = scans[0], scans[-1]
 
     psi = ti.SliceMap(params.theta, k)
-    xs = np.geomspace(sym_lo, sym_hi, 10_000)
-    for fn in (psi, psi.with_deriv, residual):
-        np.testing.assert_array_equal(*_bits(fn, xs))
+    xs = np.geomspace(sym_lo[0], sym_hi[0], 10_000)
+    lanes = np.random.default_rng(k).integers(0, len(sweep), xs.size)
+    pp_xs = np.geomspace(pp_lo, pp_hi, 10_000)
+    bits = {name: _bits(*args) for name, args in [
+        ("psi", (psi, xs)), ("with_deriv", (psi.with_deriv, xs)),
+        ("residual", (residual, xs, lanes)), ("psi∘psi residual", (pp_residual, pp_xs))]}
+    for name, (scalar, single, whole) in bits.items():
+        np.testing.assert_array_equal(scalar, single, err_msg=name)
+        np.testing.assert_array_equal(scalar, whole, err_msg=name)
     # psi comes out of with_deriv with the bits of psi itself
-    np.testing.assert_array_equal(_bits(psi, xs)[0], _bits(psi.with_deriv, xs)[0][:, 0])
-    # the psi∘psi residual of the two-cycle scan and its derivative
-    np.testing.assert_array_equal(*_bits(pp_residual, np.geomspace(pp_lo, pp_hi, 10_000)))
+    np.testing.assert_array_equal(bits["psi"][0], bits["with_deriv"][0][:, 0])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -115,6 +116,136 @@ def test_count_transition_against_true_thresholds():
     for d in (-1e-4, 1e-4):
         n = len(ti.solve_symmetric_roots(ModelParams(k=2, m=2, J=-1.0, beta=found2 + d)))
         assert n == (1 if d < 0 else 3)
+
+
+def _scan_by_scan_threshold(J, k, lo, hi, beta_tol=1e-7):
+    # the bisection on the root count with one scan per beta, in the order
+    # the betas are visited
+    def count(beta):
+        return len(ti.solve_symmetric_roots(ModelParams(k=k, m=2, J=J, beta=beta)))
+
+    c_lo, c_hi = count(lo), count(hi)
+    if c_lo != 1 or c_hi < 3:
+        raise ValueError(f"bracket does not straddle the transition: counts {c_lo}, {c_hi}")
+    while hi - lo > beta_tol:
+        mid = 0.5 * (lo + hi)
+        c = count(mid)
+        if c == 1:
+            lo = mid
+        elif c >= 3:
+            hi = mid
+        else:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+THRESHOLD_BRACKETS = [(2, 1.5, 2.5, 1e-7), (2, 1.9, 1.96, 1e-9), (2, 1.0, 1.9, 1e-7),
+                      (3, 1.0, 2.0, 1e-7), (3, 1.45, 1.6, 1e-10), (3, 1.6, 2.0, 1e-7)]
+
+
+@pytest.mark.parametrize("k, lo, hi, tol", THRESHOLD_BRACKETS)
+def test_threshold_equals_the_scan_by_scan_bisection(monkeypatch, k, lo, hi, tol):
+    # the lane batch over the predicted midpoints returns the float of the
+    # scan-by-scan bisection, and the same error where the bracket does not
+    # straddle the transition (1.0-1.9 and 1.6-2.0)
+    try:
+        expected = _scan_by_scan_threshold(-1.0, k, lo, hi, tol)
+    except ValueError as bad:
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            ti.locate_symmetric_threshold(-1.0, k, lo, hi, tol)
+        return
+    scans = []
+
+    def counting(fdf, lo, hi, n_grid=4096):
+        scans.append(len(lo))
+        return roots.find_roots(fdf, lo, hi, n_grid)
+
+    monkeypatch.setattr(ti, "find_roots", counting)
+    assert ti.locate_symmetric_threshold(-1.0, k, lo, hi, tol) == expected
+    # one scan of both ends, one of every midpoint
+    assert len(scans) == 2 and scans[0] == 2 and scans[1] > 20
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_threshold_rescans_where_the_prediction_fails(monkeypatch, k):
+    # a classification that calls every beta a tangency predicts that the
+    # bisection stops at each midpoint, and the scan never agrees, so every
+    # midpoint is predicted and scanned anew; the result does not change
+    expected = _scan_by_scan_threshold(-1.0, k, 1.0, 2.5)
+
+    def all_tangent(a, b, k):
+        return 2, ti.BOUNDARY_TWO, None
+
+    monkeypatch.setattr(ti, "classify_scalar_family", all_tangent)
+    scans = []
+
+    def counting(fdf, lo, hi, n_grid=4096):
+        scans.append(len(lo))
+        return roots.find_roots(fdf, lo, hi, n_grid)
+
+    monkeypatch.setattr(ti, "find_roots", counting)
+    assert ti.locate_symmetric_threshold(-1.0, k, 1.0, 2.5) == expected
+    assert scans[0] == 2 and set(scans[1:]) == {1} and len(scans) > 20
+
+
+TRANSITIONS = {2: TRUE_THRESHOLD_K2, 3: TRUE_THRESHOLD_K3}
+IN_RANGE = st.one_of(
+    st.tuples(st.sampled_from([2, 3, 4, 5, 6, 200]), st.sampled_from([-1.0, 1.0]),
+              st.floats(0.1, 3.0)),
+    st.builds(lambda k, d: (k, -1.0, TRANSITIONS[k] + d), st.sampled_from([2, 3]),
+              st.floats(-0.03, 0.03)))
+# past the float range: theta^-k overflows at k = 200, p^2 at k = 2, and
+# a = 2 theta^(k+1) underflows at k = 10
+PAST_RANGE = st.one_of(st.tuples(st.just(200), st.just(-1.0), st.floats(3.6, 5.0)),
+                       st.tuples(st.just(2), st.just(-1.0), st.floats(178.0, 300.0)),
+                       st.tuples(st.just(10), st.just(-1.0), st.floats(68.0, 70.0)))
+
+
+def _outcome(call):
+    try:
+        return [np.array(r, dtype=float).view(np.int64).tolist() for r in call()]
+    except Exception as bad:     # compared by type and message
+        return type(bad), str(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sets=st.integers(1, 40).flatmap(lambda n: st.lists(IN_RANGE, min_size=n, max_size=n)),
+       past=st.lists(st.tuples(st.integers(0, 40), PAST_RANGE), max_size=2))
+def test_lanes_equal_the_per_params_loop(sets, past):
+    # one scan of every parameter set as lanes gives each set the bits of its
+    # own scan, or raises at the first set that fails, with its message
+    for i, bad in past:
+        sets.insert(i, bad)
+    sweep = [ModelParams(k, 2, J, beta) for k, J, beta in sets]
+
+    def loop():
+        return [ti.solve_symmetric_roots(p) for p in sweep]
+
+    assert _outcome(lambda: ti.symmetric_root_lanes(sweep)) == _outcome(loop)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 10, 20])
+def test_large_beta_is_solved_or_out_of_float_range(k):
+    # from beta = 19.5 (k = 2) to 16.5 (k = 20) the tangency point x1 = b/x2
+    # cancelled to 0 when computed as (-p - sq)/2; every beta now either
+    # gets the classification's count or raises FloatRangeError, and once
+    # raised, it raises for every larger beta
+    out_of_range = False
+    for beta in np.arange(0.5, 746.0, 0.5).tolist():
+        try:
+            p = ModelParams(k, 2, -1.0, beta)
+        except ValueError:      # theta = exp(-beta) underflows
+            break
+        try:
+            found = len(ti.solve_symmetric_roots(p))
+        except ti.FloatRangeError:
+            out_of_range = True
+            continue
+        assert not out_of_range, beta
+        form = ti.ReducedForm.from_params(p)
+        count, label, _ = ti.classify_scalar_family(form.a, form.b, k)
+        assert label == ti.BOUNDARY_TWO or found == count, beta
+    assert out_of_range
 
 
 def test_threshold_is_wedge_entry():
