@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, boundary, measure, nonti, periodic, ti
 from .model import ModelParams, parse_params_text
-from .tree import SubgroupSpec
+from .tree import SubgroupSpec, ball_size
 
 
 class UsageError(Exception):
@@ -146,8 +146,20 @@ def cmd_solve_periodic(args, params: ModelParams) -> Output:
     return Output(_json(periodic.classify_by_subgroup(spec, params)))
 
 
+def _check_size(k: int, depth: int, count: int = 1) -> None:
+    """Refuse a ball, times `count` samples, of more than measure.SIZE_CAP
+    vertices before anything is built (a zero count still builds the ball)."""
+    # at k >= 2 a ball deeper than 64 levels has more than 2^64 vertices
+    size = 1 + 2 * depth if k == 1 else ball_size(k, min(depth, 64))
+    if size * max(count, 1) > measure.SIZE_CAP:
+        times = f" times --count {count}" if count > 1 else ""
+        raise UsageError(f"the depth-{depth} ball of order {k}{times} exceeds "
+                         f"{measure.SIZE_CAP} vertices")
+
+
 def _nonti_field(args, params: ModelParams,
                  roots: list[float] | None = None) -> nonti.NonTiField:
+    _check_size(params.k, args.depth)
     try:
         return nonti.build_field(args.t, args.s, params, args.depth, roots)
     except ValueError as bad:
@@ -171,16 +183,25 @@ def cmd_sample(args, params: ModelParams) -> Output:
     for name in ("depth", "seed", "count"):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be >= 0")
+    _check_size(params.k, args.depth, args.count)
     z, fld = _branch_field(params, args.branch, args.depth)
     samples, labels = measure.sample(fld, params, args.depth, args.seed, args.count)
     return Output(measure.samples_to_csv(samples, labels), {"z": z})
 
 
-def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int) -> list[tuple]:
-    v = measure.compatibility_oracle(fld, params, n)
-    d = measure.dlr_oracle(fld, params, 0)
-    return [(f"compatibility_oracle(n={n})<=1e-10", v <= 1e-10, v),
+def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int,
+                 flip: bool = False) -> list[tuple]:
+    """Compatibility at depth n, DLR at depth 0 and, with `flip`, the spin-flip
+    symmetry at depth n; each depth's table is built once and shared."""
+    table = measure._tables(fld, params)
+    v = measure._compatibility(fld, params, n, table)
+    d = measure._dlr(fld, params, 0, table).max_violation
+    rows = [(f"compatibility_oracle(n={n})<=1e-10", v <= 1e-10, v),
             ("dlr_oracle(n=0)<=1e-10", d <= 1e-10, d)]
+    if flip:
+        sym = measure._symmetric(fld, params, n, table)
+        rows.append(("spin_flip_symmetry", sym, sym))
+    return rows
 
 
 def cmd_verify(args, params: ModelParams) -> Output:
@@ -188,14 +209,13 @@ def cmd_verify(args, params: ModelParams) -> Output:
         raise UsageError("--depth must be >= 1")
 
     if args.source == "ti":
+        _check_size(params.k, args.depth)
         _, fld = _branch_field(params, args.branch, args.depth)
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
         r = boundary.compatibility_residual(fld, params)
-        sym = measure.symmetry_check(fld, params, args.depth)
         rows = [("compatibility_residual<=1e-10", r <= 1e-10, r),
-                *_oracle_rows(fld, params, args.depth),
-                ("spin_flip_symmetry", sym, sym)]
+                *_oracle_rows(fld, params, args.depth, flip=True)]
     elif args.source == "period2":
         if params.theta <= 1:
             raise UsageError("period2 verification needs the antiferromagnetic regime")

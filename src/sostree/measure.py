@@ -15,6 +15,12 @@ Gibbs kernels, spin-flip symmetry, and the sweep itself.  The table is a
 configurations.  Past the cap the oracles compare chains from the sweep
 (worst root-law or edge-kernel gap).
 
+Each oracle reads its tables through a lookup table(n) (`_tables`), which
+builds the depth-n measure on first use and normalises it in place.  A public
+oracle makes its own lookup; `verify` passes one lookup to all of its checks
+(compatibility at --depth, DLR at depth 0, and for a TI field the spin flip
+at --depth), so each depth is enumerated once per run.
+
 Fields, messages, kernels and the table's axes follow tree.ball_geometry
 (breadth-first, root first), so the sweep and the sampler take one numpy
 step per level.
@@ -22,9 +28,10 @@ step per level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +40,9 @@ from .model import ModelParams
 from .tree import BallGeometry, Word, ball_geometry
 
 EXACT_TABLE_CAP = 10 ** 6
+# Vertices of a ball, times the samples drawn on it, that a command may build;
+# build-nonti peaks at about 0.7 kB a vertex, some 7 GB at the cap.
+SIZE_CAP = 10 ** 7
 SYMMETRY_TOL = 1e-10   # flip gap (table total variation, else chain gap) counted as symmetric
 
 
@@ -118,12 +128,22 @@ class FiniteVolumeMeasure:
 
 def finite_volume_measure(fld: BoundaryLawField, params: ModelParams,
                           n: int) -> FiniteVolumeMeasure:
-    logw = log_weight_table(fld, params, n)
-    hi = float(np.max(logw))
-    w = np.exp(logw - hi)
-    total = float(np.sum(w))
-    return FiniteVolumeMeasure(params=params, depth=n, log_z=hi + math.log(total),
-                               probs=w / total)
+    probs = log_weight_table(fld, params, n)   # normalised in place
+    hi = float(np.max(probs))
+    probs -= hi
+    np.exp(probs, out=probs)
+    total = float(np.sum(probs))
+    probs /= total
+    return FiniteVolumeMeasure(params=params, depth=n, log_z=hi + math.log(total), probs=probs)
+
+
+def _tables(fld: BoundaryLawField, params: ModelParams) -> Callable[[int], FiniteVolumeMeasure]:
+    """table(n): the depth-n measure of one field, built on first use and then shared.
+
+    The faces only read a shared table; their in-place steps run on buffers
+    of their own.
+    """
+    return functools.cache(functools.partial(finite_volume_measure, fld, params))
 
 
 def _messages(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
@@ -182,14 +202,19 @@ def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int) -> 
     sphere and compared entrywise with the depth-(n-1) table built from the
     same field.  Past the cap: the chain gap over the depth-(n-1) ball.
     """
+    return _compatibility(fld, params, n, _tables(fld, params))
+
+
+def _compatibility(fld: BoundaryLawField, params: ModelParams, n: int,
+                   table: Callable[[int], FiniteVolumeMeasure]) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
         return _chain_gap(_messages(fld, params, n), _messages(fld, params, n - 1), params.theta)
-    inner = finite_volume_measure(fld, params, n - 1)
-    outer = finite_volume_measure(fld, params, n)
-    collapsed = outer.probs.reshape(inner.probs.size, -1).sum(axis=1)
-    return float(np.max(np.abs(collapsed - inner.probs)))
+    inner = table(n - 1).probs
+    collapsed = table(n).probs.reshape(inner.size, -1).sum(axis=1)
+    collapsed -= inner
+    return float(np.max(np.abs(collapsed, out=collapsed)))
 
 
 def _gibbs_kernel_table(params: ModelParams, n: int) -> np.ndarray:
@@ -207,10 +232,12 @@ def _gibbs_kernel_table(params: ModelParams, n: int) -> np.ndarray:
     cross = _edge_tensor(jb * gaps, geo_out, range(geo_in.n_vertices, geo_out.n_vertices))
     cross = cross.reshape(energy_in.size, -1)
 
-    logits = energy_in[:, None] + cross
-    logits -= logits.max(axis=0, keepdims=True)
-    table = np.exp(logits)
-    return table / table.sum(axis=0, keepdims=True)
+    # the logits, then the kernel, in the buffer of the cross terms
+    cross += energy_in[:, None]
+    cross -= cross.max(axis=0, keepdims=True)
+    np.exp(cross, out=cross)
+    cross /= cross.sum(axis=0, keepdims=True)
+    return cross
 
 
 @dataclass
@@ -234,21 +261,35 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int) -> DlrBrea
     is 0.0, as raw theta^|i-j| weights condition to the Gibbs kernel by
     construction, and the equation face is the depth n+1 vs n chain gap.
     """
+    return _dlr(fld, params, n, _tables(fld, params))
+
+
+def _dlr(fld: BoundaryLawField, params: ModelParams, n: int,
+         table: Callable[[int], FiniteVolumeMeasure]) -> DlrBreakdown:
     if not enumerable(params.m + 1, ball_geometry(params.k, n + 1).n_vertices):
         return DlrBreakdown(conditional_tv=0.0,
-                            equation_tv=compatibility_oracle(fld, params, n + 1))
-    outer = finite_volume_measure(fld, params, n + 1)
-    inner = finite_volume_measure(fld, params, n)
-    joint = outer.probs.reshape(inner.probs.size, -1)
+                            equation_tv=_compatibility(fld, params, n + 1, table))
+    inner = table(n).probs
+    joint = table(n + 1).probs.reshape(inner.size, -1)
     boundary = joint.sum(axis=0)
     kernel = _gibbs_kernel_table(params, n)
 
+    # Sphere configurations of zero mass condition nothing.  The masked copy
+    # is column-major, and so is the unmasked quotient, so the axis-0 sum
+    # runs down contiguous columns either way.
     positive = boundary > 0
-    cond = joint[:, positive] / boundary[positive]
-    conditional_tv = float(np.max(0.5 * np.abs(cond - kernel[:, positive]).sum(axis=0)))
+    if positive.all():
+        cond, nu = np.divide(joint, boundary, order="F"), kernel
+    else:
+        cond, nu = joint[:, positive] / boundary[positive], kernel[:, positive]
+    cond -= nu
+    np.abs(cond, out=cond)
+    cond *= 0.5
+    conditional_tv = float(np.max(cond.sum(axis=0)))
 
     mixed = kernel @ boundary
-    equation_tv = float(0.5 * np.abs(mixed - inner.probs).sum())
+    mixed -= inner
+    equation_tv = float(0.5 * np.abs(mixed, out=mixed).sum())
     return DlrBreakdown(conditional_tv=conditional_tv, equation_tv=equation_tv)
 
 
@@ -263,11 +304,17 @@ def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int) -> bool:
     so the flipped table is the reversed one.  Past the cap, the chain gap to
     its flip (reversed messages: root law and kernels reversed on both axes).
     """
+    return _symmetric(fld, params, n, _tables(fld, params))
+
+
+def _symmetric(fld: BoundaryLawField, params: ModelParams, n: int,
+               table: Callable[[int], FiniteVolumeMeasure]) -> bool:
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
         msgs = _messages(fld, params, n)
         return _chain_gap(msgs, msgs[:, ::-1], params.theta) <= SYMMETRY_TOL
-    mu = finite_volume_measure(fld, params, n)
-    tv = 0.5 * float(np.abs(mu.probs - mu.probs[::-1]).sum())
+    probs = table(n).probs
+    flip = probs - probs[::-1]
+    tv = 0.5 * float(np.abs(flip, out=flip).sum())
     return tv <= SYMMETRY_TOL
 
 

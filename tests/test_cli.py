@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sostree import boundary, cli, measure, nonti
 from sostree.cli import main
 
 TRUE_THRESHOLD_K2 = 1.9562154316
@@ -251,6 +252,20 @@ def test_verify_root_row_is_exact(argv, line, capsys):
     assert line in capsys.readouterr().out
 
 
+# Balls (times samples) past measure.SIZE_CAP: once a numpy MemoryError
+# traceback, or for build-nonti a process grown until the kernel killed it.
+OVERSIZED = [
+    ["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "40"],
+    ["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3",
+     "--s", "1.2", "--depth", "60"],
+    ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "40"],
+    ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "1",
+     "--count", "1000000000000"],
+    ["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
+     "--depth", "60"],
+]
+
+
 # sha256 of each command's output file.  The field outputs were pinned from
 # the dict-based field implementation and the solver outputs from the generic
 # sorted-LSE update, before the m = 2 kernel; both must reproduce every byte.
@@ -360,11 +375,60 @@ def test_sample_depth_zero(tmp_path):
     ["critical-beta", "--J", "-1"],
     ["phase-diagram", "--J", "-1", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
     ["phase-diagram", "--k", "2", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
+    *OVERSIZED,
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", OVERSIZED)
+def test_oversized_requests_are_refused_before_anything_is_built(argv, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a ball was built")
+    for module, name in [(boundary, "constant_field"), (nonti, "build_field"),
+                         (measure, "sample")]:
+        monkeypatch.setattr(module, name, build)
+    assert run(argv) == 2
+
+
+def test_size_cap_counts_vertices_times_samples():
+    # 1 + 3 (2^d - 1) vertices at k = 2: 6,291,454 at depth 21, twice that at 22
+    cli._check_size(2, 21)
+    with pytest.raises(cli.UsageError):
+        cli._check_size(2, 22)
+    cli._check_size(2, 10, count=3000)
+    with pytest.raises(cli.UsageError):
+        cli._check_size(2, 10, count=4000)
+    # a zero count still builds the ball; k = 1 grows by two vertices a level
+    with pytest.raises(cli.UsageError):
+        cli._check_size(2, 40, count=0)
+    cli._check_size(1, 4_999_999)
+    for depth in (5_000_000, 10 ** 12):
+        with pytest.raises(cli.UsageError):
+            cli._check_size(1, depth)
+    with pytest.raises(cli.UsageError):
+        cli._check_size(200, 10 ** 12)
+
+
+@pytest.mark.parametrize("argv, depths", [
+    (["--source", "ti", "--depth", "1"], [0, 1]),
+    (["--source", "ti", "--depth", "2"], [0, 1, 2]),
+    (["--source", "nonti", "--t", "0.3", "--s", "1.2", "--depth", "2"], [0, 1, 2]),
+])
+def test_verify_enumerates_each_depth_once(argv, depths, monkeypatch):
+    # compatibility, DLR and the spin flip share one table per depth
+    calls = []
+    build = measure.log_weight_table
+
+    def counted(fld, params, n):
+        calls.append(n)
+        return build(fld, params, n)
+
+    monkeypatch.setattr(measure, "log_weight_table", counted)
+    assert run(["verify", "--k", "2", "--J", "-1", "--beta", "2", *argv]) == 0
+    assert sorted(calls) == depths
 
 
 def test_large_k_beta_solves_without_overflow(tmp_path, capsys):

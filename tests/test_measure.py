@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sostree import boundary, measure, nonti, periodic, ti
@@ -180,6 +180,100 @@ def test_dlr_conditional_face_is_field_independent(fm_params):
     br = measure.dlr_breakdown(fld, fm_params, 0)
     assert br.conditional_tv <= 1e-12
     assert br.equation_tv > 1e-3
+
+
+def _dlr_reference(fld, params, n):
+    """Both DLR faces at depth n from Hamiltonian energies, column by column."""
+    q, n_in = params.m + 1, ball_size(params.k, n)
+    n_out = ball_size(params.k, n + 1)
+    laws = boundary.unreduce(fld.laws)
+
+    def table(depth, n_vertices, with_laws):
+        spins = np.indices((q,) * n_vertices).reshape(n_vertices, -1).T
+        logw = -params.beta * hamiltonian(spins, params, depth)
+        if with_laws:
+            for j in range(ball_size(params.k, depth - 1) if depth else 0, n_vertices):
+                logw += laws[j][spins[:, j]]
+        return logw
+
+    logw = table(n + 1, n_out, True).reshape(q ** n_in, -1)
+    joint = np.exp(logw - logw.max())
+    joint /= joint.sum()
+    energy = table(n + 1, n_out, False).reshape(q ** n_in, -1)
+    inner = np.exp(table(n, n_in, True))
+    inner /= inner.sum()
+    mass = joint.sum(axis=0)
+    conditional, mixed = 0.0, np.zeros(q ** n_in)
+    for c in range(joint.shape[1]):
+        kernel = np.exp(energy[:, c] - energy[:, c].max())
+        kernel /= kernel.sum()
+        mixed += kernel * mass[c]
+        if mass[c] > 0:
+            conditional = max(conditional, 0.5 * np.abs(joint[:, c] / mass[c] - kernel).sum())
+    return conditional, 0.5 * np.abs(mixed - inner).sum(), mass
+
+
+@pytest.mark.parametrize("k, n", [(2, 0), (3, 0), (2, 1)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_dlr_faces_match_a_reference(fm_params, k, n, masked):
+    # a sphere law component near -800 leaves some sphere configurations with
+    # exactly zero mass, which the conditional face must skip
+    params = ModelParams(k=k, m=2, J=fm_params.J, beta=fm_params.beta)
+    fld = random_field(params, n + 1, seed=k + 10 * n)
+    if masked:
+        fld.laws[ball_geometry(k, n + 1).offsets[n + 1], 0] = -800.0
+    conditional, equation, mass = _dlr_reference(fld, params, n)
+    assert bool((mass == 0).any()) == masked and mass.any()
+    br = measure.dlr_breakdown(fld, params, n)
+    assert br.conditional_tv == pytest.approx(conditional, abs=1e-12)
+    assert br.equation_tv == pytest.approx(equation, rel=1e-9)
+    assert br.equation_tv > 1e-3
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@pytest.mark.parametrize("beta, branch", [(2.5915, 1), (2.9, 0), (2.9, 1), (2.95, 0)])
+def test_dlr_unmasked_path_keeps_the_masked_bits(beta, branch):
+    # with mass on every sphere configuration the face skips the masked
+    # copies, whose column-major layout fixes how the axis-0 sum rounds; on
+    # these fields a row-major sum lands an ulp away
+    params = ModelParams(k=2, m=2, J=-1.0, beta=beta)
+    z = ti.solve_symmetric_roots(params)[branch]
+    fld = constant_field(np.array([0.0, math.log(z)]), params, 2)
+    inner = measure.finite_volume_measure(fld, params, 1).probs
+    joint = measure.finite_volume_measure(fld, params, 2).probs.reshape(inner.size, -1)
+    mass = joint.sum(axis=0)
+    every = mass > 0
+    assert every.all()
+    kernel = measure._gibbs_kernel_table(params, 1)
+    masked = np.max(0.5 * np.abs(joint[:, every] / mass[every] - kernel[:, every]).sum(axis=0))
+    assert _bits(measure.dlr_breakdown(fld, params, 1).conditional_tv) == _bits(masked)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 11), depth=st.integers(1, 2), branch=st.integers(0, 2),
+       beta=st.floats(2.0, 3.0), eps=st.sampled_from([0.0, 1e-9, 1e-3, -0.5]))
+@example(k=10, depth=1, branch=2, beta=2.5, eps=1e-3)
+@example(k=11, depth=1, branch=0, beta=2.5, eps=0.0)
+def test_shared_tables_give_the_public_oracles_bits(k, depth, branch, beta, eps):
+    # verify's checks read one lookup in its order; each public oracle builds
+    # its own tables.  k = 11 is past the cap at depth 1, k <= 10 enumerates
+    params = ModelParams(k=k, m=2, J=-1.0, beta=beta)
+    z = ti.solve_symmetric_roots(params)[branch]
+    fld = constant_field(np.array([0.0, math.log(z)]), params, depth)
+    if eps:
+        fld = perturb_field(fld, eps)
+    table = measure._tables(fld, params)
+    compat = measure._compatibility(fld, params, depth, table)
+    dlr = measure._dlr(fld, params, 0, table)
+    flip = measure._symmetric(fld, params, depth, table)
+    assert _bits(compat) == _bits(measure.compatibility_oracle(fld, params, depth))
+    public = measure.dlr_breakdown(fld, params, 0)
+    assert _bits(dlr.conditional_tv) == _bits(public.conditional_tv)
+    assert _bits(dlr.equation_tv) == _bits(public.equation_tv)
+    assert flip == measure.symmetry_check(fld, params, depth)
 
 
 @on_both_routes
