@@ -26,19 +26,32 @@ slice exactly.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelParams
-from .tree import BallGeometry, Word, ball_geometry, ball_size
+from .tree import BallGeometry, ball_geometry, ball_size
 
 
-def _sorted_lse(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+def sorted_lse(terms: np.ndarray, axis: int = -1) -> np.ndarray:
     t = np.sort(terms, axis=axis)
     hi = np.max(t, axis=axis, keepdims=True)
     return np.squeeze(hi, axis=axis) + np.log(np.sum(np.exp(t - hi), axis=axis))
+
+
+@functools.cache
+def gap_table(q: int) -> np.ndarray:
+    """|i - j| over q spins, as a read-only int16 table.
+
+    Any gap sum under the enumeration cap is below 1000, and int16 converts
+    to float64 exactly.
+    """
+    spins = np.arange(q, dtype=np.int16)
+    gaps = np.abs(spins[:, None] - spins[None, :])
+    gaps.flags.writeable = False
+    return gaps
 
 
 def pair_exponents(unreduced: np.ndarray, theta: float) -> np.ndarray:
@@ -51,11 +64,7 @@ def pair_exponents(unreduced: np.ndarray, theta: float) -> np.ndarray:
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    n = unreduced.shape[-1]
-    lt = np.log(theta)
-    i = np.arange(n)
-    gaps = np.abs(i[:, None] - i[None, :]).astype(float)
-    return unreduced[..., None, :] + lt * gaps
+    return unreduced[..., None, :] + np.log(theta) * gap_table(unreduced.shape[-1])
 
 
 def unreduce(h: np.ndarray) -> np.ndarray:
@@ -64,7 +73,8 @@ def unreduce(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
 
 
-_GAPS_M2 = np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float)
+# a float copy, not a gap_table lookup per call: the m = 2 kernel is hot
+_GAPS_M2 = gap_table(3).astype(float)
 # Rows per block of the m = 2 kernel.  From about 3000 rows its buffers come
 # back from the allocator with fresh page faults (about 130 per call), so on
 # a 2-core Xeon VM a 20,000-row law_map took about twice as long in blocks of
@@ -113,7 +123,7 @@ def law_map(h: np.ndarray, m: int, theta: float) -> np.ndarray:
         for i in range(0, len(rows), _BLOCK_M2):
             _law_map_m2(rows[i:i + _BLOCK_M2], theta, out_rows[i:i + _BLOCK_M2])
         return out
-    s = _sorted_lse(pair_exponents(unreduce(h), theta))
+    s = sorted_lse(pair_exponents(unreduce(h), theta))
     return s[..., :m] - s[..., m:]
 
 
@@ -174,31 +184,6 @@ class BoundaryLawField:
         labels = ball_geometry(self.k, self.depth).labels
         return {"depth": self.depth,
                 "entries": [{"vertex": v, "h": h} for v, h in zip(labels, self.laws.tolist())]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(data: dict, k: int) -> "BoundaryLawField":
-        """Inverse of to_json_dict for a tree of order k (the format omits k).
-
-        Raises ValueError unless the entries list the whole ball in
-        breadth-first order, root first, with laws of one length.
-        """
-        depth = int(data["depth"])
-        entries = data["entries"]
-        words = tuple(Word.parse(e["vertex"]) for e in entries)
-        if words != ball_geometry(k, depth).words:
-            raise ValueError(f"entries must list the depth-{depth} ball of order {k} "
-                             f"once each, in breadth-first order from the root 'e'")
-        if len({len(e["h"]) for e in entries}) != 1:
-            raise ValueError("laws must all have the same length")
-        laws = np.array([e["h"] for e in entries], dtype=float)
-        return BoundaryLawField(k=k, depth=depth, laws=laws)
-
-    @staticmethod
-    def from_json(text: str, k: int) -> "BoundaryLawField":
-        return BoundaryLawField.from_json_dict(json.loads(text), k)
 
 
 def constant_field(h: np.ndarray, params: ModelParams, depth: int) -> BoundaryLawField:

@@ -193,13 +193,13 @@ def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int,
                  flip: bool = False) -> list[tuple]:
     """Compatibility at depth n, DLR at depth 0 and, with `flip`, the spin-flip
     symmetry at depth n; each depth's table is built once and shared."""
-    table = measure._tables(fld, params)
-    v = measure._compatibility(fld, params, n, table)
-    d = measure._dlr(fld, params, 0, table).max_violation
+    table = measure.tables(fld, params)
+    v = measure.compatibility_oracle(fld, params, n, table)
+    d = measure.dlr_breakdown(fld, params, 0, table).max_violation
     rows = [(f"compatibility_oracle(n={n})<=1e-10", v <= 1e-10, v),
             ("dlr_oracle(n=0)<=1e-10", d <= 1e-10, d)]
     if flip:
-        sym = measure._symmetric(fld, params, n, table)
+        sym = measure.symmetry_check(fld, params, n, table)
         rows.append(("spin_flip_symmetry", sym, sym))
     return rows
 

@@ -15,11 +15,13 @@ Gibbs kernels, spin-flip symmetry, and the sweep itself.  The table is a
 configurations.  Past the cap the oracles compare chains from the sweep
 (worst root-law or edge-kernel gap).
 
-Each oracle reads its tables through a lookup table(n) (`_tables`), which
-builds the depth-n measure on first use and normalises it in place.  A public
-oracle makes its own lookup; `verify` passes one lookup to all of its checks
-(compatibility at --depth, DLR at depth 0, and for a TI field the spin flip
-at --depth), so each depth is enumerated once per run.
+The oracles (compatibility_oracle, dlr_breakdown, symmetry_check) read their
+tables through a lookup table = tables(fld, params): table(n) builds the
+depth-n measure on first use, normalises it in place, and hands it out again
+after that.  An oracle called without a lookup makes its own; `verify` passes
+one lookup to all of its checks (compatibility at --depth, DLR at depth 0,
+and for a TI field the spin flip at --depth), so each depth is enumerated
+once per run.
 
 Fields, messages, kernels and the table's axes follow tree.ball_geometry
 (breadth-first, root first), so the sweep and the sampler take one numpy
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundary import BoundaryLawField, _sorted_lse, pair_exponents, unreduce
+from .boundary import BoundaryLawField, gap_table, pair_exponents, sorted_lse, unreduce
 from .model import ModelParams
 from .tree import BallGeometry, Word, ball_geometry
 
@@ -51,8 +53,11 @@ class ScaleError(Exception):
 
 
 def enumerable(q: int, n_vertices: int) -> bool:
-    """Whether the q^n_vertices configurations fit under EXACT_TABLE_CAP."""
-    return q ** n_vertices <= EXACT_TABLE_CAP
+    """Whether the q^n_vertices configurations fit under EXACT_TABLE_CAP.
+
+    With q >= 2, 2^64 is past the cap, so the power stops at 64 vertices.
+    """
+    return q ** min(n_vertices, 64) <= EXACT_TABLE_CAP
 
 
 def _edge_tensor(table: np.ndarray, geo: BallGeometry, edges: range) -> np.ndarray:
@@ -76,12 +81,6 @@ def _edge_tensor(table: np.ndarray, geo: BallGeometry, edges: range) -> np.ndarr
     return total
 
 
-def _gap_table(q: int) -> np.ndarray:
-    """|i - j| over spin pairs, as int16: any gap sum under the cap is below 1000."""
-    spins = np.arange(q, dtype=np.int16)
-    return np.abs(spins[:, None] - spins[None, :])
-
-
 def _sphere_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
     """Unreduced laws of the radius-n sphere (the root law at n = 0), one row per vertex."""
     if fld.k != params.k or not 0 <= n <= fld.depth:
@@ -94,7 +93,7 @@ def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.n
     """Unnormalised log weights of every configuration of the depth-n ball."""
     geo = ball_geometry(params.k, n)
     logw = params.J * params.beta * _edge_tensor(
-        _gap_table(params.m + 1), geo, range(1, geo.n_vertices))
+        gap_table(params.m + 1), geo, range(1, geo.n_vertices))
     for j, h in enumerate(_sphere_laws(fld, params, n), start=geo.offsets[n]):
         logw += h.reshape((-1,) + (1,) * (geo.n_vertices - 1 - j))
     return logw.reshape(-1)
@@ -137,10 +136,10 @@ def finite_volume_measure(fld: BoundaryLawField, params: ModelParams,
     return FiniteVolumeMeasure(params=params, depth=n, log_z=hi + math.log(total), probs=probs)
 
 
-def _tables(fld: BoundaryLawField, params: ModelParams) -> Callable[[int], FiniteVolumeMeasure]:
+def tables(fld: BoundaryLawField, params: ModelParams) -> Callable[[int], FiniteVolumeMeasure]:
     """table(n): the depth-n measure of one field, built on first use and then shared.
 
-    The faces only read a shared table; their in-place steps run on buffers
+    The oracles only read a shared table; their in-place steps run on buffers
     of their own.
     """
     return functools.cache(functools.partial(finite_volume_measure, fld, params))
@@ -158,7 +157,7 @@ def _messages(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
     msgs[geo.level(n)] = _sphere_laws(fld, params, n)
     # sweep inward: each level's messages, summed over every sibling block
     for d in range(n - 1, -1, -1):
-        lse = _sorted_lse(pair_exponents(msgs[geo.level(d + 1)], params.theta), axis=-1)
+        lse = sorted_lse(pair_exponents(msgs[geo.level(d + 1)], params.theta), axis=-1)
         msgs[geo.level(d)] = geo.successor_blocks(lse, d).sum(axis=1)
     return msgs
 
@@ -172,7 +171,7 @@ def log_partition(fld: BoundaryLawField, params: ModelParams, n: int,
                   method: str = "transfer") -> float:
     """Log normalising constant, by the message sweep or by table enumeration."""
     if method == "transfer":
-        return float(_sorted_lse(_messages(fld, params, n)[0], axis=-1))
+        return float(sorted_lse(_messages(fld, params, n)[0], axis=-1))
     if method == "enumerate":
         return finite_volume_measure(fld, params, n).log_z
     raise ValueError(f"unknown method {method!r}")
@@ -195,22 +194,19 @@ def _chain_gap(a: np.ndarray, b: np.ndarray, theta: float) -> float:
     return float(max(np.abs(u - v).max(initial=0.0) for u, v in zip(*chains)))
 
 
-def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int) -> float:
+def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int,
+                         table: Callable[[int], FiniteVolumeMeasure] | None = None) -> float:
     """Worst defect of marginalisation consistency between depths n and n-1.
 
     Brute force on both tables: the depth-n table is summed over the outer
     sphere and compared entrywise with the depth-(n-1) table built from the
     same field.  Past the cap: the chain gap over the depth-(n-1) ball.
     """
-    return _compatibility(fld, params, n, _tables(fld, params))
-
-
-def _compatibility(fld: BoundaryLawField, params: ModelParams, n: int,
-                   table: Callable[[int], FiniteVolumeMeasure]) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
         return _chain_gap(_messages(fld, params, n), _messages(fld, params, n - 1), params.theta)
+    table = table or tables(fld, params)
     inner = table(n - 1).probs
     collapsed = table(n).probs.reshape(inner.size, -1).sum(axis=1)
     collapsed -= inner
@@ -225,7 +221,7 @@ def _gibbs_kernel_table(params: ModelParams, n: int) -> np.ndarray:
     """
     geo_in = ball_geometry(params.k, n)
     geo_out = ball_geometry(params.k, n + 1)
-    gaps = _gap_table(params.m + 1)
+    gaps = gap_table(params.m + 1)
     jb = params.J * params.beta
 
     energy_in = jb * _edge_tensor(gaps, geo_in, range(1, geo_in.n_vertices)).reshape(-1)
@@ -250,7 +246,8 @@ class DlrBreakdown:
         return max(self.conditional_tv, self.equation_tv)
 
 
-def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int) -> DlrBreakdown:
+def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,
+                  table: Callable[[int], FiniteVolumeMeasure] | None = None) -> DlrBreakdown:
     """Both faces of the DLR property at depth n, by enumeration at depth n+1.
 
     The conditional face (conditioning the depth-(n+1) table on its sphere)
@@ -261,14 +258,10 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int) -> DlrBrea
     is 0.0, as raw theta^|i-j| weights condition to the Gibbs kernel by
     construction, and the equation face is the depth n+1 vs n chain gap.
     """
-    return _dlr(fld, params, n, _tables(fld, params))
-
-
-def _dlr(fld: BoundaryLawField, params: ModelParams, n: int,
-         table: Callable[[int], FiniteVolumeMeasure]) -> DlrBreakdown:
     if not enumerable(params.m + 1, ball_geometry(params.k, n + 1).n_vertices):
         return DlrBreakdown(conditional_tv=0.0,
-                            equation_tv=_compatibility(fld, params, n + 1, table))
+                            equation_tv=compatibility_oracle(fld, params, n + 1))
+    table = table or tables(fld, params)
     inner = table(n).probs
     joint = table(n + 1).probs.reshape(inner.size, -1)
     boundary = joint.sum(axis=0)
@@ -293,26 +286,18 @@ def _dlr(fld: BoundaryLawField, params: ModelParams, n: int,
     return DlrBreakdown(conditional_tv=conditional_tv, equation_tv=equation_tv)
 
 
-def dlr_oracle(fld: BoundaryLawField, params: ModelParams, n: int) -> float:
-    return dlr_breakdown(fld, params, n).max_violation
-
-
-def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int) -> bool:
+def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int,
+                   table: Callable[[int], FiniteVolumeMeasure] | None = None) -> bool:
     """Whether the depth-n measure is invariant under the global spin flip.
 
     Flipping every spin j -> m-j maps the table index i to (m+1)^N - 1 - i,
     so the flipped table is the reversed one.  Past the cap, the chain gap to
     its flip (reversed messages: root law and kernels reversed on both axes).
     """
-    return _symmetric(fld, params, n, _tables(fld, params))
-
-
-def _symmetric(fld: BoundaryLawField, params: ModelParams, n: int,
-               table: Callable[[int], FiniteVolumeMeasure]) -> bool:
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
         msgs = _messages(fld, params, n)
         return _chain_gap(msgs, msgs[:, ::-1], params.theta) <= SYMMETRY_TOL
-    probs = table(n).probs
+    probs = (table or tables(fld, params))(n).probs
     flip = probs - probs[::-1]
     tv = 0.5 * float(np.abs(flip, out=flip).sum())
     return tv <= SYMMETRY_TOL

@@ -129,8 +129,9 @@ def test_criterion_05_dlr_oracle():
     fm_fields = [fm] * 3 + [afm]
     fields.append(nonti.build_field(0.0, 1.5, fm, 2).field)
     fm_fields.append(fm)
-    worst = max(measure.dlr_oracle(fld, p, 0) for fld, p in zip(fields, fm_fields))
-    negatives = [measure.dlr_oracle(boundary.perturb_field(fld, 0.5), p, 0)
+    worst = max(measure.dlr_breakdown(fld, p, 0).max_violation
+                for fld, p in zip(fields, fm_fields))
+    negatives = [measure.dlr_breakdown(boundary.perturb_field(fld, 0.5), p, 0).max_violation
                  for fld, p in zip(fields, fm_fields)]
     ok = worst <= 1e-10 and min(negatives) >= 1e-3
     report(5, ok, f"verified fields max violation {worst:.2e} (<= 1e-10); "

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from sostree.boundary import (BoundaryLawField, compatibility_residual, constant
                               derivative_bounds, flip_field, injectivity_check, law_map,
                               law_map_jac, perturb_field, slice_contraction_constant)
 from sostree.model import ModelParams
-from sostree.tree import ball, ball_size
+from sostree.tree import ball_size
 
 
 def naive_law_map(h, m, theta):
@@ -39,7 +38,7 @@ def test_zero_law_at_theta_one_is_exactly_zero():
 
 def sorted_lse_law_map(h, m, theta):
     # the generic sorted-term path, which every m takes but m = 2
-    s = boundary._sorted_lse(boundary.pair_exponents(boundary.unreduce(h), theta))
+    s = boundary.sorted_lse(boundary.pair_exponents(boundary.unreduce(h), theta))
     return s[..., :m] - s[..., m:]
 
 
@@ -84,6 +83,23 @@ def test_m2_kernel_matches_sorted_lse_on_non_finite_rows(n):
     with np.errstate(invalid="ignore"):
         for theta in (0.05, 1.0, 3.0):
             assert law_map(h, 2, theta).tobytes() == sorted_lse_law_map(h, 2, theta).tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_gap_table_is_one_shared_read_only_int16_table(q):
+    gaps = boundary.gap_table(q)
+    assert gaps is boundary.gap_table(q)
+    assert gaps.dtype == np.int16 and not gaps.flags.writeable
+    assert gaps.tolist() == [[abs(i - j) for j in range(q)] for i in range(q)]
+    with pytest.raises(ValueError):
+        gaps[0, 0] = 1
+    # the exponents keep the bits of float gaps, as int16 -> float64 is exact
+    rng = np.random.default_rng(q)
+    u = rng.normal(scale=20.0, size=(5, q))
+    float_gaps = np.abs(np.subtract.outer(np.arange(q), np.arange(q))).astype(float)
+    for theta in (0.05, 1.0, 3.7):
+        ref = u[..., None, :] + np.log(theta) * float_gaps
+        assert boundary.pair_exponents(u, theta).tobytes() == ref.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,51 +209,6 @@ def test_field_rejects_wrong_row_count():
         BoundaryLawField(k=2, depth=1, laws=np.zeros(ball_size(2, 1)))
 
 
-def _json_entries(k, depth):
-    fld = constant_field(np.array([0.0, 0.5]), ModelParams(k=k, m=2, J=-1.0, beta=1.0), depth)
-    return fld.to_json_dict()
-
-
-def _drop_root(data):
-    del data["entries"][0]
-
-
-def _swap_siblings(data):
-    e = data["entries"]
-    e[1], e[2] = e[2], e[1]
-
-
-def _drop_leaf(data):
-    del data["entries"][-1]
-
-
-def _extra_vertex(data):
-    data["entries"].append({"vertex": "1.2.1.2", "h": [0.0, 0.5]})
-
-
-def _unreduced_word(data):
-    data["entries"][-1]["vertex"] = "3.3"
-
-
-def _short_law(data):
-    data["entries"][4]["h"] = [0.0]
-
-
-@pytest.mark.parametrize("corrupt", [_drop_root, _swap_siblings, _drop_leaf, _extra_vertex,
-                                     _unreduced_word, _short_law])
-def test_from_json_rejects(corrupt):
-    data = _json_entries(2, 2)
-    BoundaryLawField.from_json_dict(data, 2)
-    corrupt(data)
-    with pytest.raises(ValueError):
-        BoundaryLawField.from_json_dict(data, 2)
-
-
-def test_from_json_rejects_wrong_tree_order():
-    with pytest.raises(ValueError):
-        BoundaryLawField.from_json_dict(_json_entries(2, 2), 3)
-
-
 def test_injectivity_randomized():
     rng = np.random.default_rng(4)
     for _ in range(2000):
@@ -276,28 +247,6 @@ def test_derivative_bounds_theta_one_trivial():
     # all four ceilings vanish and the update is constant
     assert report.bound_partial == 0.0
     assert report.worst["pair"] <= 1e-9
-
-
-def test_field_json_round_trip():
-    rng = np.random.default_rng(6)
-    fld = BoundaryLawField(k=2, depth=2, laws=rng.normal(size=(ball_size(2, 2), 2)))
-    data = json.loads(fld.to_json())
-    assert [e["vertex"] for e in data["entries"]] == [str(w) for w in ball(2, 2)]
-    back = BoundaryLawField.from_json(json.dumps(data), 2)
-    assert (back.k, back.depth) == (2, 2)
-    np.testing.assert_array_equal(back.root, fld.root)
-    np.testing.assert_array_equal(back.laws, fld.laws)
-
-
-@settings(max_examples=25, deadline=None)
-@given(k=st.integers(1, 4), depth=st.integers(0, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_field_json_round_trip_is_exact(k, depth, m, seed):
-    rng = np.random.default_rng(seed)
-    laws = rng.normal(scale=10.0, size=(ball_size(k, depth), m)) * rng.choice([1e-300, 1.0, 1e300])
-    fld = BoundaryLawField(k=k, depth=depth, laws=laws)
-    back = BoundaryLawField.from_json(fld.to_json(), k)
-    assert back.depth == depth
-    assert back.laws.tobytes() == fld.laws.tobytes()
 
 
 def test_flip_field_matches_weight_reversal():

@@ -95,6 +95,13 @@ def test_log_partition_scale_guard(fm_params, fm_high_field):
     assert np.isfinite(measure.log_partition(fm_high_field, fm_params, 3, method="transfer"))
 
 
+def test_enumerable_is_the_exact_power_test():
+    # the power stops at 64 vertices, past the cap for every q >= 2
+    for q in (2, 3, 4):
+        for n in range(81):
+            assert measure.enumerable(q, n) == (q ** n <= measure.EXACT_TABLE_CAP)
+
+
 @pytest.mark.parametrize("k, n", [(2, 2), (3, 1)])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_log_weight_table_matches_the_hamiltonian(k, n, m):
@@ -161,16 +168,16 @@ def test_oracle_equivalence_with_field_residual(fm_params):
 def test_dlr_oracle_compatible_fields(fm_params, fm_roots, afm_params, afm_field):
     for z in fm_roots:
         fld = constant_field(np.array([0.0, math.log(z)]), fm_params, 2)
-        assert measure.dlr_oracle(fld, fm_params, 0) <= 1e-10
-        assert measure.dlr_oracle(fld, fm_params, 1) <= 1e-10
-    assert measure.dlr_oracle(afm_field, afm_params, 0) <= 1e-10
+        assert measure.dlr_breakdown(fld, fm_params, 0).max_violation <= 1e-10
+        assert measure.dlr_breakdown(fld, fm_params, 1).max_violation <= 1e-10
+    assert measure.dlr_breakdown(afm_field, afm_params, 0).max_violation <= 1e-10
 
 
 @on_both_routes
 def test_dlr_oracle_uniform(fm_params):
     p = ModelParams(k=2, m=2, J=0.0, beta=1.0)
     fld = constant_field(np.zeros(2), p, 1)
-    assert measure.dlr_oracle(fld, p, 0) <= 1e-12
+    assert measure.dlr_breakdown(fld, p, 0).max_violation <= 1e-12
 
 
 @on_both_routes
@@ -258,17 +265,18 @@ def test_dlr_unmasked_path_keeps_the_masked_bits(beta, branch):
 @example(k=10, depth=1, branch=2, beta=2.5, eps=1e-3)
 @example(k=11, depth=1, branch=0, beta=2.5, eps=0.0)
 def test_shared_tables_give_the_public_oracles_bits(k, depth, branch, beta, eps):
-    # verify's checks read one lookup in its order; each public oracle builds
-    # its own tables.  k = 11 is past the cap at depth 1, k <= 10 enumerates
+    # verify's checks read one shared lookup in its order; called without
+    # one, each oracle builds its own.  k = 11 is past the cap at depth 1,
+    # k <= 10 enumerates
     params = ModelParams(k=k, m=2, J=-1.0, beta=beta)
     z = ti.solve_symmetric_roots(params)[branch]
     fld = constant_field(np.array([0.0, math.log(z)]), params, depth)
     if eps:
         fld = perturb_field(fld, eps)
-    table = measure._tables(fld, params)
-    compat = measure._compatibility(fld, params, depth, table)
-    dlr = measure._dlr(fld, params, 0, table)
-    flip = measure._symmetric(fld, params, depth, table)
+    table = measure.tables(fld, params)
+    compat = measure.compatibility_oracle(fld, params, depth, table)
+    dlr = measure.dlr_breakdown(fld, params, 0, table)
+    flip = measure.symmetry_check(fld, params, depth, table)
     assert _bits(compat) == _bits(measure.compatibility_oracle(fld, params, depth))
     public = measure.dlr_breakdown(fld, params, 0)
     assert _bits(dlr.conditional_tv) == _bits(public.conditional_tv)
@@ -280,7 +288,7 @@ def test_shared_tables_give_the_public_oracles_bits(k, depth, branch, beta, eps)
 def test_dlr_oracle_negative_control(fm_params, fm_roots):
     fld = constant_field(np.array([0.0, math.log(fm_roots[2])]), fm_params, 2)
     bad = perturb_field(fld, 0.5)
-    assert measure.dlr_oracle(bad, fm_params, 0) >= 1e-3
+    assert measure.dlr_breakdown(bad, fm_params, 0).max_violation >= 1e-3
 
 
 def test_marginals_uniform_and_symmetric(fm_params, fm_roots):
@@ -323,7 +331,7 @@ def test_kernel_equivalence_for_built_field_types(fm_params):
         mu.marginal([Word()]),
         measure.root_marginal(built.field, fm_params, 2, method="transfer"), atol=1e-10)
     assert measure.compatibility_oracle(built.field, fm_params, 2) <= 1e-10
-    assert measure.dlr_oracle(built.field, fm_params, 0) <= 1e-10
+    assert measure.dlr_breakdown(built.field, fm_params, 0).max_violation <= 1e-10
 
 
 @on_both_routes
@@ -449,7 +457,7 @@ def test_sweep_oracles_agree_with_the_tables(k, n, m, theta, seed, eps, sign, sy
 
     def verdicts():
         return (measure.compatibility_oracle(fld, params, n) <= 1e-10,
-                measure.dlr_oracle(fld, params, n - 1) <= 1e-10,
+                measure.dlr_breakdown(fld, params, n - 1).max_violation <= 1e-10,
                 measure.symmetry_check(fld, params, n))
 
     table = verdicts()

@@ -188,6 +188,75 @@ def test_threshold_rescans_where_the_prediction_fails(monkeypatch, k):
     assert scans[0] == 2 and set(scans[1:]) == {1} and len(scans) > 20
 
 
+def _counting_scans(monkeypatch):
+    """Patch ti's find_roots to record (grid, lanes) of each scan."""
+    scans = []
+
+    def counting(fdf, lo, hi, n_grid=4096):
+        scans.append((n_grid, len(lo)))
+        return roots.find_roots(fdf, lo, hi, n_grid)
+
+    monkeypatch.setattr(ti, "find_roots", counting)
+    return scans
+
+
+def test_lanes_that_miss_roots_are_rescanned_on_a_finer_grid(monkeypatch):
+    # a 4-point grid finds one root of the 3-root lanes; only those lanes are
+    # scanned again, on the 16x grid, which recovers the classification's count
+    sweep = [ModelParams(k=2, m=2, J=-1.0, beta=b) for b in (1.0, 2.0, 2.5)]
+    expected = ti.symmetric_root_lanes(sweep)
+    monkeypatch.setattr(ti, "SCAN_GRID", 4)
+    scans = _counting_scans(monkeypatch)
+    found = ti.symmetric_root_lanes(sweep)
+    assert scans == [(4, 3), (64, 2)]
+    assert [len(r) for r in found] == [1, 3, 3]
+    for got, want in zip(found, expected):
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_a_lane_the_finer_grid_cannot_settle_raises(monkeypatch):
+    # a classification that expects 5 roots at beta = 2 is never met: that
+    # lane holds the error, the others their roots, and the solver raises it
+    setup = ti._scan_setup
+
+    def five_at_two(params):
+        bounds, count = setup(params)
+        return bounds, 5 if params.beta == 2.0 else count
+
+    monkeypatch.setattr(ti, "_scan_setup", five_at_two)
+    scans = _counting_scans(monkeypatch)
+    sweep = [ModelParams(k=2, m=2, J=-1.0, beta=b) for b in (1.0, 2.0, 2.5)]
+    lanes = ti._symmetric_lanes(sweep)
+    assert scans == [(ti.SCAN_GRID, 3), (16 * ti.SCAN_GRID, 1)]
+    assert [len(lanes[0]), len(lanes[2])] == [1, 3]
+    message = "scan found 3 symmetric roots, classification expects 5"
+    assert isinstance(lanes[1], RuntimeError) and str(lanes[1]) == message
+    with pytest.raises(RuntimeError, match=message):
+        ti.solve_symmetric_roots(sweep[1])
+
+
+def test_threshold_raises_what_a_midpoint_scan_raises(monkeypatch):
+    # a scan that raises at the sixth midpoint (1.953125) ends the predicted
+    # path there, and the batch raises its error, as the scan-by-scan
+    # bisection does
+    setup = ti._scan_setup
+
+    def out_of_range_near_the_transition(params):
+        if 1.95 < params.beta < 1.955:
+            raise ti.FloatRangeError(f"no scan at beta = {params.beta!r}")
+        return setup(params)
+
+    monkeypatch.setattr(ti, "_scan_setup", out_of_range_near_the_transition)
+    with pytest.raises(ti.FloatRangeError) as scan_by_scan:
+        _scan_by_scan_threshold(-1.0, 2, 1.5, 2.5)
+    assert str(scan_by_scan.value) == "no scan at beta = 1.953125"
+    scans = _counting_scans(monkeypatch)
+    with pytest.raises(ti.FloatRangeError, match=re.escape(str(scan_by_scan.value))):
+        ti.locate_symmetric_threshold(-1.0, 2, 1.5, 2.5)
+    # both ends, then the five midpoints before the one that raises, in one batch
+    assert scans == [(ti.SCAN_GRID, 2), (ti.SCAN_GRID, 5)]
+
+
 TRANSITIONS = {2: TRUE_THRESHOLD_K2, 3: TRUE_THRESHOLD_K3}
 IN_RANGE = st.one_of(
     st.tuples(st.sampled_from([2, 3, 4, 5, 6, 200]), st.sampled_from([-1.0, 1.0]),
