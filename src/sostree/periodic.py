@@ -29,7 +29,10 @@ PAIR_TOL = 1e-8      # a pair (z, t) closer than this is a fixed point, not a cy
 RESID_TOL = 1e-10    # limits with a larger defect are not solutions
 DEDUPE_TOL = 1e-8    # 4D solutions closer than this (log space) are one
 DAMPING = 0.5        # weight of the new iterate in the damped iterations
-STEP_TOL = 1e-13     # damped loops stop once no step, Newton once no residual, is larger
+HANDOVER_STEP = 1e-3  # damped loops hand over to Newton once no step is larger
+DAMPED_BUDGET = 200  # ... or once this many damped steps (or sweeps) are spent
+NEWTON_STEPS = 40    # cap of the Newton polish that finishes each damped loop
+STEP_TOL = 1e-13     # the polish stops once no residual is larger
 
 
 @dataclass
@@ -97,20 +100,18 @@ def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
     return sols
 
 
-def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
-                       iters: int = 600, newton_iters: int = 40):
-    """Damped alternating iteration h <- kF(l), l <- kF(h) from random starts.
+def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0):
+    """Damped alternating iteration h <- kF(l), l <- kF(h) from random starts,
+    finished by Newton on the four-dimensional system.
 
-    Returns (h, l, residual) arrays after a batched Newton polish of the full
-    four-dimensional system; residual is the max-norm defect per start.  Each
-    step maps h and l in one stacked law_map call.
-
-    `iters` and `newton_iters` are caps.  The damped loop stops after the
-    first step in which no start moved by more than STEP_TOL, and the Newton
-    polish after the step taken from the first evaluation where every
-    residual is at most STEP_TOL.
-    Where the damped map has no attracting fixed point (the k = 200 cycle
-    regime), the damped loop never settles and runs all `iters` steps.
+    Returns (h, l, residual) arrays; residual is the max-norm defect per
+    start.  Each damped step maps h and l in one stacked law_map call (a
+    Jacobi update).  The damped loop hands over to `batched_newton` on the
+    even-word `coset_system` after the first step in which no start moved by
+    more than HANDOVER_STEP, or after DAMPED_BUDGET steps; the polish stops
+    after the step taken from the first evaluation where every residual is
+    at most STEP_TOL, or after NEWTON_STEPS steps.  At k = 200 the damped
+    map settles nowhere, so the loop spends its whole budget.
     """
     k, theta, m = params.k, params.theta, params.m
     if m != 2:
@@ -118,24 +119,15 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     c = 2.0 * k * abs(math.log(theta)) + 1.0
     hl = rng.uniform(-c, c, size=(2, n_starts, 2))   # h then l, as two draws would give
-    for _ in range(iters):
+    for _ in range(DAMPED_BUDGET):
         new = (1 - DAMPING) * hl + DAMPING * k * law_map(hl[::-1], 2, theta)
-        settled = np.all(np.abs(new - hl) <= STEP_TOL)
+        settled = np.all(np.abs(new - hl) <= HANDOVER_STEP)
         hl = new
         if settled:
             break
 
-    def system(x):   # x rows are (h, l)
-        hl = x.reshape(-1, 2, 2).swapaxes(0, 1)
-        jac = np.tile(np.eye(4), (n_starts, 1, 1))
-        jac[:, :2, 2:], jac[:, 2:, :2] = -k * law_map_jac(hl[::-1], theta)
-        return (hl - k * law_map(hl[::-1], 2, theta)).swapaxes(0, 1).reshape(-1, 4), jac
-
-    x = batched_newton(system, hl.swapaxes(0, 1).reshape(-1, 4), newton_iters, c + 20.0,
-                       tol=STEP_TOL)
-    hl = x.reshape(-1, 2, 2).swapaxes(0, 1)
-    resid = np.max(np.abs(hl - k * law_map(hl[::-1], 2, theta)), axis=-1)
-    return hl[0], hl[1], np.maximum(resid[0], resid[1])
+    spec = SubgroupSpec(k=k, parity_set=frozenset(range(1, k + 2)))
+    return _newton_finish(spec, params, hl.swapaxes(0, 1).reshape(-1, 4), c + 20.0)
 
 
 def solve_two_cycle_full(params: ModelParams, n_starts: int = 100,
@@ -185,26 +177,65 @@ def coset_equations(spec: SubgroupSpec) -> list[tuple[int, int, tuple[int, int]]
 def parity_residuals(h0: np.ndarray, h1: np.ndarray, spec: SubgroupSpec,
                      params: ModelParams) -> np.ndarray:
     """Worst defect of the coset equations of a two-coset-periodic family."""
-    m, theta = params.m, params.theta
-    h = [h0, h1]
-    f = [law_map(h0, m, theta), law_map(h1, m, theta)]
-    eqs = [h[n] - (c0 * f[0] + c1 * f[1]) for n, _, (c0, c1) in coset_equations(spec)]
+    f = law_map(np.stack([h0, h1]), params.m, params.theta)
+    eqs = [(h1 if n else h0) - (c0 * f[0] + c1 * f[1])
+           for n, _, (c0, c1) in coset_equations(spec)]
     return np.max(np.abs(np.stack(eqs, axis=0)), axis=(0, -1))
 
 
+def coset_system(spec: SubgroupSpec, params: ModelParams):
+    """The coset equations as a Newton system on rows x = (h0, h1) of shape (n, 4).
+
+    The system maps x to the residuals h_n - (c0 F(h0) + c1 F(h1)) of each
+    equation (n, p, (c0, c1)) of `coset_equations`, side by side, and their
+    Jacobians, whose block for an equation is I on h_n less c0 F'(h0) and
+    c1 F'(h1).  Both cosets are mapped in one stacked law_map call.  The
+    even-word subgroup gives the square system h0 = kF(h1), h1 = kF(h0); a
+    proper parity set gives four equations in four unknowns, an (n, 8, 4)
+    Jacobian.
+    """
+    m, theta = params.m, params.theta
+    eqs = coset_equations(spec)
+    eye = np.eye(m)
+
+    def system(x):
+        h = x.reshape(-1, 2, m).swapaxes(0, 1)
+        f, df = law_map(h, m, theta), law_map_jac(h, theta)
+        r = np.concatenate([h[n] - (c0 * f[0] + c1 * f[1]) for n, _, (c0, c1) in eqs],
+                           axis=-1)
+        jac = np.zeros((len(x), m * len(eqs), 2 * m))
+        for i, (n, _, counts) in enumerate(eqs):
+            block = jac[:, i * m:(i + 1) * m]
+            block[:, :, n * m:(n + 1) * m] = eye
+            for j, c in enumerate(counts):
+                if c:
+                    block[:, :, j * m:(j + 1) * m] -= c * df[j]
+        return r, jac
+
+    return system
+
+
+def _newton_finish(spec: SubgroupSpec, params: ModelParams, x: np.ndarray, cap: float):
+    """Newton on `coset_system` from rows x = (h0, h1): the polished h0, h1
+    and their residuals."""
+    x = batched_newton(coset_system(spec, params), x, NEWTON_STEPS, cap, tol=STEP_TOL)
+    h0, h1 = x[:, :2], x[:, 2:]
+    return h0, h1, parity_residuals(h0, h1, spec, params)
+
+
 def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
-                          n_starts: int = 50, seed: int = 0,
-                          sweeps: int = 4000,
-                          delta_tol: float = STEP_TOL) -> ParityIterationResult:
-    """Damped cyclic iteration of the coset equations from random starts.
+                          n_starts: int = 50, seed: int = 0) -> ParityIterationResult:
+    """Damped cyclic iteration of the coset equations from random starts,
+    finished by Newton on `coset_system`.
 
-    A converged limit of the cyclic sweep satisfies every equation in the
-    cycle simultaneously, so for a proper parity set it forces equal update
-    images on the two cosets and hence (away from theta = 1) a
-    translation-invariant limit.
-
-    Range: on a proper parity set with ferromagnetic theta < 0.6 the sweep is
-    slow (at k = 4, theta = 0.3, A = {1}, 11 of 20 starts converge).
+    The damped sweep updates the cosets in turn (Gauss-Seidel), each from the
+    latest images.  It hands over to `batched_newton` after the first sweep
+    in which no start moved by more than HANDOVER_STEP, or after
+    DAMPED_BUDGET sweeps, with the stop rules of `alternating_limits`; for a
+    proper parity set the system is overdetermined and Newton takes
+    Gauss-Newton steps.  A limit satisfies every equation at once, so for a
+    proper parity set it forces equal update images on the two cosets and
+    hence (away from theta = 1) a translation-invariant limit.
     """
     k, m, theta = params.k, params.m, params.theta
     rng = np.random.default_rng(seed)
@@ -214,19 +245,19 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
 
     # image of each coset law, renewed only when that law changes
     f = [law_map(x, m, theta) for x in h]
-    for _ in range(sweeps):
+    for _ in range(DAMPED_BUDGET):
         delta = 0.0
         for n, _, (c0, c1) in eqs:
             new = (1 - DAMPING) * h[n] + DAMPING * (c0 * f[0] + c1 * f[1])
             delta = max(delta, float(np.max(np.abs(new - h[n]))))
             h[n] = new
             f[n] = law_map(new, m, theta)
-        if delta <= delta_tol:
+        if delta <= HANDOVER_STEP:
             break
 
-    resid = parity_residuals(h[0], h[1], spec, params)
-    is_ti = np.max(np.abs(h[0] - h[1]), axis=-1) <= 1e-8
-    return ParityIterationResult(h_even=h[0], h_odd=h[1], residual=resid,
+    h0, h1, resid = _newton_finish(spec, params, np.concatenate(h, axis=-1), c + 20.0)
+    is_ti = np.max(np.abs(h0 - h1), axis=-1) <= 1e-8
+    return ParityIterationResult(h_even=h0, h_odd=h1, residual=resid,
                                  converged=resid <= RESID_TOL, ti=is_ti)
 
 

@@ -130,24 +130,32 @@ def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
                    x: np.ndarray, iters: int, cap: float, tol: float = 0.0) -> np.ndarray:
     """Damped Newton from starts x (n, d); `system(x)` gives residuals and Jacobians.
 
+    Residuals may have more components than x (an (n, e, d) Jacobian with
+    e > d); the step then solves the normal equations J^T J s = J^T r
+    (Gauss-Newton), and square systems take the plain Newton step.
     Steps longer than 5 in the max norm are scaled to 5 and iterates clipped
     to [-cap, cap].  A start with a singular Jacobian sits out that step.
     At most `iters` steps run: the step taken from the first evaluation where
-    every residual is at most `tol` (a nan residual never is) is the last,
-    so a converged start gets one more quadratic step at no extra call of
-    `system`.  With the default `tol = 0.0` that needs an exactly zero
-    residual, where a step does not move x, so every step counts as run.
+    every residual r (not J^T r) is at most `tol` (a nan residual never is)
+    is the last, so a converged start gets one more quadratic step at no
+    extra call of `system`.  With the default `tol = 0.0` that needs an
+    exactly zero residual, where a step does not move x, so every step
+    counts as run.
     """
     for _ in range(iters):
         r, jac = system(x)
         done = np.all(np.abs(r) <= tol)
+        rhs = r[..., None]
+        if jac.shape[-2] > jac.shape[-1]:
+            jac_t = jac.swapaxes(-1, -2)
+            jac, rhs = jac_t @ jac, jac_t @ rhs
         try:
-            step = np.linalg.solve(jac, r[..., None])[..., 0]
+            step = np.linalg.solve(jac, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            step = np.zeros_like(r)
-            for i in range(len(r)):
+            step = np.zeros_like(x)
+            for i in range(len(x)):
                 try:
-                    step[i] = np.linalg.solve(jac[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
+                    step[i] = np.linalg.solve(jac[i:i + 1], rhs[i:i + 1])[0, :, 0]
                 except np.linalg.LinAlgError:
                     pass
         scale = np.maximum(1.0, np.max(np.abs(step), axis=-1, keepdims=True) / 5.0)

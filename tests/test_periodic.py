@@ -151,9 +151,9 @@ def test_alternating_full_fm_all_equal_pairs(monkeypatch, fm_params):
     for row in h:
         gap = np.max(np.abs(sols - row), axis=-1) / max(1.0, np.max(np.abs(row)))
         assert gap.min() <= 1e-10
-    # the loops stop once converged: about a hundred law_map calls, against
-    # 600 damped + 40 Newton steps + the residual if every step ran
-    assert len(calls) < (600 + 40 + 1) / 4
+    # the loops stop once converged: a few dozen law_map calls, against the
+    # damped budget + the Newton cap + the residual if every step ran
+    assert len(calls) < (periodic.DAMPED_BUDGET + periodic.NEWTON_STEPS + 1) / 4
 
 
 def test_alternating_full_afm_slice_solutions_match_scalar(cycle_params):
@@ -266,34 +266,90 @@ def spy_newton(monkeypatch, calls):
 def test_solvers_make_one_update_call_per_step(monkeypatch, fm_params, afm_params):
     calls = count_calls(monkeypatch, periodic, "law_map")
     bounds, evals = spy_newton(monkeypatch, calls)
-    # one stacked call per damped step (30 steps do not settle these starts),
-    # one per Newton evaluation (the third finds every residual below
-    # STEP_TOL and stops the polish), one for the residual
-    periodic.alternating_limits(fm_params, n_starts=10, seed=0, iters=30, newton_iters=5)
+    # one stacked call per damped step (these starts hand over to Newton
+    # after 28 steps), one per Newton evaluation (the third finds every
+    # residual below STEP_TOL and stops the polish), one for the residual
+    periodic.alternating_limits(fm_params, n_starts=10, seed=0)
     assert len(evals) == 3
-    assert bounds == [30, 30 + 3]
-    assert len(calls) == 30 + 3 + 1
-    # a negative delta_tol runs every sweep; two images to start, one per
-    # coset update, two in the final residuals
-    for parity_set, per_sweep in (({1}, 4), ({1, 2, 3}, 2)):
-        calls.clear()
+    assert bounds == [28, 28 + 3]
+    assert len(calls) == 28 + 3 + 1
+    # two images to start, one per coset update in each sweep up to the
+    # hand-over, one per Newton evaluation, one for the final residuals
+    for parity_set, per_sweep, sweeps in (({1}, 4, 7), ({1, 2, 3}, 2, 26)):
+        del calls[:], bounds[:], evals[:]
         spec = SubgroupSpec(k=2, parity_set=frozenset(parity_set))
-        periodic.iterate_parity_system(spec, afm_params, n_starts=5, seed=0, sweeps=7,
-                                       delta_tol=-1.0)
-        assert len(calls) == 2 + per_sweep * 7 + 2
+        periodic.iterate_parity_system(spec, afm_params, n_starts=5, seed=0)
+        damped = 2 + per_sweep * sweeps
+        assert len(evals) == 3
+        assert bounds == [damped, damped + 3]
+        assert len(calls) == damped + 3 + 1
+
+
+def test_damped_loops_stop_at_their_budget(monkeypatch, fm_params, afm_params):
+    # a negative hand-over step is never reached, so both loops spend the
+    # whole budget; the Newton cap bounds the polish
+    monkeypatch.setattr(periodic, "HANDOVER_STEP", -1.0)
+    monkeypatch.setattr(periodic, "DAMPED_BUDGET", 7)
+    monkeypatch.setattr(periodic, "NEWTON_STEPS", 2)
+    calls = count_calls(monkeypatch, periodic, "law_map")
+    bounds, evals = spy_newton(monkeypatch, calls)
+    periodic.alternating_limits(fm_params, n_starts=10, seed=0)
+    assert bounds == [7, 7 + 2] and len(evals) == 2
+    assert len(calls) == 7 + 2 + 1
+    for parity_set, per_sweep in (({1}, 4), ({1, 2, 3}, 2)):
+        del calls[:], bounds[:], evals[:]
+        spec = SubgroupSpec(k=2, parity_set=frozenset(parity_set))
+        periodic.iterate_parity_system(spec, afm_params, n_starts=5, seed=0)
+        assert bounds == [2 + per_sweep * 7, 2 + per_sweep * 7 + 2]
+        assert len(calls) == 2 + per_sweep * 7 + 2 + 1
 
 
 def test_unsettled_damped_loop_runs_its_cap(monkeypatch, cycle_params):
     # at the k = 200 cycle point the damped map has no attracting fixed
-    # point, so the loop never settles and runs all 600 steps; the Newton
-    # polish still finds the cycles
+    # point, so the loop never hands over and spends its whole budget; the
+    # Newton polish still finds the cycles
+    budget = periodic.DAMPED_BUDGET
     calls = count_calls(monkeypatch, periodic, "law_map")
     bounds, evals = spy_newton(monkeypatch, calls)
     sols = periodic.solve_two_cycle_full(cycle_params, n_starts=40, seed=3)
-    assert bounds == [600, 600 + len(evals)]
-    assert len(evals) < 40
-    assert len(calls) == 600 + len(evals) + 1
+    assert bounds == [budget, budget + len(evals)]
+    assert len(evals) < periodic.NEWTON_STEPS
+    assert len(calls) == budget + len(evals) + 1
     assert any(s.type == periodic.CYCLE for s in sols)
+
+
+@pytest.mark.parametrize("k, theta, seed, n_starts, before", [
+    (5, 2.5, 0, 50, 0),      # the damped sweep alone converged no start
+    (4, 0.3, 5, 20, 11),     # ... and 11 of 20 here, after 4,000 sweeps
+])
+def test_parity_newton_finishes_what_the_sweep_could_not(k, theta, seed, n_starts, before):
+    p = ModelParams.from_theta(k=k, m=2, theta=theta)
+    spec = SubgroupSpec(k=k, parity_set=frozenset({1}))
+    res = periodic.iterate_parity_system(spec, p, n_starts=n_starts, seed=seed)
+    assert res.converged.sum() > before
+    assert res.ti[res.converged].all()
+    sols = np.log(ti.solve_full(p))
+    for row in res.h_even[res.converged]:
+        gap = np.max(np.abs(sols - row), axis=-1) / np.maximum(1.0, np.max(np.abs(sols), axis=-1))
+        assert gap.min() <= 1e-6
+
+
+@pytest.mark.parametrize("run, before", [
+    (lambda: periodic.solve_two_cycle_full(
+        ModelParams.from_theta(k=2, m=2, theta=1.981), n_starts=100, seed=0), 604),
+    (lambda: periodic.solve_two_cycle_full(
+        ModelParams.from_theta(k=200, m=2, theta=1.07), n_starts=100, seed=0), 608),
+    (lambda: periodic.iterate_parity_system(
+        full_spec(2), ModelParams.from_theta(k=2, m=2, theta=2.1397), n_starts=50, seed=253),
+     876),
+], ids=["two-cycle-k2", "two-cycle-k200", "parity-k2-full"])
+def test_periodic_ops_call_the_update_less_than_half_as_often(monkeypatch, run, before):
+    # law_map calls of three periodic ops of the bench's solver sweep;
+    # `before` is the count when the damped loops ran to STEP_TOL or to
+    # their caps of 600 steps and 4,000 sweeps
+    calls = count_calls(monkeypatch, periodic, "law_map")
+    run()
+    assert len(calls) < before / 2
 
 
 def test_classify_scans_symmetric_roots_once(monkeypatch, afm_params):

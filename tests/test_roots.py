@@ -81,6 +81,37 @@ def test_batched_newton_nan_residual_never_stops_the_loop():
     assert np.isnan(x[0, 0]) and x[1, 0] == 2.0
 
 
+def test_batched_newton_takes_gauss_newton_steps_on_tall_systems():
+    # three equations in two unknowns, consistent at (2, 3): the normal
+    # equations give Newton's quadratic convergence there; the start at the
+    # origin has J^T J singular and sits out every step
+    def system(x):
+        a, b = x[:, 0], x[:, 1]
+        jac = np.zeros((len(x), 3, 2))
+        jac[:, 0, 0], jac[:, 1, 1] = 2.0 * a, 2.0 * b
+        jac[:, 2, 0], jac[:, 2, 1] = b, a
+        return np.stack([a * a - 4.0, b * b - 9.0, a * b - 6.0], axis=-1), jac
+
+    starts = np.array([[0.0, 0.0], [3.0, 4.0], [1.5, 2.5]])
+    x = batched_newton(system, starts, 40, 100.0, tol=1e-12)
+    np.testing.assert_array_equal(x[0], starts[0])
+    np.testing.assert_allclose(x[1:], [[2.0, 3.0], [2.0, 3.0]], rtol=1e-15)
+
+
+def test_batched_newton_tall_stop_rule_tests_the_residual():
+    # x = 1 and x = 3 at once: the least-squares point x = 2 has J^T r = 0
+    # but r = (1, -1), so the loop never stops early
+    evals = []
+
+    def system(x):
+        evals.append(x.copy())
+        return np.concatenate([x - 1.0, x - 3.0], axis=-1), np.ones((len(x), 2, 1))
+
+    x = batched_newton(system, np.array([[0.0]]), 6, 100.0, tol=1e-6)
+    assert len(evals) == 6
+    np.testing.assert_array_equal(x, [[2.0]])
+
+
 def test_dedupe_keeps_the_sorted_first_row_of_each_cluster():
     # the threshold is tol * max(1, |row|) = 2e-8 here, in the max norm
     tol = 1e-8
