@@ -202,16 +202,6 @@ def perturb_field(fld: BoundaryLawField, eps: float) -> BoundaryLawField:
     return BoundaryLawField(k=fld.k, depth=fld.depth, laws=laws)
 
 
-def flip_field(fld: BoundaryLawField, m: int) -> BoundaryLawField:
-    """Image of the field under the global spin flip j -> m-j.
-
-    In unreduced weights the flip reverses the component order; re-gauging to
-    a zero last component gives h'_i = h_{m-i} - h_0 (with h_m = 0).
-    """
-    u = unreduce(fld.laws)[:, ::-1]
-    return BoundaryLawField(k=fld.k, depth=fld.depth, laws=(u - u[:, -1:])[:, :m])
-
-
 def successor_law_sums(laws: np.ndarray, geo: BallGeometry, d: int,
                        params: ModelParams) -> np.ndarray:
     """Right-hand side of the consistency equation at every level-d vertex.

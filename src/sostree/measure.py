@@ -39,7 +39,7 @@ import numpy as np
 
 from .boundary import BoundaryLawField, gap_table, pair_exponents, sorted_lse, unreduce
 from .model import ModelParams
-from .tree import BallGeometry, Word, ball_geometry
+from .tree import BallGeometry, ball_geometry
 
 EXACT_TABLE_CAP = 10 ** 6
 # Vertices of a ball, times the samples drawn on it, that a command may build;
@@ -112,17 +112,13 @@ class FiniteVolumeMeasure:
     def geometry(self) -> BallGeometry:
         return ball_geometry(self.params.k, self.depth)
 
-    def marginal(self, vertices: Sequence[Word]) -> np.ndarray:
-        """Exact marginal over the given vertices, axes in the given order."""
-        geo = self.geometry
-        q = self.params.m + 1
-        positions = [geo.index[w] for w in vertices]
-        shaped = self.probs.reshape((q,) * geo.n_vertices)
-        keep = sorted(positions)
-        drop = tuple(ax for ax in range(geo.n_vertices) if ax not in keep)
-        reduced = shaped.sum(axis=drop)
-        order = [keep.index(p) for p in positions]
-        return np.transpose(reduced, axes=order)
+    def marginal(self, rows: Sequence[int]) -> np.ndarray:
+        """Exact marginal over the given breadth-first rows, axes in the given order."""
+        n_vertices = self.geometry.n_vertices
+        shaped = self.probs.reshape((self.params.m + 1,) * n_vertices)
+        keep = sorted(rows)
+        reduced = shaped.sum(axis=tuple(ax for ax in range(n_vertices) if ax not in keep))
+        return np.transpose(reduced, axes=[keep.index(r) for r in rows])
 
 
 def finite_volume_measure(fld: BoundaryLawField, params: ModelParams,
@@ -183,7 +179,7 @@ def root_marginal(fld: BoundaryLawField, params: ModelParams, n: int,
     if method == "transfer":
         return _softmax(_messages(fld, params, n)[0])
     if method == "table":
-        return finite_volume_measure(fld, params, n).marginal([Word()])
+        return finite_volume_measure(fld, params, n).marginal([0])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -267,18 +263,15 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,
     boundary = joint.sum(axis=0)
     kernel = _gibbs_kernel_table(params, n)
 
-    # Sphere configurations of zero mass condition nothing.  The masked copy
-    # is column-major, and so is the unmasked quotient, so the axis-0 sum
-    # runs down contiguous columns either way.
-    positive = boundary > 0
-    if positive.all():
-        cond, nu = np.divide(joint, boundary, order="F"), kernel
-    else:
-        cond, nu = joint[:, positive] / boundary[positive], kernel[:, positive]
-    cond -= nu
+    # The quotient is column-major, so the axis-0 sum runs down contiguous
+    # columns.  Sphere configurations of zero mass condition nothing: their
+    # 0/0 columns are left out of the max (masked in place, not copied).
+    with np.errstate(invalid="ignore"):
+        cond = np.divide(joint, boundary, order="F")
+    cond -= kernel
     np.abs(cond, out=cond)
     cond *= 0.5
-    conditional_tv = float(np.max(cond.sum(axis=0)))
+    conditional_tv = float(np.max(cond.sum(axis=0), where=boundary > 0, initial=0.0))
 
     mixed = kernel @ boundary
     mixed -= inner

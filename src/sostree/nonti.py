@@ -23,16 +23,8 @@ from .model import ModelParams
 from .tree import BallGeometry, ball_geometry
 
 
-@dataclass(frozen=True)
-class PathParam:
-    """Digit expansion of a path parameter."""
-
-    t: float
-    digits: tuple[int, ...]
-
-
-def path_from_parameter(t: float, k: int, depth: int) -> PathParam:
-    """Deterministic digit expansion of t in [0, (k+1)/k].
+def path_from_parameter(t: float, k: int, depth: int) -> tuple[int, ...]:
+    """Deterministic digit expansion of t in [0, (k+1)/k], the path's digits.
 
     The unit-interval image u = t*k/(k+1) fixes the first digit among the
     origin's k+1 successors; the remainder expands base k.  The expansion is
@@ -49,7 +41,7 @@ def path_from_parameter(t: float, k: int, depth: int) -> PathParam:
         d = min(int(math.floor(r * k)), k - 1)
         digits.append(d)
         r = r * k - d
-    return PathParam(t=t, digits=tuple(digits[:depth]))
+    return tuple(digits[:depth])
 
 
 def _path_comparison(path: tuple[int, ...], geo: BallGeometry) -> np.ndarray:
@@ -66,7 +58,7 @@ def _path_comparison(path: tuple[int, ...], geo: BallGeometry) -> np.ndarray:
     return cmp
 
 
-def split_components(path1: PathParam, path2: PathParam, k: int,
+def split_components(path1: tuple[int, ...], path2: tuple[int, ...], k: int,
                      depth: int) -> np.ndarray:
     """Component label (1, 2 or 3) for every ball vertex, in breadth-first order.
 
@@ -77,11 +69,11 @@ def split_components(path1: PathParam, path2: PathParam, k: int,
     right of the upper path (then the left side); this keeps the two extreme
     parameter choices exactly constant.
     """
-    if path1.digits[:depth] > path2.digits[:depth]:
+    if path1[:depth] > path2[:depth]:
         raise ValueError("paths must be ordered: lower path first")
     geo = ball_geometry(k, depth)
-    c1 = _path_comparison(path1.digits, geo)
-    c2 = _path_comparison(path2.digits, geo)
+    c1 = _path_comparison(path1, geo)
+    c2 = _path_comparison(path2, geo)
     on_both = 3 if np.any(c2 > 0) else 1
     return np.select([c2 > 0, c1 < 0, (c1 == 0) & (c2 == 0), c2 == 0, c1 == 0],
                      [3, 1, on_both, 3, 1], default=2)
@@ -137,8 +129,9 @@ def _json_floats(values: list[float]) -> list[str]:
 
 
 def extreme_laws(params: ModelParams,
-                 symmetric_roots: list[float] | None = None) -> dict[int, np.ndarray]:
-    """Component -> constant law: 1 -> low root, 2 -> middle, 3 -> high.
+                 symmetric_roots: list[float] | None = None) -> np.ndarray:
+    """The constant law of each component, shape (3, 2): rows 0, 1, 2 hold
+    components 1, 2, 3, from the low, middle and high symmetric roots.
 
     The symmetric roots are scanned unless given.
     """
@@ -147,12 +140,7 @@ def extreme_laws(params: ModelParams,
         raise ValueError(
             "path-pair fields need three symmetric solutions "
             "(negative coupling above the threshold)")
-    z_minus, z_mid, z_plus = roots
-    return {
-        1: np.array([0.0, math.log(z_minus)]),
-        2: np.array([0.0, math.log(z_mid)]),
-        3: np.array([0.0, math.log(z_plus)]),
-    }
+    return np.array([[0.0, math.log(z)] for z in roots])
 
 
 def build_field(t: float, s: float, params: ModelParams, depth: int,
@@ -173,10 +161,9 @@ def build_field(t: float, s: float, params: ModelParams, depth: int,
     p1 = path_from_parameter(t, k, depth)
     p2 = path_from_parameter(s, k, depth)
     comp = split_components(p1, p2, k, depth)
-    laws_by_comp = extreme_laws(params, symmetric_roots)
+    table = extreme_laws(params, symmetric_roots)
 
     geo = ball_geometry(k, depth)
-    table = np.stack([laws_by_comp[c] for c in (1, 2, 3)])
     laws = np.empty((geo.n_vertices, table.shape[1]))
     outer = geo.level(depth)
     laws[outer] = table[comp[outer] - 1]

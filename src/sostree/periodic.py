@@ -304,7 +304,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     return {
         "params": params.to_dict(),
         "subgroup": {"A": sorted(spec.parity_set)},
-        "I_nonempty": spec.contains_generator,
+        "I_nonempty": not spec.is_full,
         "ti_solutions": [list(s) for s in ti_set.full_solutions],
         "solutions": [s.to_json_dict() for s in solutions],
         "instability": instability,

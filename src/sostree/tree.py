@@ -9,9 +9,9 @@ combinatorics.
 
 This module also owns the breadth-first layout of a ball (`ball_geometry`):
 every field, kernel and spin configuration on a ball elsewhere in the package
-is an array whose rows follow it.  The layout is index arithmetic and its
-vertex labels are built as strings level by level; `Word`s are built only on
-demand, for callers that look vertices up by word.
+is an array whose rows follow it, and vertices are named by row.  The layout
+is index arithmetic and its vertex labels are built as strings level by
+level.  The word walk is the reference that the layout is tested against.
 """
 
 from __future__ import annotations
@@ -36,16 +36,6 @@ class Word:
         if not self.letters:
             return "e"
         return ".".join(str(a) for a in self.letters)
-
-    @staticmethod
-    def parse(text: str) -> "Word":
-        text = text.strip()
-        if text == "e" or text == "":
-            return Word()
-        letters = tuple(int(part) for part in text.split("."))
-        if any(a == b for a, b in zip(letters, letters[1:])):
-            raise ValueError(f"word {text!r} is not reduced")
-        return Word(letters)
 
 
 IDENTITY = Word()
@@ -151,12 +141,8 @@ class SubgroupSpec:
 
     @property
     def is_full(self) -> bool:
+        """Whether A is every generator, so the subgroup contains none (I(K) empty)."""
         return len(self.parity_set) == self.k + 1
-
-    @property
-    def contains_generator(self) -> bool:
-        """Whether the subgroup contains some generator (I(K) nonempty)."""
-        return not self.is_full
 
     def neighbour_counts(self, coset: int) -> tuple[int, int]:
         """How many of the k+1 neighbours of a vertex in `coset` lie in cosets 0 and 1.
@@ -171,7 +157,7 @@ class SubgroupSpec:
 
 @lru_cache(maxsize=None)
 def cached_ball(k: int, n: int) -> tuple[Word, ...]:
-    """Memoised ball enumeration, behind BallGeometry.words."""
+    """Memoised ball enumeration, the word-walk reference for BallGeometry's rows."""
     return tuple(ball(k, n))
 
 
@@ -183,8 +169,7 @@ class BallGeometry:
     generator order, which is also the (length, letters) order of the words.
     The direct successors of each level-d vertex are one contiguous block of
     level d+1: k+1 rows beneath the origin, k rows beneath any other vertex.
-    The layout is built without words; `words` and `index` enumerate the
-    ball on first use.
+    The layout is built without words: a vertex is its row.
     """
 
     k: int
@@ -196,11 +181,6 @@ class BallGeometry:
     @property
     def n_vertices(self) -> int:
         return self.offsets[-1]
-
-    @cached_property
-    def words(self) -> tuple[Word, ...]:
-        """The reduced word of each row."""
-        return cached_ball(self.k, self.depth)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -219,11 +199,6 @@ class BallGeometry:
             level = [(label + step, a) for label, last in level for step, a in successors[last]]
             labels.extend(label for label, _ in level)
         return tuple(labels)
-
-    @cached_property
-    def index(self) -> dict[Word, int]:
-        """Row of each word."""
-        return {w: i for i, w in enumerate(self.words)}
 
     @property
     def level_sizes(self) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from sostree import boundary, ti
 from sostree.boundary import (BoundaryLawField, compatibility_residual, constant_field,
-                              derivative_bounds, flip_field, injectivity_check, law_map,
+                              derivative_bounds, injectivity_check, law_map,
                               law_map_jac, perturb_field, slice_contraction_constant)
 from sostree.model import ModelParams
 from sostree.tree import ball_size
@@ -111,7 +111,8 @@ def test_component_zero_vanishes_on_symmetric_slice(theta, h0, h1):
 
 
 def flip_law(h):
-    # global spin flip j -> m-j of reduced laws, as in flip_field
+    # global spin flip j -> m-j of reduced laws: reverse the unreduced
+    # components and re-gauge the last one to zero
     u = boundary.unreduce(h)[..., ::-1]
     return (u - u[..., -1:])[..., :-1]
 
@@ -247,18 +248,6 @@ def test_derivative_bounds_theta_one_trivial():
     # all four ceilings vanish and the update is constant
     assert report.bound_partial == 0.0
     assert report.worst["pair"] <= 1e-9
-
-
-def test_flip_field_matches_weight_reversal():
-    rng = np.random.default_rng(7)
-    p = ModelParams(k=2, m=2, J=-1.0, beta=1.0)
-    fld = constant_field(rng.normal(size=2), p, 1)
-    flipped = flip_field(fld, 2)
-    for h, f in zip(fld.laws, flipped.laws):
-        w_unred = np.exp(np.concatenate([h, [0.0]]))
-        f_unred = np.exp(np.concatenate([f, [0.0]]))
-        ratio = w_unred[::-1] / w_unred[::-1][-1]
-        np.testing.assert_allclose(f_unred, ratio, rtol=1e-12)
 
 
 def test_perturb_field_shifts_all_laws(fm_high_field):

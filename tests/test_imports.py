@@ -1,4 +1,5 @@
-"""Module boundaries: no module of the package uses a sibling's private names."""
+"""Module boundaries: no module of the package uses a sibling's private names,
+and only `tree` names `Word` (fields on a ball are breadth-first arrays)."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,31 @@ def test_the_check_sees_imports_and_attribute_reads():
     ])
     assert sorted(sibling_private_names(source, "cli")) == [
         "boundary._sorted_lse", "measure._tables", "roots._grid", "tree._private_helper"]
+
+
+def identifiers(source):
+    """Every name that `source` imports, defines, reads or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "tree"],
+                         ids=lambda p: p.stem)
+def test_only_tree_names_word(path):
+    assert "Word" not in identifiers(path.read_text())
+
+
+def test_the_word_check_sees_imports_and_reads_but_not_text():
+    assert "Word" in identifiers("from .tree import Word")
+    assert "Word" in identifiers("from . import tree\nv = tree.Word()")
+    assert "Word" in identifiers("def f(w: Word) -> None: pass")
+    assert "Word" not in identifiers('"""Words are not Word objects."""\nwords = ()')

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sostree import boundary, measure, nonti, periodic, ti
 from sostree.boundary import BoundaryLawField, constant_field, perturb_field
 from sostree.model import ModelParams, hamiltonian
-from sostree.tree import Word, ball_geometry, ball_size, cached_ball
+from sostree.tree import ball_geometry, ball_size, cached_ball
 
 
 def random_field(params, depth, seed, scale=1.0):
@@ -220,15 +220,21 @@ def _dlr_reference(fld, params, n):
     return conditional, 0.5 * np.abs(mixed - inner).sum(), mass
 
 
+def _dlr_field(params, n, masked):
+    """A random depth-(n+1) field; masked: one sphere law component near -800
+    leaves some sphere configurations with exactly zero mass."""
+    fld = random_field(params, n + 1, seed=params.k + 10 * n)
+    if masked:
+        fld.laws[ball_geometry(params.k, n + 1).offsets[n + 1], 0] = -800.0
+    return fld
+
+
 @pytest.mark.parametrize("k, n", [(2, 0), (3, 0), (2, 1)])
 @pytest.mark.parametrize("masked", [False, True])
 def test_dlr_faces_match_a_reference(fm_params, k, n, masked):
-    # a sphere law component near -800 leaves some sphere configurations with
-    # exactly zero mass, which the conditional face must skip
+    # the conditional face must skip the sphere configurations of zero mass
     params = ModelParams(k=k, m=2, J=fm_params.J, beta=fm_params.beta)
-    fld = random_field(params, n + 1, seed=k + 10 * n)
-    if masked:
-        fld.laws[ball_geometry(k, n + 1).offsets[n + 1], 0] = -800.0
+    fld = _dlr_field(params, n, masked)
     conditional, equation, mass = _dlr_reference(fld, params, n)
     assert bool((mass == 0).any()) == masked and mass.any()
     br = measure.dlr_breakdown(fld, params, n)
@@ -241,19 +247,24 @@ def _bits(x):
     return np.float64(x).view(np.int64)
 
 
-@pytest.mark.parametrize("beta, branch", [(2.5915, 1), (2.9, 0), (2.9, 1), (2.95, 0)])
+@pytest.mark.parametrize("beta, branch", [(2.5915, 1), (2.9, 0), (2.9, 1), (2.95, 0), (2.0, None)])
 def test_dlr_unmasked_path_keeps_the_masked_bits(beta, branch):
-    # with mass on every sphere configuration the face skips the masked
-    # copies, whose column-major layout fixes how the axis-0 sum rounds; on
-    # these fields a row-major sum lands an ulp away
+    # the face divides the whole joint table and skips zero-mass columns in
+    # the max; it keeps the bits of the masked copies, whose column-major
+    # layout fixes how the axis-0 sum rounds (on the symmetric-root fields a
+    # row-major sum lands an ulp away).  Branch None is the zero-mass field
+    # of test_dlr_faces_match_a_reference.
     params = ModelParams(k=2, m=2, J=-1.0, beta=beta)
-    z = ti.solve_symmetric_roots(params)[branch]
-    fld = constant_field(np.array([0.0, math.log(z)]), params, 2)
+    if branch is None:
+        fld = _dlr_field(params, 1, masked=True)
+    else:
+        z = ti.solve_symmetric_roots(params)[branch]
+        fld = constant_field(np.array([0.0, math.log(z)]), params, 2)
     inner = measure.finite_volume_measure(fld, params, 1).probs
     joint = measure.finite_volume_measure(fld, params, 2).probs.reshape(inner.size, -1)
     mass = joint.sum(axis=0)
     every = mass > 0
-    assert every.all()
+    assert every.all() == (branch is not None)
     kernel = measure._gibbs_kernel_table(params, 1)
     masked = np.max(0.5 * np.abs(joint[:, every] / mass[every] - kernel[:, every]).sum(axis=0))
     assert _bits(measure.dlr_breakdown(fld, params, 1).conditional_tv) == _bits(masked)
@@ -295,26 +306,27 @@ def test_marginals_uniform_and_symmetric(fm_params, fm_roots):
     p = ModelParams(k=2, m=2, J=0.0, beta=1.0)
     fld = constant_field(np.zeros(2), p, 2)
     mu = measure.finite_volume_measure(fld, p, 2)
-    for w in cached_ball(2, 2):
-        np.testing.assert_allclose(mu.marginal([w]), np.full(3, 1 / 3), atol=1e-12)
+    for row in range(mu.geometry.n_vertices):
+        np.testing.assert_allclose(mu.marginal([row]), np.full(3, 1 / 3), atol=1e-12)
     # symmetric solution: root marginal has equal extreme-spin mass
     fld2 = constant_field(np.array([0.0, math.log(fm_roots[1])]), fm_params, 2)
-    root = measure.finite_volume_measure(fld2, fm_params, 2).marginal([Word()])
+    root = measure.finite_volume_measure(fld2, fm_params, 2).marginal([0])
     assert root[0] == pytest.approx(root[2], abs=1e-12)
 
 
 def test_marginal_routes_agree(fm_params, fm_high_field):
     mu = measure.finite_volume_measure(fm_high_field, fm_params, 2)
-    table_root = mu.marginal([Word()])
+    table_root = mu.marginal([0])
     kernel_root = measure.root_marginal(fm_high_field, fm_params, 2, method="transfer")
     np.testing.assert_allclose(table_root, kernel_root, atol=1e-10)
 
 
 def test_two_site_marginal_consistency(fm_params, fm_high_field):
     mu = measure.finite_volume_measure(fm_high_field, fm_params, 2)
-    pair = mu.marginal([Word(), Word((1,))])
-    np.testing.assert_allclose(pair.sum(axis=1), mu.marginal([Word()]), atol=1e-12)
-    np.testing.assert_allclose(pair.sum(axis=0), mu.marginal([Word((1,))]), atol=1e-12)
+    pair = mu.marginal([0, 1])
+    np.testing.assert_allclose(pair.sum(axis=1), mu.marginal([0]), atol=1e-12)
+    np.testing.assert_allclose(pair.sum(axis=0), mu.marginal([1]), atol=1e-12)
+    np.testing.assert_array_equal(mu.marginal([1, 0]), pair.T)
 
 
 def test_marginal_scale_guard(fm_params, fm_high_field):
@@ -328,7 +340,7 @@ def test_kernel_equivalence_for_built_field_types(fm_params):
     built = nonti.build_field(0.0, hi, fm_params, 2)
     mu = measure.finite_volume_measure(built.field, fm_params, 2)
     np.testing.assert_allclose(
-        mu.marginal([Word()]),
+        mu.marginal([0]),
         measure.root_marginal(built.field, fm_params, 2, method="transfer"), atol=1e-10)
     assert measure.compatibility_oracle(built.field, fm_params, 2) <= 1e-10
     assert measure.dlr_breakdown(built.field, fm_params, 0).max_violation <= 1e-10
@@ -400,25 +412,23 @@ def test_transition_kernel_chains_to_the_table_measure(k, n, m, theta, seed):
     kern = measure.transition_kernel(fld, params, n)
     mu = measure.finite_volume_measure(fld, params, n)
     geo = mu.geometry
-    np.testing.assert_allclose(kern.root_dist, mu.marginal([Word()]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kern.root_dist, mu.marginal([0]), rtol=0, atol=1e-12)
     marginals = np.empty((geo.n_vertices, m + 1))
     marginals[0] = kern.root_dist
     for v in range(1, geo.n_vertices):
         u = geo.parent_index[v]
         pair = marginals[u][:, None] * kern.kernels[v]
         marginals[v] = pair.sum(axis=0)
-        np.testing.assert_allclose(pair, mu.marginal([geo.words[u], geo.words[v]]),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair, mu.marginal([u, v]), rtol=0, atol=1e-12)
 
 
 def _table_chain(fld, params, n):
     """Root marginal and (parent, vertex) kernels of the enumerated depth-n table."""
     mu = measure.finite_volume_measure(fld, params, n)
     geo = mu.geometry
-    pairs = [mu.marginal([geo.words[geo.parent_index[v]], geo.words[v]])
-             for v in range(1, geo.n_vertices)]
+    pairs = [mu.marginal([geo.parent_index[v], v]) for v in range(1, geo.n_vertices)]
     kernels = np.array([pair / pair.sum(axis=1, keepdims=True) for pair in pairs])
-    return mu.marginal([Word()]), kernels.reshape(-1, params.m + 1, params.m + 1)
+    return mu.marginal([0]), kernels.reshape(-1, params.m + 1, params.m + 1)
 
 
 def _filled_field(params, depth, seed, symmetric):

@@ -14,9 +14,9 @@ from sostree.tree import ball_geometry, ball_size, vertex_addresses
 def test_path_parameter_endpoints():
     k = 2
     hi = (k + 1) / k
-    assert nonti.path_from_parameter(0.0, k, 6).digits == (0,) * 6
-    assert nonti.path_from_parameter(hi, k, 6).digits == (2,) + (1,) * 5
-    first = nonti.path_from_parameter(hi, k, 6).digits
+    assert nonti.path_from_parameter(0.0, k, 6) == (0,) * 6
+    assert nonti.path_from_parameter(hi, k, 6) == (2,) + (1,) * 5
+    first = nonti.path_from_parameter(hi, k, 6)
     assert first[0] == k and all(d == k - 1 for d in first[1:])
     with pytest.raises(ValueError):
         nonti.path_from_parameter(-0.01, k, 4)
@@ -30,8 +30,8 @@ def test_path_parameter_monotone():
     hi = (k + 1) / k
     for _ in range(300):
         t1, t2 = sorted(rng.uniform(0, hi, size=2))
-        d1 = nonti.path_from_parameter(t1, k, 8).digits
-        d2 = nonti.path_from_parameter(t2, k, 8).digits
+        d1 = nonti.path_from_parameter(t1, k, 8)
+        d2 = nonti.path_from_parameter(t2, k, 8)
         assert d1 <= d2
 
 
@@ -72,8 +72,8 @@ def _address_components(path1, path2, k, depth):
         return 0
 
     addressed = vertex_addresses(k, depth)
-    cmp1 = [compare(addr, path1.digits) for _, addr in addressed]
-    cmp2 = [compare(addr, path2.digits) for _, addr in addressed]
+    cmp1 = [compare(addr, path1) for _, addr in addressed]
+    cmp2 = [compare(addr, path2) for _, addr in addressed]
     any_right = any(c > 0 for c in cmp2)
     out = []
     for c1, c2 in zip(cmp1, cmp2):
@@ -229,7 +229,7 @@ def test_paths_differing_beyond_depth_are_indistinguishable(fm_params):
     t1 = 0.4
     d = nonti.path_from_parameter(t1, 2, 12)
     t2 = t1 + 1e-9
-    assert nonti.path_from_parameter(t2, 2, 6).digits == d.digits[:6]
+    assert nonti.path_from_parameter(t2, 2, 6) == d[:6]
     mat = nonti.distinctness_check([(0.0, t1), (0.0, t2)], fm_params, depth=6)
     assert mat[0, 1] == 0.0
 

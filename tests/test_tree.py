@@ -95,7 +95,7 @@ def test_neighbors_structure():
 def test_coset_profile_even_words():
     k = 3
     spec = SubgroupSpec(k=k, parity_set=frozenset(range(1, k + 2)))
-    assert not spec.contains_generator
+    assert spec.is_full
     assert spec.neighbour_counts(_coset(IDENTITY, spec)) == (0, k + 1)
     # every vertex has all neighbours in the opposite-length-parity coset
     for w in ball(k, 3):
@@ -106,7 +106,7 @@ def test_coset_profile_even_words():
 
 def test_coset_profile_single_generator():
     spec = SubgroupSpec(k=2, parity_set=frozenset({1}))
-    assert spec.contains_generator
+    assert not spec.is_full
     assert _coset(IDENTITY, spec) == 0
     assert spec.neighbour_counts(0) == _walk_counts(IDENTITY, spec) == (2, 1)
 
@@ -133,7 +133,7 @@ def test_subgroup_counts_match_word_walk(k):
     for size in range(1, k + 2):
         for letters in itertools.combinations(generators, size):
             spec = SubgroupSpec(k=k, parity_set=frozenset(letters))
-            assert spec.contains_generator == (size < k + 1)
+            assert spec.is_full == (size == k + 1)
             seen = set()
             for w in ball(k, 3):
                 n = _coset(w, spec)
@@ -168,17 +168,17 @@ def test_vertex_addresses_cover_ball():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_ball_geometry_layout(k, n):
+    # row i of the layout is the i-th word of the word walk
     geo = ball_geometry(k, n)
-    assert geo.words == tuple(ball(k, n))
-    assert geo.labels == tuple(str(w) for w in geo.words)
+    words = ball(k, n)
+    assert geo.labels == tuple(str(w) for w in words)
     assert geo.level_sizes == tuple(sphere_size(k, d) for d in range(n + 1))
     assert geo.parent_index[0] == -1
-    for i, w in enumerate(geo.words):
-        assert geo.index[w] == i
+    for i, w in enumerate(words):
         assert len(w) == next(d for d in range(n + 1) if i < geo.offsets[d + 1])
         if i:
             p = geo.parent_index[i]
-            assert geo.words[p] == parent(w)
+            assert words[p] == parent(w)
             assert direct_successors(parent(w), k)[geo.digits[i]] == w
     # each level's successors are one block of the next level per vertex
     rows = np.arange(geo.n_vertices)
@@ -195,9 +195,7 @@ def test_ball_labels_are_the_words(k):
 
 
 def test_word_serialization_round_trip():
-    for w in ball(3, 3):
-        assert Word.parse(str(w)) == w
+    for w in ball(3, 3)[1:]:
+        assert reduce_letters([int(a) for a in str(w).split(".")], 3) == w
     assert str(IDENTITY) == "e"
     assert str(Word((1, 2, 1))) == "1.2.1"
-    with pytest.raises(ValueError):
-        Word.parse("1.2.2")
