@@ -35,10 +35,11 @@ from .model import ModelParams
 from .tree import BallGeometry, ball_geometry, ball_size
 
 
-def sorted_lse(terms: np.ndarray, axis: int = -1) -> np.ndarray:
-    t = np.sort(terms, axis=axis)
-    hi = np.max(t, axis=axis, keepdims=True)
-    return np.squeeze(hi, axis=axis) + np.log(np.sum(np.exp(t - hi), axis=axis))
+def sorted_lse(terms: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis, of the terms in ascending order."""
+    t = np.sort(terms, axis=-1)
+    hi = np.max(t, axis=-1, keepdims=True)
+    return np.squeeze(hi, axis=-1) + np.log(np.sum(np.exp(t - hi), axis=-1))
 
 
 @functools.cache
@@ -234,6 +235,8 @@ def compatibility_residual(fld: BoundaryLawField, params: ModelParams) -> float:
 
 INJECTIVITY_TOL_IN = 1e-10   # update images this close count as equal
 INJECTIVITY_TOL_OUT = 1e-6   # arguments must then be this close
+BOUNDS_STEP = 1e-5           # central-difference step of derivative_bounds
+BOUNDS_TOL = 1e-6            # slack over each ceiling before derivative_bounds counts a violation
 
 
 def injectivity_check(h, l, theta: float) -> bool:
@@ -263,8 +266,6 @@ def slice_contraction_constant(theta: float) -> float:
 class BoundsReport:
     """Outcome of the sampled derivative / Lipschitz checks (m = 2)."""
 
-    theta: float
-    samples: int
     bound_partial: float          # ceiling for each |dF_i/dh_j|
     bound_pair: float             # ceiling for max-norm ratios of arbitrary pairs
     bound_slice: float            # ceiling for ratios of slice pairs (0, h1)
@@ -284,13 +285,12 @@ def _ratio_check(num: np.ndarray, den: np.ndarray, ceiling: float) -> tuple[floa
     return (float(np.max(ratios)) if ratios.size else 0.0), int(np.sum(ratios > ceiling))
 
 
-def derivative_bounds(theta: float, sample_count: int, seed: int = 0,
-                      step: float = 1e-5, tol: float = 1e-6) -> BoundsReport:
+def derivative_bounds(theta: float, sample_count: int, seed: int) -> BoundsReport:
     """Sampled verification of the m=2 derivative and Lipschitz ceilings.
 
     Draws `sample_count` points (and pairs) from [-10, 10]^2, estimates the
-    four partials by central differences with the given step, and counts
-    violations of each ceiling beyond `tol`.
+    four partials by central differences with step BOUNDS_STEP, and counts
+    violations of each ceiling beyond BOUNDS_TOL.
     """
     rng = np.random.default_rng(seed)
     t2 = theta * theta
@@ -309,29 +309,28 @@ def derivative_bounds(theta: float, sample_count: int, seed: int = 0,
     max_partial = 0.0
     for j in (0, 1):
         dh = np.zeros((1, 2))
-        dh[0, j] = step
-        diff = (law_map(h + dh, 2, theta) - law_map(h - dh, 2, theta)) / (2 * step)
+        dh[0, j] = BOUNDS_STEP
+        diff = (law_map(h + dh, 2, theta) - law_map(h - dh, 2, theta)) / (2 * BOUNDS_STEP)
         max_partial = max(max_partial, float(np.max(np.abs(diff))))
     worst["partial"] = max_partial
-    violations["partial"] = int(max_partial > c_partial + tol)
+    violations["partial"] = int(max_partial > c_partial + BOUNDS_TOL)
 
     # (b) pair ratios in the max norm
     num = np.max(np.abs(law_map(h, 2, theta) - law_map(l, 2, theta)), axis=-1)
     worst["pair"], violations["pair"] = _ratio_check(num, np.max(np.abs(h - l), axis=-1),
-                                                     c_pair + tol)
+                                                     c_pair + BOUNDS_TOL)
 
     # (c) slice pairs (0, h1) vs (0, l1)
     hs = np.column_stack([np.zeros(sample_count), rng.uniform(-10, 10, sample_count)])
     ls = np.column_stack([np.zeros(sample_count), rng.uniform(-10, 10, sample_count)])
     num = np.max(np.abs(law_map(hs, 2, theta) - law_map(ls, 2, theta)), axis=-1)
     worst["slice"], violations["slice"] = _ratio_check(num, np.max(np.abs(hs - ls), axis=-1),
-                                                       c_slice + tol)
+                                                       c_slice + BOUNDS_TOL)
 
     # (d) first component against |h_0|
     worst["first"], violations["first"] = _ratio_check(
-        np.abs(law_map(h, 2, theta)[..., 0]), np.abs(h[..., 0]), c_first + tol)
+        np.abs(law_map(h, 2, theta)[..., 0]), np.abs(h[..., 0]), c_first + BOUNDS_TOL)
 
-    return BoundsReport(theta=theta, samples=sample_count,
-                        bound_partial=c_partial, bound_pair=c_pair,
+    return BoundsReport(bound_partial=c_partial, bound_pair=c_pair,
                         bound_slice=c_slice, bound_first=c_first,
                         violations=violations, worst=worst)

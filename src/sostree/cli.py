@@ -103,9 +103,15 @@ def cmd_phase_diagram(args, params: None) -> Output:
         raise UsageError("give --beta-min, --beta-max and --beta-step")
     if not (0 <= args.beta_min < args.beta_max < math.inf and 0 < args.beta_step < math.inf):
         raise UsageError("invalid beta range")
+    # b grows by the step until it passes top: refuse 10^5 steps or more, and
+    # a step at or below the float spacing at top, which some b would absorb
+    top = args.beta_max + 1e-15
+    if (top - args.beta_min) / args.beta_step >= 10 ** 5 or args.beta_step <= math.ulp(top):
+        raise UsageError("--beta-step must split the beta range into fewer than 100000 "
+                         "steps, each above the float spacing of beta")
     sweep = []
     b = args.beta_min
-    while b <= args.beta_max + 1e-15:
+    while b <= top:
         try:
             sweep.append(ModelParams(k=args.k, m=2, J=args.J, beta=round(b, 12)))
         except ValueError as bad:

@@ -153,7 +153,7 @@ def _messages(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
     msgs[geo.level(n)] = _sphere_laws(fld, params, n)
     # sweep inward: each level's messages, summed over every sibling block
     for d in range(n - 1, -1, -1):
-        lse = sorted_lse(pair_exponents(msgs[geo.level(d + 1)], params.theta), axis=-1)
+        lse = sorted_lse(pair_exponents(msgs[geo.level(d + 1)], params.theta))
         msgs[geo.level(d)] = geo.successor_blocks(lse, d).sum(axis=1)
     return msgs
 
@@ -167,7 +167,7 @@ def log_partition(fld: BoundaryLawField, params: ModelParams, n: int,
                   method: str = "transfer") -> float:
     """Log normalising constant, by the message sweep or by table enumeration."""
     if method == "transfer":
-        return float(sorted_lse(_messages(fld, params, n)[0], axis=-1))
+        return float(sorted_lse(_messages(fld, params, n)[0]))
     if method == "enumerate":
         return finite_volume_measure(fld, params, n).log_z
     raise ValueError(f"unknown method {method!r}")

@@ -83,7 +83,6 @@ def split_components(path1: tuple[int, ...], path2: tuple[int, ...], k: int,
 class NonTiField:
     """Path-pair field on a ball, with the component of every vertex."""
 
-    depth: int
     t: float
     s: float
     field: BoundaryLawField
@@ -93,7 +92,7 @@ class NonTiField:
         data = self.field.to_json_dict()
         data["t"] = self.t
         data["s"] = self.s
-        labels = ball_geometry(self.field.k, self.depth).labels
+        labels = ball_geometry(self.field.k, self.field.depth).labels
         data["component_map"] = dict(zip(labels, self.components.tolist()))
         return data
 
@@ -106,10 +105,10 @@ class NonTiField:
         fld = self.field
         entry = ('    {\n      "vertex": "%s",\n      "h": [\n        '
                  + ",\n        ".join(["%s"] * fld.laws.shape[1]) + "\n      ]\n    }")
+        labels = ball_geometry(fld.k, fld.depth).labels
         columns = map(_json_floats, fld.laws.T.tolist())
-        entries = [entry % row for row in zip(ball_geometry(fld.k, fld.depth).labels, *columns)]
-        components = ['    "%s": %s' % pair for pair
-                      in zip(ball_geometry(fld.k, self.depth).labels, self.components.tolist())]
+        entries = [entry % row for row in zip(labels, *columns)]
+        components = ['    "%s": %s' % pair for pair in zip(labels, self.components.tolist())]
         return "".join([
             '{\n  "depth": %s,\n  "entries": [\n' % json.dumps(fld.depth),
             ",\n".join(entries),
@@ -128,19 +127,16 @@ def _json_floats(values: list[float]) -> list[str]:
     return list(map(_NON_FINITE.get, text, text))
 
 
-def extreme_laws(params: ModelParams,
-                 symmetric_roots: list[float] | None = None) -> np.ndarray:
+def extreme_laws(params: ModelParams, symmetric_roots: list[float]) -> np.ndarray:
     """The constant law of each component, shape (3, 2): rows 0, 1, 2 hold
-    components 1, 2, 3, from the low, middle and high symmetric roots.
-
-    The symmetric roots are scanned unless given.
+    components 1, 2, 3, from the low, middle and high symmetric roots
+    (`symmetric_roots`, solve_symmetric_roots of params).
     """
-    roots = ti.solve_symmetric_roots(params) if symmetric_roots is None else symmetric_roots
-    if len(roots) != 3:
+    if len(symmetric_roots) != 3:
         raise ValueError(
             "path-pair fields need three symmetric solutions "
             "(negative coupling above the threshold)")
-    return np.array([[0.0, math.log(z)] for z in roots])
+    return np.array([[0.0, math.log(z)] for z in symmetric_roots])
 
 
 def build_field(t: float, s: float, params: ModelParams, depth: int,
@@ -150,8 +146,8 @@ def build_field(t: float, s: float, params: ModelParams, depth: int,
     The consistency equation holds exactly (to the last bit) at interior
     vertices because they are filled from their successors; the prescription
     itself is only attained in the deep-ball limit, which root_convergence
-    quantifies.  The symmetric roots behind the extreme laws are scanned
-    unless given.
+    quantifies.  The extreme laws come from `symmetric_roots`, which are
+    solve_symmetric_roots of params, scanned here when None.
     """
     if t > s:
         raise ValueError("need t <= s")
@@ -161,6 +157,8 @@ def build_field(t: float, s: float, params: ModelParams, depth: int,
     p1 = path_from_parameter(t, k, depth)
     p2 = path_from_parameter(s, k, depth)
     comp = split_components(p1, p2, k, depth)
+    if symmetric_roots is None:
+        symmetric_roots = ti.solve_symmetric_roots(params)
     table = extreme_laws(params, symmetric_roots)
 
     geo = ball_geometry(k, depth)
@@ -170,14 +168,13 @@ def build_field(t: float, s: float, params: ModelParams, depth: int,
     for d in range(depth - 1, -1, -1):
         laws[geo.level(d)] = successor_law_sums(laws, geo, d, params)
     fld = BoundaryLawField(k=k, depth=depth, laws=laws)
-    return NonTiField(depth=depth, t=t, s=s, field=fld, components=comp)
+    return NonTiField(t=t, s=s, field=fld, components=comp)
 
 
 @dataclass
 class ConvergenceReport:
-    """Root-law stabilisation across depths."""
+    """Root-law stabilisation across depths, shallowest first."""
 
-    depths: list[int]
     root_laws: list[np.ndarray]
     differences: list[float]      # max-norm gaps between consecutive root laws
     rates: list[float]            # ratios of consecutive differences
@@ -193,8 +190,8 @@ def root_convergence(t: float, s: float, params: ModelParams,
     diffs = [float(np.max(np.abs(b - a))) for a, b in zip(root_laws, root_laws[1:])]
     rates = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
     cauchy = all(b <= a for a, b in zip(diffs, diffs[1:]))
-    return ConvergenceReport(depths=depths, root_laws=root_laws,
-                             differences=diffs, rates=rates, cauchy=cauchy)
+    return ConvergenceReport(root_laws=root_laws, differences=diffs, rates=rates,
+                             cauchy=cauchy)
 
 
 def field_distance(a: NonTiField, b: NonTiField) -> float:

@@ -92,12 +92,19 @@ def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
         return pp - z, dpp * dp - 1.0
 
     sols = []
-    for z in find_roots(f, lo, hi, n_grid=SLICE_GRID):
+    for z in find_roots(f, lo, hi, SLICE_GRID):
         t = float(psi(z))
         kind = FIXED if abs(z - t) <= PAIR_TOL * max(1.0, z, t) else CYCLE
         sols.append(Period2Solution(z=z, t=t, type=kind,
                                     full_pair=((1.0, z), (1.0, t))))
     return sols
+
+
+def _random_starts(params: ModelParams, n_starts: int, seed: int) -> tuple[np.ndarray, float]:
+    """Two (n_starts, 2) blocks of starts, drawn uniformly from [-c, c]^2 as one
+    (2, n_starts, 2) draw, and the box size c = 2k|ln theta| + 1."""
+    c = 2.0 * params.k * abs(math.log(params.theta)) + 1.0
+    return np.random.default_rng(seed).uniform(-c, c, size=(2, n_starts, 2)), c
 
 
 def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0):
@@ -116,9 +123,7 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0):
     k, theta, m = params.k, params.theta, params.m
     if m != 2:
         raise ValueError("the alternating system is specific to m = 2")
-    rng = np.random.default_rng(seed)
-    c = 2.0 * k * abs(math.log(theta)) + 1.0
-    hl = rng.uniform(-c, c, size=(2, n_starts, 2))   # h then l, as two draws would give
+    hl, c = _random_starts(params, n_starts, seed)   # h then l
     for _ in range(DAMPED_BUDGET):
         new = (1 - DAMPING) * hl + DAMPING * k * law_map(hl[::-1], 2, theta)
         settled = np.all(np.abs(new - hl) <= HANDOVER_STEP)
@@ -237,10 +242,9 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
     proper parity set it forces equal update images on the two cosets and
     hence (away from theta = 1) a translation-invariant limit.
     """
-    k, m, theta = params.k, params.m, params.theta
-    rng = np.random.default_rng(seed)
-    c = 2.0 * k * abs(math.log(theta)) + 1.0
-    h = [rng.uniform(-c, c, size=(n_starts, 2)), rng.uniform(-c, c, size=(n_starts, 2))]
+    m, theta = params.m, params.theta
+    starts, c = _random_starts(params, n_starts, seed)
+    h = list(starts)
     eqs = coset_equations(spec)
 
     # image of each coset law, renewed only when that law changes
@@ -256,7 +260,7 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
             break
 
     h0, h1, resid = _newton_finish(spec, params, np.concatenate(h, axis=-1), c + 20.0)
-    is_ti = np.max(np.abs(h0 - h1), axis=-1) <= 1e-8
+    is_ti = np.max(np.abs(h0 - h1), axis=-1) <= PAIR_TOL
     return ParityIterationResult(h_even=h0, h_odd=h1, residual=resid,
                                  converged=resid <= RESID_TOL, ti=is_ti)
 

@@ -40,15 +40,6 @@ def bisect(f: Callable, lo, hi, rel_tol: float = ROOT_REL_TOL):
     return _run([_halving(a, b, rel_tol) for a, b in zip(lo, hi)], *f)
 
 
-def newton_polish(fdf: tuple[Callable, Callable], x0, lo, hi) -> list[float]:
-    """A few guarded Newton steps from each x0 inside its [lo, hi], all at once.
-
-    `fdf` is a pair of evaluators as `bisect` takes them, which give (f, f')
-    pairs.  A start falls back to x0 if its steps do not improve |f|.
-    """
-    return _run([_newton(x, a, b) for x, a, b in zip(x0, lo, hi)], *fdf)
-
-
 def _halving(lo: float, hi: float, rel_tol: float):
     """Bisection of one bracket as a coroutine: it yields each point and is sent f there."""
     flo = yield lo
@@ -74,7 +65,11 @@ def _halving(lo: float, hi: float, rel_tol: float):
 
 
 def _newton(x0: float, lo: float, hi: float):
-    """Newton polish of one start as a coroutine: it yields each point and is sent (f, f')."""
+    """Newton polish of one start as a coroutine: it yields each point and is sent (f, f').
+
+    At most POLISH_STEPS guarded steps stay inside [lo, hi]; the start falls
+    back to x0 if its steps do not improve |f|.
+    """
     x, (fx, d) = x0, (yield x0)
     best, best_f = x0, abs(fx)
     for _ in range(POLISH_STEPS):
@@ -90,11 +85,6 @@ def _newton(x0: float, lo: float, hi: float):
         if fx == 0.0:
             break
     return best
-
-
-def _value_at(x: float):
-    """A job that evaluates f at x once and returns the value."""
-    return (yield x)
 
 
 def _run(jobs: list, one: Callable, many: Callable | None) -> list:
@@ -204,7 +194,7 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def find_roots(fdf: Callable, lo, hi, n_grid: int = 4096):
+def find_roots(fdf: Callable, lo, hi, n_grid: int):
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
     `fdf` returns f and its derivative together.  With float bounds it is
@@ -215,10 +205,10 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int = 4096):
     comes back.  Each lane's grid, sign tests and brackets are its own; the
     refinement of all lanes (extremum splits, bisections, Newton polish)
     runs as one batch, one fdf call per step for every job still running,
-    with the steps of `bisect` and `newton_polish`, so a lane's roots have
-    the bits of a scan of that lane alone.  The last FEW_JOBS jobs run one
-    by one at `np.float64` points, numpy scalars, which give the bits of
-    arrays at a fraction of the cost; so does a one-lane scan.
+    with the steps of `bisect` and of the guarded Newton polish, so a lane's
+    roots have the bits of a scan of that lane alone.  The last FEW_JOBS
+    jobs run one by one at `np.float64` points, numpy scalars, which give
+    the bits of arrays at a fraction of the cost; so does a one-lane scan.
 
     Brackets containing a sign change of f' are additionally split at the
     interior extremum, which recovers root pairs too close for the base grid
@@ -255,7 +245,7 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int = 4096):
     if splits:
         lanes, a, b = zip(*splits)
         xe = bisect(_batch(fdf, lanes, 1), a, b, rel_tol=1e-13)
-        fe = _run([_value_at(x) for x in xe], *_batch(fdf, lanes, 0))
+        fe = np.asarray(fdf(np.array(xe), np.array(lanes))[0], dtype=float).tolist()
         for lane, a, b, x, f_x, f_a in zip(lanes, a, b, xe, fe, split_f):
             if f_x == 0.0:
                 roots[lane].append(x)
@@ -264,7 +254,8 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int = 4096):
     if brackets:
         lanes, a, b = zip(*brackets)
         x0 = bisect(_batch(fdf, lanes, 0), a, b)
-        for lane, x in zip(lanes, newton_polish(_batch(fdf, lanes), x0, a, b)):
+        jobs = [_newton(x, lo_x, hi_x) for x, lo_x, hi_x in zip(x0, a, b)]
+        for lane, x in zip(lanes, _run(jobs, *_batch(fdf, lanes))):
             roots[lane].append(x)
     out = [[x for x, in _dedupe_rows([(x,) for x in r], ROOT_DEDUPE_TOL)] for r in roots]
     return out[0] if single else out

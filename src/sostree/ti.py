@@ -30,6 +30,8 @@ RESID_TOL = 1e-11         # 2D Newton limits with a larger defect are dropped
 DEDUPE_TOL = 1e-8         # 2D solutions closer than this (log space) are one
 DAMPING = 0.5             # weight of the new iterate in iterate_general_m
 GENERAL_M_TOL = 1e-12     # step size at which iterate_general_m stops
+GENERAL_M_STEPS = 2000    # ... or after this many damped steps
+THRESHOLD_TOL = 1e-7      # bracket width at which the threshold bisection stops
 # |ln z| up to which a weight z is a normal float (the limits are -708.4, 709.8)
 LOG_WEIGHT_MAX = 708.0
 
@@ -51,26 +53,20 @@ class SliceMap:
     k: int
 
     def __call__(self, z):
-        t = self.theta
-        return np.exp(self.k * (np.log(2 * t + z) - np.log(1 + t * t + t * z)))
+        return self.with_deriv(z)[0]
 
     def with_deriv(self, z):
-        """(psi(z), psi'(z)), with psi computed once, as __call__ computes it."""
+        """(psi(z), psi'(z)), with psi computed once."""
         t = self.theta
         return _psi_with_deriv(2 * t, 1 + t * t, 1 - t * t, t, self.k, z)
 
-    @property
-    def at_zero(self) -> float:
-        t = self.theta
-        return (2 * t / (1 + t * t)) ** self.k
-
-    @property
-    def at_infinity(self) -> float:
-        """theta^(-k), or inf where that leaves the float range (e^709.78)."""
-        return self.theta ** (-self.k) if -self.k * math.log(self.theta) < 709.0 else math.inf
-
     def range_interval(self) -> tuple[float, float]:
-        lo, hi = sorted((self.at_zero, self.at_infinity))
+        """psi(0) and theta^(-k), in ascending order; theta^(-k) is inf where
+        it leaves the float range (e^709.78)."""
+        t, k = self.theta, self.k
+        at_zero = (2 * t / (1 + t * t)) ** k
+        at_infinity = t ** (-k) if -k * math.log(t) < 709.0 else math.inf
+        lo, hi = sorted((at_zero, at_infinity))
         return lo, hi
 
 
@@ -161,7 +157,7 @@ def scan_scalar_roots(a: float, b: float, k: int) -> list[float]:
     ratio_lo, ratio_hi = sorted((b ** (-k), 1.0))
     lo = 0.25 * ratio_lo / a
     hi = 4.0 * ratio_hi / a
-    return find_roots(g, lo, hi, n_grid=SCAN_GRID)
+    return find_roots(g, lo, hi, SCAN_GRID)
 
 
 def critical_beta(J: float, k: int) -> float:
@@ -292,7 +288,7 @@ def solve(params: ModelParams) -> TiSolutionSet:
     _, label, _ = classify_scalar_family(*astuple(ReducedForm.from_params(params)), params.k)
     beta_cr = critical_beta(params.J, params.k) if (params.J < 0 and params.k >= 2) else None
     return TiSolutionSet(params=params, symmetric_roots=roots, classification=label,
-                         full_solutions=solve_full(params, symmetric_roots=roots),
+                         full_solutions=solve_full(params, roots),
                          beta_cr=beta_cr)
 
 
@@ -305,8 +301,7 @@ def _log_e(a: int, t):
     return np.log(ma / m1), a * np.exp(-a * t) / ma - np.exp(-t) / m1
 
 
-def solve_full(params: ModelParams,
-               symmetric_roots: list[float] | None = None) -> list[tuple[float, float]]:
+def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[float, float]]:
     """All constant-law solutions (z0, z1) whose weights are normal floats.
 
     With z0 = u^k, off the slice u = 1 the first fixed-point equation gives
@@ -320,8 +315,8 @@ def solve_full(params: ModelParams,
     POLISH_STEPS batched Newton steps polish the seeds.  Every solution has
     |h_i| <= 2k|ln theta|; those past LOG_WEIGHT_MAX, which no weight can
     express, are left out.  The z0 = 1 branch is exact: (1.0, z) for each
-    symmetric root z (scanned here unless given), and Newton limits within
-    the dedupe tolerance of it are dropped.
+    symmetric root z of `symmetric_roots` (solve_symmetric_roots of params),
+    and Newton limits within the dedupe tolerance of it are dropped.
     """
     if params.m != 2:
         raise ValueError("the 2D solver is specific to m = 2")
@@ -363,8 +358,6 @@ def solve_full(params: ModelParams,
     # limits that dedupe would merge with the slice give way to the exact roots
     x = x[np.abs(x[:, 0]) > DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))]
     h_max = math.log(max(1e6, math.exp(bound))) + 1e-9
-    if symmetric_roots is None:
-        symmetric_roots = solve_symmetric_roots(params)
     kept = [(math.exp(a), math.exp(b)) for a, b in dedupe(x, DEDUPE_TOL)
             if max(abs(a), abs(b)) <= h_max]
     return sorted(kept + [(1.0, z) for z in symmetric_roots if abs(math.log(z)) <= h_max])
@@ -379,36 +372,37 @@ class GeneralMReport:
     h: np.ndarray
     residual: float
     symmetric: bool
-    last_delta: float
 
 
-def iterate_general_m(params: ModelParams, init=None, max_iter: int = 2000) -> GeneralMReport:
-    """Damped iteration h <- (1-d) h + d * k * law_map(h) for any m >= 2.
+def iterate_general_m(params: ModelParams) -> GeneralMReport:
+    """Damped iteration h <- (1-d) h + d * k * law_map(h) for any m >= 2, from h = 0.
 
-    Divergence is reported, never raised.  The symmetry flag records whether
-    the limit has equal unreduced weights for spins j and m-j (within 1e-8).
+    It stops once a step moves h by at most GENERAL_M_TOL, or after
+    GENERAL_M_STEPS steps.  Divergence is reported, never raised.  The
+    symmetry flag records whether the limit has equal unreduced weights for
+    spins j and m-j (within 1e-8).
     """
     m, k, theta = params.m, params.k, params.theta
-    h = np.zeros(m) if init is None else np.asarray(init, dtype=float).copy()
+    h = np.zeros(m)
     delta = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, GENERAL_M_STEPS + 1):
         nxt = (1.0 - DAMPING) * h + DAMPING * k * law_map(h, m, theta)
         delta = float(np.max(np.abs(nxt - h)))
         h = nxt
         if not np.all(np.isfinite(h)):
-            return GeneralMReport(False, iterations, h, math.inf, False, delta)
+            return GeneralMReport(False, iterations, h, math.inf, False)
         if delta <= GENERAL_M_TOL:
             break
     residual = float(np.max(np.abs(h - k * law_map(h, m, theta))))
     u = np.concatenate([h, [0.0]])
     symmetric = bool(np.max(np.abs(u - u[::-1])) <= 1e-8)
-    return GeneralMReport(delta <= GENERAL_M_TOL, iterations, h, residual, symmetric, delta)
+    return GeneralMReport(delta <= GENERAL_M_TOL, iterations, h, residual, symmetric)
 
 
-def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float,
-                               beta_tol: float = 1e-7) -> float:
-    """Bisection on the symmetric root count between a 1-root and a 3-root beta.
+def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float) -> float:
+    """Bisection on the symmetric root count between a 1-root and a 3-root beta,
+    down to a bracket of width THRESHOLD_TOL.
 
     The scan enforces the classification's count away from tangencies, so
     the betas the bisection will visit are predicted from the classification
@@ -433,7 +427,7 @@ def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float,
     def count(lo: float, hi: float) -> int:
         mid = 0.5 * (lo + hi)
         if mid not in scanned:
-            path = _count_bisection(lo, hi, beta_tol, predicted)[1]
+            path = _count_bisection(lo, hi, predicted)[1]
             scanned.update(zip(path, _symmetric_lanes([params(b) for b in path])))
         if isinstance(scanned[mid], Exception):
             raise scanned[mid]
@@ -442,14 +436,14 @@ def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float,
     c_lo, c_hi = (len(roots) for roots in symmetric_root_lanes([params(lo), params(hi)]))
     if c_lo != 1 or c_hi < 3:
         raise ValueError(f"bracket does not straddle the transition: counts {c_lo}, {c_hi}")
-    return _count_bisection(lo, hi, beta_tol, count)[0]
+    return _count_bisection(lo, hi, count)[0]
 
 
-def _count_bisection(lo: float, hi: float, beta_tol: float, count) -> tuple[float, list[float]]:
+def _count_bisection(lo: float, hi: float, count) -> tuple[float, list[float]]:
     """Bisection of [lo, hi] on count(lo, hi), the root count at its midpoint:
     the beta found and the midpoints visited."""
     visited = []
-    while hi - lo > beta_tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         visited.append(mid)
         c = count(lo, hi)

@@ -34,8 +34,8 @@ def test_criterion_01_critical_point_reproduction():
     t0 = time.perf_counter()
     closed2 = ti.critical_beta(-1.0, 2)
     closed3 = ti.critical_beta(-1.0, 3)
-    found2 = ti.locate_symmetric_threshold(-1.0, 2, 1.0, 2.5, beta_tol=1e-7)
-    found3 = ti.locate_symmetric_threshold(-1.0, 3, 0.5, 2.0, beta_tol=1e-7)
+    found2 = ti.locate_symmetric_threshold(-1.0, 2, 1.0, 2.5)
+    found3 = ti.locate_symmetric_threshold(-1.0, 3, 0.5, 2.0)
     elapsed = time.perf_counter() - t0
     ok = (abs(found2 - closed2) <= 1e-6 and abs(found3 - closed3) <= 1e-6
           and elapsed < 5.0)
@@ -53,7 +53,7 @@ def test_criterion_02_afm_uniqueness_sweep():
     for J in (0.5, 1.0, 2.0):
         for k in (2, 3, 4):
             for i in range(1, 51):
-                sols = ti.solve_full(ModelParams(k=k, m=2, J=J, beta=0.1 * i))
+                sols = ti.solve(ModelParams(k=k, m=2, J=J, beta=0.1 * i)).full_solutions
                 n_checked += 1
                 if len(sols) != 1:
                     report(2, False, f"J={J} k={k} beta={0.1 * i:.1f}: {len(sols)} solutions")
@@ -142,7 +142,7 @@ def test_criterion_06_derivative_bounds():
     total_violations = 0
     worst_margin = []
     for theta in (0.3, 0.5, 0.9, 1.5):
-        rep = boundary.derivative_bounds(theta, 10_000, seed=2024, step=1e-5, tol=1e-6)
+        rep = boundary.derivative_bounds(theta, 10_000, seed=2024)
         total_violations += sum(rep.violations.values())
         worst_margin.append(max(rep.worst["partial"] - rep.bound_partial,
                                 rep.worst["pair"] - rep.bound_pair,
@@ -200,7 +200,7 @@ def test_criterion_08_afm_chess_board():
 def test_criterion_09_parity_subgroups():
     fm = ModelParams(k=2, m=2, J=-1.0, beta=2.0)
     afm = ModelParams(k=2, m=2, J=1.0, beta=1.0)
-    ti_sols = {p: ti.solve_full(p) for p in (fm, afm)}
+    ti_sols = {p: ti.solve(p).full_solutions for p in (fm, afm)}
     all_ti = True
     for r in (1, 2):
         for a_set in itertools.combinations((1, 2, 3), r):

@@ -357,6 +357,14 @@ def test_sample_depth_zero(tmp_path):
      "--beta-step", "inf"],
     ["phase-diagram", "--k", "2", "--J", "0", "--beta-min", "1", "--beta-max", "inf",
      "--beta-step", "1"],
+    # b += step left b unchanged, or ran on to beta-max + 1e-15 in steps of
+    # 1e-304, so the sweep once grew until memory ran out
+    ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1", "--beta-max", "2",
+     "--beta-step", "1e-300"],
+    ["phase-diagram", "--k", "2", "--J", "0", "--beta-min", "1e20",
+     "--beta-max", "1.0000000000001e20", "--beta-step", "1000"],
+    ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "0", "--beta-max", "1e-300",
+     "--beta-step", "1e-304"],
     # every command requires m = 2
     ["solve-periodic", "--k", "2", "--m", "3", "--theta", "1.5"],
     ["sample", "--k", "2", "--m", "1", "--J", "-1", "--beta", "2"],

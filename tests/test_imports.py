@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package uses a sibling's private names,
-and only `tree` names `Word` (fields on a ball are breadth-first arrays)."""
+only `tree` names `Word` (fields on a ball are breadth-first arrays), and the
+public functions take no optional parameter beyond a pinned set."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,67 @@ def test_the_word_check_sees_imports_and_reads_but_not_text():
     assert "Word" in identifiers("from . import tree\nv = tree.Word()")
     assert "Word" in identifiers("def f(w: Word) -> None: pass")
     assert "Word" not in identifiers('"""Words are not Word objects."""\nwords = ()')
+
+
+# Each of these has a non-test caller that sets it, or is the documented
+# choice of a caller (cli.main(argv) defaults to sys.argv).  A value that only
+# tests vary is a module constant that they monkeypatch instead.
+PUBLIC_DEFAULTS = [
+    "cli.main(argv)",
+    "measure.compatibility_oracle(table)",
+    "measure.dlr_breakdown(table)",
+    "measure.log_partition(method)",
+    "measure.root_marginal(method)",
+    "measure.symmetry_check(table)",
+    "nonti.build_field(symmetric_roots)",
+    "periodic.alternating_limits(n_starts)",
+    "periodic.alternating_limits(seed)",
+    "periodic.cycle_instability(roots)",
+    "periodic.iterate_parity_system(n_starts)",
+    "periodic.iterate_parity_system(seed)",
+    "periodic.solve_two_cycle_full(n_starts)",
+    "periodic.solve_two_cycle_full(seed)",
+    "roots.batched_newton(tol)",
+    "roots.bisect(rel_tol)",
+]
+
+
+def public_defaults(source, module):
+    """`module.function(parameter)` of every parameter with a default on a
+    public function, or a public method of a public class, of `source`."""
+    found = []
+
+    def scan(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                scan(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found.extend(f"{module}.{prefix}{node.name}({a.arg})" for a in with_default)
+
+    scan(ast.parse(source).body, "")
+    return found
+
+
+def test_every_public_default_is_pinned():
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in public_defaults(path.read_text(), path.stem)]
+    assert sorted(found) == PUBLIC_DEFAULTS
+
+
+def test_the_default_scan_sees_functions_methods_and_keywords():
+    source = "\n".join([
+        "def f(a, b=1, *, c, d=2): pass",
+        "def _hidden(a=1): pass",
+        "class C:",
+        "    def m(self, x=0): pass",
+        "    def _p(self, y=0): pass",
+        "class _D:",
+        "    def m(self, z=0): pass",
+        "def g(a, /, b=0, *args, **kw):",
+        "    def inner(q=1): pass",
+    ])
+    assert public_defaults(source, "mod") == ["mod.f(b)", "mod.f(d)", "mod.C.m(x)", "mod.g(b)"]

@@ -254,8 +254,7 @@ def test_field_json_text_is_json_dumps(k, depth, seed, t, s):
     rng = np.random.default_rng(seed)
     n = ball_size(k, depth)
     fld = boundary.BoundaryLawField(k=k, depth=depth, laws=rng.normal(scale=50.0, size=(n, 2)))
-    nf = nonti.NonTiField(depth=depth, t=t, s=s, field=fld,
-                          components=rng.integers(1, 4, size=n))
+    nf = nonti.NonTiField(t=t, s=s, field=fld, components=rng.integers(1, 4, size=n))
     assert nf.to_json_text() == _dumps(nf)
 
 
@@ -263,7 +262,7 @@ def test_field_json_text_writes_json_floats():
     special = [-0.0, 0.0, 1e-300, 1e300, 5e-324, 0.1, math.nan, math.inf, -math.inf]
     fld = boundary.BoundaryLawField(k=2, depth=2, laws=np.resize(special, (ball_size(2, 2), 2)))
     for t, s in [(0.0, -0.0), (math.nan, math.inf), (-math.inf, 1e300), (1, 2)]:
-        nf = nonti.NonTiField(depth=2, t=t, s=s, field=fld,
+        nf = nonti.NonTiField(t=t, s=s, field=fld,
                               components=np.arange(ball_size(2, 2)) % 3 + 1)
         text = nf.to_json_text()
         assert text == _dumps(nf)

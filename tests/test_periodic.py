@@ -147,7 +147,7 @@ def test_alternating_full_fm_all_equal_pairs(monkeypatch, fm_params):
     assert resid.max() <= 1e-10
     assert np.max(np.abs(h - l)) <= 1e-8
     # every limit is one of the translation-invariant solutions
-    sols = np.log(ti.solve_full(fm_params))
+    sols = np.log(ti.solve(fm_params).full_solutions)
     for row in h:
         gap = np.max(np.abs(sols - row), axis=-1) / max(1.0, np.max(np.abs(row)))
         assert gap.min() <= 1e-10
@@ -188,7 +188,7 @@ def test_parity_residuals_swap_symmetry(cycle_params):
 
 
 def test_parity_iteration_proper_subgroups_reach_ti_only(fm_params, afm_params):
-    full_sols = {p: ti.solve_full(p) for p in (fm_params, afm_params)}
+    full_sols = {p: ti.solve(p).full_solutions for p in (fm_params, afm_params)}
     for r in (1, 2):
         for a_set in itertools.combinations((1, 2, 3), r):
             spec = SubgroupSpec(k=2, parity_set=frozenset(a_set))
@@ -328,7 +328,7 @@ def test_parity_newton_finishes_what_the_sweep_could_not(k, theta, seed, n_start
     res = periodic.iterate_parity_system(spec, p, n_starts=n_starts, seed=seed)
     assert res.converged.sum() > before
     assert res.ti[res.converged].all()
-    sols = np.log(ti.solve_full(p))
+    sols = np.log(ti.solve(p).full_solutions)
     for row in res.h_even[res.converged]:
         gap = np.max(np.abs(sols - row), axis=-1) / np.maximum(1.0, np.max(np.abs(sols), axis=-1))
         assert gap.min() <= 1e-6

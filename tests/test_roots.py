@@ -132,7 +132,7 @@ def test_dedupe_is_relative_for_large_roots():
     def fdf(x):
         return (x / big - 1.0) * (x / big - 2.0), (2.0 * x / big - 3.0) / big
 
-    assert find_roots(fdf, 0.1 * big, 3 * big) == pytest.approx([big, 2 * big], rel=1e-12)
+    assert find_roots(fdf, 0.1 * big, 3 * big, 4096) == pytest.approx([big, 2 * big], rel=1e-12)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

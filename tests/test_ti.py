@@ -148,11 +148,12 @@ def test_threshold_equals_the_scan_by_scan_bisection(monkeypatch, k, lo, hi, tol
     # the lane batch over the predicted midpoints returns the float of the
     # scan-by-scan bisection, and the same error where the bracket does not
     # straddle the transition (1.0-1.9 and 1.6-2.0)
+    monkeypatch.setattr(ti, "THRESHOLD_TOL", tol)
     try:
         expected = _scan_by_scan_threshold(-1.0, k, lo, hi, tol)
     except ValueError as bad:
         with pytest.raises(ValueError, match=re.escape(str(bad))):
-            ti.locate_symmetric_threshold(-1.0, k, lo, hi, tol)
+            ti.locate_symmetric_threshold(-1.0, k, lo, hi)
         return
     scans = []
 
@@ -161,7 +162,7 @@ def test_threshold_equals_the_scan_by_scan_bisection(monkeypatch, k, lo, hi, tol
         return roots.find_roots(fdf, lo, hi, n_grid)
 
     monkeypatch.setattr(ti, "find_roots", counting)
-    assert ti.locate_symmetric_threshold(-1.0, k, lo, hi, tol) == expected
+    assert ti.locate_symmetric_threshold(-1.0, k, lo, hi) == expected
     # one scan of both ends, one of every midpoint
     assert len(scans) == 2 and scans[0] == 2 and scans[1] > 20
 
@@ -332,20 +333,20 @@ def test_solutions_satisfy_field_residual(fm_params, fm_roots):
 
 
 def test_solve_full_afm_unique(afm_params):
-    sols = ti.solve_full(afm_params)
+    sols = ti.solve(afm_params).full_solutions
     assert len(sols) == 1
     assert sols[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_full_fm_below_transition():
     p = ModelParams(k=2, m=2, J=-1.0, beta=0.5)
-    sols = ti.solve_full(p)
+    sols = ti.solve(p).full_solutions
     assert len(sols) == 1
     assert sols[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_full_fm_above_transition(fm_params, fm_roots):
-    sols = ti.solve_full(fm_params)
+    sols = ti.solve_full(fm_params, symmetric_roots=fm_roots)
     # contains the whole symmetric branch
     sym = [s for s in sols if abs(s[0] - 1.0) <= 1e-9]
     assert len(sym) == 3
@@ -412,7 +413,7 @@ def _certified_off_slice_count(params: ModelParams) -> int:
 @given(k=st.integers(2, 5), J=st.sampled_from([-1.0, 1.0]), beta=st.floats(0.3, 3.0))
 def test_solve_full_off_slice_count_is_certified(k, J, beta):
     p = ModelParams(k=k, m=2, J=J, beta=beta)
-    found = sum(z0 != 1.0 for z0, _ in ti.solve_full(p))
+    found = sum(z0 != 1.0 for z0, _ in ti.solve(p).full_solutions)
     assert found == _certified_off_slice_count(p)
 
 
@@ -423,7 +424,7 @@ def test_solve_full_is_closed_under_the_spin_flip(k, J):
     # weights are normal floats is listed too
     for beta in (0.5, 1.612, 2.3, 3.0):
         p = ModelParams(k=k, m=2, J=J, beta=beta)
-        hs = np.log(np.array(ti.solve_full(p)))
+        hs = np.log(np.array(ti.solve(p).full_solutions))
         for h0, h1 in hs:
             image = np.array([-h0, h1 - h0])
             if np.max(np.abs(image)) <= ti.LOG_WEIGHT_MAX:
@@ -437,7 +438,7 @@ def test_solve_full_is_quiet_at_k_200():
     # h = +-(1200, 600) lies past the float range and is left out
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts = [len(ti.solve_full(ModelParams(200, 2, -1.0, beta)))
+        counts = [len(ti.solve(ModelParams(200, 2, -1.0, beta)).full_solutions)
                   for beta in (0.5, 1.612, 3.0)]
     assert counts == [7, 7, 5]
 
@@ -461,7 +462,7 @@ def test_general_m_iteration_theta_one():
 
 
 def test_general_m_iteration_m2_lands_on_symmetric_root(fm_params, fm_roots):
-    report = ti.iterate_general_m(fm_params, init=np.zeros(2))
+    report = ti.iterate_general_m(fm_params)
     assert report.converged
     assert report.residual <= 1e-10
     z = math.exp(report.h[1])
@@ -472,7 +473,7 @@ def test_general_m_iteration_m2_lands_on_symmetric_root(fm_params, fm_roots):
 def test_general_m_iteration_m3_probe():
     # exploratory: record convergence and the symmetry flag, no truth claim
     p = ModelParams(k=2, m=3, J=-1.0, beta=2.0)
-    report = ti.iterate_general_m(p, init=np.zeros(3), max_iter=5000)
+    report = ti.iterate_general_m(p)
     assert report.converged
     assert report.residual <= 1e-10
     assert isinstance(report.symmetric, bool)
