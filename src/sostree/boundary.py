@@ -27,7 +27,7 @@ slice exactly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,106 +231,3 @@ def compatibility_residual(fld: BoundaryLawField, params: ModelParams) -> float:
         gap = fld.laws[geo.level(d)] - successor_law_sums(fld.laws, geo, d, params)
         worst = max(worst, float(np.max(np.abs(gap))))
     return worst
-
-
-INJECTIVITY_TOL_IN = 1e-10   # update images this close count as equal
-INJECTIVITY_TOL_OUT = 1e-6   # arguments must then be this close
-BOUNDS_STEP = 1e-5           # central-difference step of derivative_bounds
-BOUNDS_TOL = 1e-6            # slack over each ceiling before derivative_bounds counts a violation
-
-
-def injectivity_check(h, l, theta: float) -> bool:
-    """Numerical form of injectivity of the m=2 update away from theta = 1.
-
-    Returns whether "update images within INJECTIVITY_TOL_IN implies
-    arguments within INJECTIVITY_TOL_OUT" holds for this pair; h = l is
-    always accepted.
-    """
-    if theta == 1.0:
-        raise ValueError("theta = 1 is excluded: the update is constant there")
-    h = np.asarray(h, dtype=float)
-    l = np.asarray(l, dtype=float)
-    df = float(np.max(np.abs(law_map(h, 2, theta) - law_map(l, 2, theta))))
-    if df > INJECTIVITY_TOL_IN:
-        return True
-    return float(np.max(np.abs(h - l))) <= INJECTIVITY_TOL_OUT
-
-
-def slice_contraction_constant(theta: float) -> float:
-    """Sharp Lipschitz constant of the m=2 update along the slice h = (0, h1)."""
-    t2 = theta * theta
-    return abs(t2 - 1.0) / (1.0 + 3.0 * t2 + 2.0 * theta * np.sqrt(2.0 * (t2 + 1.0)))
-
-
-@dataclass
-class BoundsReport:
-    """Outcome of the sampled derivative / Lipschitz checks (m = 2)."""
-
-    bound_partial: float          # ceiling for each |dF_i/dh_j|
-    bound_pair: float             # ceiling for max-norm ratios of arbitrary pairs
-    bound_slice: float            # ceiling for ratios of slice pairs (0, h1)
-    bound_first: float            # ceiling for |F_0(h)| / |h_0|
-    violations: dict = field(default_factory=dict)
-    worst: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(v == 0 for v in self.violations.values())
-
-
-def _ratio_check(num: np.ndarray, den: np.ndarray, ceiling: float) -> tuple[float, int]:
-    """Largest num/den over den > 1e-12 (0 if none), and how many ratios pass the ceiling."""
-    keep = den > 1e-12
-    ratios = num[keep] / den[keep]
-    return (float(np.max(ratios)) if ratios.size else 0.0), int(np.sum(ratios > ceiling))
-
-
-def derivative_bounds(theta: float, sample_count: int, seed: int) -> BoundsReport:
-    """Sampled verification of the m=2 derivative and Lipschitz ceilings.
-
-    Draws `sample_count` points (and pairs) from [-10, 10]^2, estimates the
-    four partials by central differences with step BOUNDS_STEP, and counts
-    violations of each ceiling beyond BOUNDS_TOL.
-    """
-    rng = np.random.default_rng(seed)
-    t2 = theta * theta
-    c_partial = abs(t2 - 1.0) / t2
-    c_pair = 2.0 * c_partial
-    c_slice = slice_contraction_constant(theta)
-    c_first = abs(t2 - 1.0) / (t2 + 1.0)
-
-    h = rng.uniform(-10.0, 10.0, size=(sample_count, 2))
-    l = rng.uniform(-10.0, 10.0, size=(sample_count, 2))
-
-    worst: dict[str, float] = {}
-    violations: dict[str, int] = {}
-
-    # (a) partial derivatives by central differences
-    max_partial = 0.0
-    for j in (0, 1):
-        dh = np.zeros((1, 2))
-        dh[0, j] = BOUNDS_STEP
-        diff = (law_map(h + dh, 2, theta) - law_map(h - dh, 2, theta)) / (2 * BOUNDS_STEP)
-        max_partial = max(max_partial, float(np.max(np.abs(diff))))
-    worst["partial"] = max_partial
-    violations["partial"] = int(max_partial > c_partial + BOUNDS_TOL)
-
-    # (b) pair ratios in the max norm
-    num = np.max(np.abs(law_map(h, 2, theta) - law_map(l, 2, theta)), axis=-1)
-    worst["pair"], violations["pair"] = _ratio_check(num, np.max(np.abs(h - l), axis=-1),
-                                                     c_pair + BOUNDS_TOL)
-
-    # (c) slice pairs (0, h1) vs (0, l1)
-    hs = np.column_stack([np.zeros(sample_count), rng.uniform(-10, 10, sample_count)])
-    ls = np.column_stack([np.zeros(sample_count), rng.uniform(-10, 10, sample_count)])
-    num = np.max(np.abs(law_map(hs, 2, theta) - law_map(ls, 2, theta)), axis=-1)
-    worst["slice"], violations["slice"] = _ratio_check(num, np.max(np.abs(hs - ls), axis=-1),
-                                                       c_slice + BOUNDS_TOL)
-
-    # (d) first component against |h_0|
-    worst["first"], violations["first"] = _ratio_check(
-        np.abs(law_map(h, 2, theta)[..., 0]), np.abs(h[..., 0]), c_first + BOUNDS_TOL)
-
-    return BoundsReport(bound_partial=c_partial, bound_pair=c_pair,
-                        bound_slice=c_slice, bound_first=c_first,
-                        violations=violations, worst=worst)

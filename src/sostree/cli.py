@@ -103,6 +103,9 @@ def cmd_phase_diagram(args, params: None) -> Output:
         raise UsageError("give --beta-min, --beta-max and --beta-step")
     if not (0 <= args.beta_min < args.beta_max < math.inf and 0 < args.beta_step < math.inf):
         raise UsageError("invalid beta range")
+    # each row prints its beta rounded to 12 decimals, so a finer step repeats betas
+    if args.beta_step < 1e-12:
+        raise UsageError("--beta-step must be at least 1e-12, the precision of the printed beta")
     # b grows by the step until it passes top: refuse 10^5 steps or more, and
     # a step at or below the float spacing at top, which some b would absorb
     top = args.beta_max + 1e-15

@@ -1,20 +1,16 @@
-"""Model parameters and energy evaluation for finite spin configurations.
+"""Model parameters (k, m, J, beta) and their reading from config text.
 
 The model assigns spins from {0..m} to tree vertices with nearest-neighbour
 energy -J * sum |s(x) - s(y)|.  J < 0 is the ferromagnetic regime, J > 0 the
 antiferromagnetic one.  Everything downstream of the energy depends on the
 parameters only through the activation theta = exp(J*beta), which is computed
-once per parameter set.
+once per parameter set; `measure` builds the edge weights from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from .tree import ball_geometry, ball_size
 
 
 @dataclass(frozen=True)
@@ -75,23 +71,3 @@ def parse_params_text(text: str) -> ModelParams:
         )
     except KeyError as missing:
         raise ValueError(f"config missing key {missing.args[0]!r}") from None
-
-
-def hamiltonian(spins, params: ModelParams, depth: int) -> np.ndarray:
-    """Energy over all edges with both endpoints inside the ball.
-
-    `spins` is a breadth-first spin array of shape (..., ball_size(k, depth));
-    the result has shape spins.shape[:-1].
-    """
-    spins = np.asarray(spins)
-    width = ball_size(params.k, depth)
-    if spins.shape[-1:] != (width,):
-        raise ValueError(f"configuration needs {width} spins, one per ball vertex")
-    if spins.size and not (spins.min() >= 0 and spins.max() <= params.m):
-        raise ValueError(f"spins must lie in 0..{params.m}")
-    # gaps are added one edge at a time, so no (rows x edges) array is formed
-    parent_index = ball_geometry(params.k, depth).parent_index
-    total = np.zeros(spins.shape[:-1])
-    for j in range(1, width):
-        total += np.abs(spins[..., j].astype(np.int16) - spins[..., parent_index[j]])
-    return -params.J * total

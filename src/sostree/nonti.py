@@ -192,25 +192,3 @@ def root_convergence(t: float, s: float, params: ModelParams,
     cauchy = all(b <= a for a, b in zip(diffs, diffs[1:]))
     return ConvergenceReport(root_laws=root_laws, differences=diffs, rates=rates,
                              cauchy=cauchy)
-
-
-def field_distance(a: NonTiField, b: NonTiField) -> float:
-    """Max-norm distance over the common ball (root included).
-
-    A shallower ball is a row prefix of a deeper one.
-    """
-    rows = min(len(a.field.laws), len(b.field.laws))
-    return float(np.max(np.abs(a.field.laws[:rows] - b.field.laws[:rows])))
-
-
-def distinctness_check(pairs: list[tuple[float, float]], params: ModelParams,
-                       depth: int) -> np.ndarray:
-    """Pairwise max-norm distances of the fields built for each (t, s) pair."""
-    roots = ti.solve_symmetric_roots(params)
-    fields = [build_field(t, s, params, depth, roots) for t, s in pairs]
-    n = len(fields)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = field_distance(fields[i], fields[j])
-    return out

@@ -28,9 +28,6 @@ SCAN_GRID = 4096          # points of the log-grid sign scans
 TANGENCY_REL_TOL = 1e-12  # a within this of nu1 or nu2 counts as tangent
 RESID_TOL = 1e-11         # 2D Newton limits with a larger defect are dropped
 DEDUPE_TOL = 1e-8         # 2D solutions closer than this (log space) are one
-DAMPING = 0.5             # weight of the new iterate in iterate_general_m
-GENERAL_M_TOL = 1e-12     # step size at which iterate_general_m stops
-GENERAL_M_STEPS = 2000    # ... or after this many damped steps
 THRESHOLD_TOL = 1e-7      # bracket width at which the threshold bisection stops
 # |ln z| up to which a weight z is a normal float (the limits are -708.4, 709.8)
 LOG_WEIGHT_MAX = 708.0
@@ -145,19 +142,6 @@ def classify_scalar_family(a: float, b: float,
     if info.nu1 < a < info.nu2:
         return 3, THREE, info
     return 1, UNIQUE, info
-
-
-def scan_scalar_roots(a: float, b: float, k: int) -> list[float]:
-    """Sign-scan oracle for the reduced family, independent of the classification."""
-
-    def g(x):
-        r = np.exp(k * (np.log1p(x) - np.log(b + x)))
-        return r - a * x, r * k * (b - 1.0) / ((1.0 + x) * (b + x)) - a
-
-    ratio_lo, ratio_hi = sorted((b ** (-k), 1.0))
-    lo = 0.25 * ratio_lo / a
-    hi = 4.0 * ratio_hi / a
-    return find_roots(g, lo, hi, SCAN_GRID)
 
 
 def critical_beta(J: float, k: int) -> float:
@@ -361,43 +345,6 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
     kept = [(math.exp(a), math.exp(b)) for a, b in dedupe(x, DEDUPE_TOL)
             if max(abs(a), abs(b)) <= h_max]
     return sorted(kept + [(1.0, z) for z in symmetric_roots if abs(math.log(z)) <= h_max])
-
-
-@dataclass
-class GeneralMReport:
-    """Outcome of the damped fixed-point iteration for general m."""
-
-    converged: bool
-    iterations: int
-    h: np.ndarray
-    residual: float
-    symmetric: bool
-
-
-def iterate_general_m(params: ModelParams) -> GeneralMReport:
-    """Damped iteration h <- (1-d) h + d * k * law_map(h) for any m >= 2, from h = 0.
-
-    It stops once a step moves h by at most GENERAL_M_TOL, or after
-    GENERAL_M_STEPS steps.  Divergence is reported, never raised.  The
-    symmetry flag records whether the limit has equal unreduced weights for
-    spins j and m-j (within 1e-8).
-    """
-    m, k, theta = params.m, params.k, params.theta
-    h = np.zeros(m)
-    delta = math.inf
-    iterations = 0
-    for iterations in range(1, GENERAL_M_STEPS + 1):
-        nxt = (1.0 - DAMPING) * h + DAMPING * k * law_map(h, m, theta)
-        delta = float(np.max(np.abs(nxt - h)))
-        h = nxt
-        if not np.all(np.isfinite(h)):
-            return GeneralMReport(False, iterations, h, math.inf, False)
-        if delta <= GENERAL_M_TOL:
-            break
-    residual = float(np.max(np.abs(h - k * law_map(h, m, theta))))
-    u = np.concatenate([h, [0.0]])
-    symmetric = bool(np.max(np.abs(u - u[::-1])) <= 1e-8)
-    return GeneralMReport(delta <= GENERAL_M_TOL, iterations, h, residual, symmetric)
 
 
 def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float) -> float:

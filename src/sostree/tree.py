@@ -11,14 +11,17 @@ This module also owns the breadth-first layout of a ball (`ball_geometry`):
 every field, kernel and spin configuration on a ball elsewhere in the package
 is an array whose rows follow it, and vertices are named by row.  The layout
 is index arithmetic and its vertex labels are built as strings level by
-level.  The word walk is the reference that the layout is tested against.
+level.  Of the word walk, `direct_successors`, `cached_ball` and
+`vertex_addresses` stay here, with what they are built on (`Word`, `IDENTITY`,
+`ball`), because the benchmark's span tracer (`bench/spans.py`) looks them up
+by name.  The rest of the walk (reduction, parents, spheres), which the tests
+check the layout and the coset counts against, is in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -41,27 +44,6 @@ class Word:
 IDENTITY = Word()
 
 
-def reduce_letters(letters: Sequence[int], k: int) -> Word:
-    """Cancel adjacent equal letters (a_i^2 = e) until the word is reduced."""
-    for a in letters:
-        if not 1 <= a <= k + 1:
-            raise ValueError(f"generator index {a} outside 1..{k + 1}")
-    stack: list[int] = []
-    for a in letters:
-        if stack and stack[-1] == a:
-            stack.pop()
-        else:
-            stack.append(a)
-    return Word(tuple(stack))
-
-
-def parent(w: Word) -> Word | None:
-    """The neighbour of w on the path toward the origin (None at the origin)."""
-    if not w.letters:
-        return None
-    return Word(w.letters[:-1])
-
-
 def direct_successors(w: Word, k: int) -> list[Word]:
     """One-letter extensions that do not cancel, in generator order.
 
@@ -69,16 +51,6 @@ def direct_successors(w: Word, k: int) -> list[Word]:
     """
     last = w.letters[-1] if w.letters else None
     return [Word(w.letters + (a,)) for a in range(1, k + 2) if a != last]
-
-
-def sphere(k: int, n: int) -> list[Word]:
-    """All reduced words of length n, in breadth-first generator order."""
-    if n < 0:
-        raise ValueError("depth must be >= 0")
-    level = [IDENTITY]
-    for _ in range(n):
-        level = [s for w in level for s in direct_successors(w, k)]
-    return level
 
 
 def ball(k: int, n: int) -> list[Word]:

