@@ -201,8 +201,8 @@ def cmd_sample(args, params: ModelParams) -> Output:
 def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int,
                  flip: bool = False) -> list[tuple]:
     """Compatibility at depth n, DLR at depth 0 and, with `flip`, the spin-flip
-    symmetry at depth n; each depth's table is built once and shared."""
-    table = measure.tables(fld, params)
+    symmetry at depth n; each depth's table or sweep is built once and shared."""
+    table = measure.Tables(fld, params)
     v = measure.compatibility_oracle(fld, params, n, table)
     d = measure.dlr_breakdown(fld, params, 0, table).max_violation
     rows = [(f"compatibility_oracle(n={n})<=1e-10", v <= 1e-10, v),

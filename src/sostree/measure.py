@@ -16,12 +16,13 @@ configurations.  Past the cap the oracles compare chains from the sweep
 (worst root-law or edge-kernel gap).
 
 The oracles (compatibility_oracle, dlr_breakdown, symmetry_check) read their
-tables through a lookup table = tables(fld, params): table(n) builds the
-depth-n measure on first use, normalises it in place, and hands it out again
-after that.  An oracle called without a lookup makes its own; `verify` passes
-one lookup to all of its checks (compatibility at --depth, DLR at depth 0,
-and for a TI field the spin flip at --depth), so each depth is enumerated
-once per run.
+tables and sweeps through a lookup table = Tables(fld, params): table(n)
+builds the depth-n measure on first use, normalises it in place, and hands
+it out again after that; table.messages(n) does the same for the depth-n
+sweep.  An oracle called without a lookup makes its own; `verify` passes one
+lookup to all of its checks (compatibility at --depth, DLR at depth 0, and
+for a TI field the spin flip at --depth), so each depth is enumerated or
+swept once per run.
 
 Fields, messages, kernels and the table's axes follow tree.ball_geometry
 (breadth-first, root first), so the sweep and the sampler take one numpy
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .tree import BallGeometry, ball_geometry
 
 EXACT_TABLE_CAP = 10 ** 6
 # Vertices of a ball, times the samples drawn on it, that a command may build;
-# build-nonti peaks at about 0.7 kB a vertex, some 7 GB at the cap.
+# build-nonti peaks at about 0.6 kB a vertex, some 6 GB at the cap.
 SIZE_CAP = 10 ** 7
 SYMMETRY_TOL = 1e-10   # flip gap (table total variation, else chain gap) counted as symmetric
 
@@ -132,13 +133,20 @@ def finite_volume_measure(fld: BoundaryLawField, params: ModelParams,
     return FiniteVolumeMeasure(params=params, depth=n, log_z=hi + math.log(total), probs=probs)
 
 
-def tables(fld: BoundaryLawField, params: ModelParams) -> Callable[[int], FiniteVolumeMeasure]:
-    """table(n): the depth-n measure of one field, built on first use and then shared.
+class Tables:
+    """table(n): the depth-n measure of one field, built on first use and then
+    shared; table.messages(n): its depth-n message sweep, likewise.
 
-    The oracles only read a shared table; their in-place steps run on buffers
-    of their own.
+    The oracles only read a shared table or sweep; their in-place steps run
+    on buffers of their own.
     """
-    return functools.cache(functools.partial(finite_volume_measure, fld, params))
+
+    def __init__(self, fld: BoundaryLawField, params: ModelParams):
+        self._measure = functools.cache(functools.partial(finite_volume_measure, fld, params))
+        self.messages = functools.cache(functools.partial(_messages, fld, params))
+
+    def __call__(self, n: int) -> FiniteVolumeMeasure:
+        return self._measure(n)
 
 
 def _messages(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
@@ -191,7 +199,7 @@ def _chain_gap(a: np.ndarray, b: np.ndarray, theta: float) -> float:
 
 
 def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int,
-                         table: Callable[[int], FiniteVolumeMeasure] | None = None) -> float:
+                         table: Tables | None = None) -> float:
     """Worst defect of marginalisation consistency between depths n and n-1.
 
     Brute force on both tables: the depth-n table is summed over the outer
@@ -200,9 +208,9 @@ def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int,
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    table = table or Tables(fld, params)
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
-        return _chain_gap(_messages(fld, params, n), _messages(fld, params, n - 1), params.theta)
-    table = table or tables(fld, params)
+        return _chain_gap(table.messages(n), table.messages(n - 1), params.theta)
     inner = table(n - 1).probs
     collapsed = table(n).probs.reshape(inner.size, -1).sum(axis=1)
     collapsed -= inner
@@ -243,7 +251,7 @@ class DlrBreakdown:
 
 
 def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,
-                  table: Callable[[int], FiniteVolumeMeasure] | None = None) -> DlrBreakdown:
+                  table: Tables | None = None) -> DlrBreakdown:
     """Both faces of the DLR property at depth n, by enumeration at depth n+1.
 
     The conditional face (conditioning the depth-(n+1) table on its sphere)
@@ -254,10 +262,10 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,
     is 0.0, as raw theta^|i-j| weights condition to the Gibbs kernel by
     construction, and the equation face is the depth n+1 vs n chain gap.
     """
+    table = table or Tables(fld, params)
     if not enumerable(params.m + 1, ball_geometry(params.k, n + 1).n_vertices):
         return DlrBreakdown(conditional_tv=0.0,
-                            equation_tv=compatibility_oracle(fld, params, n + 1))
-    table = table or tables(fld, params)
+                            equation_tv=compatibility_oracle(fld, params, n + 1, table))
     inner = table(n).probs
     joint = table(n + 1).probs.reshape(inner.size, -1)
     boundary = joint.sum(axis=0)
@@ -280,17 +288,18 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,
 
 
 def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int,
-                   table: Callable[[int], FiniteVolumeMeasure] | None = None) -> bool:
+                   table: Tables | None = None) -> bool:
     """Whether the depth-n measure is invariant under the global spin flip.
 
     Flipping every spin j -> m-j maps the table index i to (m+1)^N - 1 - i,
     so the flipped table is the reversed one.  Past the cap, the chain gap to
     its flip (reversed messages: root law and kernels reversed on both axes).
     """
+    table = table or Tables(fld, params)
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
-        msgs = _messages(fld, params, n)
+        msgs = table.messages(n)
         return _chain_gap(msgs, msgs[:, ::-1], params.theta) <= SYMMETRY_TOL
-    probs = (table or tables(fld, params))(n).probs
+    probs = table(n).probs
     flip = probs - probs[::-1]
     tv = 0.5 * float(np.abs(flip, out=flip).sum())
     return tv <= SYMMETRY_TOL

@@ -99,23 +99,54 @@ class NonTiField:
     def to_json_text(self) -> str:
         """`json.dumps(self.to_json_dict(), indent=2) + "\n"`, written block by block.
 
-        Each entry and component line comes from one format string; floats
-        are formatted a column at a time, as json does it (see _json_floats).
+        A path-pair field holds a few distinct laws and components, so each
+        distinct law row and component value is formatted once, floats as
+        json does it (see _json_floats), into the tail of its lines; every
+        line is a label prefix, the label and the tail of its vertex's row.
         """
         fld = self.field
-        entry = ('    {\n      "vertex": "%s",\n      "h": [\n        '
-                 + ",\n        ".join(["%s"] * fld.laws.shape[1]) + "\n      ]\n    }")
         labels = ball_geometry(fld.k, fld.depth).labels
-        columns = map(_json_floats, fld.laws.T.tolist())
-        entries = [entry % row for row in zip(labels, *columns)]
-        components = ['    "%s": %s' % pair for pair in zip(labels, self.components.tolist())]
+        firsts, law_of = _distinct_rows(fld.laws.view(np.int64))
+        tail = ('",\n      "h": [\n        ' + ",\n        ".join(["%s"] * fld.laws.shape[1])
+                + "\n      ]\n    }")
+        tails = [tail % row for row in zip(*map(_json_floats, fld.laws[firsts].T.tolist()))]
+        values, value_of = np.unique(self.components, return_inverse=True)
+        value_tails = ['": %s' % value for value in values.tolist()]
         return "".join([
             '{\n  "depth": %s,\n  "entries": [\n' % json.dumps(fld.depth),
-            ",\n".join(entries),
+            *_lines('    {\n      "vertex": "', labels, tails, law_of),
             '\n  ],\n  "t": %s,\n  "s": %s,\n  "component_map": {\n'
             % (json.dumps(self.t), json.dumps(self.s)),
-            ",\n".join(components),
+            *_lines('    "', labels, value_tails, value_of),
             "\n  }\n}\n"])
+
+
+def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of an integer table, and each row's
+    distinct-row number.
+
+    Column by column, a row's number so far gains the column's distinct-value
+    number as its next digit and is renumbered, so it stays below n_rows^2.
+    Viewed as int64, float rows compare by bit pattern: -0.0 and 0.0 differ.
+    """
+    firsts, code = None, np.zeros(len(bits), dtype=np.int64)
+    for column in bits.T:
+        values, digit = np.unique(column, return_inverse=True)
+        _, firsts, code = np.unique(code * len(values) + digit,
+                                    return_index=True, return_inverse=True)
+    return firsts, code
+
+
+def _lines(prefix: str, labels: tuple[str, ...], tails: list[str],
+           tail_of: np.ndarray) -> list[str]:
+    """The pieces of `",\n".join(prefix + label + tails[i])` over the labels
+    and their tail numbers, so that one join makes the text and no line is
+    made as a string of its own."""
+    parts = [",\n" + prefix] * (3 * len(labels))
+    parts[0] = prefix
+    parts[1::3] = labels
+    parts[2::3] = np.array(tails, dtype=object)[tail_of].tolist()
+    return parts
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

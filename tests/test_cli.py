@@ -238,6 +238,23 @@ def test_verify_past_the_enumeration_cap(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_verify_sweeps_each_depth_once(monkeypatch, capsys):
+    # past the cap, compatibility at depth 1, DLR at depth 0 (the depth 1
+    # vs 0 chain gap) and the spin flip at depth 1 share two sweeps
+    depths = []
+    sweep = measure._messages
+    monkeypatch.setattr(measure, "_messages",
+                        lambda fld, params, n: depths.append(n) or sweep(fld, params, n))
+    assert run(["verify", "--source", "ti", "--k", "11", "--J", "-1", "--beta", "2",
+                "--depth", "1", "--branch", "high"]) == 0
+    assert sorted(depths) == [0, 1]
+    assert capsys.readouterr().out == (
+        "PASS compatibility_residual<=1e-10 = 0.0\n"
+        "PASS compatibility_oracle(n=1)<=1e-10 = 2.6818746422617694e-24\n"
+        "PASS dlr_oracle(n=0)<=1e-10 = 2.6818746422617694e-24\n"
+        "PASS spin_flip_symmetry = True\n")
+
+
 @pytest.mark.parametrize("k", ["10", "12"])
 def test_verify_depth_one_checks_the_root_law(k, capsys):
     # at depth 1 the residual checks only the root convention; the frozen
@@ -318,6 +335,9 @@ PINNED_OUTPUTS = [
     (["sample", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "8", "--seed", "3",
       "--count", "200", "--branch", "mid"],
      "c1438d516c68dfdfc54b90190bfd6a29bad3177729bf371dc1a929dd12cb4905"),
+    # two distinct law rows (the root and every other vertex) and one component
+    (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0", "--s", "0",
+      "--depth", "6"], "b2f39a320983af040982ea70b4300edd9a180a05838ba28a15b823c8a3cee001"),
 ]
 
 
@@ -327,7 +347,7 @@ PINNED_OUTPUTS = [
                               "verify-ti-k2", "verify-nonti-k2", "verify-period2-k200",
                               "phase-diagram-k3", "phase-diagram-k2-afm", "phase-diagram-k200",
                               "solve-ti-k200", "nonti-k2-depth10", "nonti-k3-depth7",
-                              "sample-k2-depth8"])
+                              "sample-k2-depth8", "nonti-k2-depth6-constant"])
 def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0

@@ -286,7 +286,7 @@ def test_shared_tables_give_the_public_oracles_bits(k, depth, branch, beta, eps)
     fld = constant_field(np.array([0.0, math.log(z)]), params, depth)
     if eps:
         fld = perturb_field(fld, eps)
-    table = measure.tables(fld, params)
+    table = measure.Tables(fld, params)
     compat = measure.compatibility_oracle(fld, params, depth, table)
     dlr = measure.dlr_breakdown(fld, params, 0, table)
     flip = measure.symmetry_check(fld, params, depth, table)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sostree import boundary, nonti, ti
@@ -269,3 +269,34 @@ def test_field_json_text_writes_json_floats():
         text = nf.to_json_text()
         assert text == _dumps(nf)
         assert "NaN" in text and "Infinity" in text and "-Infinity" in text
+
+
+# few values, so laws and components repeat: signed zeros, NaN, both
+# infinities, the least subnormal, a huge float, and labels outside 1..3
+LAW_POOL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -2.5]
+COMPONENT_POOL = [1, 2, 3, 0, -4, 10 ** 12]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       laws=st.lists(st.sampled_from(LAW_POOL), min_size=1, max_size=4),
+       components=st.lists(st.sampled_from(COMPONENT_POOL), min_size=1, max_size=3))
+@example(k=2, depth=4, seed=0, laws=[-0.0, 0.0], components=[3])
+def test_field_json_text_with_repeated_rows(k, depth, seed, laws, components):
+    rng = np.random.default_rng(seed)
+    n = ball_size(k, depth)
+    fld = boundary.BoundaryLawField(k=k, depth=depth, laws=rng.choice(laws, size=(n, 2)))
+    nf = nonti.NonTiField(t=0.5, s=1.0, field=fld, components=rng.choice(components, size=n))
+    assert nf.to_json_text() == _dumps(nf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 4), depth=st.integers(1, 6), beta=st.floats(2.0, 3.0),
+       ts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+@example(k=2, depth=6, beta=2.0, ts=(0.0, 0.0))
+def test_built_field_json_text_is_json_dumps(k, depth, beta, ts):
+    # k = 1 has one symmetric root at every beta, so no path-pair field
+    params = ModelParams(k=k, m=2, J=-1.0, beta=beta)
+    t, s = sorted(x * (k + 1) / k for x in ts)
+    nf = nonti.build_field(t, s, params, depth)
+    assert nf.to_json_text() == _dumps(nf)
