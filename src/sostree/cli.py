@@ -237,6 +237,7 @@ def cmd_verify(args, params: ModelParams) -> Output:
             psi = ti.SliceMap(params.theta, params.k)
             s = cycles[0]
             res = max(abs(s.z - float(psi(s.t))), abs(s.t - float(psi(s.z))))
+            _check_size(params.k, 2)
             fld = periodic.expand_two_cycle_field(s.z, s.t, params, 2)
             if args.perturb:
                 fld = boundary.perturb_field(fld, args.perturb)

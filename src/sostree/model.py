@@ -43,11 +43,14 @@ class ModelParams:
 
         Realised as J = ln(theta), beta = 1; all formulas below the energy
         level consume theta only, so this is equivalent to any (J, beta) pair
-        with the same product.
+        with the same product.  theta is the given float itself, which
+        exp(ln theta) can miss by an ulp.
         """
         if not theta > 0:
             raise ValueError("theta must be positive")
-        return cls(k=k, m=m, J=math.log(theta), beta=1.0)
+        params = cls(k=k, m=m, J=math.log(theta), beta=1.0)
+        object.__setattr__(params, "theta", theta)
+        return params
 
     def to_dict(self) -> dict:
         return {"k": self.k, "m": self.m, "J": self.J, "beta": self.beta, "theta": self.theta}

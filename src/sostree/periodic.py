@@ -102,7 +102,10 @@ def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
 
 def _random_starts(params: ModelParams, n_starts: int, seed: int) -> tuple[np.ndarray, float]:
     """Two (n_starts, 2) blocks of starts, drawn uniformly from [-c, c]^2 as one
-    (2, n_starts, 2) draw, and the box size c = 2k|ln theta| + 1."""
+    (2, n_starts, 2) draw, and the box size c = 2k|ln theta| + 1.  The laws
+    have the two reduced components of m = 2; any other m is refused."""
+    if params.m != 2:
+        raise ValueError("the alternating system is specific to m = 2")
     c = 2.0 * params.k * abs(math.log(params.theta)) + 1.0
     return np.random.default_rng(seed).uniform(-c, c, size=(2, n_starts, 2)), c
 
@@ -120,9 +123,7 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0):
     at most STEP_TOL, or after NEWTON_STEPS steps.  At k = 200 the damped
     map settles nowhere, so the loop spends its whole budget.
     """
-    k, theta, m = params.k, params.theta, params.m
-    if m != 2:
-        raise ValueError("the alternating system is specific to m = 2")
+    k, theta = params.k, params.theta
     hl, c = _random_starts(params, n_starts, seed)   # h then l
     for _ in range(DAMPED_BUDGET):
         new = (1 - DAMPING) * hl + DAMPING * k * law_map(hl[::-1], 2, theta)
@@ -179,15 +180,6 @@ def coset_equations(spec: SubgroupSpec) -> list[tuple[int, int, tuple[int, int]]
     return eqs
 
 
-def parity_residuals(h0: np.ndarray, h1: np.ndarray, spec: SubgroupSpec,
-                     params: ModelParams) -> np.ndarray:
-    """Worst defect of the coset equations of a two-coset-periodic family."""
-    f = law_map(np.stack([h0, h1]), params.m, params.theta)
-    eqs = [(h1 if n else h0) - (c0 * f[0] + c1 * f[1])
-           for n, _, (c0, c1) in coset_equations(spec)]
-    return np.max(np.abs(np.stack(eqs, axis=0)), axis=(0, -1))
-
-
 def coset_system(spec: SubgroupSpec, params: ModelParams):
     """The coset equations as a Newton system on rows x = (h0, h1) of shape (n, 4).
 
@@ -197,24 +189,24 @@ def coset_system(spec: SubgroupSpec, params: ModelParams):
     c1 F'(h1).  Both cosets are mapped in one stacked law_map call.  The
     even-word subgroup gives the square system h0 = kF(h1), h1 = kF(h0); a
     proper parity set gives four equations in four unknowns, an (n, 8, 4)
-    Jacobian.
+    Jacobian.  The laws have the two reduced components of m = 2.
     """
-    m, theta = params.m, params.theta
+    theta = params.theta
     eqs = coset_equations(spec)
-    eye = np.eye(m)
+    eye = np.eye(2)
 
     def system(x):
-        h = x.reshape(-1, 2, m).swapaxes(0, 1)
-        f, df = law_map(h, m, theta), law_map_jac(h, theta)
+        h = x.reshape(-1, 2, 2).swapaxes(0, 1)
+        f, df = law_map(h, 2, theta), law_map_jac(h, theta)
         r = np.concatenate([h[n] - (c0 * f[0] + c1 * f[1]) for n, _, (c0, c1) in eqs],
                            axis=-1)
-        jac = np.zeros((len(x), m * len(eqs), 2 * m))
+        jac = np.zeros((len(x), 2 * len(eqs), 4))
         for i, (n, _, counts) in enumerate(eqs):
-            block = jac[:, i * m:(i + 1) * m]
-            block[:, :, n * m:(n + 1) * m] = eye
+            block = jac[:, 2 * i:2 * i + 2]
+            block[:, :, 2 * n:2 * n + 2] = eye
             for j, c in enumerate(counts):
                 if c:
-                    block[:, :, j * m:(j + 1) * m] -= c * df[j]
+                    block[:, :, 2 * j:2 * j + 2] -= c * df[j]
         return r, jac
 
     return system
@@ -222,10 +214,10 @@ def coset_system(spec: SubgroupSpec, params: ModelParams):
 
 def _newton_finish(spec: SubgroupSpec, params: ModelParams, x: np.ndarray, cap: float):
     """Newton on `coset_system` from rows x = (h0, h1): the polished h0, h1
-    and their residuals."""
-    x = batched_newton(coset_system(spec, params), x, NEWTON_STEPS, cap, tol=STEP_TOL)
-    h0, h1 = x[:, :2], x[:, 2:]
-    return h0, h1, parity_residuals(h0, h1, spec, params)
+    and the worst defect of each row's coset equations."""
+    system = coset_system(spec, params)
+    x = batched_newton(system, x, NEWTON_STEPS, cap, tol=STEP_TOL)
+    return x[:, :2], x[:, 2:], np.max(np.abs(system(x)[0]), axis=-1)
 
 
 def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
@@ -242,20 +234,20 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
     proper parity set it forces equal update images on the two cosets and
     hence (away from theta = 1) a translation-invariant limit.
     """
-    m, theta = params.m, params.theta
+    theta = params.theta
     starts, c = _random_starts(params, n_starts, seed)
     h = list(starts)
     eqs = coset_equations(spec)
 
     # image of each coset law, renewed only when that law changes
-    f = [law_map(x, m, theta) for x in h]
+    f = [law_map(x, 2, theta) for x in h]
     for _ in range(DAMPED_BUDGET):
         delta = 0.0
         for n, _, (c0, c1) in eqs:
             new = (1 - DAMPING) * h[n] + DAMPING * (c0 * f[0] + c1 * f[1])
             delta = max(delta, float(np.max(np.abs(new - h[n]))))
             h[n] = new
-            f[n] = law_map(new, m, theta)
+            f[n] = law_map(new, 2, theta)
         if delta <= HANDOVER_STEP:
             break
 
@@ -286,7 +278,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     ti_set = ti.solve(params)
     afm = params.theta > 1.0
     instability = None
-    if afm and params.m == 2:
+    if afm:
         value, holds = cycle_instability(params, ti_set.symmetric_roots)
         instability = {"value": value, "holds": holds}
 

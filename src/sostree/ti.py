@@ -146,11 +146,16 @@ def classify_scalar_family(a: float, b: float,
 
 def critical_beta(J: float, k: int) -> float:
     """Closed-form threshold where the symmetric solution count jumps 1 -> 3."""
+    if not math.isfinite(J):
+        raise ValueError(f"the coupling J must be finite, got {J!r}")
     if J >= 0:
         raise ValueError("the threshold exists only for negative coupling")
     if k < 2:
         raise ValueError("the threshold exists only for tree order k >= 2")
-    return math.log((k - 1) ** 2 / (k * k + 6 * k + 1)) / (2 * J)
+    beta = math.log((k - 1) ** 2 / (k * k + 6 * k + 1)) / (2 * J)
+    if beta == math.inf:    # a subnormal J
+        raise ValueError(f"the threshold at J = {J!r} exceeds the float range")
+    return beta
 
 
 def solve_symmetric_roots(params: ModelParams) -> list[float]:
@@ -167,25 +172,17 @@ def solve_symmetric_roots(params: ModelParams) -> list[float]:
 def symmetric_root_lanes(sweep: list[ModelParams]) -> list[list[float]]:
     """solve_symmetric_roots of every parameter set, scanned as lanes of one find_roots.
 
-    Each lane's roots have the bits of its own scan, and the first
-    parameter set that fails raises what solve_symmetric_roots raises for it.
+    Each lane's roots have the bits of its own scan.  Every lane is scanned
+    first; then the first parameter set that failed raises what
+    solve_symmetric_roots raises for it.
     """
-    lanes = _symmetric_lanes(sweep)
-    for roots in lanes:
-        if isinstance(roots, Exception):
-            raise roots
-    return lanes
-
-
-def _symmetric_lanes(sweep: list[ModelParams]) -> list:
-    """The symmetric roots of each parameter set, or the error it raises."""
-    out: list = [None] * len(sweep)
+    failed: dict[int, Exception] = {}
     lanes, lo, hi, expected = [], [], [], []
     for i, params in enumerate(sweep):
         try:
             bounds, count = _scan_setup(params)
         except ValueError as bad:
-            out[i] = bad
+            failed[i] = bad
             continue
         lanes.append(i)
         lo.append(bounds[0])
@@ -198,11 +195,13 @@ def _symmetric_lanes(sweep: list[ModelParams]) -> list:
         again = find_roots(_slice_residual([sweep[lanes[j]] for j in retry]),
                            [lo[j] for j in retry], [hi[j] for j in retry], 16 * SCAN_GRID)
         for j, roots in zip(retry, again):
-            found[j] = roots if len(roots) == expected[j] else RuntimeError(
-                f"scan found {len(roots)} symmetric roots, classification expects {expected[j]}")
-    for i, roots in zip(lanes, found):
-        out[i] = roots
-    return out
+            found[j] = roots
+            if len(roots) != expected[j]:
+                failed[lanes[j]] = RuntimeError(f"scan found {len(roots)} symmetric roots, "
+                                                f"classification expects {expected[j]}")
+    if failed:
+        raise failed[min(failed)]
+    return found
 
 
 def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
@@ -337,8 +336,7 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
         return x - k * law_map(x, 2, theta), eye - k * law_map_jac(x, theta)
 
     x = batched_newton(system, np.array(seeds), POLISH_STEPS, 2.0 * k * abs(lt) + 20.0)
-    r = np.max(np.abs(x - k * law_map(x, 2, theta)), axis=-1)
-    x = x[r <= RESID_TOL]
+    x = x[np.max(np.abs(system(x)[0]), axis=-1) <= RESID_TOL]
     # limits that dedupe would merge with the slice give way to the exact roots
     x = x[np.abs(x[:, 0]) > DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))]
     h_max = math.log(max(1e6, math.exp(bound))) + 1e-9
@@ -356,7 +354,10 @@ def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float) -> float:
     and scanned as one lane batch.  The bisection then follows the scanned
     counts; from the first beta whose scanned count differs from the
     prediction it predicts and scans again, so the result rests on the scans
-    alone and equals a scan-by-scan bisection bit for bit.
+    alone and equals a scan-by-scan bisection bit for bit.  A batch raises
+    what that bisection raises: a predicted path ends at its first tangent or
+    setup-failing beta, and each beta before it has its predicted count or
+    fails its scan, so the first beta that fails is one the bisection reaches.
     """
     def params(beta: float) -> ModelParams:
         return ModelParams(k=k, m=2, J=J, beta=beta)
@@ -369,16 +370,14 @@ def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float) -> float:
         except ValueError:
             return 2
 
-    scanned: dict[float, object] = {}
+    scanned: dict[float, int] = {}
 
     def count(lo: float, hi: float) -> int:
         mid = 0.5 * (lo + hi)
         if mid not in scanned:
             path = _count_bisection(lo, hi, predicted)[1]
-            scanned.update(zip(path, _symmetric_lanes([params(b) for b in path])))
-        if isinstance(scanned[mid], Exception):
-            raise scanned[mid]
-        return len(scanned[mid])
+            scanned.update(zip(path, map(len, symmetric_root_lanes([params(b) for b in path]))))
+        return scanned[mid]
 
     c_lo, c_hi = (len(roots) for roots in symmetric_root_lanes([params(lo), params(hi)]))
     if c_lo != 1 or c_hi < 3:

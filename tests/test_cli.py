@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sostree import boundary, cli, measure, nonti
+from sostree import boundary, cli, measure, nonti, periodic
 from sostree.cli import main
 
 TRUE_THRESHOLD_K2 = 1.9562154316
@@ -290,6 +290,8 @@ OVERSIZED = [
      "--count", "1000000000000"],
     ["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
      "--depth", "60"],
+    # two slice cycles; the depth-2 ball of order 4000 has 16,008,002 vertices
+    ["verify", "--source", "period2", "--k", "4000", "--theta", "1.017"],
 ]
 
 
@@ -417,6 +419,11 @@ def test_sample_depth_zero(tmp_path):
     ["phase-diagram", "--J", "-1", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
     ["phase-diagram", "--k", "2", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
     *OVERSIZED,
+    # a non-finite J printed "beta_cr": NaN, and 0.0 at -inf, with exit 0;
+    # a subnormal one printed Infinity
+    ["critical-beta", "--k", "2", "--J", "nan"],
+    ["critical-beta", "--k", "2", "--J=-inf"],
+    ["critical-beta", "--k", "2", "--J=-1e-320"],
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
@@ -429,7 +436,7 @@ def test_oversized_requests_are_refused_before_anything_is_built(argv, monkeypat
     def build(*args, **kwargs):
         raise AssertionError("a ball was built")
     for module, name in [(boundary, "constant_field"), (nonti, "build_field"),
-                         (measure, "sample")]:
+                         (measure, "sample"), (periodic, "expand_two_cycle_field")]:
         monkeypatch.setattr(module, name, build)
     assert run(argv) == 2
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sostree.model import ModelParams, parse_params_text
 from sostree.tree import ball, ball_size
@@ -38,9 +40,20 @@ def test_params_reject_non_finite(J, beta):
 def test_from_theta():
     p = ModelParams.from_theta(k=2, m=2, theta=0.5)
     assert p.theta == pytest.approx(0.5, abs=1e-15)
+    # exp(ln 3) is 3.0000000000000004; the set keeps the given 3.0
+    assert math.exp(math.log(3.0)) != 3.0
+    assert ModelParams.from_theta(k=2, m=2, theta=3.0).theta == 3.0
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ModelParams.from_theta(k=2, m=2, theta=bad)
+
+
+@given(theta=st.floats(1e-300, 1e300))
+def test_from_theta_keeps_the_given_theta(theta):
+    # theta is the float given, not exp(ln theta); J = ln theta and beta = 1
+    p = ModelParams.from_theta(k=2, m=2, theta=theta)
+    assert p.theta == theta
+    assert (p.J, p.beta) == (math.log(theta), 1.0)
 
 
 def test_parse_params_text():

@@ -175,16 +175,14 @@ def test_cycle_expanded_field_is_consistent(cycle_params):
     assert boundary.compatibility_residual(fld, cycle_params) <= 1e-10
 
 
-def test_parity_residuals_swap_symmetry(cycle_params):
+def test_coset_residual_swap_symmetry(cycle_params):
     # (z, t) solves the alternating system iff (t, z) does
     cyc = [s for s in periodic.solve_two_cycle_symmetric(cycle_params)
            if s.type == periodic.CYCLE][0]
-    h = np.array([[0.0, math.log(cyc.z)]])
-    l = np.array([[0.0, math.log(cyc.t)]])
-    spec = full_spec(cycle_params.k)
-    r1 = periodic.parity_residuals(h, l, spec, cycle_params)
-    r2 = periodic.parity_residuals(l, h, spec, cycle_params)
-    assert r1[0] <= 1e-12 and r2[0] <= 1e-12
+    lz, lt = math.log(cyc.z), math.log(cyc.t)
+    system = periodic.coset_system(full_spec(cycle_params.k), cycle_params)
+    r = np.max(np.abs(system(np.array([[0.0, lz, 0.0, lt], [0.0, lt, 0.0, lz]]))[0]), axis=-1)
+    assert r.shape == (2,) and np.all(r <= 1e-12)
 
 
 def test_parity_iteration_proper_subgroups_reach_ti_only(fm_params, afm_params):
@@ -199,6 +197,16 @@ def test_parity_iteration_proper_subgroups_reach_ti_only(fm_params, afm_params):
                 for h in res.h_even:
                     z = tuple(np.exp(h))
                     assert min(abs(z[0] - s[0]) + abs(z[1] - s[1]) for s in sols) <= 1e-6
+
+
+def test_iterative_solvers_refuse_m_other_than_two():
+    # an m = 3 parity set once failed inside law_map ("law must have 3
+    # reduced components"); both solvers now refuse it up front
+    p = ModelParams(k=2, m=3, J=1.0, beta=1.0)
+    for solve in (lambda: periodic.alternating_limits(p, n_starts=2),
+                  lambda: periodic.iterate_parity_system(full_spec(2), p, n_starts=2)):
+        with pytest.raises(ValueError, match="^the alternating system is specific to m = 2$"):
+            solve()
 
 
 def test_parity_iteration_full_subgroup_finds_cycles(cycle_params):

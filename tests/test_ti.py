@@ -30,6 +30,11 @@ def test_critical_beta_closed_form():
         ti.critical_beta(1.0, 2)
     with pytest.raises(ValueError):
         ti.critical_beta(-1.0, 1)
+    # a NaN, -inf or subnormal J gave NaN, 0.0 or inf
+    for J in (math.nan, -math.inf, -1e-320):
+        with pytest.raises(ValueError):
+            ti.critical_beta(J, 2)
+    assert ti.critical_beta(-1e-300, 2) == pytest.approx(math.log(17) / 2e-300, rel=1e-14)
 
 
 def test_classify_unique_cases():
@@ -218,8 +223,9 @@ def test_lanes_that_miss_roots_are_rescanned_on_a_finer_grid(monkeypatch):
 
 
 def test_a_lane_the_finer_grid_cannot_settle_raises(monkeypatch):
-    # a classification that expects 5 roots at beta = 2 is never met: that
-    # lane holds the error, the others their roots, and the solver raises it
+    # a classification that expects 5 roots at beta = 2 is never met: every
+    # lane is scanned, and the batch raises that lane's error, or the error
+    # of an earlier set that failed
     setup = ti._scan_setup
 
     def five_at_two(params):
@@ -229,13 +235,41 @@ def test_a_lane_the_finer_grid_cannot_settle_raises(monkeypatch):
     monkeypatch.setattr(ti, "_scan_setup", five_at_two)
     scans = _counting_scans(monkeypatch)
     sweep = [ModelParams(k=2, m=2, J=-1.0, beta=b) for b in (1.0, 2.0, 2.5)]
-    lanes = ti._symmetric_lanes(sweep)
-    assert scans == [(ti.SCAN_GRID, 3), (16 * ti.SCAN_GRID, 1)]
-    assert [len(lanes[0]), len(lanes[2])] == [1, 3]
     message = "scan found 3 symmetric roots, classification expects 5"
-    assert isinstance(lanes[1], RuntimeError) and str(lanes[1]) == message
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        ti.symmetric_root_lanes(sweep)
+    assert scans == [(ti.SCAN_GRID, 3), (16 * ti.SCAN_GRID, 1)]
+    assert [len(r) for r in ti.symmetric_root_lanes([sweep[0], sweep[2]])] == [1, 3]
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
         ti.solve_symmetric_roots(sweep[1])
+    # theta^(-k) = e^800 leaves the float range before or after that lane
+    past = ModelParams(k=200, m=2, J=-1.0, beta=4.0)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        ti.symmetric_root_lanes(sweep + [past])
+    with pytest.raises(ti.FloatRangeError):
+        ti.symmetric_root_lanes([past] + sweep)
+
+
+def test_threshold_raises_what_a_scan_raises_mid_path(monkeypatch):
+    # a classification that expects 5 roots at the third midpoint (1.875)
+    # predicts a path past it; the batch scans that path and raises the
+    # error of that midpoint, the first failing beta the bisection reaches,
+    # as the scan-by-scan bisection does
+    setup = ti._scan_setup
+
+    def five_at_third_midpoint(params):
+        bounds, count = setup(params)
+        return bounds, 5 if params.beta == 1.875 else count
+
+    monkeypatch.setattr(ti, "_scan_setup", five_at_third_midpoint)
+    message = "scan found 1 symmetric roots, classification expects 5"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        _scan_by_scan_threshold(-1.0, 2, 1.5, 2.5)
+    scans = _counting_scans(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        ti.locate_symmetric_threshold(-1.0, 2, 1.5, 2.5)
+    # both ends, the predicted path of every midpoint, then 1.875 again
+    assert scans == [(ti.SCAN_GRID, 2), (ti.SCAN_GRID, 24), (16 * ti.SCAN_GRID, 1)]
 
 
 def test_threshold_raises_what_a_midpoint_scan_raises(monkeypatch):
