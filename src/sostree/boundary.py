@@ -128,30 +128,21 @@ def law_map(h: np.ndarray, m: int, theta: float) -> np.ndarray:
     return s[..., :m] - s[..., m:]
 
 
-def law_map_jac(h: np.ndarray, theta: float) -> np.ndarray:
-    """Analytic Jacobian of the m=2 update, shape (..., 2, 2).
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Normalised exp over the last axis, shifted by its maximum."""
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
-    Every entry is homogeneous of degree 0 in the unreduced weights
-    (e^h0, e^h1, u = 1).  Where some h_j passes 300, all three weights of
-    its row are divided by e^(max_j h_j - 300), so that products of two stay
-    below e^600 and cannot overflow; elsewhere u is exactly 1.
+
+def law_map_jac(h: np.ndarray, theta: float) -> np.ndarray:
+    """Jacobian of the m=2 update, shape (..., 2, 2), from the child kernel.
+
+    law_map(h)_i is ln S_i - ln S_2 with S_i = sum_j theta^|i-j| e^{h_j}, and
+    d ln S_i / d h_j is K(j|i), the child kernel softmax(pair_exponents)
+    that measure samples from, so entry (i, j) is K(j|i) - K(j|2).
     """
-    h = np.asarray(h, dtype=float)
-    u = 1.0
-    if h.size and h.max() > 300.0:
-        s = np.maximum(h.max(axis=-1, keepdims=True), 300.0) - 300.0
-        h, u = h - s, np.exp(-s[..., 0])
-    e0, e1 = np.exp(h[..., 0]), np.exp(h[..., 1])
-    t = theta
-    n0 = e0 + t * e1 + t * t * u
-    n1 = t * e0 + e1 + t * u
-    d = t * t * e0 + t * e1 + u
-    jac = np.empty(h.shape[:-1] + (2, 2))
-    jac[..., 0, 0] = e0 * (1 - t * t) * (t * e1 + t * t * u + u) / (n0 * d)
-    jac[..., 0, 1] = t * e1 * (t * t - 1) * (e0 - u) / (n0 * d)
-    jac[..., 1, 0] = t * e0 * ((1 - t * t) * u) / (n1 * d)
-    jac[..., 1, 1] = e1 * ((1 - t * t) * u) / (n1 * d)
-    return jac
+    k = softmax(pair_exponents(unreduce(h), theta))
+    return k[..., :2, :2] - k[..., 2:, :2]
 
 
 @dataclass

@@ -228,7 +228,7 @@ def cmd_verify(args, params: ModelParams) -> Output:
     elif args.source == "period2":
         if params.theta <= 1:
             raise UsageError("period2 verification needs the antiferromagnetic regime")
-        value, holds = periodic.cycle_instability(params)
+        value, holds = periodic.cycle_instability(params, ti.solve_symmetric_roots(params))
         cycles = [s for s in periodic.solve_two_cycle_symmetric(params)
                   if s.type == periodic.CYCLE]
         rows = [("instability>1", holds, value),
@@ -237,8 +237,8 @@ def cmd_verify(args, params: ModelParams) -> Output:
             psi = ti.SliceMap(params.theta, params.k)
             s = cycles[0]
             res = max(abs(s.z - float(psi(s.t))), abs(s.t - float(psi(s.z))))
-            _check_size(params.k, 2)
-            fld = periodic.expand_two_cycle_field(s.z, s.t, params, 2)
+            _check_size(params.k, args.depth)
+            fld = periodic.expand_two_cycle_field(s.z, s.t, params, args.depth)
             if args.perturb:
                 fld = boundary.perturb_field(fld, args.perturb)
             r = boundary.compatibility_residual(fld, params)

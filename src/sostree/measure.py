@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import BoundaryLawField, gap_table, pair_exponents, sorted_lse, unreduce
+from .boundary import BoundaryLawField, gap_table, pair_exponents, softmax, sorted_lse, unreduce
 from .model import ModelParams
 from .tree import BallGeometry, ball_geometry
 
@@ -166,11 +166,6 @@ def _messages(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
     return msgs
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
-
-
 def log_partition(fld: BoundaryLawField, params: ModelParams, n: int,
                   method: str = "transfer") -> float:
     """Log normalising constant, by the message sweep or by table enumeration."""
@@ -185,7 +180,7 @@ def root_marginal(fld: BoundaryLawField, params: ModelParams, n: int,
                   method: str = "transfer") -> np.ndarray:
     """Exact root marginal of the depth-n measure, by the message sweep or the table."""
     if method == "transfer":
-        return _softmax(_messages(fld, params, n)[0])
+        return softmax(_messages(fld, params, n)[0])
     if method == "table":
         return finite_volume_measure(fld, params, n).marginal([0])
     raise ValueError(f"unknown method {method!r}")
@@ -194,7 +189,7 @@ def root_marginal(fld: BoundaryLawField, params: ModelParams, n: int,
 def _chain_gap(a: np.ndarray, b: np.ndarray, theta: float) -> float:
     """Worst absolute gap between two message arrays' root laws and shared-row kernels."""
     rows = slice(1, min(len(a), len(b)))
-    chains = [(_softmax(x[0]), _softmax(pair_exponents(x[rows], theta))) for x in (a, b)]
+    chains = [(softmax(x[0]), softmax(pair_exponents(x[rows], theta))) for x in (a, b)]
     return float(max(np.abs(u - v).max(initial=0.0) for u, v in zip(*chains)))
 
 
@@ -321,8 +316,8 @@ class TransitionKernel:
 def transition_kernel(fld: BoundaryLawField, params: ModelParams,
                       depth: int) -> TransitionKernel:
     msgs = _messages(fld, params, depth)
-    return TransitionKernel(root_dist=_softmax(msgs[0]),
-                            kernels=_softmax(pair_exponents(msgs, params.theta)))
+    return TransitionKernel(root_dist=softmax(msgs[0]),
+                            kernels=softmax(pair_exponents(msgs, params.theta)))
 
 
 def sample(fld: BoundaryLawField, params: ModelParams, depth: int,

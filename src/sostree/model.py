@@ -3,8 +3,11 @@
 The model assigns spins from {0..m} to tree vertices with nearest-neighbour
 energy -J * sum |s(x) - s(y)|.  J < 0 is the ferromagnetic regime, J > 0 the
 antiferromagnetic one.  Everything downstream of the energy depends on the
-parameters only through the activation theta = exp(J*beta), which is computed
-once per parameter set; `measure` builds the edge weights from it.
+parameters only through J*beta.  The recursion, the message sweep and the
+child kernels read it as ln theta, from the activation theta = exp(J*beta)
+computed once per parameter set; the exact tables and raw Gibbs kernels of
+`measure` (log_weight_table, _gibbs_kernel_table) use J*beta itself, which
+can differ from ln theta in the last bit.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ti
-from .boundary import BoundaryLawField, constant_field, law_map, law_map_jac
+from .boundary import BoundaryLawField, constant_field, law_map
 from .model import ModelParams
 from .roots import batched_newton, dedupe, find_roots
 from .tree import SubgroupSpec, ball_geometry
@@ -49,21 +49,18 @@ class Period2Solution:
                 "z_full": list(self.full_pair[0]), "t_full": list(self.full_pair[1])}
 
 
-def cycle_instability(params: ModelParams,
-                      roots: list[float] | None = None) -> tuple[float, bool]:
+def cycle_instability(params: ModelParams, roots: list[float]) -> tuple[float, bool]:
     """Slope magnitude of the slice recursion at its fixed point, and whether
     it exceeds one (the chess-board existence criterion).
 
     Only meaningful in the antiferromagnetic regime, where the fixed point is
-    unique; the value equals |psi'(z*)|.  `roots` (the symmetric roots) are
-    scanned unless given.
+    unique; the value equals |psi'(z*)|.  `roots` are the symmetric roots,
+    ti.solve_symmetric_roots(params).
     """
     if params.theta <= 1.0:
         raise ValueError("instability criterion applies to theta > 1 only")
     if params.m != 2:
         raise ValueError("criterion is specific to m = 2")
-    if roots is None:
-        roots = ti.solve_symmetric_roots(params)
     if len(roots) != 1:
         raise RuntimeError("expected a unique fixed point for theta > 1")
     z = roots[0]
@@ -117,7 +114,7 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0):
     Returns (h, l, residual) arrays; residual is the max-norm defect per
     start.  Each damped step maps h and l in one stacked law_map call (a
     Jacobi update).  The damped loop hands over to `batched_newton` on the
-    even-word `coset_system` after the first step in which no start moved by
+    even-word coset system after the first step in which no start moved by
     more than HANDOVER_STEP, or after DAMPED_BUDGET steps; the polish stops
     after the step taken from the first evaluation where every residual is
     at most STEP_TOL, or after NEWTON_STEPS steps.  At k = 200 the damped
@@ -180,50 +177,19 @@ def coset_equations(spec: SubgroupSpec) -> list[tuple[int, int, tuple[int, int]]
     return eqs
 
 
-def coset_system(spec: SubgroupSpec, params: ModelParams):
-    """The coset equations as a Newton system on rows x = (h0, h1) of shape (n, 4).
-
-    The system maps x to the residuals h_n - (c0 F(h0) + c1 F(h1)) of each
-    equation (n, p, (c0, c1)) of `coset_equations`, side by side, and their
-    Jacobians, whose block for an equation is I on h_n less c0 F'(h0) and
-    c1 F'(h1).  Both cosets are mapped in one stacked law_map call.  The
-    even-word subgroup gives the square system h0 = kF(h1), h1 = kF(h0); a
-    proper parity set gives four equations in four unknowns, an (n, 8, 4)
-    Jacobian.  The laws have the two reduced components of m = 2.
-    """
-    theta = params.theta
-    eqs = coset_equations(spec)
-    eye = np.eye(2)
-
-    def system(x):
-        h = x.reshape(-1, 2, 2).swapaxes(0, 1)
-        f, df = law_map(h, 2, theta), law_map_jac(h, theta)
-        r = np.concatenate([h[n] - (c0 * f[0] + c1 * f[1]) for n, _, (c0, c1) in eqs],
-                           axis=-1)
-        jac = np.zeros((len(x), 2 * len(eqs), 4))
-        for i, (n, _, counts) in enumerate(eqs):
-            block = jac[:, 2 * i:2 * i + 2]
-            block[:, :, 2 * n:2 * n + 2] = eye
-            for j, c in enumerate(counts):
-                if c:
-                    block[:, :, 2 * j:2 * j + 2] -= c * df[j]
-        return r, jac
-
-    return system
-
-
 def _newton_finish(spec: SubgroupSpec, params: ModelParams, x: np.ndarray, cap: float):
-    """Newton on `coset_system` from rows x = (h0, h1): the polished h0, h1
-    and the worst defect of each row's coset equations."""
-    system = coset_system(spec, params)
-    x = batched_newton(system, x, NEWTON_STEPS, cap, tol=STEP_TOL)
-    return x[:, :2], x[:, 2:], np.max(np.abs(system(x)[0]), axis=-1)
+    """Newton on the `coset_equations` of spec from rows x = (h0, h1): the
+    polished h0, h1 and the worst defect of each row's equations."""
+    eqs = [(n, counts) for n, _, counts in coset_equations(spec)]
+    x, defect = batched_newton(*ti.coset_system(eqs, params.theta), x, NEWTON_STEPS, cap,
+                               tol=STEP_TOL)
+    return x[:, :2], x[:, 2:], defect
 
 
 def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
                           n_starts: int = 50, seed: int = 0) -> ParityIterationResult:
     """Damped cyclic iteration of the coset equations from random starts,
-    finished by Newton on `coset_system`.
+    finished by Newton on the coset system.
 
     The damped sweep updates the cosets in turn (Gauss-Seidel), each from the
     latest images.  It hands over to `batched_newton` after the first sweep

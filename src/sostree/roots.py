@@ -116,9 +116,9 @@ def _run(jobs: list, one: Callable, many: Callable | None) -> list:
     return out
 
 
-def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   x: np.ndarray, iters: int, cap: float, tol: float = 0.0) -> np.ndarray:
-    """Damped Newton from starts x (n, d); `system(x)` gives residuals and Jacobians.
+def batched_newton(residual: Callable, jacobian: Callable, x: np.ndarray, iters: int,
+                   cap: float, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton from starts x (n, d): the limits and their max-norm defects.
 
     Residuals may have more components than x (an (n, e, d) Jacobian with
     e > d); the step then solves the normal equations J^T J s = J^T r
@@ -128,12 +128,12 @@ def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     At most `iters` steps run: the step taken from the first evaluation where
     every residual r (not J^T r) is at most `tol` (a nan residual never is)
     is the last, so a converged start gets one more quadratic step at no
-    extra call of `system`.  With the default `tol = 0.0` that needs an
-    exactly zero residual, where a step does not move x, so every step
-    counts as run.
+    extra evaluation.  With the default `tol = 0.0` that needs an exactly
+    zero residual, where a step does not move x, so every step counts as
+    run.  The defect, max |residual|, takes one more `residual` call alone.
     """
     for _ in range(iters):
-        r, jac = system(x)
+        r, jac = residual(x), jacobian(x)
         done = np.all(np.abs(r) <= tol)
         rhs = r[..., None]
         if jac.shape[-2] > jac.shape[-1]:
@@ -152,7 +152,7 @@ def batched_newton(system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
         x = np.clip(x - step / scale, -cap, cap)
         if done:
             break
-    return x
+    return x, np.max(np.abs(residual(x)), axis=-1)
 
 
 def dedupe(rows: np.ndarray, tol: float) -> np.ndarray:

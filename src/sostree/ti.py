@@ -275,6 +275,41 @@ def solve(params: ModelParams) -> TiSolutionSet:
                          beta_cr=beta_cr)
 
 
+def coset_system(equations: list[tuple[int, tuple[int, ...]]], theta: float):
+    """The consistency equations of a coset-constant family as batched_newton's
+    (residual, jacobian) on rows x = (h_0, ..., h_{C-1}) of m = 2 laws.
+
+    An equation (c, counts) reads h_c = counts[0] F(h_0) + counts[1] F(h_1)
+    + ..., F = law_map (a constant law: [(0, (k,))]); its residual stands
+    beside the others and its Jacobian block is I on h_c less counts[j] F'(h_j)
+    on each h_j.  Every coset is mapped in one stacked law_map call.
+    """
+    eye = np.eye(2)
+
+    def cosets(x):
+        return x.reshape(len(x), -1, 2).swapaxes(0, 1)
+
+    def residual(x):
+        h = cosets(x)
+        f = law_map(h, 2, theta)
+        return np.concatenate([h[c] - sum((cj * fj for cj, fj in zip(counts[1:], f[1:])),
+                                          counts[0] * f[0])
+                               for c, counts in equations], axis=-1)
+
+    def jacobian(x):
+        df = law_map_jac(cosets(x), theta)
+        jac = np.zeros((len(x), 2 * len(equations), x.shape[1]))
+        for i, (c, counts) in enumerate(equations):
+            block = jac[:, 2 * i:2 * i + 2]
+            block[:, :, 2 * c:2 * c + 2] = eye
+            for j, cj in enumerate(counts):
+                if cj:
+                    block[:, :, 2 * j:2 * j + 2] -= cj * df[j]
+        return jac
+
+    return residual, jacobian
+
+
 def _log_e(a: int, t):
     """ln E_a(u) = ln((u^a - 1) / (u - 1)) at u = e^-t < 1, and its t-derivative.
 
@@ -330,13 +365,9 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
             s, lw = k * math.log(u), float(g(u)[2])
             seeds += [(s, lw), (-s, lw - s)]
 
-    eye = np.eye(2)
-
-    def system(x):
-        return x - k * law_map(x, 2, theta), eye - k * law_map_jac(x, theta)
-
-    x = batched_newton(system, np.array(seeds), POLISH_STEPS, 2.0 * k * abs(lt) + 20.0)
-    x = x[np.max(np.abs(system(x)[0]), axis=-1) <= RESID_TOL]
+    x, defect = batched_newton(*coset_system([(0, (k,))], theta), np.array(seeds),
+                               POLISH_STEPS, 2.0 * k * abs(lt) + 20.0)
+    x = x[defect <= RESID_TOL]
     # limits that dedupe would merge with the slice give way to the exact roots
     x = x[np.abs(x[:, 0]) > DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))]
     h_max = math.log(max(1e6, math.exp(bound))) + 1e-9

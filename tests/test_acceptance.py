@@ -175,7 +175,7 @@ def test_criterion_07_fm_no_chess_board():
 def test_criterion_08_afm_chess_board():
     t0 = time.perf_counter()
     p200 = ModelParams.from_theta(k=200, m=2, theta=1.07)
-    value, holds = periodic.cycle_instability(p200)
+    value, holds = periodic.cycle_instability(p200, ti.solve_symmetric_roots(p200))
     psi = ti.SliceMap(p200.theta, p200.k)
     sols = periodic.solve_two_cycle_symmetric(p200)
     cycles = sorted((s for s in sols if s.type == periodic.CYCLE), key=lambda s: s.z)
@@ -187,7 +187,7 @@ def test_criterion_08_afm_chess_board():
     for k in range(2, 11):
         for theta in np.geomspace(1.01, 10.0, 50):
             p = ModelParams.from_theta(k=k, m=2, theta=float(theta))
-            _, h = periodic.cycle_instability(p)
+            _, h = periodic.cycle_instability(p, ti.solve_symmetric_roots(p))
             cyc = any(s.type == periodic.CYCLE
                       for s in periodic.solve_two_cycle_symmetric(p))
             if h or cyc:

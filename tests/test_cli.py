@@ -214,6 +214,22 @@ def test_verify_period2(tmp_path, capsys):
     assert any(line.startswith("FAIL expanded_field_residual") for line in lines)
 
 
+def test_verify_period2_builds_its_field_at_depth(monkeypatch, capsys):
+    depths = []
+    expand = periodic.expand_two_cycle_field
+
+    def spy(z, t, params, depth):
+        depths.append(depth)
+        return expand(z, t, params, depth)
+
+    monkeypatch.setattr(periodic, "expand_two_cycle_field", spy)
+    assert run(["verify", "--source", "period2", "--k", "200", "--theta", "1.07",
+                "--depth", "1"]) == 0
+    assert "PASS expanded_field_residual" in capsys.readouterr().out
+    assert run(["verify", "--source", "period2", "--k", "200", "--theta", "1.07"]) == 0
+    assert depths == [1, 2]
+
+
 def test_verify_nonti(tmp_path, capsys):
     assert run(["verify", "--source", "nonti", "--k", "2", "--m", "2", "--J", "-1",
                 "--beta", "2", "--t", "0.3", "--s", "1.2", "--depth", "4"]) == 0
@@ -292,6 +308,8 @@ OVERSIZED = [
      "--depth", "60"],
     # two slice cycles; the depth-2 ball of order 4000 has 16,008,002 vertices
     ["verify", "--source", "period2", "--k", "4000", "--theta", "1.017"],
+    # the depth-4 ball of order 200 has 1,616,080,402 vertices
+    ["verify", "--source", "period2", "--k", "200", "--theta", "1.07", "--depth", "4"],
 ]
 
 
@@ -432,13 +450,14 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", OVERSIZED)
-def test_oversized_requests_are_refused_before_anything_is_built(argv, monkeypatch):
+def test_oversized_requests_are_refused_before_anything_is_built(argv, monkeypatch, capsys):
     def build(*args, **kwargs):
         raise AssertionError("a ball was built")
     for module, name in [(boundary, "constant_field"), (nonti, "build_field"),
                          (measure, "sample"), (periodic, "expand_two_cycle_field")]:
         monkeypatch.setattr(module, name, build)
     assert run(argv) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_size_cap_counts_vertices_times_samples():

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sostree import boundary, periodic, ti
 from sostree.model import ModelParams
@@ -52,7 +55,8 @@ def test_slice_map_derivative_matches_finite_differences():
 
 
 def test_instability_value_is_slope_at_fixed_point(cycle_params):
-    value, holds = periodic.cycle_instability(cycle_params)
+    value, holds = periodic.cycle_instability(cycle_params,
+                                              ti.solve_symmetric_roots(cycle_params))
     assert holds and value > 1.0
     assert value == pytest.approx(1.05026182719649, abs=1e-9)
     z = ti.solve_symmetric_roots(cycle_params)[0]
@@ -63,10 +67,39 @@ def test_instability_value_is_slope_at_fixed_point(cycle_params):
 
 def test_instability_small_k():
     p = ModelParams.from_theta(k=2, m=2, theta=3.0)
-    value, holds = periodic.cycle_instability(p)
+    value, holds = periodic.cycle_instability(p, ti.solve_symmetric_roots(p))
     assert not holds and value < 1.0
+    fm = ModelParams(k=2, m=2, J=-1.0, beta=1.0)
     with pytest.raises(ValueError):
-        periodic.cycle_instability(ModelParams(k=2, m=2, J=-1.0, beta=1.0))
+        periodic.cycle_instability(fm, ti.solve_symmetric_roots(fm))
+
+
+def slice_jacobian(p):
+    """k DF at the slice fixed point h* = (0, ln z*) of the AFM regime."""
+    z, = ti.solve_symmetric_roots(p)
+    return p.k * boundary.law_map_jac(np.array([0.0, math.log(z)]), p.theta)
+
+
+@pytest.mark.parametrize("k, thetas", [(2, (1.01, 1.5, 3.0, 10.0)), (3, (1.01, 1.5, 3.0, 10.0)),
+                                       (6, (1.01, 1.3, 2.0, 6.0)),
+                                       (200, (1.01, 1.05, 1.07, 1.1, 1.5))])
+def test_kernel_jacobian_gives_the_paper_criterion(k, thetas):
+    # on the slice F_0 stays 0, so DF is lower triangular there and its
+    # slice entry kDF[1, 1] is the slope psi'(z*) of the paper's criterion
+    for theta in thetas:
+        p = ModelParams.from_theta(k=k, m=2, theta=theta)
+        value, _ = periodic.cycle_instability(p, ti.solve_symmetric_roots(p))
+        assert value == pytest.approx(-slice_jacobian(p)[1, 1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k, lo, hi", [(2, 2.02, 2.04), (3, 1.57, 1.59), (4, 1.40, 1.41),
+                                       (6, 1.25, 1.26)])
+def test_flip_odd_eigenvalue_crosses_minus_one_at_the_flip_pair_onset(k, lo, hi):
+    # the flip-odd entry kDF[0, 0] passes -1 where the off-slice flip pairs
+    # appear, while the slice slope stays far inside (-1, 0)
+    jacs = [slice_jacobian(ModelParams.from_theta(k=k, m=2, theta=t)) for t in (lo, hi)]
+    assert jacs[0][0, 0] > -1.0 > jacs[1][0, 0]
+    assert all(-1.0 < jac[1, 1] < 0.0 for jac in jacs)
 
 
 def test_two_cycle_at_designated_point(cycle_params):
@@ -127,7 +160,7 @@ def test_no_cycles_on_small_k_grid():
     for k in (2, 5, 10):
         for theta in np.geomspace(1.01, 10.0, 12):
             p = ModelParams.from_theta(k=k, m=2, theta=float(theta))
-            _, holds = periodic.cycle_instability(p)
+            _, holds = periodic.cycle_instability(p, ti.solve_symmetric_roots(p))
             assert not holds
             assert all(s.type == periodic.FIXED
                        for s in periodic.solve_two_cycle_symmetric(p))
@@ -180,9 +213,29 @@ def test_coset_residual_swap_symmetry(cycle_params):
     cyc = [s for s in periodic.solve_two_cycle_symmetric(cycle_params)
            if s.type == periodic.CYCLE][0]
     lz, lt = math.log(cyc.z), math.log(cyc.t)
-    system = periodic.coset_system(full_spec(cycle_params.k), cycle_params)
-    r = np.max(np.abs(system(np.array([[0.0, lz, 0.0, lt], [0.0, lt, 0.0, lz]]))[0]), axis=-1)
+    eqs = [(n, counts) for n, _, counts in periodic.coset_equations(full_spec(cycle_params.k))]
+    residual, _ = ti.coset_system(eqs, cycle_params.theta)
+    r = np.max(np.abs(residual(np.array([[0.0, lz, 0.0, lt], [0.0, lt, 0.0, lz]]))), axis=-1)
     assert r.shape == (2,) and np.all(r <= 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8), theta=st.floats(0.05, 20.0),
+       x=hnp.arrays(float, (5, 4), elements=st.floats(-40.0, 40.0)))
+def test_coset_system_keeps_the_two_coset_form_bit_for_bit(data, k, theta, x):
+    # the residuals h_n - (c0 F(h0) + c1 F(h1)) of every equation, in that
+    # order of operations; the even-word Jacobian is [[I, -kF'(h1)], [-kF'(h0), I]]
+    parity = data.draw(st.sets(st.integers(1, k + 1), min_size=1))
+    eqs = periodic.coset_equations(SubgroupSpec(k=k, parity_set=frozenset(parity)))
+    residual, jacobian = ti.coset_system([(n, counts) for n, _, counts in eqs], theta)
+    h = x.reshape(-1, 2, 2).swapaxes(0, 1)
+    f, df = boundary.law_map(h, 2, theta), boundary.law_map_jac(h, theta)
+    old = np.concatenate([h[n] - (c0 * f[0] + c1 * f[1]) for n, _, (c0, c1) in eqs], axis=-1)
+    assert residual(x).tobytes() == old.tobytes()
+    if len(parity) == k + 1:
+        eye = np.broadcast_to(np.eye(2), df[0].shape)
+        np.testing.assert_array_equal(jacobian(x), np.block([[eye, -k * df[1]],
+                                                             [-k * df[0], eye]]))
 
 
 def test_parity_iteration_proper_subgroups_reach_ti_only(fm_params, afm_params):
@@ -239,8 +292,8 @@ def test_classify_by_subgroup_cycle_regime(cycle_params):
     assert kinds == [periodic.CYCLE, periodic.CYCLE, periodic.FIXED]
 
 
-def count_calls(monkeypatch, module, name):
-    calls = []
+def count_calls(monkeypatch, module, name, calls=None):
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -251,35 +304,43 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_update_calls(monkeypatch):
+    """law_map calls of the damped loops (through periodic) and of the coset
+    Newton system (through ti), in one list."""
+    return count_calls(monkeypatch, ti, "law_map", count_calls(monkeypatch, periodic, "law_map"))
+
+
 def spy_newton(monkeypatch, calls):
     """Wrap periodic.batched_newton; returns the law_map call counts at its
-    entry and exit, and one entry per evaluation of its system."""
+    entry and exit, and one entry per Newton evaluation of its system (a
+    Jacobian call; the final defect takes the residual alone)."""
     bounds, evals = [], []
     newton = periodic.batched_newton
 
-    def spy(system, x, *args, **kwargs):
+    def spy(residual, jacobian, x, *args, **kwargs):
         def counted(x):
             evals.append(x)
-            return system(x)
+            return jacobian(x)
 
         bounds.append(len(calls))
-        x = newton(counted, x, *args, **kwargs)
+        out = newton(residual, counted, x, *args, **kwargs)
         bounds.append(len(calls))
-        return x
+        return out
 
     monkeypatch.setattr(periodic, "batched_newton", spy)
     return bounds, evals
 
 
 def test_solvers_make_one_update_call_per_step(monkeypatch, fm_params, afm_params):
-    calls = count_calls(monkeypatch, periodic, "law_map")
+    calls = count_update_calls(monkeypatch)
     bounds, evals = spy_newton(monkeypatch, calls)
     # one stacked call per damped step (these starts hand over to Newton
     # after 28 steps), one per Newton evaluation (the third finds every
-    # residual below STEP_TOL and stops the polish), one for the residual
+    # residual below STEP_TOL and stops the polish), one for the residual,
+    # which Newton returns
     periodic.alternating_limits(fm_params, n_starts=10, seed=0)
     assert len(evals) == 3
-    assert bounds == [28, 28 + 3]
+    assert bounds == [28, 28 + 3 + 1]
     assert len(calls) == 28 + 3 + 1
     # two images to start, one per coset update in each sweep up to the
     # hand-over, one per Newton evaluation, one for the final residuals
@@ -289,7 +350,7 @@ def test_solvers_make_one_update_call_per_step(monkeypatch, fm_params, afm_param
         periodic.iterate_parity_system(spec, afm_params, n_starts=5, seed=0)
         damped = 2 + per_sweep * sweeps
         assert len(evals) == 3
-        assert bounds == [damped, damped + 3]
+        assert bounds == [damped, damped + 3 + 1]
         assert len(calls) == damped + 3 + 1
 
 
@@ -299,16 +360,16 @@ def test_damped_loops_stop_at_their_budget(monkeypatch, fm_params, afm_params):
     monkeypatch.setattr(periodic, "HANDOVER_STEP", -1.0)
     monkeypatch.setattr(periodic, "DAMPED_BUDGET", 7)
     monkeypatch.setattr(periodic, "NEWTON_STEPS", 2)
-    calls = count_calls(monkeypatch, periodic, "law_map")
+    calls = count_update_calls(monkeypatch)
     bounds, evals = spy_newton(monkeypatch, calls)
     periodic.alternating_limits(fm_params, n_starts=10, seed=0)
-    assert bounds == [7, 7 + 2] and len(evals) == 2
+    assert bounds == [7, 7 + 2 + 1] and len(evals) == 2
     assert len(calls) == 7 + 2 + 1
     for parity_set, per_sweep in (({1}, 4), ({1, 2, 3}, 2)):
         del calls[:], bounds[:], evals[:]
         spec = SubgroupSpec(k=2, parity_set=frozenset(parity_set))
         periodic.iterate_parity_system(spec, afm_params, n_starts=5, seed=0)
-        assert bounds == [2 + per_sweep * 7, 2 + per_sweep * 7 + 2]
+        assert bounds == [2 + per_sweep * 7, 2 + per_sweep * 7 + 2 + 1]
         assert len(calls) == 2 + per_sweep * 7 + 2 + 1
 
 
@@ -317,10 +378,10 @@ def test_unsettled_damped_loop_runs_its_cap(monkeypatch, cycle_params):
     # point, so the loop never hands over and spends its whole budget; the
     # Newton polish still finds the cycles
     budget = periodic.DAMPED_BUDGET
-    calls = count_calls(monkeypatch, periodic, "law_map")
+    calls = count_update_calls(monkeypatch)
     bounds, evals = spy_newton(monkeypatch, calls)
     sols = periodic.solve_two_cycle_full(cycle_params, n_starts=40, seed=3)
-    assert bounds == [budget, budget + len(evals)]
+    assert bounds == [budget, budget + len(evals) + 1]
     assert len(evals) < periodic.NEWTON_STEPS
     assert len(calls) == budget + len(evals) + 1
     assert any(s.type == periodic.CYCLE for s in sols)
@@ -355,7 +416,7 @@ def test_periodic_ops_call_the_update_less_than_half_as_often(monkeypatch, run, 
     # law_map calls of three periodic ops of the bench's solver sweep;
     # `before` is the count when the damped loops ran to STEP_TOL or to
     # their caps of 600 steps and 4,000 sweeps
-    calls = count_calls(monkeypatch, periodic, "law_map")
+    calls = count_update_calls(monkeypatch)
     run()
     assert len(calls) < before / 2
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sostree import periodic, roots, ti
 from sostree.model import ModelParams
@@ -13,14 +14,14 @@ def test_batched_newton_skips_only_singular_starts():
     # component is 0, so the first two starts never move and the others converge
     target = np.array([4.0, 9.0])
 
-    def system(x):
+    def jacobian(x):
         jac = np.zeros(x.shape + (2,))
         jac[:, 0, 0] = 2.0 * x[:, 0]
         jac[:, 1, 1] = 2.0 * x[:, 1]
-        return x * x - target, jac
+        return jac
 
     starts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 5.0], [30.0, -0.5]])
-    x = batched_newton(system, starts, 40, 100.0)
+    x, _ = batched_newton(lambda x: x * x - target, jacobian, starts, 40, 100.0)
     np.testing.assert_array_equal(x[:2], starts[:2])
     np.testing.assert_allclose(x[2:], [[2.0, 3.0], [-2.0, 3.0], [2.0, -3.0]], rtol=1e-14)
 
@@ -28,25 +29,30 @@ def test_batched_newton_skips_only_singular_starts():
 def test_batched_newton_caps_steps_and_clips():
     # a linear system with its root far away: each step moves at most 5 in the
     # max norm, and the iterate stays inside [-cap, cap]
-    def system(x):
-        return x - 100.0, np.broadcast_to(np.eye(2), x.shape + (2,))
+    def residual(x):
+        return x - 100.0
 
-    x = batched_newton(system, np.zeros((1, 2)), 3, 12.0)
+    def jacobian(x):
+        return np.broadcast_to(np.eye(2), x.shape + (2,))
+
+    x, _ = batched_newton(residual, jacobian, np.zeros((1, 2)), 3, 12.0)
     np.testing.assert_array_equal(x, [[12.0, 12.0]])
-    x = batched_newton(system, np.zeros((1, 2)), 2, 50.0)
+    x, _ = batched_newton(residual, jacobian, np.zeros((1, 2)), 2, 50.0)
     np.testing.assert_array_equal(x, [[10.0, 10.0]])
 
 
 def _counted_square(target, evals):
-    """x^2 = target componentwise, appending to evals at each evaluation."""
-    def system(x):
+    """x^2 = target componentwise as (residual, jacobian), appending to evals
+    at each Newton evaluation (the jacobian's; the final defect takes the
+    residual alone)."""
+    def jacobian(x):
         evals.append(x.copy())
         jac = np.zeros(x.shape + (x.shape[1],))
         for i in range(x.shape[1]):
             jac[:, i, i] = 2.0 * x[:, i]
-        return x * x - target, jac
+        return jac
 
-    return system
+    return (lambda x: x * x - target), jacobian
 
 
 def test_batched_newton_stops_at_the_first_evaluation_within_tol():
@@ -55,8 +61,8 @@ def test_batched_newton_stops_at_the_first_evaluation_within_tol():
     # decides; the step from the fifth evaluation is still taken, and lands
     # on the root
     evals = []
-    x = batched_newton(_counted_square(4.0, evals), np.array([[2.0], [3.0]]), 40, 100.0,
-                       tol=1e-6)
+    x, _ = batched_newton(*_counted_square(4.0, evals), np.array([[2.0], [3.0]]), 40, 100.0,
+                          tol=1e-6)
     assert len(evals) == 5
     assert np.max(np.abs(evals[-1] ** 2 - 4.0)) <= 1e-6 < np.max(np.abs(evals[-2] ** 2 - 4.0))
     np.testing.assert_array_equal(x, [[2.0], [2.0]])
@@ -66,7 +72,7 @@ def test_batched_newton_default_tol_runs_every_step():
     # no double squares to exactly 2, so no residual is ever 0 and all 40
     # steps run, as they did before the stop rule
     evals = []
-    x = batched_newton(_counted_square(2.0, evals), np.array([[1.0], [3.0]]), 40, 100.0)
+    x, _ = batched_newton(*_counted_square(2.0, evals), np.array([[1.0], [3.0]]), 40, 100.0)
     assert len(evals) == 40
     np.testing.assert_allclose(x, [[np.sqrt(2.0)], [np.sqrt(2.0)]], rtol=1e-15)
 
@@ -75,8 +81,8 @@ def test_batched_newton_nan_residual_never_stops_the_loop():
     # the nan row never compares <= tol, however loose, while the other row
     # converges
     evals = []
-    x = batched_newton(_counted_square(4.0, evals), np.array([[np.nan], [3.0]]), 12, 100.0,
-                       tol=1.0)
+    x, _ = batched_newton(*_counted_square(4.0, evals), np.array([[np.nan], [3.0]]), 12,
+                          100.0, tol=1.0)
     assert len(evals) == 12
     assert np.isnan(x[0, 0]) and x[1, 0] == 2.0
 
@@ -85,15 +91,19 @@ def test_batched_newton_takes_gauss_newton_steps_on_tall_systems():
     # three equations in two unknowns, consistent at (2, 3): the normal
     # equations give Newton's quadratic convergence there; the start at the
     # origin has J^T J singular and sits out every step
-    def system(x):
+    def residual(x):
+        a, b = x[:, 0], x[:, 1]
+        return np.stack([a * a - 4.0, b * b - 9.0, a * b - 6.0], axis=-1)
+
+    def jacobian(x):
         a, b = x[:, 0], x[:, 1]
         jac = np.zeros((len(x), 3, 2))
         jac[:, 0, 0], jac[:, 1, 1] = 2.0 * a, 2.0 * b
         jac[:, 2, 0], jac[:, 2, 1] = b, a
-        return np.stack([a * a - 4.0, b * b - 9.0, a * b - 6.0], axis=-1), jac
+        return jac
 
     starts = np.array([[0.0, 0.0], [3.0, 4.0], [1.5, 2.5]])
-    x = batched_newton(system, starts, 40, 100.0, tol=1e-12)
+    x, _ = batched_newton(residual, jacobian, starts, 40, 100.0, tol=1e-12)
     np.testing.assert_array_equal(x[0], starts[0])
     np.testing.assert_allclose(x[1:], [[2.0, 3.0], [2.0, 3.0]], rtol=1e-15)
 
@@ -103,13 +113,35 @@ def test_batched_newton_tall_stop_rule_tests_the_residual():
     # but r = (1, -1), so the loop never stops early
     evals = []
 
-    def system(x):
+    def jacobian(x):
         evals.append(x.copy())
-        return np.concatenate([x - 1.0, x - 3.0], axis=-1), np.ones((len(x), 2, 1))
+        return np.ones((len(x), 2, 1))
 
-    x = batched_newton(system, np.array([[0.0]]), 6, 100.0, tol=1e-6)
+    x, _ = batched_newton(lambda x: np.concatenate([x - 1.0, x - 3.0], axis=-1), jacobian,
+                          np.array([[0.0]]), 6, 100.0, tol=1e-6)
     assert len(evals) == 6
     np.testing.assert_array_equal(x, [[2.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), theta=st.floats(0.2, 5.0), iters=st.integers(0, 8),
+       tol=st.sampled_from([0.0, 1e-13, 1e-3]),
+       x=hnp.arrays(float, (3, 2), elements=st.floats(-5.0, 5.0)))
+def test_batched_newton_returns_the_defect_at_its_limits(k, theta, iters, tol, x):
+    residual, jacobian = ti.coset_system([(0, (k,))], theta)
+    res_args, jac_args = [], []
+
+    def spied(f, args):
+        return lambda x: args.append(x) or f(x)
+
+    out, defect = batched_newton(spied(residual, res_args), spied(jacobian, jac_args), x,
+                                 iters, 50.0, tol=tol)
+    assert defect.tobytes() == np.max(np.abs(residual(out)), -1).tobytes()
+    # each step evaluates both at one point; the defect is the one residual
+    # call without a Jacobian, at the returned limits
+    assert len(res_args) == len(jac_args) + 1
+    assert all(r is j for r, j in zip(res_args, jac_args))
+    assert res_args[-1] is out and not any(j is out for j in jac_args)
 
 
 def test_dedupe_keeps_the_sorted_first_row_of_each_cluster():

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sostree import boundary, roots, ti
 from sostree.model import ModelParams
@@ -553,3 +554,13 @@ def test_solve_full_scans_one_mirror_half(monkeypatch, fm_params, fm_roots):
     sols = ti.solve_full(fm_params, symmetric_roots=fm_roots)
     assert len(scans) == 1 and scans[0][1] < 1.0
     assert any(z0 < 1.0 for z0, _ in sols) and any(z0 > 1.0 for z0, _ in sols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 200), theta=st.floats(0.05, 20.0),
+       x=hnp.arrays(float, (5, 2), elements=st.floats(-40.0, 40.0)))
+def test_one_coset_system_is_the_constant_law_system_bit_for_bit(k, theta, x):
+    # solve_full's equation h = kF(h), as the one-coset case of coset_system
+    residual, jacobian = ti.coset_system([(0, (k,))], theta)
+    assert residual(x).tobytes() == (x - k * boundary.law_map(x, 2, theta)).tobytes()
+    assert jacobian(x).tobytes() == (np.eye(2) - k * boundary.law_map_jac(x, theta)).tobytes()
