@@ -7,7 +7,8 @@ parameters, every flag of the command, `sample`'s chosen root z and the
 package version), and is deterministic given it.  `COMMANDS` declares each
 command once, and `main` writes every output and manifest.
 
-Exit codes: 0 ok, 1 internal error, 2 usage error, 3 verification failure.
+Exit codes: 0 ok, 1 internal error, 2 usage error (any model.UsageError, argparse's
+refusals too, as one `error:` line), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -23,12 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, boundary, measure, nonti, periodic, ti
-from .model import ModelParams, parse_params_text
+from .model import ModelParams, UsageError, parse_params_text
 from .tree import SubgroupSpec, ball_size
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(x: float) -> str:
@@ -58,18 +56,15 @@ def _resolve_params(args) -> ModelParams:
         raise UsageError("tree order --k is required")
     if m != 2:
         raise UsageError(f"every command requires m = 2, got m = {m}")
-    try:
-        if args.theta is not None:
-            if args.J is not None or args.beta is not None:
-                raise UsageError("--theta replaces (J, beta); do not give both")
-            return ModelParams.from_theta(k=k, m=m, theta=args.theta)
-        J = args.J if args.J is not None else (base.J if base else None)
-        beta = args.beta if args.beta is not None else (base.beta if base else None)
-        if J is None or beta is None:
-            raise UsageError("give --J and --beta (or --theta, or --config)")
-        return ModelParams(k=k, m=m, J=J, beta=beta)
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
+    if args.theta is not None:
+        if args.J is not None or args.beta is not None:
+            raise UsageError("--theta replaces (J, beta); do not give both")
+        return ModelParams.from_theta(k=k, m=m, theta=args.theta)
+    J = args.J if args.J is not None else (base.J if base else None)
+    beta = args.beta if args.beta is not None else (base.beta if base else None)
+    if J is None or beta is None:
+        raise UsageError("give --J and --beta (or --theta, or --config)")
+    return ModelParams(k=k, m=m, J=J, beta=beta)
 
 
 def _json(payload) -> str:
@@ -87,20 +82,10 @@ def cmd_solve_ti(args, params: ModelParams) -> Output:
 
 
 def cmd_critical_beta(args, params: None) -> Output:
-    if args.k is None or args.J is None:
-        raise UsageError("give --k and --J")
-    try:
-        value = ti.critical_beta(args.J, args.k)
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
-    return Output(_json({"J": args.J, "k": args.k, "beta_cr": value}))
+    return Output(_json({"J": args.J, "k": args.k, "beta_cr": ti.critical_beta(args.J, args.k)}))
 
 
 def cmd_phase_diagram(args, params: None) -> Output:
-    if args.k is None or args.J is None:
-        raise UsageError("give --k and --J")
-    if args.beta_min is None or args.beta_max is None or args.beta_step is None:
-        raise UsageError("give --beta-min, --beta-max and --beta-step")
     if not (0 <= args.beta_min < args.beta_max < math.inf and 0 < args.beta_step < math.inf):
         raise UsageError("invalid beta range")
     # each row prints its beta rounded to 12 decimals, so a finer step repeats betas
@@ -115,10 +100,7 @@ def cmd_phase_diagram(args, params: None) -> Output:
     sweep = []
     b = args.beta_min
     while b <= top:
-        try:
-            sweep.append(ModelParams(k=args.k, m=2, J=args.J, beta=round(b, 12)))
-        except ValueError as bad:
-            raise UsageError(str(bad)) from None
+        sweep.append(ModelParams(k=args.k, m=2, J=args.J, beta=round(b, 12)))
         b += args.beta_step
     rows = ["beta,root_count,z_minus,z_mid,z_plus,beta_cr_flag"]
     flagged = False
@@ -144,10 +126,7 @@ def _parse_subgroup(text: str, k: int) -> SubgroupSpec:
         letters = frozenset(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"bad subgroup spec {text!r}: use 'full' or e.g. '1,3'") from None
-    try:
-        return SubgroupSpec(k=k, parity_set=letters)
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
+    return SubgroupSpec(k=k, parity_set=letters)
 
 
 def cmd_solve_periodic(args, params: ModelParams) -> Output:
@@ -166,17 +145,9 @@ def _check_size(k: int, depth: int, count: int = 1) -> None:
                          f"{measure.SIZE_CAP} vertices")
 
 
-def _nonti_field(args, params: ModelParams,
-                 roots: list[float] | None = None) -> nonti.NonTiField:
-    _check_size(params.k, args.depth)
-    try:
-        return nonti.build_field(args.t, args.s, params, args.depth, roots)
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
-
-
 def cmd_build_nonti(args, params: ModelParams) -> Output:
-    return Output(_nonti_field(args, params).to_json_text())
+    _check_size(params.k, args.depth)
+    return Output(nonti.build_field(args.t, args.s, params, args.depth).to_json_text())
 
 
 def _branch_field(params: ModelParams, branch: str, depth: int):
@@ -226,8 +197,6 @@ def cmd_verify(args, params: ModelParams) -> Output:
         rows = [("compatibility_residual<=1e-10", r <= 1e-10, r),
                 *_oracle_rows(fld, params, args.depth, flip=True)]
     elif args.source == "period2":
-        if params.theta <= 1:
-            raise UsageError("period2 verification needs the antiferromagnetic regime")
         value, holds = periodic.cycle_instability(params, ti.solve_symmetric_roots(params))
         cycles = [s for s in periodic.solve_two_cycle_symmetric(params)
                   if s.type == periodic.CYCLE]
@@ -246,7 +215,8 @@ def cmd_verify(args, params: ModelParams) -> Output:
                      ("expanded_field_residual<=1e-10", r <= 1e-10, r)]
     else:
         roots = ti.solve_symmetric_roots(params)
-        fld = _nonti_field(args, params, roots).field
+        _check_size(params.k, args.depth)
+        fld = nonti.build_field(args.t, args.s, params, args.depth, roots).field
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
         # exp is monotone, so the extreme rows bound every non-root law
@@ -271,22 +241,22 @@ class Command(NamedTuple):
 
 
 BRANCH = {"choices": ["auto", "low", "mid", "high"], "default": "auto"}
-K_AND_J = (("--k", {"type": int}), ("--J", {"type": float}))
+FLOAT = {"type": float, "required": True}
+K_AND_J = (("--k", {"type": int, "required": True}), ("--J", FLOAT))
 
 COMMANDS = {
     "solve-ti": Command("translation-invariant solutions", cmd_solve_ti),
     "critical-beta": Command("closed-form symmetric threshold", cmd_critical_beta,
                              K_AND_J, model_params=False),
     "phase-diagram": Command("symmetric root count over a beta range", cmd_phase_diagram,
-                             K_AND_J + (("--beta-min", {"type": float}),
-                                        ("--beta-max", {"type": float}),
-                                        ("--beta-step", {"type": float})),
+                             K_AND_J + (("--beta-min", FLOAT), ("--beta-max", FLOAT),
+                                        ("--beta-step", FLOAT)),
                              model_params=False),
     "solve-periodic": Command("periodic solutions by parity subgroup", cmd_solve_periodic, (
         ("--subgroup", {"default": "full", "help": "'full' or generator list '1,3'"}),)),
     "build-nonti": Command("path-pair field on a finite ball", cmd_build_nonti, (
-        ("--t", {"type": float, "required": True}),
-        ("--s", {"type": float, "required": True}),
+        ("--t", FLOAT),
+        ("--s", FLOAT),
         ("--depth", {"type": int, "default": 6}))),
     "sample": Command("forward samples from a constant-law measure", cmd_sample, (
         ("--depth", {"type": int, "default": 3}),
@@ -303,8 +273,21 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, raising UsageError where it would print its usage and exit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take "-1e-3" and "-inf", like "-1", as values, not as unknown flags
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-inf$", re.I)
+
+    @staticmethod
+    def error(message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sostree",
         description="Boundary-law solvers and finite-volume verifiers on Cayley trees")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exit_:
-        return 0 if exit_.code in (0, None) else 2
-    try:
         # far from the solutions, exp(h) and the root-scan products overflow
         # to inf by design (such Newton starts are dropped), so stay quiet
         with np.errstate(over="ignore", invalid="ignore"):
@@ -338,7 +318,9 @@ def main(argv=None) -> int:
             manifest = {"command": args.command, "config": config, "version": __version__}
             Path(args.out).write_text(output.text)
             Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    except (UsageError, ti.FloatRangeError) as bad:
+    except SystemExit:      # the parser exits only after printing --help
+        return 0
+    except UsageError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     except Exception:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ti
 from .boundary import BoundaryLawField, successor_law_sums
-from .model import ModelParams
+from .model import ModelParams, UsageError
 from .tree import BallGeometry, ball_geometry
 
 
@@ -32,7 +32,7 @@ def path_from_parameter(t: float, k: int, depth: int) -> tuple[int, ...]:
     """
     hi = (k + 1) / k
     if not 0.0 <= t <= hi:
-        raise ValueError(f"path parameter {t} outside [0, {hi}]")
+        raise UsageError(f"path parameter {t} outside [0, {hi}]")
     u = t * k / (k + 1)
     first = min(int(math.floor(u * (k + 1))), k)
     r = u * (k + 1) - first
@@ -158,15 +158,13 @@ def _json_floats(values: list[float]) -> list[str]:
     return list(map(_NON_FINITE.get, text, text))
 
 
-def extreme_laws(params: ModelParams, symmetric_roots: list[float]) -> np.ndarray:
+def extreme_laws(symmetric_roots: list[float]) -> np.ndarray:
     """The constant law of each component, shape (3, 2): rows 0, 1, 2 hold
-    components 1, 2, 3, from the low, middle and high symmetric roots
-    (`symmetric_roots`, solve_symmetric_roots of params).
+    components 1, 2, 3, from the low, middle and high symmetric roots.
     """
     if len(symmetric_roots) != 3:
-        raise ValueError(
-            "path-pair fields need three symmetric solutions "
-            "(negative coupling above the threshold)")
+        raise UsageError("path-pair fields need three symmetric solutions "
+                         "(negative coupling above the threshold)")
     return np.array([[0.0, math.log(z)] for z in symmetric_roots])
 
 
@@ -181,16 +179,16 @@ def build_field(t: float, s: float, params: ModelParams, depth: int,
     solve_symmetric_roots of params, scanned here when None.
     """
     if t > s:
-        raise ValueError("need t <= s")
+        raise UsageError("need t <= s")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise UsageError("depth must be >= 1")
     k = params.k
     p1 = path_from_parameter(t, k, depth)
     p2 = path_from_parameter(s, k, depth)
     comp = split_components(p1, p2, k, depth)
     if symmetric_roots is None:
         symmetric_roots = ti.solve_symmetric_roots(params)
-    table = extreme_laws(params, symmetric_roots)
+    table = extreme_laws(symmetric_roots)
 
     geo = ball_geometry(k, depth)
     laws = np.empty((geo.n_vertices, table.shape[1]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ti
 from .boundary import BoundaryLawField, constant_field, law_map
-from .model import ModelParams
+from .model import ModelParams, UsageError
 from .roots import batched_newton, dedupe, find_roots
 from .tree import SubgroupSpec, ball_geometry
 
@@ -58,9 +58,9 @@ def cycle_instability(params: ModelParams, roots: list[float]) -> tuple[float, b
     ti.solve_symmetric_roots(params).
     """
     if params.theta <= 1.0:
-        raise ValueError("instability criterion applies to theta > 1 only")
+        raise UsageError("instability criterion applies to theta > 1 only")
     if params.m != 2:
-        raise ValueError("criterion is specific to m = 2")
+        raise UsageError("criterion is specific to m = 2")
     if len(roots) != 1:
         raise RuntimeError("expected a unique fixed point for theta > 1")
     z = roots[0]
@@ -77,7 +77,7 @@ def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
     alternating system lies inside it.
     """
     if params.m != 2:
-        raise ValueError("the slice system is specific to m = 2")
+        raise UsageError("the slice system is specific to m = 2")
     psi = ti.SliceMap(params.theta, params.k)
     lo, hi = psi.range_interval()
     lo *= 1.0 - 1e-3
@@ -102,7 +102,7 @@ def _random_starts(params: ModelParams, n_starts: int, seed: int) -> tuple[np.nd
     (2, n_starts, 2) draw, and the box size c = 2k|ln theta| + 1.  The laws
     have the two reduced components of m = 2; any other m is refused."""
     if params.m != 2:
-        raise ValueError("the alternating system is specific to m = 2")
+        raise UsageError("the alternating system is specific to m = 2")
     c = 2.0 * params.k * abs(math.log(params.theta)) + 1.0
     return np.random.default_rng(seed).uniform(-c, c, size=(2, n_starts, 2)), c
 

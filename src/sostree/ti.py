@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .boundary import law_map, law_map_jac
-from .model import ModelParams
+from .model import ModelParams, UsageError
 from .roots import POLISH_STEPS, ROOT_REL_TOL, batched_newton, bisect, dedupe, find_roots
 
 UNIQUE = "UNIQUE"
@@ -33,7 +33,7 @@ THRESHOLD_TOL = 1e-7      # bracket width at which the threshold bisection stops
 LOG_WEIGHT_MAX = 708.0
 
 
-class FloatRangeError(ValueError):
+class FloatRangeError(UsageError):
     """The solutions of a parameter set lie outside the float range."""
 
 
@@ -147,14 +147,14 @@ def classify_scalar_family(a: float, b: float,
 def critical_beta(J: float, k: int) -> float:
     """Closed-form threshold where the symmetric solution count jumps 1 -> 3."""
     if not math.isfinite(J):
-        raise ValueError(f"the coupling J must be finite, got {J!r}")
+        raise UsageError(f"the coupling J must be finite, got {J!r}")
     if J >= 0:
-        raise ValueError("the threshold exists only for negative coupling")
+        raise UsageError("the threshold exists only for negative coupling")
     if k < 2:
-        raise ValueError("the threshold exists only for tree order k >= 2")
+        raise UsageError("the threshold exists only for tree order k >= 2")
     beta = math.log((k - 1) ** 2 / (k * k + 6 * k + 1)) / (2 * J)
     if beta == math.inf:    # a subnormal J
-        raise ValueError(f"the threshold at J = {J!r} exceeds the float range")
+        raise UsageError(f"the threshold at J = {J!r} exceeds the float range")
     return beta
 
 
@@ -208,7 +208,7 @@ def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
     """The scan interval of params and the root count the classification
     expects there (None at a tangency, where the scan decides)."""
     if params.m != 2:
-        raise ValueError("the symmetric-slice solver is specific to m = 2")
+        raise UsageError("the symmetric-slice solver is specific to m = 2")
     psi = SliceMap(params.theta, params.k)
     r_lo, r_hi = psi.range_interval()
     if r_lo == 0.0 or r_hi == math.inf:
@@ -337,7 +337,7 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
     and Newton limits within the dedupe tolerance of it are dropped.
     """
     if params.m != 2:
-        raise ValueError("the 2D solver is specific to m = 2")
+        raise UsageError("the 2D solver is specific to m = 2")
     k, theta, lt = params.k, params.theta, math.log(params.theta)
     bound = min(2.0 * k * abs(lt) + 1.0, LOG_WEIGHT_MAX)
 

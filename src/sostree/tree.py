@@ -25,6 +25,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .model import UsageError
+
 
 @dataclass(frozen=True)
 class Word:
@@ -107,9 +109,9 @@ class SubgroupSpec:
     def __post_init__(self):
         full = set(range(1, self.k + 2))
         if not self.parity_set:
-            raise ValueError("parity set must be nonempty")
+            raise UsageError("parity set must be nonempty")
         if not set(self.parity_set) <= full:
-            raise ValueError("parity set must be a subset of the generators")
+            raise UsageError("parity set must be a subset of the generators")
 
     @property
     def is_full(self) -> bool:

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sostree import boundary, cli, measure, nonti, periodic
+from sostree import boundary, cli, measure, nonti, periodic, ti
 from sostree.cli import main
+from sostree.model import UsageError
 
 TRUE_THRESHOLD_K2 = 1.9562154316
 
@@ -431,11 +433,24 @@ def test_sample_depth_zero(tmp_path):
      "--beta-step", "0.5"],
     ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--count", "-1"],
     ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--seed", "-1"],
-    # --k and --J are checked by hand: argparse's required=True prints two lines
     ["critical-beta", "--k", "2"],
     ["critical-beta", "--J", "-1"],
     ["phase-diagram", "--J", "-1", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
     ["phase-diagram", "--k", "2", "--beta-min", "1", "--beta-max", "2", "--beta-step", "0.5"],
+    # argparse's own refusals printed a usage block of several lines
+    ["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--s", "1.2"],
+    ["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3"],
+    ["build-nonti", "--k", "2", "--J", "-1", "--beta", "2"],
+    ["solve-ti", "--k", "abc", "--J", "-1", "--beta", "2"],
+    ["no-such-command"],
+    [],
+    ["solve-ti", "--k", "2", "--J", "-1", "--beta", "2", "--no-such-flag"],
+    ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--branch", "xx"],
+    ["verify", "--k", "2", "--J", "-1", "--beta", "2"],
+    ["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1", "--beta-max", "2"],
+    ["critical-beta", "--k", "2", "--J", "-inf"],
+    # the chess-board criterion, which period2 checks, holds only for theta > 1
+    ["verify", "--source", "period2", "--k", "2", "--theta", "0.5"],
     *OVERSIZED,
     # a non-finite J printed "beta_cr": NaN, and 0.0 at -inf, with exit 0;
     # a subnormal one printed Infinity
@@ -447,6 +462,41 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["solve-ti", "--help"]):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: sostree")
+
+
+def test_internal_failures_are_not_usage_errors(monkeypatch, capsys):
+    # a ValueError from inside the package is a fault, not refused input: exit 1
+    # with a traceback, where it once gave exit 2 and one line
+    def broken(*args, **kwargs):
+        raise ValueError("broken successor sums")
+    monkeypatch.setattr(nonti, "successor_law_sums", broken)
+    assert run(["build-nonti", "--k", "2", "--J", "-1", "--beta", "2",
+                "--t", "0.3", "--s", "1.2", "--depth", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "ValueError: broken successor sums" in err
+    # a library caller that catches ValueError still catches every refusal
+    assert issubclass(ti.FloatRangeError, UsageError) and issubclass(UsageError, ValueError)
+
+
+def test_negative_values_take_exponent_notation(tmp_path, capsys):
+    outs = [tmp_path / "exp.json", tmp_path / "int.json"]
+    for J, out in zip(["-1e0", "-1"], outs):
+        assert run(["solve-ti", "--k", "2", "--J", J, "--beta", "2", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert (Path(f"{outs[0]}.manifest.json").read_bytes()
+            == Path(f"{outs[1]}.manifest.json").read_bytes())
+    verify = ["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "1"]
+    reports = []
+    for perturb in (["--perturb", "-1e-3"], ["--perturb=-1e-3"]):
+        assert run(verify + perturb) == 3
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and "FAIL" in reports[0]
 
 
 @pytest.mark.parametrize("argv", OVERSIZED)

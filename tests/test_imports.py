@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package uses a sibling's private names,
 only `tree` names `Word` (fields on a ball are breadth-first arrays), the
-public functions take no optional parameter beyond a pinned set, and every
-public function and class has a caller outside the tests."""
+public functions take no optional parameter beyond a pinned set, every
+public function and class has a caller outside the tests, and every
+parameter is read."""
 
 import ast
 from pathlib import Path
@@ -213,3 +214,41 @@ def test_the_caller_scan_sees_other_statements_and_bench_strings():
     }
     bench = ['SPANS = [("a", "spanned")]\nOPS = ["a.dotted"]\n"""Times in_a_sentence."""']
     assert uncalled_public_names(sources, bench) == ["a.in_a_sentence", "a.recursive"]
+
+
+def unread_parameters(source):
+    """`function(parameter)` of every parameter of a function of `source` that
+    the function's body, nested functions included, never reads.  Lambdas are
+    not scanned."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found.extend(f"{node.name}({a.arg})" for a in params if a.arg not in read)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    # Command.run calls each cmd_* runner as (args, params), read or not
+    found = [name for name in unread_parameters(path.read_text()) if not name.startswith("cmd_")]
+    assert found == []
+
+
+def test_the_parameter_scan_sees_every_kind_and_nested_reads():
+    source = "\n".join([
+        "def f(a, b, /, c, *args, d, **kw): return a",
+        "def g(x):",
+        "    def inner(y): return x",
+        "    return inner",
+        "def h(z): z = 1",
+        "class C:",
+        "    def m(self): pass",
+        "key = lambda unread: 0",
+    ])
+    assert sorted(unread_parameters(source)) == [
+        "f(args)", "f(b)", "f(c)", "f(d)", "f(kw)", "h(z)", "inner(y)", "m(self)"]
