@@ -5,7 +5,8 @@ endings and 17 significant digits so numbers round-trip at 64-bit precision.
 Every file-producing run writes a manifest alongside the output (the resolved
 parameters, every flag of the command, `sample`'s chosen root z and the
 package version), and is deterministic given it.  `COMMANDS` declares each
-command once, and `main` writes every output and manifest.
+command once, and `main` writes every output and manifest.  A call builds
+the argument parser of its own command only.
 
 Exit codes: 0 ok, 1 internal error, 2 usage error (any model.UsageError, argparse's
 refusals too, as one `error:` line), 3 verification failure.
@@ -197,7 +198,7 @@ def cmd_verify(args, params: ModelParams) -> Output:
         rows = [("compatibility_residual<=1e-10", r <= 1e-10, r),
                 *_oracle_rows(fld, params, args.depth, flip=True)]
     elif args.source == "period2":
-        value, holds = periodic.cycle_instability(params, ti.solve_symmetric_roots(params))
+        value, holds = periodic.cycle_instability(params)
         cycles = [s for s in periodic.solve_two_cycle_symmetric(params)
                   if s.type == periodic.CYCLE]
         rows = [("instability>1", holds, value),
@@ -286,12 +287,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`: only the subparser of the command that argv[0]
+    names, or, when argv[0] names none, every command.  That fallback serves
+    the input that ends in help or a refusal: `--help`, an empty argv, an
+    unknown command or a leading `--`, whose messages list every command."""
     parser = _Parser(
         prog="sostree",
         description="Boundary-law solvers and finite-volume verifiers on Cayley trees")
     sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     for name, cmd in COMMANDS.items():
+        if only not in (None, name):
+            continue
         p = sub.add_parser(name, help=cmd.help)
         for flag, options in PARAM_FLAGS if cmd.model_params else ():
             p.add_argument(flag, **options)
@@ -302,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         # far from the solutions, exp(h) and the root-scan products overflow
         # to inf by design (such Newton starts are dropped), so stay quiet
         with np.errstate(over="ignore", invalid="ignore"):

@@ -49,18 +49,22 @@ class Period2Solution:
                 "z_full": list(self.full_pair[0]), "t_full": list(self.full_pair[1])}
 
 
-def cycle_instability(params: ModelParams, roots: list[float]) -> tuple[float, bool]:
+def cycle_instability(params: ModelParams,
+                      roots: list[float] | None = None) -> tuple[float, bool]:
     """Slope magnitude of the slice recursion at its fixed point, and whether
     it exceeds one (the chess-board existence criterion).
 
     Only meaningful in the antiferromagnetic regime, where the fixed point is
     unique; the value equals |psi'(z*)|.  `roots` are the symmetric roots,
-    ti.solve_symmetric_roots(params).
+    ti.solve_symmetric_roots(params), scanned here when not given; theta and
+    m are checked before that scan.
     """
     if params.theta <= 1.0:
         raise UsageError("instability criterion applies to theta > 1 only")
     if params.m != 2:
         raise UsageError("criterion is specific to m = 2")
+    if roots is None:
+        roots = ti.solve_symmetric_roots(params)
     if len(roots) != 1:
         raise RuntimeError("expected a unique fixed point for theta > 1")
     z = roots[0]

@@ -1,6 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +217,14 @@ def test_verify_period2(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("PASS alternating_residual") for line in lines)
     assert any(line.startswith("FAIL expanded_field_residual") for line in lines)
+
+
+def test_verify_period2_refuses_theta_before_the_scan(capsys):
+    # at theta <= 1 the symmetric scan once ran first, so the user read its
+    # float-range message instead of the criterion's domain
+    argv = ["verify", "--source", "period2", "--k", "200", "--J", "-1", "--beta", "4"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: instability criterion applies to theta > 1 only\n"
 
 
 def test_verify_period2_builds_its_field_at_depth(monkeypatch, capsys):
@@ -443,6 +454,7 @@ def test_sample_depth_zero(tmp_path):
     ["build-nonti", "--k", "2", "--J", "-1", "--beta", "2"],
     ["solve-ti", "--k", "abc", "--J", "-1", "--beta", "2"],
     ["no-such-command"],
+    ["--", "solve-ti", "--k", "2", "--J", "-1", "--beta", "2"],
     [],
     ["solve-ti", "--k", "2", "--J", "-1", "--beta", "2", "--no-such-flag"],
     ["sample", "--k", "2", "--J", "-1", "--beta", "2", "--branch", "xx"],
@@ -465,9 +477,66 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
 
 
 def test_help_still_exits_zero(capsys):
-    for argv in (["--help"], ["solve-ti", "--help"]):
-        assert run(argv) == 0
-        assert capsys.readouterr().out.startswith("usage: sostree")
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: sostree") and all(name in out for name in cli.COMMANDS)
+    assert run(["solve-ti", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: sostree solve-ti")
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    # argparse takes "--" for the command name
+    ["--", "solve-ti", "--k", "2", "--J", "-1", "--beta", "2"],
+])
+def test_unknown_commands_are_refused_with_every_name(argv, capsys):
+    # these get the parser of every command, so the message lists them all
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: ")
+    assert all(name in err.partition("choose from")[2] for name in cli.COMMANDS)
+
+
+# one run of each command, for comparing the one-command parser with the full one
+ONE_ARGV = {
+    "solve-ti": ["--k", "2", "--J", "-1", "--beta", "2", "--out", "x.json"],
+    "critical-beta": ["--k", "3", "--J=-1e-3"],
+    "phase-diagram": ["--k", "2", "--J", "-1", "--beta-min", "1", "--beta-max", "2",
+                      "--beta-step", "0.5"],
+    "solve-periodic": ["--config", "p.txt", "--subgroup", "1,3"],
+    "build-nonti": ["--k", "2", "--theta", "0.5", "--t", "0.3", "--s", "1.2"],
+    "sample": ["--k", "2", "--J", "-1", "--beta", "2", "--branch", "low", "--count", "5"],
+    "verify": ["--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3",
+               "--s", "1.2", "--depth", "3", "--perturb", "1e-3"],
+}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_parser_registers_only_the_command_being_run():
+    assert list(ONE_ARGV) == list(cli.COMMANDS)
+    full = _subcommands(cli.build_parser([]))
+    assert list(full) == list(cli.COMMANDS)
+    for name, flags in ONE_ARGV.items():
+        argv = [name, *flags]
+        one = _subcommands(cli.build_parser(argv))
+        assert list(one) == [name]
+        assert one[name].format_help() == full[name].format_help()
+        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser([]).parse_args(argv)
+
+
+def test_process_entry_point_matches_main(monkeypatch, capsys):
+    # `python -m sostree.cli`, like the console script, calls main() with no
+    # argv, which then reads sys.argv
+    monkeypatch.setenv("COLUMNS", "80")     # the same help wrapping on both sides
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
+    for argv in (["solve-ti", "--k", "2", "--J", "-1", "--beta", "2"], ["--help"]):
+        proc = subprocess.run([sys.executable, "-m", "sostree.cli", *argv],
+                              capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stdout) == (run(argv), capsys.readouterr().out)
 
 
 def test_internal_failures_are_not_usage_errors(monkeypatch, capsys):

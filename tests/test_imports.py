@@ -114,6 +114,7 @@ PUBLIC_DEFAULTS = [
     "nonti.build_field(symmetric_roots)",
     "periodic.alternating_limits(n_starts)",
     "periodic.alternating_limits(seed)",
+    "periodic.cycle_instability(roots)",
     "periodic.iterate_parity_system(n_starts)",
     "periodic.iterate_parity_system(seed)",
     "periodic.solve_two_cycle_full(n_starts)",

@@ -74,6 +74,25 @@ def test_instability_small_k():
         periodic.cycle_instability(fm, ti.solve_symmetric_roots(fm))
 
 
+def test_instability_checks_theta_before_scanning(monkeypatch):
+    # without roots the criterion scans them itself, after refusing theta <= 1
+    p = ModelParams.from_theta(k=2, m=2, theta=3.0)
+    assert periodic.cycle_instability(p) == periodic.cycle_instability(
+        p, ti.solve_symmetric_roots(p))
+    monkeypatch.setattr(ti, "symmetric_root_lanes", None)
+    with pytest.raises(ValueError, match="theta > 1 only"):
+        periodic.cycle_instability(ModelParams(k=200, m=2, J=-1.0, beta=4.0))
+
+
+def test_classify_by_subgroup_scans_the_symmetric_roots_once(monkeypatch, afm_params):
+    scans = []
+    lanes = ti.symmetric_root_lanes
+    monkeypatch.setattr(ti, "symmetric_root_lanes",
+                        lambda sweep: scans.append(sweep) or lanes(sweep))
+    report = periodic.classify_by_subgroup(full_spec(2), afm_params)
+    assert report["instability"] is not None and len(scans) == 1
+
+
 def slice_jacobian(p):
     """k DF at the slice fixed point h* = (0, ln z*) of the AFM regime."""
     z, = ti.solve_symmetric_roots(p)
