@@ -212,13 +212,11 @@ def compatibility_residual(fld: BoundaryLawField, params: ModelParams) -> float:
     A field on the depth-n ball determines the equation at every vertex of
     the depth-(n-1) ball, the root included (its law is the sum over its k+1
     successors); the returned value is the worst max-norm gap between a
-    stored law and the successor-sum of updates.
+    stored law and the successor-sum of updates, nan where any gap is nan.
     """
     if fld.k != params.k:
         raise ValueError(f"field of order {fld.k} checked against k = {params.k}")
     geo = ball_geometry(fld.k, fld.depth)
-    worst = 0.0
-    for d in range(fld.depth):
-        gap = fld.laws[geo.level(d)] - successor_law_sums(fld.laws, geo, d, params)
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    gaps = [np.max(np.abs(fld.laws[geo.level(d)] - successor_law_sums(fld.laws, geo, d, params)))
+            for d in range(fld.depth)]
+    return float(np.max(gaps, initial=0.0))

@@ -190,7 +190,7 @@ def _chain_gap(a: np.ndarray, b: np.ndarray, theta: float) -> float:
     """Worst absolute gap between two message arrays' root laws and shared-row kernels."""
     rows = slice(1, min(len(a), len(b)))
     chains = [(softmax(x[0]), softmax(pair_exponents(x[rows], theta))) for x in (a, b)]
-    return float(max(np.abs(u - v).max(initial=0.0) for u, v in zip(*chains)))
+    return float(np.max([np.abs(u - v).max(initial=0.0) for u, v in zip(*chains)]))
 
 
 def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int,
@@ -242,7 +242,7 @@ class DlrBreakdown:
 
     @property
     def max_violation(self) -> float:
-        return max(self.conditional_tv, self.equation_tv)
+        return float(np.maximum(self.conditional_tv, self.equation_tv))
 
 
 def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,

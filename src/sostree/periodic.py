@@ -133,8 +133,8 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0):
         if settled:
             break
 
-    spec = SubgroupSpec(k=k, parity_set=frozenset(range(1, k + 2)))
-    return _newton_finish(spec, params, hl.swapaxes(0, 1).reshape(-1, 4), c + 20.0)
+    eqs = coset_equations(SubgroupSpec(k=k, parity_set=frozenset(range(1, k + 2))))
+    return _newton_finish(eqs, params, hl.swapaxes(0, 1).reshape(-1, 4), c + 20.0)
 
 
 def solve_two_cycle_full(params: ModelParams, n_starts: int = 100,
@@ -162,8 +162,9 @@ class ParityIterationResult:
     ti: np.ndarray            # (n,) bool: both coset laws equal
 
 
-def coset_equations(spec: SubgroupSpec) -> list[tuple[int, int, tuple[int, int]]]:
-    """The consistency equations of a two-coset-periodic family, as (n, p, counts).
+def coset_equations(spec: SubgroupSpec) -> list[tuple[int, tuple[int, int]]]:
+    """The consistency equations of a two-coset-periodic family, as the
+    (n, counts) pairs that ti.coset_system takes.
 
     A vertex of coset n whose parent lies in coset p has counts[c] direct
     successors in coset c: its neighbours there, less the parent.  A pair
@@ -177,14 +178,14 @@ def coset_equations(spec: SubgroupSpec) -> list[tuple[int, int, tuple[int, int]]
             counts = list(spec.neighbour_counts(n))
             if counts[p]:
                 counts[p] -= 1
-                eqs.append((n, p, (counts[0], counts[1])))
+                eqs.append((n, (counts[0], counts[1])))
     return eqs
 
 
-def _newton_finish(spec: SubgroupSpec, params: ModelParams, x: np.ndarray, cap: float):
-    """Newton on the `coset_equations` of spec from rows x = (h0, h1): the
+def _newton_finish(eqs: list[tuple[int, tuple[int, int]]], params: ModelParams,
+                   x: np.ndarray, cap: float):
+    """Newton on the coset equations eqs from rows x = (h0, h1): the
     polished h0, h1 and the worst defect of each row's equations."""
-    eqs = [(n, counts) for n, _, counts in coset_equations(spec)]
     x, defect = batched_newton(*ti.coset_system(eqs, params.theta), x, NEWTON_STEPS, cap,
                                tol=STEP_TOL)
     return x[:, :2], x[:, 2:], defect
@@ -213,7 +214,7 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
     f = [law_map(x, 2, theta) for x in h]
     for _ in range(DAMPED_BUDGET):
         delta = 0.0
-        for n, _, (c0, c1) in eqs:
+        for n, (c0, c1) in eqs:
             new = (1 - DAMPING) * h[n] + DAMPING * (c0 * f[0] + c1 * f[1])
             delta = max(delta, float(np.max(np.abs(new - h[n]))))
             h[n] = new
@@ -221,7 +222,7 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
         if delta <= HANDOVER_STEP:
             break
 
-    h0, h1, resid = _newton_finish(spec, params, np.concatenate(h, axis=-1), c + 20.0)
+    h0, h1, resid = _newton_finish(eqs, params, np.concatenate(h, axis=-1), c + 20.0)
     is_ti = np.max(np.abs(h0 - h1), axis=-1) <= PAIR_TOL
     return ParityIterationResult(h_even=h0, h_odd=h1, residual=resid,
                                  converged=resid <= RESID_TOL, ti=is_ti)

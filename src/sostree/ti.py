@@ -380,54 +380,44 @@ def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float) -> float:
     """Bisection on the symmetric root count between a 1-root and a 3-root beta,
     down to a bracket of width THRESHOLD_TOL.
 
-    The scan enforces the classification's count away from tangencies, so
-    the betas the bisection will visit are predicted from the classification
-    and scanned as one lane batch.  The bisection then follows the scanned
-    counts; from the first beta whose scanned count differs from the
-    prediction it predicts and scans again, so the result rests on the scans
-    alone and equals a scan-by-scan bisection bit for bit.  A batch raises
-    what that bisection raises: a predicted path ends at its first tangent or
-    setup-failing beta, and each beta before it has its predicted count or
-    fails its scan, so the first beta that fails is one the bisection reaches.
+    Each walk bisects [lo, hi] on the counts scanned so far.  From the first
+    midpoint not yet scanned it goes on with the classification's count,
+    which the scan enforces away from tangencies, and stops at a tangency or
+    a beta whose setup fails.  The midpoints it predicted are scanned as one
+    lane batch for the next walk; a walk that predicted none returns, so the
+    result rests on the scans alone and equals a scan-by-scan bisection bit
+    for bit.  A batch raises what that bisection raises: each predicted beta
+    before the last has its predicted count or fails its scan, so the first
+    beta that fails is one the bisection reaches.
     """
     def params(beta: float) -> ModelParams:
         return ModelParams(k=k, m=2, J=J, beta=beta)
 
-    def predicted(lo: float, hi: float) -> int:
-        # the classification's count at the midpoint, or 2, which ends the
-        # bisection, at a tangency or where the scan raises
-        try:
-            return _scan_setup(params(0.5 * (lo + hi)))[1] or 2
-        except ValueError:
-            return 2
-
-    scanned: dict[float, int] = {}
-
-    def count(lo: float, hi: float) -> int:
-        mid = 0.5 * (lo + hi)
-        if mid not in scanned:
-            path = _count_bisection(lo, hi, predicted)[1]
-            scanned.update(zip(path, map(len, symmetric_root_lanes([params(b) for b in path]))))
-        return scanned[mid]
-
     c_lo, c_hi = (len(roots) for roots in symmetric_root_lanes([params(lo), params(hi)]))
     if c_lo != 1 or c_hi < 3:
         raise ValueError(f"bracket does not straddle the transition: counts {c_lo}, {c_hi}")
-    return _count_bisection(lo, hi, count)[0]
-
-
-def _count_bisection(lo: float, hi: float, count) -> tuple[float, list[float]]:
-    """Bisection of [lo, hi] on count(lo, hi), the root count at its midpoint:
-    the beta found and the midpoints visited."""
-    visited = []
-    while hi - lo > THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        visited.append(mid)
-        c = count(lo, hi)
-        if c == 1:
-            lo = mid
-        elif c >= 3:
-            hi = mid
-        else:
-            return mid, visited
-    return 0.5 * (lo + hi), visited
+    scanned: dict[float, int] = {}
+    while True:
+        a, b, predicted = lo, hi, []
+        while b - a > THRESHOLD_TOL:
+            mid = 0.5 * (a + b)
+            if mid in scanned:
+                c = scanned[mid]
+            else:
+                predicted.append(mid)
+                try:    # a tangency or a failing setup counts as 2, which ends the walk
+                    c = _scan_setup(params(mid))[1] or 2
+                except ValueError:
+                    c = 2
+            if c == 1:
+                a = mid
+            elif c >= 3:
+                b = mid
+            else:
+                break
+        else:   # the bracket closed
+            mid = 0.5 * (a + b)
+        if not predicted:
+            return mid
+        counts = map(len, symmetric_root_lanes([params(beta) for beta in predicted]))
+        scanned.update(zip(predicted, counts))

@@ -204,6 +204,17 @@ def test_compatibility_residual_checks_the_root(fm_params, fm_roots):
     assert compatibility_residual(shifted, fm_params) == pytest.approx(1e-3, rel=1e-6)
 
 
+def test_compatibility_residual_is_nan_on_a_nan_law(fm_params, fm_roots):
+    # one nan leaf makes its parent's gap nan, and the worst gap with it
+    fld = constant_field(np.array([0.0, math.log(fm_roots[-1])]), fm_params, 2)
+    assert compatibility_residual(fld, fm_params) <= 1e-12
+    laws = fld.laws.copy()
+    laws[-1] = np.nan
+    with np.errstate(invalid="ignore"):
+        residual = compatibility_residual(BoundaryLawField(k=fld.k, depth=2, laws=laws), fm_params)
+    assert math.isnan(residual)
+
+
 def test_field_rejects_wrong_row_count():
     with pytest.raises(ValueError):
         BoundaryLawField(k=2, depth=2, laws=np.zeros((ball_size(2, 2) - 1, 2)))

@@ -295,6 +295,24 @@ def test_verify_depth_one_checks_the_root_law(k, capsys):
     assert "FAIL compatibility_residual<=1e-10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, n_checks", [
+    (["--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "2"], 3),
+    (["--source", "ti", "--k", "12", "--J", "-1", "--beta", "2", "--depth", "1"], 3),
+    (["--source", "period2", "--k", "200", "--theta", "1.08"], 1),
+    (["--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "2",
+      "--t", "1", "--s", "1"], 3),
+])
+def test_verify_fails_every_check_of_a_nan_field(argv, n_checks, capsys):
+    # each residual, compatibility and DLR row of a nan field reads nan and
+    # fails, past the cap (k = 12) too; Python's max(0.0, nan) is 0.0, which
+    # let them pass
+    assert run(["verify", *argv, "--perturb", "nan"]) == 3
+    checks = [row for row in capsys.readouterr().out.splitlines()
+              if row.split()[1].startswith(("compatibility", "dlr", "expanded_field"))]
+    assert len(checks) == n_checks
+    assert all(row.startswith("FAIL ") and row.endswith(" = nan") for row in checks)
+
+
 @pytest.mark.parametrize("argv, line", [
     (["verify", "--source", "ti", "--k", "6", "--J", "-1", "--beta", "2.1493", "--depth", "1",
       "--branch", "low"], "PASS compatibility_residual<=1e-10 = 0.0\n"),

@@ -232,7 +232,7 @@ def test_coset_residual_swap_symmetry(cycle_params):
     cyc = [s for s in periodic.solve_two_cycle_symmetric(cycle_params)
            if s.type == periodic.CYCLE][0]
     lz, lt = math.log(cyc.z), math.log(cyc.t)
-    eqs = [(n, counts) for n, _, counts in periodic.coset_equations(full_spec(cycle_params.k))]
+    eqs = periodic.coset_equations(full_spec(cycle_params.k))
     residual, _ = ti.coset_system(eqs, cycle_params.theta)
     r = np.max(np.abs(residual(np.array([[0.0, lz, 0.0, lt], [0.0, lt, 0.0, lz]]))), axis=-1)
     assert r.shape == (2,) and np.all(r <= 1e-12)
@@ -246,10 +246,10 @@ def test_coset_system_keeps_the_two_coset_form_bit_for_bit(data, k, theta, x):
     # order of operations; the even-word Jacobian is [[I, -kF'(h1)], [-kF'(h0), I]]
     parity = data.draw(st.sets(st.integers(1, k + 1), min_size=1))
     eqs = periodic.coset_equations(SubgroupSpec(k=k, parity_set=frozenset(parity)))
-    residual, jacobian = ti.coset_system([(n, counts) for n, _, counts in eqs], theta)
+    residual, jacobian = ti.coset_system(eqs, theta)
     h = x.reshape(-1, 2, 2).swapaxes(0, 1)
     f, df = boundary.law_map(h, 2, theta), boundary.law_map_jac(h, theta)
-    old = np.concatenate([h[n] - (c0 * f[0] + c1 * f[1]) for n, _, (c0, c1) in eqs], axis=-1)
+    old = np.concatenate([h[n] - (c0 * f[0] + c1 * f[1]) for n, (c0, c1) in eqs], axis=-1)
     assert residual(x).tobytes() == old.tobytes()
     if len(parity) == k + 1:
         eye = np.broadcast_to(np.eye(2), df[0].shape)

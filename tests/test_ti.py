@@ -126,16 +126,16 @@ def test_count_transition_against_true_thresholds():
         assert n == (1 if d < 0 else 3)
 
 
-def _scan_by_scan_threshold(J, k, lo, hi, beta_tol=1e-7):
+def _scan_by_scan_threshold(J, k, lo, hi):
     # the bisection on the root count with one scan per beta, in the order
-    # the betas are visited
+    # the betas are visited, down to ti.THRESHOLD_TOL
     def count(beta):
         return len(ti.solve_symmetric_roots(ModelParams(k=k, m=2, J=J, beta=beta)))
 
     c_lo, c_hi = count(lo), count(hi)
     if c_lo != 1 or c_hi < 3:
         raise ValueError(f"bracket does not straddle the transition: counts {c_lo}, {c_hi}")
-    while hi - lo > beta_tol:
+    while hi - lo > ti.THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         c = count(mid)
         if c == 1:
@@ -153,26 +153,34 @@ THRESHOLD_BRACKETS = [(2, 1.5, 2.5, 1e-7), (2, 1.9, 1.96, 1e-9), (2, 1.0, 1.9, 1
 
 @pytest.mark.parametrize("k, lo, hi, tol", THRESHOLD_BRACKETS)
 def test_threshold_equals_the_scan_by_scan_bisection(monkeypatch, k, lo, hi, tol):
-    # the lane batch over the predicted midpoints returns the float of the
-    # scan-by-scan bisection, and the same error where the bracket does not
-    # straddle the transition (1.0-1.9 and 1.6-2.0)
+    # the float of the scan-by-scan bisection, or its error where the bracket
+    # does not straddle the transition (1.0-1.9 and 1.6-2.0); one batch scans
+    # both ends, and one more the midpoints that bisection visits, each once
     monkeypatch.setattr(ti, "THRESHOLD_TOL", tol)
-    try:
-        expected = _scan_by_scan_threshold(-1.0, k, lo, hi, tol)
-    except ValueError as bad:
-        with pytest.raises(ValueError, match=re.escape(str(bad))):
-            ti.locate_symmetric_threshold(-1.0, k, lo, hi)
-        return
-    scans = []
+    lanes = ti.symmetric_root_lanes
+    batches = []
 
-    def counting(fdf, lo, hi, n_grid=4096):
-        scans.append(len(lo))
-        return roots.find_roots(fdf, lo, hi, n_grid)
+    def recording(sweep):
+        batches.append([p.beta for p in sweep])
+        return lanes(sweep)
 
-    monkeypatch.setattr(ti, "find_roots", counting)
-    assert ti.locate_symmetric_threshold(-1.0, k, lo, hi) == expected
-    # one scan of both ends, one of every midpoint
-    assert len(scans) == 2 and scans[0] == 2 and scans[1] > 20
+    def run(locate):
+        batches.clear()
+        try:
+            return locate(-1.0, k, lo, hi)
+        except ValueError as bad:
+            return type(bad), str(bad)
+
+    monkeypatch.setattr(ti, "symmetric_root_lanes", recording)
+    expected = run(_scan_by_scan_threshold)
+    visited = [beta for batch in batches for beta in batch]
+    assert run(ti.locate_symmetric_threshold) == expected
+    assert batches[0] == visited[:2] == [lo, hi]
+    if isinstance(expected, float):
+        assert len(batches) == 2 and len(batches[1]) > 20
+        assert sorted(batches[1]) == sorted(visited[2:])
+    else:
+        assert len(batches) == 1 and len(visited) == 2
 
 
 @pytest.mark.parametrize("k", [2, 3])
