@@ -64,22 +64,28 @@ def enumerable(q: int, n_vertices: int) -> bool:
 def _edge_tensor(table: np.ndarray, geo: BallGeometry, edges: range) -> np.ndarray:
     """Sum of table[s(parent j), s(j)] over the edges j, for every configuration.
 
-    The result has one axis of length q per vertex of `geo`, in breadth-first
-    order, so the first vertex is the most significant digit of the C-order
-    flattening and the flat index factorises as inner-ball index times
-    outer-sphere block; the marginalisation oracles lean on that layout.
-    Edge terms are added in vertex order, starting from zero.
+    Flat, in the C order of one axis of length q per vertex of `geo`, breadth-first:
+    the first vertex is the most significant digit, and the index factorises as
+    inner-ball index times outer-sphere block, as the marginalisation oracles need.
+    Grown from zeros by one axis per edge (`edges` runs to the last vertex), so edge
+    terms are added in vertex order, starting from zero; spin s of j is the outer
+    loop of an add, so numpy's inner loop runs along the axes between parent and j.
     """
     q, n_vertices = len(table), geo.n_vertices
     if not enumerable(q, n_vertices):
         raise ScaleError(
             f"{q}^{n_vertices} configurations exceed the exact-mode cap {EXACT_TABLE_CAP}")
-    total = np.zeros((q,) * n_vertices, dtype=table.dtype)
+    parents, pairs = geo.parent_index.tolist(), table[:, None]
+    total = np.zeros(q ** edges.start, dtype=table.dtype)
     for j in edges:
-        shape = [1] * n_vertices
-        shape[geo.parent_index[j]] = shape[j] = q
-        total += table.reshape(shape)
-    return total
+        block = q ** (j - 1 - parents[j])
+        if block < 64:    # a plain broadcast add costs less per call
+            total = total.reshape(-1, q, block, 1) + pairs
+        else:
+            prev = total.reshape(-1, q, block)
+            total = np.empty(prev.shape + (q,), dtype=table.dtype)
+            np.add(prev, table.T[:, None, :, None], out=total.transpose(3, 0, 1, 2), order="C")
+    return total.reshape(-1)
 
 
 def _sphere_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
@@ -93,11 +99,17 @@ def _sphere_laws(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarr
 def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
     """Unnormalised log weights of every configuration of the depth-n ball."""
     geo = ball_geometry(params.k, n)
-    logw = params.J * params.beta * _edge_tensor(
-        gap_table(params.m + 1), geo, range(1, geo.n_vertices))
-    for j, h in enumerate(_sphere_laws(fld, params, n), start=geo.offsets[n]):
-        logw += h.reshape((-1,) + (1,) * (geo.n_vertices - 1 - j))
-    return logw.reshape(-1)
+    q = params.m + 1
+    logw = params.J * params.beta * _edge_tensor(gap_table(q), geo, range(1, geo.n_vertices))
+    for j, h in enumerate(_sphere_laws(fld, params, n)[:, :, None], start=geo.offsets[n]):
+        block = q ** (geo.n_vertices - 1 - j)     # entries per spin of vertex j
+        if q * block <= q ** 6 < logw.size:       # short blocks: add h as a row of q^6
+            h = h.repeat(block, 1).reshape(1, -1).repeat(q ** 5 // block, 0).reshape(-1)
+            rows = logw.reshape(-1, h.size)
+        else:
+            rows = logw.reshape(-1, q, block)
+        rows += h
+    return logw
 
 
 @dataclass
@@ -223,7 +235,7 @@ def _gibbs_kernel_table(params: ModelParams, n: int) -> np.ndarray:
     gaps = gap_table(params.m + 1)
     jb = params.J * params.beta
 
-    energy_in = jb * _edge_tensor(gaps, geo_in, range(1, geo_in.n_vertices)).reshape(-1)
+    energy_in = jb * _edge_tensor(gaps, geo_in, range(1, geo_in.n_vertices))
     cross = _edge_tensor(jb * gaps, geo_out, range(geo_in.n_vertices, geo_out.n_vertices))
     cross = cross.reshape(energy_in.size, -1)
 
@@ -266,15 +278,16 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,
     boundary = joint.sum(axis=0)
     kernel = _gibbs_kernel_table(params, n)
 
-    # The quotient is column-major, so the axis-0 sum runs down contiguous
-    # columns.  Sphere configurations of zero mass condition nothing: their
-    # 0/0 columns are left out of the max (masked in place, not copied).
+    # Columns under 8 entries (n = 0: the root's q spins) are summed in order in
+    # any layout, as numpy sums pairwise from 8 on, so that quotient is row-major;
+    # longer ones stay column-major, which fixes how the sum rounds.  Zero-mass
+    # columns (0/0) are left out of the max; a nan column stays in.
     with np.errstate(invalid="ignore"):
-        cond = np.divide(joint, boundary, order="F")
+        cond = np.divide(joint, boundary, order="C" if inner.size < 8 else "F")
     cond -= kernel
     np.abs(cond, out=cond)
     cond *= 0.5
-    conditional_tv = float(np.max(cond.sum(axis=0), where=boundary > 0, initial=0.0))
+    conditional_tv = float(np.max(cond.sum(axis=0), where=boundary != 0, initial=0.0))
 
     mixed = kernel @ boundary
     mixed -= inner

@@ -39,6 +39,8 @@ class ModelParams:
             raise UsageError("max spin m must be >= 1")
         if self.beta < 0:
             raise UsageError("inverse temperature beta must be >= 0")
+        object.__setattr__(self, "J", float(self.J))
+        object.__setattr__(self, "beta", float(self.beta))
         try:
             theta = math.exp(self.J * self.beta)
         except OverflowError:

@@ -6,6 +6,8 @@ paper's lemmas that the tests hold it against:
 - the word walk of the tree (reduction, parents, spheres), against which the
   breadth-first layout and the coset counts are checked;
 - the edge Hamiltonian, summed edge by edge, against `measure`'s weight table;
+- the broadcast-add forms of `measure`'s edge tensor and weight table, whose
+  bits the grown tensors must keep;
 - a sign scan of the reduced scalar family, against its closed-form
   classification;
 - the damped fixed-point iteration for any m;
@@ -22,10 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from sostree import nonti, ti
-from sostree.boundary import law_map
+from sostree.boundary import BoundaryLawField, gap_table, law_map, unreduce
 from sostree.model import ModelParams
 from sostree.roots import find_roots
-from sostree.tree import IDENTITY, Word, ball_geometry, ball_size, direct_successors
+from sostree.tree import (IDENTITY, BallGeometry, Word, ball_geometry, ball_size,
+                          direct_successors)
 
 # -- the word walk -------------------------------------------------------
 
@@ -82,6 +85,32 @@ def hamiltonian(spins, params: ModelParams, depth: int) -> np.ndarray:
     for j in range(1, width):
         total += np.abs(spins[..., j].astype(np.int16) - spins[..., parent_index[j]])
     return -params.J * total
+
+
+def edge_tensor(table: np.ndarray, geo: BallGeometry, edges: range) -> np.ndarray:
+    """measure._edge_tensor as one broadcast add over the whole tensor per edge.
+
+    Edge terms are added in vertex order, starting from zero, into a tensor
+    with one axis of length q per vertex; the flat result is its C order.
+    """
+    q, n_vertices = len(table), geo.n_vertices
+    total = np.zeros((q,) * n_vertices, dtype=table.dtype)
+    for j in edges:
+        shape = [1] * n_vertices
+        shape[geo.parent_index[j]] = shape[j] = q
+        total += table.reshape(shape)
+    return total.reshape(-1)
+
+
+def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
+    """measure.log_weight_table with each sphere law broadcast over the whole tensor."""
+    geo = ball_geometry(params.k, n)
+    q = params.m + 1
+    logw = params.J * params.beta * edge_tensor(gap_table(q), geo, range(1, geo.n_vertices))
+    logw = logw.reshape((q,) * geo.n_vertices)
+    for j, h in enumerate(unreduce(fld.laws[geo.level(n)]), start=geo.offsets[n]):
+        logw += h.reshape((-1,) + (1,) * (geo.n_vertices - 1 - j))
+    return logw.reshape(-1)
 
 
 # -- translation-invariant references ------------------------------------

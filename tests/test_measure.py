@@ -13,6 +13,7 @@ from sostree.boundary import BoundaryLawField, constant_field, perturb_field
 from sostree.model import ModelParams
 from sostree.tree import ball_geometry, ball_size, cached_ball
 
+import reference
 from reference import hamiltonian
 
 
@@ -124,6 +125,56 @@ def test_log_weight_table_matches_the_hamiltonian(k, n, m):
     table = measure.log_weight_table(fld, params, n)
     assert table.shape == ref.shape
     assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _table_bits(a):
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+@pytest.mark.parametrize("k, n", [(2, 0), (2, 1), (2, 2), (3, 1), (6, 1), (8, 1), (10, 1)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_grown_tables_keep_the_reference_bits(monkeypatch, k, n, m):
+    # the grown edge tensors (int16 gap sums and float J*beta cross terms, over
+    # the whole ball and over the outer sphere), the weight table and the
+    # Gibbs kernel carry the bits of the broadcast-add references
+    rng = np.random.default_rng(100 * k + 10 * n + m)
+    params = ModelParams(k=k, m=m, J=rng.uniform(-1.5, 1.5), beta=rng.uniform(0.5, 3.0))
+    geo = ball_geometry(k, n)
+    gaps = boundary.gap_table(m + 1)
+    if not measure.enumerable(m + 1, geo.n_vertices):
+        with pytest.raises(measure.ScaleError):
+            measure._edge_tensor(gaps, geo, range(1, geo.n_vertices))
+        return
+    for table in (gaps, params.J * params.beta * gaps):
+        # the whole ball's edges, and the outer sphere's as the Gibbs kernel takes them
+        for edges in (range(1, geo.n_vertices), range(max(geo.offsets[n], 1), geo.n_vertices)):
+            grown = measure._edge_tensor(table, geo, edges)
+            ref = reference.edge_tensor(table, geo, edges)
+            assert grown.dtype == ref.dtype
+            np.testing.assert_array_equal(_table_bits(grown), _table_bits(ref))
+    fld = random_field(params, n, seed=rng.integers(2 ** 32))
+    np.testing.assert_array_equal(_table_bits(measure.log_weight_table(fld, params, n)),
+                                  _table_bits(reference.log_weight_table(fld, params, n)))
+    if n:
+        kernel = measure._gibbs_kernel_table(params, n - 1)
+        monkeypatch.setattr(measure, "_edge_tensor", reference.edge_tensor)
+        np.testing.assert_array_equal(_table_bits(kernel),
+                                      _table_bits(measure._gibbs_kernel_table(params, n - 1)))
+
+
+def test_integer_parameters_give_the_float_tables():
+    # J and beta are stored as floats, so J * beta * (int16 gap sums) is a
+    # float table even at n = 0, where there are no edges
+    ints = ModelParams(k=2, m=2, J=-1, beta=2)
+    floats = ModelParams(k=2, m=2, J=-1.0, beta=2.0)
+    assert ints == floats and type(ints.J) is float and type(ints.beta) is float
+    fld = random_field(floats, 1, seed=7)
+    for n in (0, 1):
+        np.testing.assert_array_equal(_table_bits(measure.log_weight_table(fld, ints, n)),
+                                      _table_bits(measure.log_weight_table(fld, floats, n)))
+    np.testing.assert_array_equal(_table_bits(measure._gibbs_kernel_table(ints, 0)),
+                                  _table_bits(measure._gibbs_kernel_table(floats, 0)))
+    assert measure.dlr_breakdown(fld, ints, 0) == measure.dlr_breakdown(fld, floats, 0)
 
 
 def test_table_probabilities_normalised(fm_params, fm_high_field):
@@ -249,27 +300,46 @@ def _bits(x):
     return np.float64(x).view(np.int64)
 
 
-@pytest.mark.parametrize("beta, branch", [(2.5915, 1), (2.9, 0), (2.9, 1), (2.95, 0), (2.0, None)])
-def test_dlr_unmasked_path_keeps_the_masked_bits(beta, branch):
+@pytest.mark.parametrize("k, n, beta, branch, eps", [
+    pytest.param(2, 1, 2.5915, 1, 0.0, id="2.5915-1"),
+    pytest.param(2, 1, 2.9, 0, 0.0, id="2.9-0"),
+    pytest.param(2, 1, 2.9, 1, 0.0, id="2.9-1"),
+    pytest.param(2, 1, 2.95, 0, 0.0, id="2.95-0"),
+    pytest.param(2, 1, 2.0, None, 0.0, id="2.0-None"),
+    pytest.param(2, 0, 2.5915, 1, 0.0, id="n0-k2-2.5915-1"),
+    pytest.param(2, 0, 2.0, None, 0.0, id="n0-k2-2.0-None"),
+    pytest.param(8, 0, 2.5, 2, 0.0, id="n0-k8-2.5-2"),
+    pytest.param(10, 0, 2.5, 0, 1e-3, id="n0-k10-2.5-0-perturbed"),
+])
+def test_dlr_unmasked_path_keeps_the_masked_bits(k, n, beta, branch, eps):
     # the face divides the whole joint table and skips zero-mass columns in
-    # the max; it keeps the bits of the masked copies, whose column-major
-    # layout fixes how the axis-0 sum rounds (on the symmetric-root fields a
-    # row-major sum lands an ulp away).  Branch None is the zero-mass field
-    # of test_dlr_faces_match_a_reference.
-    params = ModelParams(k=2, m=2, J=-1.0, beta=beta)
+    # the max; it keeps the bits of the masked copies.  At n >= 1 the
+    # column-major quotient fixes how the axis-0 sum rounds (on the
+    # symmetric-root fields a row-major sum lands an ulp away); at n = 0 the
+    # q-entry columns are summed in order in any layout, and the quotient is
+    # row-major.  Branch None is the zero-mass field of
+    # test_dlr_faces_match_a_reference.
+    params = ModelParams(k=k, m=2, J=-1.0, beta=beta)
     if branch is None:
-        fld = _dlr_field(params, 1, masked=True)
+        fld = _dlr_field(params, n, masked=True)
     else:
         z = ti.solve_symmetric_roots(params)[branch]
-        fld = constant_field(np.array([0.0, math.log(z)]), params, 2)
-    inner = measure.finite_volume_measure(fld, params, 1).probs
-    joint = measure.finite_volume_measure(fld, params, 2).probs.reshape(inner.size, -1)
+        fld = perturb_field(constant_field(np.array([0.0, math.log(z)]), params, n + 1), eps)
+    inner = measure.finite_volume_measure(fld, params, n).probs
+    joint = measure.finite_volume_measure(fld, params, n + 1).probs.reshape(inner.size, -1)
     mass = joint.sum(axis=0)
     every = mass > 0
     assert every.all() == (branch is not None)
-    kernel = measure._gibbs_kernel_table(params, 1)
+    kernel = measure._gibbs_kernel_table(params, n)
     masked = np.max(0.5 * np.abs(joint[:, every] / mass[every] - kernel[:, every]).sum(axis=0))
-    assert _bits(measure.dlr_breakdown(fld, params, 1).conditional_tv) == _bits(masked)
+    assert _bits(measure.dlr_breakdown(fld, params, n).conditional_tv) == _bits(masked)
+
+
+def test_dlr_conditional_face_propagates_nan(fm_params, fm_roots):
+    # a nan sphere column is no zero-mass column: the face reads nan, not 0.0
+    fld = constant_field(np.array([0.0, math.log(fm_roots[2])]), fm_params, 1)
+    br = measure.dlr_breakdown(perturb_field(fld, math.nan), fm_params, 0)
+    assert math.isnan(br.conditional_tv) and math.isnan(br.equation_tv)
 
 
 @settings(max_examples=25, deadline=None)
