@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .tree import BallGeometry, ball_geometry, ball_size
+from .tree import BallGeometry, ball_geometry, ball_size, sphere_size
 
 
 def sorted_lse(terms: np.ndarray) -> np.ndarray:
@@ -179,11 +179,15 @@ class BoundaryLawField:
 
 
 def constant_field(h: np.ndarray, params: ModelParams, depth: int) -> BoundaryLawField:
-    """Field equal to h at every non-root vertex (root set by the convention)."""
-    h = np.asarray(h, dtype=float)
-    laws = np.tile(h, (ball_size(params.k, depth), 1))
+    """Field of one law (C = 1) or a (C, m) array of coset laws: level d gets
+    h[d % C] (C = 2: even words, then odd words), and the root is set by the
+    convention from level 1's law h[1 % C]."""
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    sizes = [sphere_size(params.k, d) for d in range(depth + 1)]
+    laws = np.repeat(h[np.arange(depth + 1) % len(h)], sizes, axis=0)
     # the root's k+1 successor updates, summed as successor_law_sums sums them
-    laws[0] = law_map(np.tile(h, (1, params.k + 1, 1)), params.m, params.theta).sum(axis=1)[0]
+    child = np.tile(h[1 % len(h)], (1, params.k + 1, 1))
+    laws[0] = law_map(child, params.m, params.theta).sum(axis=1)[0]
     return BoundaryLawField(k=params.k, depth=depth, laws=laws)
 
 

@@ -79,7 +79,7 @@ class Output(NamedTuple):
 
 
 def cmd_solve_ti(args, params: ModelParams) -> Output:
-    return Output(_json(ti.solve(params).to_json_dict()))
+    return Output(_json(ti.solve(params)))
 
 
 def cmd_critical_beta(args, params: None) -> Output:
@@ -188,9 +188,9 @@ def _oracle_rows(fld: boundary.BoundaryLawField, params: ModelParams, n: int,
 def cmd_verify(args, params: ModelParams) -> Output:
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
+    _check_size(params.k, args.depth)
 
     if args.source == "ti":
-        _check_size(params.k, args.depth)
         _, fld = _branch_field(params, args.branch, args.depth)
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)
@@ -207,7 +207,6 @@ def cmd_verify(args, params: ModelParams) -> Output:
             psi = ti.SliceMap(params.theta, params.k)
             s = cycles[0]
             res = max(abs(s.z - float(psi(s.t))), abs(s.t - float(psi(s.z))))
-            _check_size(params.k, args.depth)
             fld = periodic.expand_two_cycle_field(s.z, s.t, params, args.depth)
             if args.perturb:
                 fld = boundary.perturb_field(fld, args.perturb)
@@ -216,7 +215,6 @@ def cmd_verify(args, params: ModelParams) -> Output:
                      ("expanded_field_residual<=1e-10", r <= 1e-10, r)]
     else:
         roots = ti.solve_symmetric_roots(params)
-        _check_size(params.k, args.depth)
         fld = nonti.build_field(args.t, args.s, params, args.depth, roots).field
         if args.perturb:
             fld = boundary.perturb_field(fld, args.perturb)

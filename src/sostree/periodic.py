@@ -19,7 +19,7 @@ from . import ti
 from .boundary import BoundaryLawField, constant_field, law_map
 from .model import ModelParams, UsageError
 from .roots import batched_newton, dedupe, find_roots
-from .tree import SubgroupSpec, ball_geometry
+from .tree import SubgroupSpec
 
 FIXED = "FIXED"
 CYCLE = "CYCLE"
@@ -231,11 +231,7 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
 def expand_two_cycle_field(z: float, t: float, params: ModelParams,
                            depth: int) -> BoundaryLawField:
     """Two-coset-periodic field: law (0, ln z) on even words, (0, ln t) on odd."""
-    fld = constant_field(np.array([0.0, math.log(t)]), params, depth)
-    geo = ball_geometry(params.k, depth)
-    for d in range(2, depth + 1, 2):
-        fld.laws[geo.level(d)] = (0.0, math.log(z))
-    return fld
+    return constant_field(np.array([[0.0, math.log(z)], [0.0, math.log(t)]]), params, depth)
 
 
 def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
@@ -250,7 +246,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     afm = params.theta > 1.0
     instability = None
     if afm:
-        value, holds = cycle_instability(params, ti_set.symmetric_roots)
+        value, holds = cycle_instability(params, ti_set["symmetric_roots"])
         instability = {"value": value, "holds": holds}
 
     if spec.is_full and afm:
@@ -260,7 +256,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
                      f"{n_cyc} chess-board solutions alongside the translation-invariant ones")
     else:
         solutions = [Period2Solution(z=z1, t=z1, type=FIXED, full_pair=((z0, z1), (z0, z1)))
-                     for z0, z1 in ti_set.full_solutions]
+                     for z0, z1 in ti_set["full_solutions"]]
         if not spec.is_full:
             statement = ("subgroup contains a generator: periodic solutions "
                          "coincide with the translation-invariant ones")
@@ -272,7 +268,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
         "params": params.to_dict(),
         "subgroup": {"A": sorted(spec.parity_set)},
         "I_nonempty": not spec.is_full,
-        "ti_solutions": [list(s) for s in ti_set.full_solutions],
+        "ti_solutions": ti_set["full_solutions"],
         "solutions": [s.to_json_dict() for s in solutions],
         "instability": instability,
         "statement": statement,

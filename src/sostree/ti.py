@@ -245,34 +245,13 @@ def _slice_residual(sweep: list[ModelParams]):
     return f
 
 
-@dataclass
-class TiSolutionSet:
-    """Constant-law solutions in weight coordinates, with classification."""
-
-    params: ModelParams
-    symmetric_roots: list[float]
-    classification: str
-    full_solutions: list[tuple[float, float]]
-    beta_cr: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "classification": self.classification,
-            "symmetric_roots": self.symmetric_roots,
-            "full_solutions": [list(zz) for zz in self.full_solutions],
-            "beta_cr": self.beta_cr,
-        }
-
-
-def solve(params: ModelParams) -> TiSolutionSet:
-    """Symmetric-branch roots plus the full 2D solution scan."""
+def solve(params: ModelParams) -> dict:
+    """Symmetric-branch roots plus the full 2D solution scan, as `solve-ti` prints them."""
     roots = solve_symmetric_roots(params)
     _, label, _ = classify_scalar_family(*astuple(ReducedForm.from_params(params)), params.k)
     beta_cr = critical_beta(params.J, params.k) if (params.J < 0 and params.k >= 2) else None
-    return TiSolutionSet(params=params, symmetric_roots=roots, classification=label,
-                         full_solutions=solve_full(params, roots),
-                         beta_cr=beta_cr)
+    return {"params": params.to_dict(), "classification": label, "symmetric_roots": roots,
+            "full_solutions": [list(zz) for zz in solve_full(params, roots)], "beta_cr": beta_cr}
 
 
 def coset_system(equations: list[tuple[int, tuple[int, ...]]], theta: float):

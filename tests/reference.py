@@ -8,6 +8,8 @@ paper's lemmas that the tests hold it against:
 - the edge Hamiltonian, summed edge by edge, against `measure`'s weight table;
 - the broadcast-add forms of `measure`'s edge tensor and weight table, whose
   bits the grown tensors must keep;
+- the tiled constant field and the level-overwritten two-cycle field, whose
+  bits `boundary.constant_field` must keep;
 - a sign scan of the reduced scalar family, against its closed-form
   classification;
 - the damped fixed-point iteration for any m;
@@ -111,6 +113,28 @@ def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.n
     for j, h in enumerate(unreduce(fld.laws[geo.level(n)]), start=geo.offsets[n]):
         logw += h.reshape((-1,) + (1,) * (geo.n_vertices - 1 - j))
     return logw.reshape(-1)
+
+
+# -- coset-constant fields -----------------------------------------------
+
+
+def tiled_constant_field(h: np.ndarray, params: ModelParams, depth: int) -> BoundaryLawField:
+    """boundary.constant_field of one law: the law tiled over the ball, root by the convention."""
+    h = np.asarray(h, dtype=float)
+    laws = np.tile(h, (ball_size(params.k, depth), 1))
+    laws[0] = law_map(np.tile(h, (1, params.k + 1, 1)), params.m, params.theta).sum(axis=1)[0]
+    return BoundaryLawField(k=params.k, depth=depth, laws=laws)
+
+
+def overwritten_two_cycle_field(z: float, t: float, params: ModelParams,
+                                depth: int) -> BoundaryLawField:
+    """periodic.expand_two_cycle_field as the odd law (0, ln t) tiled, then
+    each even level overwritten with (0, ln z)."""
+    fld = tiled_constant_field(np.array([0.0, math.log(t)]), params, depth)
+    geo = ball_geometry(params.k, depth)
+    for d in range(2, depth + 1, 2):
+        fld.laws[geo.level(d)] = (0.0, math.log(z))
+    return fld
 
 
 # -- translation-invariant references ------------------------------------

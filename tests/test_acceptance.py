@@ -55,7 +55,7 @@ def test_criterion_02_afm_uniqueness_sweep():
     for J in (0.5, 1.0, 2.0):
         for k in (2, 3, 4):
             for i in range(1, 51):
-                sols = ti.solve(ModelParams(k=k, m=2, J=J, beta=0.1 * i)).full_solutions
+                sols = ti.solve(ModelParams(k=k, m=2, J=J, beta=0.1 * i))["full_solutions"]
                 n_checked += 1
                 if len(sols) != 1:
                     report(2, False, f"J={J} k={k} beta={0.1 * i:.1f}: {len(sols)} solutions")
@@ -202,7 +202,7 @@ def test_criterion_08_afm_chess_board():
 def test_criterion_09_parity_subgroups():
     fm = ModelParams(k=2, m=2, J=-1.0, beta=2.0)
     afm = ModelParams(k=2, m=2, J=1.0, beta=1.0)
-    ti_sols = {p: ti.solve(p).full_solutions for p in (fm, afm)}
+    ti_sols = {p: ti.solve(p)["full_solutions"] for p in (fm, afm)}
     all_ti = True
     for r in (1, 2):
         for a_set in itertools.combinations((1, 2, 3), r):

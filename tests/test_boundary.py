@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sostree import boundary, ti
+from sostree import boundary, periodic, ti
 from sostree.boundary import (BoundaryLawField, compatibility_residual, constant_field,
                               law_map, law_map_jac, perturb_field)
 from sostree.model import ModelParams
 from sostree.tree import ball_size
 
-from reference import derivative_bounds, injectivity_check, slice_contraction_constant
+from reference import (derivative_bounds, injectivity_check, overwritten_two_cycle_field,
+                       slice_contraction_constant, tiled_constant_field)
 
 
 def naive_law_map(h, m, theta):
@@ -267,3 +268,20 @@ def test_perturb_field_shifts_all_laws(fm_high_field):
     np.testing.assert_array_equal(bad.laws[:, -1], fm_high_field.laws[:, -1] + 0.25)
     np.testing.assert_array_equal(bad.laws[:, :-1], fm_high_field.laws[:, :-1])
     assert bad.root[-1] == fm_high_field.root[-1] + 0.25
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 200])
+def test_coset_fields_keep_the_tiled_bits(k):
+    # one law and the two slice laws of a chess-board field, against the
+    # tile-then-overwrite builders; k = 200 stops at depth 2 (its depth-3
+    # ball has 8 million rows)
+    rng = np.random.default_rng(k)
+    for depth in range(4 if k < 200 else 3):
+        theta, z, t = np.exp(rng.uniform(-2.0, 2.0, 3))
+        p = ModelParams.from_theta(k=k, m=2, theta=theta)
+        h = rng.uniform(-5.0, 5.0, 2)
+        pairs = [(constant_field(h, p, depth), tiled_constant_field(h, p, depth)),
+                 (periodic.expand_two_cycle_field(z, t, p, depth),
+                  overwritten_two_cycle_field(z, t, p, depth))]
+        for new, old in pairs:
+            np.testing.assert_array_equal(new.laws.view(np.int64), old.laws.view(np.int64))

@@ -597,6 +597,23 @@ def test_oversized_requests_are_refused_before_anything_is_built(argv, monkeypat
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "200", "--t", "0.3",
+     "--s", "1.2", "--depth", "30"],
+    ["verify", "--source", "period2", "--k", "2", "--theta", "1.5", "--depth", "30"],
+], ids=["nonti", "period2"])
+def test_verify_refuses_the_ball_size_before_any_scan(argv, monkeypatch, capsys):
+    # nonti once scanned the roots first and printed the scan's float-range
+    # error; period2 without a cycle built no field, so never checked the size
+    def scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+    monkeypatch.setattr(ti, "solve_symmetric_roots", scan)
+    monkeypatch.setattr(periodic, "cycle_instability", scan)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (f"error: the depth-30 ball of order 2 exceeds "
+                                       f"{measure.SIZE_CAP} vertices\n")
+
+
 def test_size_cap_counts_vertices_times_samples():
     # 1 + 3 (2^d - 1) vertices at k = 2: 6,291,454 at depth 21, twice that at 22
     cli._check_size(2, 21)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sostree import boundary, periodic, ti
+from sostree import boundary, measure, periodic, ti
 from sostree.model import ModelParams
+from sostree.roots import batched_newton
 from sostree.tree import SubgroupSpec
 
 # frozen from the solver itself after confirming the instability criterion
@@ -199,7 +200,7 @@ def test_alternating_full_fm_all_equal_pairs(monkeypatch, fm_params):
     assert resid.max() <= 1e-10
     assert np.max(np.abs(h - l)) <= 1e-8
     # every limit is one of the translation-invariant solutions
-    sols = np.log(ti.solve(fm_params).full_solutions)
+    sols = np.log(ti.solve(fm_params)["full_solutions"])
     for row in h:
         gap = np.max(np.abs(sols - row), axis=-1) / max(1.0, np.max(np.abs(row)))
         assert gap.min() <= 1e-10
@@ -225,6 +226,55 @@ def test_cycle_expanded_field_is_consistent(cycle_params):
            if s.type == periodic.CYCLE][0]
     fld = periodic.expand_two_cycle_field(cyc.z, cyc.t, cycle_params, depth=2)
     assert boundary.compatibility_residual(fld, cycle_params) <= 1e-10
+
+
+def _field_checks(fld, params):
+    """Residual, then compatibility at depth 2 and DLR at depth 0 where k <= 3."""
+    checks = [boundary.compatibility_residual(fld, params)]
+    if params.k <= 3:
+        checks += [measure.compatibility_oracle(fld, params, 2),
+                   measure.dlr_breakdown(fld, params, 0).max_violation]
+    return checks
+
+
+@pytest.mark.parametrize("params, n_sols, n_off", [
+    (ModelParams(k=2, m=2, J=-1.0, beta=3.0), 7, 4),
+    (ModelParams(k=3, m=2, J=-1.0, beta=2.0), 7, 4),
+    (ModelParams.from_theta(k=200, m=2, theta=1.07), None, None),
+], ids=["ti-k2", "ti-k3", "cycle-k200"])
+def test_every_printed_solution_builds_a_consistent_field(params, n_sols, n_off):
+    # the laws each command prints, as constant_field's one law or two coset laws
+    if n_sols is None:
+        report = periodic.classify_by_subgroup(full_spec(params.k), params)
+        laws = [np.log([s["z_full"], s["t_full"]]) for s in report["solutions"]
+                if s["type"] == periodic.CYCLE]
+        assert len(laws) == 2
+    else:
+        sols = ti.solve(params)["full_solutions"]
+        assert len(sols) == n_sols and sum(z0 != 1.0 for z0, _ in sols) == n_off
+        laws = np.log(sols)
+    for h in laws:
+        fld = boundary.constant_field(h, params, 2)
+        assert max(_field_checks(fld, params)) <= 1e-10
+
+
+def test_neel_pair_field_is_a_gibbs_measure():
+    # an off-slice spin-flip two-cycle of the even-word cosets at k = 2,
+    # theta = 4: h on even words, its flip image beside l on odd words
+    params = ModelParams.from_theta(k=2, m=2, theta=4.0)
+    eqs = periodic.coset_equations(full_spec(2))
+    start = np.log([[0.00706, 0.0633, 141.65, 8.969]])
+    x, defect = batched_newton(*ti.coset_system(eqs, params.theta), start, 40, 20.0, tol=1e-13)
+    assert defect[0] <= 1e-14
+    laws = x.reshape(2, 2)
+    fld = boundary.constant_field(laws, params, 2)
+    assert max(_field_checks(fld, params)) <= 1e-14
+    # negative control: the root taken from the even law, the level-0 coset,
+    # instead of its successors' odd law
+    fld.laws[0] = 3 * boundary.law_map(laws[0], 2, params.theta)
+    residual, _, dlr = _field_checks(fld, params)
+    assert residual == pytest.approx(14.86, abs=0.01)
+    assert dlr == pytest.approx(0.983, abs=0.001)
 
 
 def test_coset_residual_swap_symmetry(cycle_params):
@@ -258,7 +308,7 @@ def test_coset_system_keeps_the_two_coset_form_bit_for_bit(data, k, theta, x):
 
 
 def test_parity_iteration_proper_subgroups_reach_ti_only(fm_params, afm_params):
-    full_sols = {p: ti.solve(p).full_solutions for p in (fm_params, afm_params)}
+    full_sols = {p: ti.solve(p)["full_solutions"] for p in (fm_params, afm_params)}
     for r in (1, 2):
         for a_set in itertools.combinations((1, 2, 3), r):
             spec = SubgroupSpec(k=2, parity_set=frozenset(a_set))
@@ -416,7 +466,7 @@ def test_parity_newton_finishes_what_the_sweep_could_not(k, theta, seed, n_start
     res = periodic.iterate_parity_system(spec, p, n_starts=n_starts, seed=seed)
     assert res.converged.sum() > before
     assert res.ti[res.converged].all()
-    sols = np.log(ti.solve(p).full_solutions)
+    sols = np.log(ti.solve(p)["full_solutions"])
     for row in res.h_even[res.converged]:
         gap = np.max(np.abs(sols - row), axis=-1) / np.maximum(1.0, np.max(np.abs(sols), axis=-1))
         assert gap.min() <= 1e-6

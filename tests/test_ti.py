@@ -378,14 +378,14 @@ def test_solutions_satisfy_field_residual(fm_params, fm_roots):
 
 
 def test_solve_full_afm_unique(afm_params):
-    sols = ti.solve(afm_params).full_solutions
+    sols = ti.solve(afm_params)["full_solutions"]
     assert len(sols) == 1
     assert sols[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_full_fm_below_transition():
     p = ModelParams(k=2, m=2, J=-1.0, beta=0.5)
-    sols = ti.solve(p).full_solutions
+    sols = ti.solve(p)["full_solutions"]
     assert len(sols) == 1
     assert sols[0][0] == pytest.approx(1.0, abs=1e-12)
 
@@ -458,7 +458,7 @@ def _certified_off_slice_count(params: ModelParams) -> int:
 @given(k=st.integers(2, 5), J=st.sampled_from([-1.0, 1.0]), beta=st.floats(0.3, 3.0))
 def test_solve_full_off_slice_count_is_certified(k, J, beta):
     p = ModelParams(k=k, m=2, J=J, beta=beta)
-    found = sum(z0 != 1.0 for z0, _ in ti.solve(p).full_solutions)
+    found = sum(z0 != 1.0 for z0, _ in ti.solve(p)["full_solutions"])
     assert found == _certified_off_slice_count(p)
 
 
@@ -469,7 +469,7 @@ def test_solve_full_is_closed_under_the_spin_flip(k, J):
     # weights are normal floats is listed too
     for beta in (0.5, 1.612, 2.3, 3.0):
         p = ModelParams(k=k, m=2, J=J, beta=beta)
-        hs = np.log(np.array(ti.solve(p).full_solutions))
+        hs = np.log(np.array(ti.solve(p)["full_solutions"]))
         for h0, h1 in hs:
             image = np.array([-h0, h1 - h0])
             if np.max(np.abs(image)) <= ti.LOG_WEIGHT_MAX:
@@ -483,7 +483,7 @@ def test_solve_full_is_quiet_at_k_200():
     # h = +-(1200, 600) lies past the float range and is left out
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts = [len(ti.solve(ModelParams(200, 2, -1.0, beta)).full_solutions)
+        counts = [len(ti.solve(ModelParams(200, 2, -1.0, beta))["full_solutions"])
                   for beta in (0.5, 1.612, 3.0)]
     assert counts == [7, 7, 5]
 
@@ -526,13 +526,12 @@ def test_general_m_iteration_m3_probe():
 
 def test_solve_assembles_solution_set(fm_params):
     result = ti.solve(fm_params)
-    assert result.classification == ti.THREE
-    assert result.beta_cr == pytest.approx(math.log(17) / 2, abs=1e-12)
-    sym = [tuple(s) for s in result.full_solutions if abs(s[0] - 1) < 1e-9]
+    assert result["classification"] == ti.THREE
+    assert result["beta_cr"] == pytest.approx(math.log(17) / 2, abs=1e-12)
+    sym = [tuple(s) for s in result["full_solutions"] if abs(s[0] - 1) < 1e-9]
     assert len(sym) == 3
-    payload = result.to_json_dict()
-    assert set(payload) == {"params", "classification", "symmetric_roots",
-                            "full_solutions", "beta_cr"}
+    assert set(result) == {"params", "classification", "symmetric_roots",
+                           "full_solutions", "beta_cr"}
 
 
 def test_solve_scans_symmetric_roots_once(monkeypatch, fm_params):
@@ -546,7 +545,7 @@ def test_solve_scans_symmetric_roots_once(monkeypatch, fm_params):
     monkeypatch.setattr(ti, "solve_symmetric_roots", counted)
     result = ti.solve(fm_params)
     assert len(calls) == 1
-    assert len([s for s in result.full_solutions if s[0] == 1.0]) == 3
+    assert len([s for s in result["full_solutions"] if s[0] == 1.0]) == 3
 
 
 def test_solve_full_scans_one_mirror_half(monkeypatch, fm_params, fm_roots):
