@@ -6,7 +6,7 @@ Every file-producing run writes a manifest alongside the output (the resolved
 parameters, every flag of the command, `sample`'s chosen root z and the
 package version), and is deterministic given it.  `COMMANDS` declares each
 command once, and `main` writes every output and manifest.  A call builds
-the argument parser of its own command only.
+the argument parser of its own command only, with one terminal query.
 
 Exit codes: 0 ok, 1 internal error, 2 usage error (any model.UsageError, argparse's
 refusals too, as one `error:` line), 3 verification failure.
@@ -15,6 +15,7 @@ refusals too, as one `error:` line), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -286,31 +287,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`: only the subparser of the command that argv[0]
-    names, or, when argv[0] names none, every command.  That fallback serves
-    the input that ends in help or a refusal: `--help`, an empty argv, an
-    unknown command or a leading `--`, whose messages list every command."""
+    """The parser for `argv`.  When argv[0] names a command it is that
+    command's parser alone (prog "sostree <name>"), which parses argv[1:];
+    otherwise it is the parser of every command, which parses argv whole.
+    That fallback serves the input that ends in help or a refusal: `--help`,
+    an empty argv, an unknown command or a leading `--`, whose messages list
+    every command.  The terminal width is queried once here: argparse would
+    query it again in every add_argument."""
+    import shutil   # at first use, as argparse imports it
+
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    if argv and argv[0] in COMMANDS:
+        return _add_command(_Parser(prog=f"sostree {argv[0]}", formatter_class=formatter),
+                            argv[0])
     parser = _Parser(
-        prog="sostree",
+        prog="sostree", formatter_class=formatter,
         description="Boundary-law solvers and finite-volume verifiers on Cayley trees")
     sub = parser.add_subparsers(dest="command", required=True)
-    only = argv[0] if argv and argv[0] in COMMANDS else None
     for name, cmd in COMMANDS.items():
-        if only not in (None, name):
-            continue
-        p = sub.add_parser(name, help=cmd.help)
-        for flag, options in PARAM_FLAGS if cmd.model_params else ():
-            p.add_argument(flag, **options)
-        recorded = [p.add_argument(flag, **options).dest for flag, options in cmd.flags]
-        p.add_argument("--out")
-        p.set_defaults(cmd=cmd, recorded=recorded)
+        _add_command(sub.add_parser(name, help=cmd.help, formatter_class=formatter), name)
     return parser
+
+
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """p with the flags, `--out` and the defaults of command `name`."""
+    cmd = COMMANDS[name]
+    for flag, options in PARAM_FLAGS if cmd.model_params else ():
+        p.add_argument(flag, **options)
+    recorded = [p.add_argument(flag, **options).dest for flag, options in cmd.flags]
+    p.add_argument("--out")
+    p.set_defaults(command=name, cmd=cmd, recorded=recorded)
+    return p
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        named = bool(argv) and argv[0] in COMMANDS    # whose parser takes argv[1:]
+        args = build_parser(argv).parse_args(argv[1:] if named else argv)
         # far from the solutions, exp(h) and the root-scan products overflow
         # to inf by design (such Newton starts are dropped), so stay quiet
         with np.errstate(over="ignore", invalid="ignore"):

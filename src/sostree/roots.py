@@ -33,31 +33,40 @@ def bisect(f: Callable, lo, hi, rel_tol: float = ROOT_REL_TOL):
     comes back.  Then f is a pair (one, many) of evaluators: one(x, j) gives
     the value at x of bracket j, many(xs, ids) the list of values at the
     points xs of brackets ids, one call per step for all brackets still
-    running.
+    running.  A triple (one, many, signs) also gives each bracket's `sign`
+    of `_halving` (or None).
     """
     if not isinstance(lo, _SEQUENCES):
         return _run([_halving(lo, hi, rel_tol)], lambda x, j: f(x), None)[0]
-    return _run([_halving(a, b, rel_tol) for a, b in zip(lo, hi)], *f)
+    one, many, signs = f if len(f) == 3 else (*f, [None] * len(lo))
+    return _run([_halving(a, b, rel_tol, sign) for a, b, sign in zip(lo, hi, signs)],
+                one, many)
 
 
-def _halving(lo: float, hi: float, rel_tol: float):
-    """Bisection of one bracket as a coroutine: it yields each point and is sent f there."""
+def _halving(lo: float, hi: float, rel_tol: float, sign: Callable | None = None):
+    """Bisection of one bracket as a coroutine: it yields each point and is sent f there.
+
+    Only the signs of f count, compared strictly (a product of two tiny
+    values of opposite sign would underflow to 0.0 and read as one sign).
+    A bisection point is yielded only when sign(point), if given, is 0.0:
+    sign may stand in for f with +-1.0 where it is sure of f's sign.
+    """
     flo = yield lo
     if flo == 0.0:
         return lo
     fhi = yield hi
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if flo > 0 < fhi or flo < 0 > fhi:
         raise ValueError("root not bracketed")
     for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(1.0, abs(mid)):
             return mid
-        fmid = yield mid
+        fmid = (sign and sign(mid)) or (yield mid)
         if fmid == 0.0:
             return mid
-        if flo * fmid < 0:
+        if flo < 0 < fmid or fmid < 0 < flo:
             hi = mid
         else:
             lo, flo = mid, fmid
@@ -194,7 +203,7 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def find_roots(fdf: Callable, lo, hi, n_grid: int):
+def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None):
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
     `fdf` returns f and its derivative together.  With float bounds it is
@@ -210,6 +219,12 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int):
     jobs run one by one at `np.float64` points, numpy scalars, which give
     the bits of arrays at a fraction of the cost; so does a one-lane scan.
 
+    `sign`, called like fdf but on a float point, may give f's sign as +-1.0
+    where it is sure of it, and 0.0 elsewhere; a scan of at most FEW_JOBS
+    brackets then asks it first at each bisection point, and calls fdf
+    only where it gives 0.0.  The grid, the splits, the Newton polish and
+    larger batches call fdf alone.
+
     Brackets containing a sign change of f' are additionally split at the
     interior extremum, which recovers root pairs too close for the base grid
     to separate.  A cell is skipped when f has one sign at both ends and f'
@@ -221,6 +236,7 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int):
     single = not isinstance(lo, _SEQUENCES)
     if single:
         fdf, lo, hi = (lambda x, lane, f=fdf: f(x)), [lo], [hi]
+        sign = sign and (lambda x, lane, s=sign: s(x))
     if not all(0 < a < b for a, b in zip(lo, hi)):
         raise ValueError("need 0 < lo < hi for a log grid")
     roots: list[list[float]] = []
@@ -249,11 +265,14 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int):
         for lane, a, b, x, f_x, f_a in zip(lanes, a, b, xe, fe, split_f):
             if f_x == 0.0:
                 roots[lane].append(x)
-            elif f_x * f_a < 0:
+            elif f_x < 0 < f_a or f_a < 0 < f_x:
                 brackets += [(lane, a, x), (lane, x, b)]
     if brackets:
         lanes, a, b = zip(*brackets)
-        x0 = bisect(_batch(fdf, lanes, 0), a, b)
+        evaluators = _batch(fdf, lanes, 0)
+        if sign is not None and len(brackets) <= FEW_JOBS:
+            evaluators += ([lambda x, lane=lane: sign(x, lane) for lane in lanes],)
+        x0 = bisect(evaluators, a, b)
         jobs = [_newton(x, lo_x, hi_x) for x, lo_x, hi_x in zip(x0, a, b)]
         for lane, x in zip(lanes, _run(jobs, *_batch(fdf, lanes))):
             roots[lane].append(x)

@@ -31,6 +31,9 @@ DEDUPE_TOL = 1e-8         # 2D solutions closer than this (log space) are one
 THRESHOLD_TOL = 1e-7      # bracket width at which the threshold bisection stops
 # |ln z| up to which a weight z is a normal float (the limits are -708.4, 709.8)
 LOG_WEIGHT_MAX = 708.0
+# 16 eps, eps = 2^-52: 8 times the relative gap that two float64 log and exp
+# within 1 ulp, libm's and numpy's, can leave between two values of psi
+_SIGN_TOL = 16 * 2.0 ** -52
 
 
 class FloatRangeError(UsageError):
@@ -188,12 +191,14 @@ def symmetric_root_lanes(sweep: list[ModelParams]) -> list[list[float]]:
         lo.append(bounds[0])
         hi.append(bounds[1])
         expected.append(count)
-    found = find_roots(_slice_residual([sweep[i] for i in lanes]), lo, hi, SCAN_GRID) \
+    scanned = [sweep[i] for i in lanes]
+    found = find_roots(_slice_residual(scanned), lo, hi, SCAN_GRID, _slice_sign(scanned)) \
         if lanes else []
     retry = [j for j, roots in enumerate(found) if expected[j] not in (None, len(roots))]
     if retry:
-        again = find_roots(_slice_residual([sweep[lanes[j]] for j in retry]),
-                           [lo[j] for j in retry], [hi[j] for j in retry], 16 * SCAN_GRID)
+        rescanned = [scanned[j] for j in retry]
+        again = find_roots(_slice_residual(rescanned), [lo[j] for j in retry],
+                           [hi[j] for j in retry], 16 * SCAN_GRID, _slice_sign(rescanned))
         for j, roots in zip(retry, again):
             found[j] = roots
             if len(roots) != expected[j]:
@@ -231,9 +236,7 @@ def _slice_residual(sweep: list[ModelParams]):
     theta is each ModelParams' own float (math.exp); np.exp(J * beta) can
     differ in the last bit, and so move the roots.
     """
-    # per lane: 2t, 1 + t^2, 1 - t^2, t and k, as Python floats and as arrays
-    consts = [(2 * p.theta, 1 + p.theta * p.theta, 1 - p.theta * p.theta, p.theta, p.k)
-              for p in sweep]
+    consts = _slice_consts(sweep)
     arrays = [np.array(column) for column in zip(*consts)]
 
     def f(z, lane):
@@ -243,6 +246,40 @@ def _slice_residual(sweep: list[ModelParams]):
         return p - z, dp - 1.0
 
     return f
+
+
+def _slice_consts(sweep: list[ModelParams]) -> list[tuple]:
+    """Per lane: 2t, 1 + t^2, 1 - t^2, t and k, as Python floats."""
+    return [(2 * p.theta, 1 + p.theta * p.theta, 1 - p.theta * p.theta, p.theta, p.k)
+            for p in sweep]
+
+
+def _slice_sign(sweep: list[ModelParams]):
+    """The sign of _slice_residual's psi(z) - z on a lane of sweep, as find_roots'
+    `sign` takes it: +-1.0 where math.log and math.exp certify it, else 0.0.
+
+    With a = ln(2t + z), b = ln(1 + t^2 + t z), d = a - b, y = k d and
+    p = e^y, two float64 log and exp within 1 ulp (libm's here, numpy's
+    there) give values of p at most p (2 eps (k (|a| + |b| + |d|) + |y|)
+    + 2 eps) apart, so a gap |p - z| over 8 times that has numpy's sign.
+    """
+    consts = _slice_consts(sweep)
+
+    def sign(z: float, lane: int) -> float:
+        two_t, one_plus, _, t, k = consts[lane]
+        a, b = math.log(two_t + z), math.log(one_plus + t * z)
+        d = a - b
+        y = k * d
+        if -700.0 < y < 700.0:
+            p = math.exp(y)
+            bound = p * (_SIGN_TOL * (k * (abs(a) + abs(b) + abs(d)) + abs(y)) + _SIGN_TOL)
+            if p - z > bound:
+                return 1.0
+            if p - z < -bound:
+                return -1.0
+        return 0.0
+
+    return sign
 
 
 def solve(params: ModelParams) -> dict:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -535,15 +536,49 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
 
 
 def test_parser_registers_only_the_command_being_run():
+    # a named command gets its own parser alone, with no subparsers; it gives
+    # the help of the full parser's subcommand and, on the flags after the
+    # name, the Namespace the full parser gives for the whole argv
     assert list(ONE_ARGV) == list(cli.COMMANDS)
     full = _subcommands(cli.build_parser([]))
     assert list(full) == list(cli.COMMANDS)
     for name, flags in ONE_ARGV.items():
         argv = [name, *flags]
-        one = _subcommands(cli.build_parser(argv))
-        assert list(one) == [name]
-        assert one[name].format_help() == full[name].format_help()
-        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser([]).parse_args(argv)
+        one = cli.build_parser(argv)
+        assert one.prog == f"sostree {name}"
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in one._actions)
+        assert one.format_help() == full[name].format_help()
+        assert one.parse_args(flags) == cli.build_parser([]).parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["verify", "--source", "ti"]], ids=["every", "one"])
+def test_one_parser_build_queries_the_terminal_once(monkeypatch, argv):
+    # argparse queried it in every add_argument, 16 times for verify
+    real, queries = shutil.get_terminal_size, []
+
+    def counting(*args, **kwargs):
+        queries.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    parser = cli.build_parser(argv)
+    parser.format_help()
+    assert len(queries) == 1
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_help_wraps_as_argparse_wraps_it(monkeypatch, capsys, columns):
+    # every --help, printed with the width queried once per build, equals
+    # argparse's own help, whose formatter queries the terminal itself
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser([])
+    commands = _subcommands(parser)
+    for p in [parser, *commands.values()]:
+        p.formatter_class = argparse.HelpFormatter
+    for argv, p in [(["--help"], parser), *(([name, "--help"], commands[name])
+                                          for name in cli.COMMANDS)]:
+        assert run(argv) == 0
+        assert capsys.readouterr().out == p.format_help()
 
 
 def test_process_entry_point_matches_main(monkeypatch, capsys):

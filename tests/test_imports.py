@@ -121,6 +121,7 @@ PUBLIC_DEFAULTS = [
     "periodic.solve_two_cycle_full(seed)",
     "roots.batched_newton(tol)",
     "roots.bisect(rel_tol)",
+    "roots.find_roots(sign)",
 ]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,19 @@ def test_dedupe_is_relative_for_large_roots():
     assert find_roots(fdf, 0.1 * big, 3 * big, 4096) == pytest.approx([big, 2 * big], rel=1e-12)
 
 
+def test_bisection_compares_signs_not_products():
+    # two values below about 1e-162 multiply to +-0.0, which read as one sign:
+    # the product test bisected towards hi and returned 1.99999999999909
+    def f(x):
+        return (x - 1.3) * 1e-200
+
+    assert bisect(f, 1.0, 2.0) == pytest.approx(1.3, rel=1e-12)
+    assert bisect((lambda x, j: f(x), lambda xs, ids: [f(x) for x in xs]),
+                  [1.0] * 6, [2.0] * 6) == pytest.approx([1.3] * 6, rel=1e-12)
+    with pytest.raises(ValueError, match="not bracketed"):
+        bisect(lambda x: (x - 0.5) * 1e-200, 1.0, 2.0)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_a_root_pair_inside_one_grid_cell_is_found(sign):
     # the grid 1, 1.19, 1.41, 1.68, 2 puts both roots in one cell with ends of
@@ -176,6 +191,13 @@ def test_a_root_pair_inside_one_grid_cell_is_found(sign):
         return sign * (x - 1.3) * (x - 1.301), sign * (2.0 * x - 2.601)
 
     assert find_roots(fdf, 1.0, 2.0, n_grid=5) == pytest.approx([1.3, 1.301], rel=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1e-200, -1e-200])
+def test_a_root_pair_is_found_where_the_split_product_underflows(sign):
+    # f at the extremum times f at the cell's end underflows to -0.0, which
+    # the product test took for one sign, so the pair went unbracketed
+    test_a_root_pair_inside_one_grid_cell_is_found(sign)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -196,6 +218,56 @@ def test_a_cell_where_f_turns_away_from_zero_runs_no_bisection(monkeypatch, sign
 
     assert find_roots(fdf, 1.0, 2.0, n_grid=5) == []
     assert calls == []
+
+
+def _counted(fdf):
+    """fdf, recording the size of each call's points in `calls`."""
+    calls = []
+
+    def counting(x, *lane):
+        calls.append(np.size(x))
+        return fdf(x, *lane)
+
+    return counting, calls
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+def test_the_sign_hook_stands_in_for_f_at_bisection_points(lanes):
+    # a hook that is sure of f's sign away from the roots keeps every root's
+    # bits and leaves fdf a few bisection points per root; a hook that is
+    # never sure changes no call
+    def fdf(x, *lane):
+        return (x - 1.3) * (x - 1.7), 2.0 * x - 3.0
+
+    def sure(x, *lane):
+        f = (x - 1.3) * (x - 1.7)
+        return 0.0 if abs(f) < 1e-9 else math.copysign(1.0, f)
+
+    def scan(f, sign):
+        if lanes:
+            return find_roots(f, [1.0, 1.1], [2.0, 2.0], 5, sign)
+        return find_roots(lambda x: f(x), 1.0, 2.0, 5, sign and (lambda x: sign(x)))
+
+    plain, calls = _counted(fdf)
+    expected = scan(plain, None)
+    unsure, unsure_calls = _counted(fdf)
+    assert scan(unsure, lambda x, *lane: 0.0) == expected and unsure_calls == calls
+    hooked, hooked_calls = _counted(fdf)
+    assert scan(hooked, sure) == expected
+    assert len(calls) > 2 * 32 * (1 + lanes) and len(hooked_calls) < len(calls) // 2
+
+
+def test_the_sign_hook_is_left_out_of_large_batches():
+    # more than FEW_JOBS brackets bisect as one batch, on fdf alone
+    def fdf(x):
+        return np.sin(x), np.cos(x)
+
+    def never(x):
+        raise AssertionError("the hook was consulted")
+
+    found = find_roots(fdf, 1.0, 7 * math.pi, 4096, never)
+    assert len(found) > roots.FEW_JOBS
+    assert found == find_roots(fdf, 1.0, 7 * math.pi, 4096)
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,9 +311,9 @@ def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, th
     # points of each scan's own [lo, hi]
     scans = []
 
-    def recording(fdf, lo, hi, n_grid=4096):
+    def recording(fdf, lo, hi, n_grid=4096, sign=None):
         scans.append((fdf, lo, hi))
-        return roots.find_roots(fdf, lo, hi, n_grid)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign)
 
     monkeypatch.setattr(ti, "find_roots", recording)
     monkeypatch.setattr(periodic, "find_roots", recording)

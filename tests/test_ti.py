@@ -196,9 +196,9 @@ def test_threshold_rescans_where_the_prediction_fails(monkeypatch, k):
     monkeypatch.setattr(ti, "classify_scalar_family", all_tangent)
     scans = []
 
-    def counting(fdf, lo, hi, n_grid=4096):
+    def counting(fdf, lo, hi, n_grid=4096, sign=None):
         scans.append(len(lo))
-        return roots.find_roots(fdf, lo, hi, n_grid)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign)
 
     monkeypatch.setattr(ti, "find_roots", counting)
     assert ti.locate_symmetric_threshold(-1.0, k, 1.0, 2.5) == expected
@@ -209,9 +209,9 @@ def _counting_scans(monkeypatch):
     """Patch ti's find_roots to record (grid, lanes) of each scan."""
     scans = []
 
-    def counting(fdf, lo, hi, n_grid=4096):
+    def counting(fdf, lo, hi, n_grid=4096, sign=None):
         scans.append((n_grid, len(lo)))
-        return roots.find_roots(fdf, lo, hi, n_grid)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign)
 
     monkeypatch.setattr(ti, "find_roots", counting)
     return scans
@@ -337,6 +337,85 @@ def test_lanes_equal_the_per_params_loop(sets, past):
         return [ti.solve_symmetric_roots(p) for p in sweep]
 
     assert _outcome(lambda: ti.symmetric_root_lanes(sweep)) == _outcome(loop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 1000), theta=st.floats(0.05, 20.0), data=st.data())
+def test_the_slice_sign_agrees_with_the_residual_where_it_commits(k, theta, data):
+    # math.log and math.exp decide a sign only where it is numpy's, on the
+    # scan's grid and next to its roots
+    params = ModelParams.from_theta(k, 2, theta)
+    try:
+        (lo, hi), _ = ti._scan_setup(params)
+        found = ti.solve_symmetric_roots(params)
+    except (ValueError, RuntimeError):    # past the float range
+        return
+    grid = st.integers(0, ti.SCAN_GRID - 1).map(
+        lambda i: float(roots._log_grid(lo, hi, ti.SCAN_GRID)[i]))
+    near = st.builds(lambda z, r: z * (1.0 + r), st.sampled_from(found), st.floats(-1e-6, 1e-6))
+    z = data.draw(st.one_of(grid, near))
+    sign = ti._slice_sign([params])(z, 0)
+    with np.errstate(over="ignore", invalid="ignore"):    # as in the scan
+        f = float(ti._slice_residual([params])(np.float64(z), 0)[0])
+    assert sign in (-1.0, 0.0, 1.0)
+    if sign:
+        assert f != 0.0 and sign == math.copysign(1.0, f)
+
+
+def test_the_slice_sign_commits_only_to_numpy_signs_next_to_roots():
+    # within 64 ulps of a root libm's and numpy's residuals can differ in
+    # sign; the hook must leave every such point to numpy
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(300):
+        params = ModelParams.from_theta(rng.randint(1, 1000), 2, rng.uniform(0.05, 20.0))
+        try:
+            found = ti.solve_symmetric_roots(params)
+        except (ValueError, RuntimeError):    # past the float range
+            continue
+        sign, residual = ti._slice_sign([params]), ti._slice_residual([params])
+        for root in found:
+            for z in (root + i * math.ulp(root) for i in range(-64, 65)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    f = float(residual(np.float64(z), 0)[0])
+                committed = sign(z, 0)
+                assert not committed or (f != 0.0 and committed == math.copysign(1.0, f))
+                checked += 1
+    assert checked > 10_000
+
+
+# sets whose low root lies below 1e-150, where a product of two residuals underflows
+TINY_ROOTS = [(50, -1.0, 10.0), (100, -1.0, 5.0), (100, 1.0, 5.0), (200, -1.0, 3.0),
+              (200, 1.0, 3.0)]
+
+
+def test_symmetric_roots_keep_their_bits_under_the_sign_hook(monkeypatch):
+    # each set scanned alone takes its bisection signs from the hook where it
+    # commits; its roots, or its error, are those of a scan on numpy alone
+    rng = random.Random(30)
+    sets = TINY_ROOTS + [(rng.randint(1, 1000), rng.choice([1.0, -1.0, -0.3, 2.0, -3.0]),
+                          rng.uniform(0.01, 6.0)) for _ in range(300)]
+    sweeps = [[ModelParams(k, 2, J, beta)] for k, J, beta in sets]
+    assert all(ti.solve_symmetric_roots(s[0])[0] < 1e-150 for s in sweeps[:len(TINY_ROOTS)])
+    commits = []
+
+    def counted_sign(sweep):
+        sign = real_sign(sweep)
+
+        def counting(z, lane):
+            commits.append(sign(z, lane))
+            return commits[-1]
+
+        return counting
+
+    real_sign = ti._slice_sign
+    monkeypatch.setattr(ti, "_slice_sign", counted_sign)
+    hooked = [_outcome(lambda: ti.symmetric_root_lanes(s)) for s in sweeps]
+    assert sum(c != 0.0 for c in commits) > len(commits) / 2 > 0
+    real_find_roots = ti.find_roots
+    monkeypatch.setattr(ti, "find_roots", lambda fdf, lo, hi, n_grid, sign=None:
+                        real_find_roots(fdf, lo, hi, n_grid))
+    assert hooked == [_outcome(lambda: ti.symmetric_root_lanes(s)) for s in sweeps]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 10, 20])
@@ -553,9 +632,9 @@ def test_solve_full_scans_one_mirror_half(monkeypatch, fm_params, fm_roots):
     # u-scan, over u < 1, seeds every off-slice solution
     scans = []
 
-    def recording(fdf, lo, hi, n_grid=4096):
+    def recording(fdf, lo, hi, n_grid=4096, sign=None):
         scans.append((lo, hi))
-        return roots.find_roots(fdf, lo, hi, n_grid)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign)
 
     monkeypatch.setattr(ti, "find_roots", recording)
     sols = ti.solve_full(fm_params, symmetric_roots=fm_roots)
