@@ -9,7 +9,7 @@ command once, and `main` writes every output and manifest.  A call builds
 the argument parser of its own command only, with one terminal query.
 
 Exit codes: 0 ok, 1 internal error, 2 usage error (any model.UsageError, argparse's
-refusals too, as one `error:` line), 3 verification failure.
+refusals and an unwritable --out too, as one `error:` line), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -338,8 +338,11 @@ def main(argv=None) -> int:
             if params is not None:
                 config["params"] = params.to_dict()
             manifest = {"command": args.command, "config": config, "version": __version__}
-            Path(args.out).write_text(output.text)
-            Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            try:
+                Path(args.out).write_text(output.text)
+                Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            except OSError as bad:
+                raise UsageError(f"cannot write --out {args.out}: {bad.strerror}") from None
     except SystemExit:      # the parser exits only after printing --help
         return 0
     except UsageError as bad:

@@ -5,10 +5,12 @@ A boundary-law field determines, on each ball, the probability table
     mu_n(sigma) ~ exp(J*beta * sum_edges |gaps| + sum over the outer sphere
                       of the unreduced law component at the vertex's spin),
 
-with the root law standing in for the sphere term at depth 0.  It is a
-tree-indexed Markov chain: one upward message sweep gives its partition
-function, root marginal and edge kernels at any size.  Enumerating the
-table is the independent oracle, up to EXACT_TABLE_CAP configurations:
+with the root law standing in for the sphere term at depth 0, handed out
+by finite_volume_measure as (log Z, table).  It is a tree-indexed Markov
+chain: one upward message sweep gives its partition function, root marginal
+and edge kernels at any size, and transition_kernel hands out the chain as
+(root law, kernels).  Enumerating the table is the independent oracle, up
+to EXACT_TABLE_CAP configurations:
 marginalisation consistency between depths, the DLR property against raw
 Gibbs kernels, spin-flip symmetry, and the sweep itself.  The table is a
 (q,)^N tensor of edge-gap sums with one axis per vertex, not an array of
@@ -17,7 +19,7 @@ configurations.  Past the cap the oracles compare chains from the sweep
 
 The oracles (compatibility_oracle, dlr_breakdown, symmetry_check) read their
 tables and sweeps through a lookup table = Tables(fld, params): table(n)
-builds the depth-n measure on first use, normalises it in place, and hands
+builds the depth-n table on first use, normalises it in place, and hands
 it out again after that; table.messages(n) does the same for the depth-n
 sweep.  An oracle called without a lookup makes its own; `verify` passes one
 lookup to all of its checks (compatibility at --depth, DLR at depth 0, and
@@ -112,41 +114,20 @@ def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.n
     return logw
 
 
-@dataclass
-class FiniteVolumeMeasure:
-    """Explicit probability table over the configurations of a ball."""
-
-    params: ModelParams
-    depth: int
-    log_z: float
-    probs: np.ndarray
-
-    @property
-    def geometry(self) -> BallGeometry:
-        return ball_geometry(self.params.k, self.depth)
-
-    def marginal(self, rows: Sequence[int]) -> np.ndarray:
-        """Exact marginal over the given breadth-first rows, axes in the given order."""
-        n_vertices = self.geometry.n_vertices
-        shaped = self.probs.reshape((self.params.m + 1,) * n_vertices)
-        keep = sorted(rows)
-        reduced = shaped.sum(axis=tuple(ax for ax in range(n_vertices) if ax not in keep))
-        return np.transpose(reduced, axes=[keep.index(r) for r in rows])
-
-
 def finite_volume_measure(fld: BoundaryLawField, params: ModelParams,
-                          n: int) -> FiniteVolumeMeasure:
+                          n: int) -> tuple[float, np.ndarray]:
+    """(log Z, table): the depth-n measure as a normalised log_weight_table."""
     probs = log_weight_table(fld, params, n)   # normalised in place
     hi = float(np.max(probs))
     probs -= hi
     np.exp(probs, out=probs)
     total = float(np.sum(probs))
     probs /= total
-    return FiniteVolumeMeasure(params=params, depth=n, log_z=hi + math.log(total), probs=probs)
+    return hi + math.log(total), probs
 
 
 class Tables:
-    """table(n): the depth-n measure of one field, built on first use and then
+    """table(n): the depth-n table of one field, built on first use and then
     shared; table.messages(n): its depth-n message sweep, likewise.
 
     The oracles only read a shared table or sweep; their in-place steps run
@@ -157,8 +138,8 @@ class Tables:
         self._measure = functools.cache(functools.partial(finite_volume_measure, fld, params))
         self.messages = functools.cache(functools.partial(_messages, fld, params))
 
-    def __call__(self, n: int) -> FiniteVolumeMeasure:
-        return self._measure(n)
+    def __call__(self, n: int) -> np.ndarray:
+        return self._measure(n)[1]
 
 
 def _messages(fld: BoundaryLawField, params: ModelParams, n: int) -> np.ndarray:
@@ -184,7 +165,7 @@ def log_partition(fld: BoundaryLawField, params: ModelParams, n: int,
     if method == "transfer":
         return float(sorted_lse(_messages(fld, params, n)[0]))
     if method == "enumerate":
-        return finite_volume_measure(fld, params, n).log_z
+        return finite_volume_measure(fld, params, n)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -194,7 +175,8 @@ def root_marginal(fld: BoundaryLawField, params: ModelParams, n: int,
     if method == "transfer":
         return softmax(_messages(fld, params, n)[0])
     if method == "table":
-        return finite_volume_measure(fld, params, n).marginal([0])
+        # the root is the most significant axis of the table
+        return finite_volume_measure(fld, params, n)[1].reshape(params.m + 1, -1).sum(axis=1)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -218,8 +200,8 @@ def compatibility_oracle(fld: BoundaryLawField, params: ModelParams, n: int,
     table = table or Tables(fld, params)
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
         return _chain_gap(table.messages(n), table.messages(n - 1), params.theta)
-    inner = table(n - 1).probs
-    collapsed = table(n).probs.reshape(inner.size, -1).sum(axis=1)
+    inner = table(n - 1)
+    collapsed = table(n).reshape(inner.size, -1).sum(axis=1)
     collapsed -= inner
     return float(np.max(np.abs(collapsed, out=collapsed)))
 
@@ -273,8 +255,8 @@ def dlr_breakdown(fld: BoundaryLawField, params: ModelParams, n: int,
     if not enumerable(params.m + 1, ball_geometry(params.k, n + 1).n_vertices):
         return DlrBreakdown(conditional_tv=0.0,
                             equation_tv=compatibility_oracle(fld, params, n + 1, table))
-    inner = table(n).probs
-    joint = table(n + 1).probs.reshape(inner.size, -1)
+    inner = table(n)
+    joint = table(n + 1).reshape(inner.size, -1)
     boundary = joint.sum(axis=0)
     kernel = _gibbs_kernel_table(params, n)
 
@@ -307,30 +289,23 @@ def symmetry_check(fld: BoundaryLawField, params: ModelParams, n: int,
     if not enumerable(params.m + 1, ball_geometry(params.k, n).n_vertices):
         msgs = table.messages(n)
         return _chain_gap(msgs, msgs[:, ::-1], params.theta) <= SYMMETRY_TOL
-    probs = table(n).probs
+    probs = table(n)
     flip = probs - probs[::-1]
     tv = 0.5 * float(np.abs(flip, out=flip).sum())
     return tv <= SYMMETRY_TOL
 
 
-@dataclass
-class TransitionKernel:
-    """The depth-`depth` measure as a chain: exact root marginal and child kernels.
+def transition_kernel(fld: BoundaryLawField, params: ModelParams,
+                      depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The depth-`depth` measure as a chain: (root law, child kernels).
 
     kernels[j, i] is the law of the spin at vertex j given its parent's spin
-    i: mass on s proportional to theta^|i-s| * exp(message of j at s).  Rows
-    follow the breadth-first layout; row 0 (the root) is never used.
+    i: mass on s proportional to theta^|i-s| * exp(message of j at s).  The
+    (n_vertices, q, q) kernels follow the breadth-first layout; row 0 (the
+    root) is never used.
     """
-
-    root_dist: np.ndarray
-    kernels: np.ndarray           # (n_vertices, q, q)
-
-
-def transition_kernel(fld: BoundaryLawField, params: ModelParams,
-                      depth: int) -> TransitionKernel:
     msgs = _messages(fld, params, depth)
-    return TransitionKernel(root_dist=softmax(msgs[0]),
-                            kernels=softmax(pair_exponents(msgs, params.theta)))
+    return softmax(msgs[0]), softmax(pair_exponents(msgs, params.theta))
 
 
 def sample(fld: BoundaryLawField, params: ModelParams, depth: int,
@@ -345,13 +320,13 @@ def sample(fld: BoundaryLawField, params: ModelParams, depth: int,
     which is the same stream.  Bit-reproducible for a fixed seed.
     """
     geo = ball_geometry(params.k, depth)
-    kern = transition_kernel(fld, params, depth)
+    root_dist, kernels = transition_kernel(fld, params, depth)
     rng = np.random.default_rng(seed)
     out = np.empty((count, geo.n_vertices), dtype=np.int8)
 
-    cum_root = np.cumsum(kern.root_dist)
+    cum_root = np.cumsum(root_dist)
     out[:, 0] = np.searchsorted(cum_root, rng.random(count), side="right")
-    cum = np.cumsum(kern.kernels, axis=-1)
+    cum = np.cumsum(kernels, axis=-1)
     q = cum.shape[-1]
     for d in range(1, depth + 1):
         rows = np.arange(geo.offsets[d], geo.offsets[d + 1])

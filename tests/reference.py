@@ -7,7 +7,7 @@ paper's lemmas that the tests hold it against:
   breadth-first layout and the coset counts are checked;
 - the edge Hamiltonian, summed edge by edge, against `measure`'s weight table;
 - the broadcast-add forms of `measure`'s edge tensor and weight table, whose
-  bits the grown tensors must keep;
+  bits the grown tensors must keep, and the marginal over any rows of a table;
 - the tiled constant field and the level-overwritten two-cycle field, whose
   bits `boundary.constant_field` must keep;
 - a sign scan of the reduced scalar family, against its closed-form
@@ -113,6 +113,16 @@ def log_weight_table(fld: BoundaryLawField, params: ModelParams, n: int) -> np.n
     for j, h in enumerate(unreduce(fld.laws[geo.level(n)]), start=geo.offsets[n]):
         logw += h.reshape((-1,) + (1,) * (geo.n_vertices - 1 - j))
     return logw.reshape(-1)
+
+
+def marginal(probs: np.ndarray, q: int, rows: Sequence[int]) -> np.ndarray:
+    """Exact marginal of a normalised table over the given breadth-first rows,
+    axes in the given order: the other axes of the (q,)^N tensor summed away."""
+    n_vertices = round(math.log(probs.size, q))
+    shaped = probs.reshape((q,) * n_vertices)
+    keep = sorted(rows)
+    reduced = shaped.sum(axis=tuple(ax for ax in range(n_vertices) if ax not in keep))
+    return np.transpose(reduced, axes=[keep.index(r) for r in rows])
 
 
 # -- coset-constant fields -----------------------------------------------

@@ -390,6 +390,9 @@ PINNED_OUTPUTS = [
     # two distinct law rows (the root and every other vertex) and one component
     (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0", "--s", "0",
       "--depth", "6"], "b2f39a320983af040982ea70b4300edd9a180a05838ba28a15b823c8a3cee001"),
+    # the bench's PINNED_SAMPLE
+    (["sample", "--k", "2", "--J", "-1", "--beta", "2.5", "--depth", "5", "--seed", "7",
+      "--count", "300"], "9d94f6e3783b223a0a9f6d83c7f2ee9a8e7a9c0b103580132bfc876d0dc6da31"),
 ]
 
 
@@ -399,7 +402,8 @@ PINNED_OUTPUTS = [
                               "verify-ti-k2", "verify-nonti-k2", "verify-period2-k200",
                               "phase-diagram-k3", "phase-diagram-k2-afm", "phase-diagram-k200",
                               "solve-ti-k200", "nonti-k2-depth10", "nonti-k3-depth7",
-                              "sample-k2-depth8", "nonti-k2-depth6-constant"])
+                              "sample-k2-depth8", "nonti-k2-depth6-constant",
+                              "sample-k2-depth5-bench"])
 def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0
@@ -493,6 +497,16 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_is_a_one_line_usage_error(tmp_path, where, capsys):
+    # the failed write once printed a FileNotFoundError or IsADirectoryError traceback
+    out = tmp_path / where
+    assert run(["solve-ti", "--k", "2", "--J", "-1", "--beta", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_help_still_exits_zero(capsys):

@@ -178,8 +178,8 @@ def test_integer_parameters_give_the_float_tables():
 
 
 def test_table_probabilities_normalised(fm_params, fm_high_field):
-    mu = measure.finite_volume_measure(fm_high_field, fm_params, 2)
-    assert abs(mu.probs.sum() - 1.0) <= 1e-12
+    _, probs = measure.finite_volume_measure(fm_high_field, fm_params, 2)
+    assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 @on_both_routes
@@ -325,8 +325,8 @@ def test_dlr_unmasked_path_keeps_the_masked_bits(k, n, beta, branch, eps):
     else:
         z = ti.solve_symmetric_roots(params)[branch]
         fld = perturb_field(constant_field(np.array([0.0, math.log(z)]), params, n + 1), eps)
-    inner = measure.finite_volume_measure(fld, params, n).probs
-    joint = measure.finite_volume_measure(fld, params, n + 1).probs.reshape(inner.size, -1)
+    inner = measure.finite_volume_measure(fld, params, n)[1]
+    joint = measure.finite_volume_measure(fld, params, n + 1)[1].reshape(inner.size, -1)
     mass = joint.sum(axis=0)
     every = mass > 0
     assert every.all() == (branch is not None)
@@ -377,28 +377,57 @@ def test_dlr_oracle_negative_control(fm_params, fm_roots):
 def test_marginals_uniform_and_symmetric(fm_params, fm_roots):
     p = ModelParams(k=2, m=2, J=0.0, beta=1.0)
     fld = constant_field(np.zeros(2), p, 2)
-    mu = measure.finite_volume_measure(fld, p, 2)
-    for row in range(mu.geometry.n_vertices):
-        np.testing.assert_allclose(mu.marginal([row]), np.full(3, 1 / 3), atol=1e-12)
+    _, probs = measure.finite_volume_measure(fld, p, 2)
+    for row in range(ball_size(p.k, 2)):
+        np.testing.assert_allclose(reference.marginal(probs, 3, [row]), np.full(3, 1 / 3),
+                                   atol=1e-12)
     # symmetric solution: root marginal has equal extreme-spin mass
     fld2 = constant_field(np.array([0.0, math.log(fm_roots[1])]), fm_params, 2)
-    root = measure.finite_volume_measure(fld2, fm_params, 2).marginal([0])
+    root = measure.root_marginal(fld2, fm_params, 2, method="table")
     assert root[0] == pytest.approx(root[2], abs=1e-12)
 
 
 def test_marginal_routes_agree(fm_params, fm_high_field):
-    mu = measure.finite_volume_measure(fm_high_field, fm_params, 2)
-    table_root = mu.marginal([0])
+    table_root = measure.root_marginal(fm_high_field, fm_params, 2, method="table")
     kernel_root = measure.root_marginal(fm_high_field, fm_params, 2, method="transfer")
     np.testing.assert_allclose(table_root, kernel_root, atol=1e-10)
 
 
 def test_two_site_marginal_consistency(fm_params, fm_high_field):
-    mu = measure.finite_volume_measure(fm_high_field, fm_params, 2)
-    pair = mu.marginal([0, 1])
-    np.testing.assert_allclose(pair.sum(axis=1), mu.marginal([0]), atol=1e-12)
-    np.testing.assert_allclose(pair.sum(axis=0), mu.marginal([1]), atol=1e-12)
-    np.testing.assert_array_equal(mu.marginal([1, 0]), pair.T)
+    _, probs = measure.finite_volume_measure(fm_high_field, fm_params, 2)
+    pair = reference.marginal(probs, 3, [0, 1])
+    np.testing.assert_allclose(pair.sum(axis=1), reference.marginal(probs, 3, [0]), atol=1e-12)
+    np.testing.assert_allclose(pair.sum(axis=0), reference.marginal(probs, 3, [1]), atol=1e-12)
+    np.testing.assert_array_equal(reference.marginal(probs, 3, [1, 0]), pair.T)
+
+
+def _table_route_fields(seed):
+    """Seeded (params, depth, field): constant and path-pair fields within the cap."""
+    rng = np.random.default_rng(seed)
+    for k in range(1, 6):
+        params = ModelParams(k=k, m=2, J=-1.0, beta=float(rng.uniform(2.0, 3.0)))
+        roots = ti.solve_symmetric_roots(params)
+        for n in range(5):
+            if not measure.enumerable(3, ball_size(k, n)):
+                break
+            yield params, n, constant_field(rng.normal(size=2), params, n)
+            if n and len(roots) == 3:
+                t, s = sorted(rng.uniform(0.0, (k + 1) / k, size=2))
+                yield params, n, nonti.build_field(t, s, params, n, roots).field
+
+
+def test_table_route_keeps_the_bits_of_the_general_marginal():
+    # the root is the most significant axis: summing the rest of a (3, -1)
+    # reshape gives the bits of summing every other axis of the (3,)^N tensor
+    count = 0
+    for seed in range(3):
+        for params, n, fld in _table_route_fields(seed):
+            _, probs = measure.finite_volume_measure(fld, params, n)
+            np.testing.assert_array_equal(
+                measure.root_marginal(fld, params, n, method="table").view(np.int64),
+                reference.marginal(probs, 3, [0]).view(np.int64))
+            count += 1
+    assert count >= 30
 
 
 def test_marginal_scale_guard(fm_params, fm_high_field):
@@ -410,9 +439,8 @@ def test_kernel_equivalence_for_built_field_types(fm_params):
     # constant, mixed path-built: root and edge marginals via both routes
     hi = (fm_params.k + 1) / fm_params.k
     built = nonti.build_field(0.0, hi, fm_params, 2)
-    mu = measure.finite_volume_measure(built.field, fm_params, 2)
     np.testing.assert_allclose(
-        mu.marginal([0]),
+        measure.root_marginal(built.field, fm_params, 2, method="table"),
         measure.root_marginal(built.field, fm_params, 2, method="transfer"), atol=1e-10)
     assert measure.compatibility_oracle(built.field, fm_params, 2) <= 1e-10
     assert measure.dlr_breakdown(built.field, fm_params, 0).max_violation <= 1e-10
@@ -481,26 +509,29 @@ def test_transition_kernel_chains_to_the_table_measure(k, n, m, theta, seed):
     while (m + 1) ** ball_size(k, n) > 3 ** 10:
         n -= 1
     fld = random_field(params, n, seed, scale=3.0)
-    kern = measure.transition_kernel(fld, params, n)
-    mu = measure.finite_volume_measure(fld, params, n)
-    geo = mu.geometry
-    np.testing.assert_allclose(kern.root_dist, mu.marginal([0]), rtol=0, atol=1e-12)
+    root_dist, kernels = measure.transition_kernel(fld, params, n)
+    _, probs = measure.finite_volume_measure(fld, params, n)
+    geo = ball_geometry(k, n)
+    np.testing.assert_allclose(root_dist, reference.marginal(probs, m + 1, [0]),
+                               rtol=0, atol=1e-12)
     marginals = np.empty((geo.n_vertices, m + 1))
-    marginals[0] = kern.root_dist
+    marginals[0] = root_dist
     for v in range(1, geo.n_vertices):
         u = geo.parent_index[v]
-        pair = marginals[u][:, None] * kern.kernels[v]
+        pair = marginals[u][:, None] * kernels[v]
         marginals[v] = pair.sum(axis=0)
-        np.testing.assert_allclose(pair, mu.marginal([u, v]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair, reference.marginal(probs, m + 1, [u, v]),
+                                   rtol=0, atol=1e-12)
 
 
 def _table_chain(fld, params, n):
     """Root marginal and (parent, vertex) kernels of the enumerated depth-n table."""
-    mu = measure.finite_volume_measure(fld, params, n)
-    geo = mu.geometry
-    pairs = [mu.marginal([geo.parent_index[v], v]) for v in range(1, geo.n_vertices)]
+    _, probs = measure.finite_volume_measure(fld, params, n)
+    geo, q = ball_geometry(params.k, n), params.m + 1
+    pairs = [reference.marginal(probs, q, [geo.parent_index[v], v])
+             for v in range(1, geo.n_vertices)]
     kernels = np.array([pair / pair.sum(axis=1, keepdims=True) for pair in pairs])
-    return mu.marginal([0]), kernels.reshape(-1, params.m + 1, params.m + 1)
+    return reference.marginal(probs, q, [0]), kernels.reshape(-1, q, q)
 
 
 def _filled_field(params, depth, seed, symmetric):
@@ -551,13 +582,13 @@ def test_sweep_oracles_agree_with_the_tables(k, n, m, theta, seed, eps, sign, sy
 
 def test_kernel_flip_equivariance(fm_params, fm_roots):
     fld = constant_field(np.array([0.0, math.log(fm_roots[1])]), fm_params, 2)
-    kern = measure.transition_kernel(fld, fm_params, 2)
-    np.testing.assert_allclose(kern.root_dist, kern.root_dist[::-1], atol=1e-14)
-    assert kern.kernels.shape == (ball_size(2, 2), 3, 3)
-    for table in kern.kernels[1:]:
+    root_dist, kernels = measure.transition_kernel(fld, fm_params, 2)
+    np.testing.assert_allclose(root_dist, root_dist[::-1], atol=1e-14)
+    assert kernels.shape == (ball_size(2, 2), 3, 3)
+    for table in kernels[1:]:
         np.testing.assert_allclose(table, table[::-1, ::-1], atol=1e-14)
     # inverse-CDF draws map through the flip when the uniform is reflected
-    cum = np.cumsum(kern.root_dist)
+    cum = np.cumsum(root_dist)
     for u in np.linspace(0.01, 0.99, 37):
         a = int(np.searchsorted(cum, u, side="right"))
         b = int(np.searchsorted(cum, 1.0 - u, side="right"))
