@@ -33,23 +33,19 @@ def bisect(f: Callable, lo, hi, rel_tol: float = ROOT_REL_TOL):
     comes back.  Then f is a pair (one, many) of evaluators: one(x, j) gives
     the value at x of bracket j, many(xs, ids) the list of values at the
     points xs of brackets ids, one call per step for all brackets still
-    running.  A triple (one, many, signs) also gives each bracket's `sign`
-    of `_halving` (or None).
+    running.  Only the signs of the values count.
     """
     if not isinstance(lo, _SEQUENCES):
         return _run([_halving(lo, hi, rel_tol)], lambda x, j: f(x), None)[0]
-    one, many, signs = f if len(f) == 3 else (*f, [None] * len(lo))
-    return _run([_halving(a, b, rel_tol, sign) for a, b, sign in zip(lo, hi, signs)],
-                one, many)
+    return _run([_halving(a, b, rel_tol) for a, b in zip(lo, hi)], *f)
 
 
-def _halving(lo: float, hi: float, rel_tol: float, sign: Callable | None = None):
+def _halving(lo: float, hi: float, rel_tol: float):
     """Bisection of one bracket as a coroutine: it yields each point and is sent f there.
 
     Only the signs of f count, compared strictly (a product of two tiny
-    values of opposite sign would underflow to 0.0 and read as one sign).
-    A bisection point is yielded only when sign(point), if given, is 0.0:
-    sign may stand in for f with +-1.0 where it is sure of f's sign.
+    values of opposite sign would underflow to 0.0 and read as one sign),
+    so a nan end leaves the root unbracketed.
     """
     flo = yield lo
     if flo == 0.0:
@@ -57,13 +53,13 @@ def _halving(lo: float, hi: float, rel_tol: float, sign: Callable | None = None)
     fhi = yield hi
     if fhi == 0.0:
         return hi
-    if flo > 0 < fhi or flo < 0 > fhi:
+    if not (flo < 0 < fhi or fhi < 0 < flo):
         raise ValueError("root not bracketed")
     for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(1.0, abs(mid)):
             return mid
-        fmid = (sign and sign(mid)) or (yield mid)
+        fmid = yield mid
         if fmid == 0.0:
             return mid
         if flo < 0 < fmid or fmid < 0 < flo:
@@ -220,9 +216,10 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
     the bits of arrays at a fraction of the cost; so does a one-lane scan.
 
     `sign`, called like fdf but on a float point, may give f's sign as +-1.0
-    where it is sure of it, and 0.0 elsewhere; a scan of at most FEW_JOBS
-    brackets then asks it first at each bisection point, and calls fdf
-    only where it gives 0.0.  The grid, the splits, the Newton polish and
+    where it is sure of it, and 0.0 elsewhere.  A scan of at most FEW_JOBS
+    brackets asks it first at each point the bisection evaluates alone, the
+    bracket ends included, and calls fdf only where it gives 0.0; bisection
+    needs only signs there.  The grid, the splits, the Newton polish and
     larger batches call fdf alone.
 
     Brackets containing a sign change of f' are additionally split at the
@@ -269,10 +266,10 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
                 brackets += [(lane, a, x), (lane, x, b)]
     if brackets:
         lanes, a, b = zip(*brackets)
-        evaluators = _batch(fdf, lanes, 0)
+        one, many = _batch(fdf, lanes, 0)
         if sign is not None and len(brackets) <= FEW_JOBS:
-            evaluators += ([lambda x, lane=lane: sign(x, lane) for lane in lanes],)
-        x0 = bisect(evaluators, a, b)
+            one = lambda x, j, f=one: sign(x, lanes[j]) or f(x, j)
+        x0 = bisect((one, many), a, b)
         jobs = [_newton(x, lo_x, hi_x) for x, lo_x, hi_x in zip(x0, a, b)]
         for lane, x in zip(lanes, _run(jobs, *_batch(fdf, lanes))):
             roots[lane].append(x)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import shutil
@@ -410,6 +411,44 @@ def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+def _load_workloads():
+    """bench/workloads.py as a module; it imports nothing from sostree."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 over every CLI op of a workload at seeds 1-3: argv, exit code,
+# stdout, stderr and the bytes of --out and its manifest.  A change that
+# moves these bytes on purpose re-pins the digest and lists what moved.
+WORKLOAD_DIGESTS = {
+    "solver_sweep": "181a4a4f4759f16def23f50f059eb22f8defc4eb00db0614793be5a2a6e203ad",
+    "deep_fields": "523fd8f374495206588f9566c2fd36f7376cc54e883a1f96f854bec258d13cbb",
+    "exact_oracles": "970d7ccc1550d9117d372c08bc149541c8c7a3f51962996f3b81f0b7fd3c2a53",
+}
+
+
+@pytest.mark.parametrize("workload", list(WORKLOAD_DIGESTS))
+def test_workload_cli_outputs_keep_their_bytes(tmp_path, workload, capsys):
+    make_ops = _load_workloads().make_ops
+    out, manifest = tmp_path / "out", tmp_path / "out.manifest.json"
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for op in make_ops(workload, seed):
+            if op["kind"] != "cli":
+                continue
+            code = run(op["argv"] + ["--out", str(out)])
+            std = capsys.readouterr()
+            files = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+                     for path in (out, manifest)]
+            digest.update(json.dumps([op["argv"], code, std.out, std.err, *files]).encode())
+            for path in (out, manifest):
+                path.unlink(missing_ok=True)
+    assert digest.hexdigest() == WORKLOAD_DIGESTS[workload]
+
+
 def test_sample_depth_zero(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["sample", "--k", "2", "--J", "-1", "--beta", "2", "--depth", "0",
@@ -499,14 +538,21 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["missing-dir", "directory"])
-def test_unwritable_out_is_a_one_line_usage_error(tmp_path, where, capsys):
-    # the failed write once printed a FileNotFoundError or IsADirectoryError traceback
+@pytest.mark.parametrize("where, failed", [("missing/x.json", "missing/x.json"), (".", "."),
+                                           ("x.json", "x.json.manifest.json")],
+                         ids=["missing-dir", "directory", "manifest-directory"])
+def test_unwritable_out_is_a_one_line_usage_error(tmp_path, where, failed, capsys):
+    # the failed write once printed a FileNotFoundError or IsADirectoryError
+    # traceback; a manifest that could not be written once left its output
+    # behind, and the message named the output
+    if failed != where:
+        (tmp_path / failed).mkdir()
     out = tmp_path / where
     assert run(["solve-ti", "--k", "2", "--J", "-1", "--beta", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write --out {out}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write --out {tmp_path / failed}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_help_still_exits_zero(capsys):

@@ -182,6 +182,14 @@ def test_bisection_compares_signs_not_products():
         bisect(lambda x: (x - 0.5) * 1e-200, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: -1.0 if x < 1 else math.nan],
+                         ids=["nan-ends", "nan-hi"])
+def test_a_nan_end_leaves_the_root_unbracketed(f):
+    # a nan end has no sign; both once bisected to 0.9999999999995453
+    with pytest.raises(ValueError, match="not bracketed"):
+        bisect(f, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_a_root_pair_inside_one_grid_cell_is_found(sign):
     # the grid 1, 1.19, 1.41, 1.68, 2 puts both roots in one cell with ends of
@@ -221,11 +229,12 @@ def test_a_cell_where_f_turns_away_from_zero_runs_no_bisection(monkeypatch, sign
 
 
 def _counted(fdf):
-    """fdf, recording the size of each call's points in `calls`."""
+    """fdf, recording each call's points in `calls`: a float for a scalar
+    point, a list for an array."""
     calls = []
 
     def counting(x, *lane):
-        calls.append(np.size(x))
+        calls.append(np.asarray(x).tolist())
         return fdf(x, *lane)
 
     return counting, calls
@@ -234,8 +243,9 @@ def _counted(fdf):
 @pytest.mark.parametrize("lanes", [False, True])
 def test_the_sign_hook_stands_in_for_f_at_bisection_points(lanes):
     # a hook that is sure of f's sign away from the roots keeps every root's
-    # bits and leaves fdf a few bisection points per root; a hook that is
-    # never sure changes no call
+    # bits and leaves fdf a few bisection points per root, and no bracket end
+    # (a grid point, whose sign the hook gives); a hook that is never sure
+    # changes no call
     def fdf(x, *lane):
         return (x - 1.3) * (x - 1.7), 2.0 * x - 3.0
 
@@ -255,6 +265,9 @@ def test_the_sign_hook_stands_in_for_f_at_bisection_points(lanes):
     hooked, hooked_calls = _counted(fdf)
     assert scan(hooked, sure) == expected
     assert len(calls) > 2 * 32 * (1 + lanes) and len(hooked_calls) < len(calls) // 2
+    grid = {x for a in ([1.0, 1.1] if lanes else [1.0]) for x in roots._log_grid(a, 2.0, 5).tolist()}
+    scalar = {x for x in hooked_calls if isinstance(x, float)}
+    assert scalar and not scalar & grid
 
 
 def test_the_sign_hook_is_left_out_of_large_batches():
