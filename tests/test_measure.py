@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -340,6 +341,81 @@ def test_dlr_conditional_face_propagates_nan(fm_params, fm_roots):
     fld = constant_field(np.array([0.0, math.log(fm_roots[2])]), fm_params, 1)
     br = measure.dlr_breakdown(perturb_field(fld, math.nan), fm_params, 0)
     assert math.isnan(br.conditional_tv) and math.isnan(br.equation_tv)
+
+
+def _root_field(k, n, branch):
+    params = ModelParams(k=k, m=2, J=-1.0, beta=2.5)
+    z = ti.solve_symmetric_roots(params)[branch]
+    return constant_field(np.array([0.0, math.log(z)]), params, n + 1), params
+
+
+def _block_case(kind, k, n, fm_params, fm_roots):
+    """(field, params, lookup) of one case of test_dlr_blocks_keep_the_bits.
+
+    "zero-late" and "nan-late" fields have zero-mass or nan sphere columns
+    only at the end, past the first block at small blocks: spin m at the
+    first sphere vertex (the columns' leading digit) weighs exp(-800), or the
+    shared table's last entry is nan.
+    """
+    if kind == "root":
+        fld, params = _root_field(k, n, branch=k % 3)
+        return fld, params, None
+    if kind == "nan":
+        fld = constant_field(np.array([0.0, math.log(fm_roots[2])]), fm_params, 1)
+        return perturb_field(fld, math.nan), fm_params, None
+    params = ModelParams(k=k, m=2, J=fm_params.J, beta=fm_params.beta)
+    fld = _dlr_field(params, n, masked=kind == "masked")
+    table = measure.Tables(fld, params)
+    if kind == "zero-late":
+        fld.laws[ball_geometry(k, n + 1).offsets[n + 1]] = 800.0
+    if kind == "nan-late":
+        table(n + 1)[-1] = math.nan
+    return fld, params, table
+
+
+@pytest.mark.parametrize("kind, k, n", [
+    ("root", 2, 0), ("root", 8, 0), ("root", 10, 0),
+    ("field", 2, 0), ("field", 3, 0), ("field", 2, 1),
+    ("masked", 2, 0), ("masked", 3, 0), ("masked", 2, 1), ("nan", 2, 0),
+    ("zero-late", 2, 0), ("zero-late", 2, 1), ("nan-late", 2, 0), ("nan-late", 2, 1),
+])
+@pytest.mark.parametrize("block", [1, 7, measure._DLR_BLOCK])
+def test_dlr_blocks_keep_the_bits(monkeypatch, fm_params, fm_roots, kind, k, n, block):
+    # the conditional face, one column block at a time, keeps the bits of one
+    # block at every split: uneven ones (7 entries: 2 columns at n = 0, 1 at
+    # n = 1, the column-major path), and blocks past the first that alone hold
+    # the zero-mass or nan columns (a late nan must survive the combine)
+    if k == 10 and block < 8:
+        block *= 3 ** 5   # 3^11 columns, one or two a block, would take seconds
+    faces = []
+    for size in (measure.EXACT_TABLE_CAP, block):
+        monkeypatch.setattr(measure, "_DLR_BLOCK", size)
+        fld, params, table = _block_case(kind, k, n, fm_params, fm_roots)
+        faces.append(measure.dlr_breakdown(fld, params, n, table))
+    whole, split = faces
+    assert _bits(split.conditional_tv) == _bits(whole.conditional_tv)
+    assert _bits(split.equation_tv) == _bits(whole.equation_tv)
+    if kind.startswith("nan"):
+        assert math.isnan(split.conditional_tv)
+    if kind == "zero-late":
+        assert split.conditional_tv <= 1e-12   # the 0/0 columns stay out of the max
+
+
+def test_dlr_face_holds_one_block_beside_the_kernel():
+    # the depth-1 table, the Gibbs kernel (as large) and the sphere marginal
+    # (a third of it) stay; the quotient is one block, not a second table
+    fld, params = _root_field(10, 0, branch=0)
+    table = measure.Tables(fld, params)
+    big = table(1)
+    table(0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        measure.dlr_breakdown(fld, params, 0, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.6 * big.nbytes
 
 
 @settings(max_examples=25, deadline=None)
