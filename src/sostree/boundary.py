@@ -17,11 +17,11 @@ follow the breadth-first layout of tree.ball_geometry, root law at row 0.
 The successors of each level form consecutive blocks of the next level, so
 the recursion and its residual run as one numpy step per level.
 
-Everything here is evaluated in log space.  The exponent terms are sorted
-before each log-sum-exp so that identical term multisets produce bit-identical
-sums; this keeps component 0 of the m=2 update exactly zero on the symmetric
-slice h_0 = 0, and it is what lets downstream constructions preserve that
-slice exactly.
+Everything here is evaluated in log space.  Each log-sum-exp adds its terms
+in ascending order (three terms are sorted by a min/max network, _lse3), so
+identical term multisets give bit-identical sums; this keeps component 0 of
+the m=2 update exactly zero on the symmetric slice h_0 = 0, and it is what
+lets downstream constructions preserve that slice exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .tree import BallGeometry, ball_geometry, ball_size, sphere_size
 
 
 def sorted_lse(terms: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over the last axis, of the terms in ascending order."""
+    """Log-sum-exp over the last axis, of the terms in ascending order (three by _lse3)."""
+    if terms.shape[-1] == 3:
+        return _lse3(*terms.reshape(-1, 3).T).reshape(terms.shape[:-1])
     t = np.sort(terms, axis=-1)
     hi = np.max(t, axis=-1, keepdims=True)
     return np.squeeze(hi, axis=-1) + np.log(np.sum(np.exp(t - hi), axis=-1))
@@ -83,18 +85,14 @@ _GAPS_M2 = gap_table(3).astype(float)
 _BLOCK_M2 = 2048
 
 
-def _law_map_m2(rows: np.ndarray, theta: float, out: np.ndarray) -> None:
-    """The m = 2 update of (n, 2) rows into out, bit-identical to the generic path.
+def _lse3(a: np.ndarray, b, c) -> np.ndarray:
+    """sorted_lse of the terms a, b, c (at least 1-D; b, c broadcast to a's shape).
 
-    The exponents of pair_exponents, as (3, n) planes (row i = parent spin i),
-    are sorted into lo, mid, hi by a min/max network (lo and mid need no order:
-    IEEE addition commutes) and summed in sorted order, with one exp over the
-    stacked differences from hi, `hi - hi` included.
+    A min/max network sorts them into lo, mid, hi (lo and mid need no order:
+    IEEE addition commutes), summed in that order as the sort's last axis is,
+    with one exp over the stacked differences from hi, `hi - hi` included, so
+    rows holding +-inf or nan keep the sort's bits too.
     """
-    lt_gaps = np.log(theta) * _GAPS_M2
-    # order="C": by default the planes would follow rows' strides, interleaved
-    a, b = np.add(rows.T[:, None], lt_gaps.T[:2, :, None], order="C")
-    c = lt_gaps[:, 2:]
     srt = np.empty((3,) + a.shape)
     np.minimum(a, b, out=srt[0])
     q = np.maximum(a, b, out=srt[2])
@@ -102,8 +100,7 @@ def _law_map_m2(rows: np.ndarray, theta: float, out: np.ndarray) -> None:
     hi = np.maximum(q, c, out=srt[2])
     e = srt - hi
     s = np.add.reduce(np.exp(e, out=e))
-    s = np.add(hi, np.log(s, out=s), out=s)
-    np.subtract(s[:2], s[2], out=out.T)
+    return np.add(hi, np.log(s, out=s), out=s)
 
 
 def law_map(h: np.ndarray, m: int, theta: float) -> np.ndarray:
@@ -111,7 +108,7 @@ def law_map(h: np.ndarray, m: int, theta: float) -> np.ndarray:
 
     Accepts shape (..., m) and returns the same shape: component i is the log
     of the i-th message ratio against the last spin level.  The m = 2 update,
-    which every solver runs, takes the closed-form kernel.
+    which every solver runs, is _lse3 of blocks of rows, with the sort's bits.
     """
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != m:
@@ -121,17 +118,32 @@ def law_map(h: np.ndarray, m: int, theta: float) -> np.ndarray:
     if m == 2:
         out = np.empty(h.shape)
         rows, out_rows = h.reshape(-1, 2), out.reshape(-1, 2)
+        lt_gaps = np.log(theta) * _GAPS_M2
         for i in range(0, len(rows), _BLOCK_M2):
-            _law_map_m2(rows[i:i + _BLOCK_M2], theta, out_rows[i:i + _BLOCK_M2])
+            # the exponents of pair_exponents as (3, n) planes, one row per parent spin;
+            # order="C": by default they would follow rows' strides, interleaved
+            a, b = np.add(rows[i:i + _BLOCK_M2].T[:, None], lt_gaps.T[:2, :, None], order="C")
+            s = _lse3(a, b, lt_gaps[:, 2:])
+            np.subtract(s[:2], s[2], out=out_rows[i:i + _BLOCK_M2].T)
         return out
     s = sorted_lse(pair_exponents(unreduce(h), theta))
     return s[..., :m] - s[..., m:]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Normalised exp over the last axis, shifted by its maximum."""
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    """Normalised exp over the last axis, shifted by its maximum.  Three terms are
+    reduced column by column, with the axis reductions' bits (a sum left to right)."""
+    # below about 20 rows the axis reductions cost less (2-core Xeon VM)
+    if logits.size < 64 or logits.shape[-1] != 3:
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return w / w.sum(axis=-1, keepdims=True)
+    x = logits.reshape(-1, 3)
+    hi = np.maximum(x[:, 0], x[:, 1])
+    w = x - np.maximum(hi, x[:, 2], out=hi)[:, None]
+    np.exp(w, out=w)
+    s = np.add(w[:, 0], w[:, 1])
+    np.add(s, w[:, 2], out=s)
+    return np.divide(w, s[:, None], out=w).reshape(logits.shape)
 
 
 def law_map_jac(h: np.ndarray, theta: float) -> np.ndarray:

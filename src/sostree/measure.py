@@ -30,7 +30,7 @@ one block of columns at a time (_DLR_BLOCK entries).
 
 Fields, messages, kernels and the table's axes follow tree.ball_geometry
 (breadth-first, root first), so the sweep and the sampler take one numpy
-step per level.
+step per level; sorted_lse and softmax reduce its m = 2 spins column by column.
 """
 
 from __future__ import annotations

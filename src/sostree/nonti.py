@@ -2,11 +2,11 @@
 
 A parameter t in [0, (k+1)/k] encodes an infinite path from the origin by a
 digit expansion; two such paths (sorted, t <= s) split the tree into a left,
-a middle and a right component.  A field is built on a finite ball by
-prescribing the three extreme constant laws on the outermost sphere according
-to the component of each sphere vertex, then recursing inward, so the
-consistency equation holds exactly at every interior vertex and the root law
-stabilises as the depth grows.
+a middle and a right component, three runs of rows on each level of a ball.
+A field is built on a finite ball by prescribing the three extreme constant
+laws on the outermost sphere, each vertex its component's, then recursing
+inward, so the consistency equation holds exactly at every interior vertex
+and the root law stabilises as the depth grows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import ti
 from .boundary import BoundaryLawField, successor_law_sums
 from .model import ModelParams, UsageError
-from .tree import BallGeometry, ball_geometry
+from .tree import ball_geometry
 
 
 def path_from_parameter(t: float, k: int, depth: int) -> tuple[int, ...]:
@@ -44,20 +44,6 @@ def path_from_parameter(t: float, k: int, depth: int) -> tuple[int, ...]:
     return tuple(digits[:depth])
 
 
-def _path_comparison(path: tuple[int, ...], geo: BallGeometry) -> np.ndarray:
-    """-1 / 0 / +1 per ball vertex: left of / on / right of the path.
-
-    A child compares like its parent unless the parent lies on the path;
-    then the child's sibling digit against the path digit decides.
-    """
-    cmp = np.zeros(geo.n_vertices, dtype=np.int64)
-    for d in range(1, geo.depth + 1):
-        rows = geo.level(d)
-        inherited = cmp[geo.parent_index[rows]]
-        cmp[rows] = np.where(inherited != 0, inherited, np.sign(geo.digits[rows] - path[d - 1]))
-    return cmp
-
-
 def split_components(path1: tuple[int, ...], path2: tuple[int, ...], k: int,
                      depth: int) -> np.ndarray:
     """Component label (1, 2 or 3) for every ball vertex, in breadth-first order.
@@ -68,15 +54,28 @@ def split_components(path1: tuple[int, ...], path2: tuple[int, ...], k: int,
     paths follow the right side, unless nothing in the ball lies strictly
     right of the upper path (then the left side); this keeps the two extreme
     parameter choices exactly constant.
+
+    A level's rows run in the lexicographic order of the vertices' paths, so
+    each level is three runs, cut at the rows of the two paths: the row of a
+    path on level d is offsets[d] + i_d, with i_0 = 0 and i_d = i_(d-1) k + path[d-1].
     """
     if path1[:depth] > path2[:depth]:
         raise ValueError("paths must be ordered: lower path first")
-    geo = ball_geometry(k, depth)
-    c1 = _path_comparison(path1, geo)
-    c2 = _path_comparison(path2, geo)
-    on_both = 3 if np.any(c2 > 0) else 1
-    return np.select([c2 > 0, c1 < 0, (c1 == 0) & (c2 == 0), c2 == 0, c1 == 0],
-                     [3, 1, on_both, 3, 1], default=2)
+    offsets = ball_geometry(k, depth).offsets
+    comp = np.empty(offsets[-1], dtype=np.int64)
+    i1 = i2 = 0
+    both = []       # rows on both paths
+    for start, end, a, b in zip(offsets, offsets[1:], (0, *path1[:depth]), (0, *path2[:depth])):
+        i1, i2 = i1 * k + a, i2 * k + b
+        r1, r2 = start + i1, start + i2
+        comp[start:r1 + 1] = 1
+        comp[r1 + 1:r2] = 2
+        comp[r2:end] = 3
+        if r1 == r2:
+            both.append(r1)
+    # a row lies right of the upper path iff one does on the outer level
+    comp[both] = 3 if r2 + 1 < end else 1
+    return comp
 
 
 @dataclass

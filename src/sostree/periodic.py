@@ -93,7 +93,7 @@ def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
         return pp - z, dpp * dp - 1.0
 
     sols = []
-    for z in find_roots(f, lo, hi, SLICE_GRID):
+    for z in find_roots(f, lo, hi, SLICE_GRID, lambda z: psi(psi(z)) - z):
         t = float(psi(z))
         kind = FIXED if abs(z - t) <= PAIR_TOL * max(1.0, z, t) else CYCLE
         sols.append(Period2Solution(z=z, t=t, type=kind,

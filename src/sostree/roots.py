@@ -215,8 +215,9 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
     jobs run one by one at `np.float64` points, numpy scalars, which give
     the bits of arrays at a fraction of the cost; so does a one-lane scan.
 
-    `sign`, called like fdf but on a float point, may give f's sign as +-1.0
-    where it is sure of it, and 0.0 elsewhere.  A scan of at most FEW_JOBS
+    `sign`, called like fdf but on a float point, may give any number with
+    f's sign there (f's value without f', or +-1.0 where a bound certifies
+    the sign), and 0.0 where it cannot tell.  A scan of at most FEW_JOBS
     brackets asks it first at each point the bisection evaluates alone, the
     bracket ends included, and calls fdf only where it gives 0.0; bisection
     needs only signs there.  The grid, the splits, the Newton polish and

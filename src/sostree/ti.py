@@ -53,7 +53,8 @@ class SliceMap:
     k: int
 
     def __call__(self, z):
-        return self.with_deriv(z)[0]
+        t = self.theta
+        return _psi(2 * t, 1 + t * t, t, self.k, z)[0]
 
     def with_deriv(self, z):
         """(psi(z), psi'(z)), with psi computed once."""
@@ -70,11 +71,16 @@ class SliceMap:
         return lo, hi
 
 
-def _psi_with_deriv(two_t, one_plus, one_minus, t, k, z):
-    """SliceMap(t, k).with_deriv(z) from 2t, 1 + t^2 and 1 - t^2, which are
-    formed first there too; every argument may be an array matching z."""
+def _psi(two_t, one_plus, t, k, z):
+    """SliceMap(t, k)(z), its numerator and its denominator, from 2t and 1 + t^2,
+    which are formed first there too; every argument may be an array matching z."""
     num, den = two_t + z, one_plus + t * z
-    p = np.exp(k * (np.log(num) - np.log(den)))
+    return np.exp(k * (np.log(num) - np.log(den))), num, den
+
+
+def _psi_with_deriv(two_t, one_plus, one_minus, t, k, z):
+    """SliceMap(t, k).with_deriv(z), from _psi and 1 - t^2."""
+    p, num, den = _psi(two_t, one_plus, t, k, z)
     return p, k * p * one_minus / (num * den)
 
 
@@ -327,12 +333,12 @@ def coset_system(equations: list[tuple[int, tuple[int, ...]]], theta: float):
 
 
 def _log_e(a: int, t):
-    """ln E_a(u) = ln((u^a - 1) / (u - 1)) at u = e^-t < 1, and its t-derivative.
+    """ln E_a(u) = ln((u^a - 1) / (u - 1)) at u = e^-t < 1, with 1 - u^a and 1 - u.
 
     Written in e^-t, nothing overflows.
     """
     ma, m1 = -np.expm1(-a * t), -np.expm1(-t)
-    return np.log(ma / m1), a * np.exp(-a * t) / ma - np.exp(-t) / m1
+    return np.log(ma / m1), ma, m1
 
 
 def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[float, float]]:
@@ -357,18 +363,27 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
     k, theta, lt = params.k, params.theta, math.log(params.theta)
     bound = min(2.0 * k * abs(lt) + 1.0, LOG_WEIGHT_MAX)
 
-    def sign_w(t):   # ln(u E_(k-1) / E_(k+1)) - 2 ln theta at |ln u| = t: > 0 iff w > 0 (k > 1)
-        (gm, dm), (gp, dp) = _log_e(k - 1, t), _log_e(k + 1, t)
-        return -t + gm - gp - 2.0 * lt, -1.0 + dm - dp, gp, dp
+    # ln(u E_(k-1) / E_(k+1)) - 2 ln theta at |ln u| = t, > 0 iff w > 0 (k > 1), and both _log_e
+    def sign_w(t):
+        em, ep = _log_e(k - 1, t), _log_e(k + 1, t)
+        return -t + em[0] - ep[0] - 2.0 * lt, em, ep
 
-    def g(u):        # g, dg/du and ln w at u < 1
+    def g_value(u):  # g and ln w at u < 1, and the terms dg/du takes from them
         t = -np.log(u)
-        q, dq, gp, dp = sign_w(t)
-        lw = gp + lt + np.log(np.expm1(q))
-        dlw = dq / np.expm1(-q) - dp
+        q, em, ep = sign_w(t)
+        lw = ep[0] + lt + np.log(np.expm1(q))
         a, w = theta * np.exp(-k * t), np.exp(lw)
-        d, p, c = theta * (a + w) + 1.0, a + w + theta, k * a + w * dlw
-        return lw / k + np.log(d) - np.log(p), (dlw / k + theta * c / d - c / p) / u, lw
+        d, p = theta * (a + w) + 1.0, a + w + theta
+        return lw / k + np.log(d) - np.log(p), lw, (t, q, em, ep, a, w, d, p)
+
+    def g(u):        # g and dg/du at u < 1
+        value, _, (t, q, em, ep, a, w, d, p) = g_value(u)
+        # the t-derivatives of ln E_(k-1) and ln E_(k+1), from 1 - u^j and 1 - u
+        dm, dp = (j * np.exp(-j * t) / mj - np.exp(-t) / m1
+                  for j, (_, mj, m1) in ((k - 1, em), (k + 1, ep)))
+        dlw = (-1.0 + dm - dp) / np.expm1(-q) - dp
+        c = k * a + w * dlw
+        return value, (dlw / k + theta * c / d - c / p) / u
 
     seeds = [(2.0 * k * lt, k * lt), (-2.0 * k * lt, -k * lt)]
     t0, t_end = DEDUPE_TOL / k, bound / k   # k|ln u| <= DEDUPE_TOL lies on the slice
@@ -377,8 +392,9 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
         t_end = t_r - ROOT_REL_TOL * max(1.0, t_r)   # past the bracket, inside w > 0
     if k > 1 and t_end > 2.0 * t0 and sign_w(t_end)[0] > 0:
         # u > 1 roots are the flip images 1/u of these, seeded from each below
-        for u in find_roots(lambda v: g(v)[:2], math.exp(-t_end), math.exp(-t0), SCAN_GRID):
-            s, lw = k * math.log(u), float(g(u)[2])
+        for u in find_roots(g, math.exp(-t_end), math.exp(-t0), SCAN_GRID,
+                            lambda v: g_value(v)[0]):
+            s, lw = k * math.log(u), float(g_value(u)[1])
             seeds += [(s, lw), (-s, lw - s)]
 
     x, defect = batched_newton(*coset_system([(0, (k,))], theta), np.array(seeds),

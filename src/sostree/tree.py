@@ -150,7 +150,6 @@ class BallGeometry:
     depth: int
     offsets: tuple[int, ...]          # first row of each level, then the row count
     parent_index: np.ndarray          # parent row per vertex (-1 for the origin)
-    digits: np.ndarray                # position of each vertex in its sibling block
 
     @property
     def n_vertices(self) -> int:
@@ -194,12 +193,8 @@ def ball_geometry(k: int, depth: int) -> BallGeometry:
     sizes = [sphere_size(k, d) for d in range(depth + 1)]
     offsets = tuple(int(x) for x in np.cumsum([0] + sizes))
     parent_index = [np.array([-1])]
-    digits = [np.array([0])]
     for d in range(depth):
         branching = k + 1 if d == 0 else k
-        local = np.arange(sizes[d + 1])
-        parent_index.append(offsets[d] + local // branching)
-        digits.append(local % branching)
+        parent_index.append(offsets[d] + np.arange(sizes[d + 1]) // branching)
     return BallGeometry(k=k, depth=depth, offsets=offsets,
-                        parent_index=np.concatenate(parent_index).astype(np.int64),
-                        digits=np.concatenate(digits).astype(np.int64))
+                        parent_index=np.concatenate(parent_index).astype(np.int64))

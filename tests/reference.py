@@ -13,6 +13,8 @@ paper's lemmas that the tests hold it against:
 - a sign scan of the reduced scalar family, against its closed-form
   classification;
 - the damped fixed-point iteration for any m;
+- the sort-based log-sum-exp and the axis-reduced softmax, whose bits the
+  m = 2 kernel, `boundary.sorted_lse` and `boundary.softmax` must keep;
 - the injectivity and derivative / Lipschitz lemmas of the m = 2 update;
 - pairwise distances of path-pair fields.
 """
@@ -203,6 +205,22 @@ def iterate_general_m(params: ModelParams) -> GeneralMReport:
     u = np.concatenate([h, [0.0]])
     symmetric = bool(np.max(np.abs(u - u[::-1])) <= 1e-8)
     return GeneralMReport(delta <= GENERAL_M_TOL, iterations, h, residual, symmetric)
+
+
+# -- the sort-based reductions over the spins ----------------------------
+
+
+def sorted_lse(terms: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis, of the terms sorted ascending by np.sort."""
+    t = np.sort(terms, axis=-1)
+    hi = np.max(t, axis=-1, keepdims=True)
+    return np.squeeze(hi, axis=-1) + np.log(np.sum(np.exp(t - hi), axis=-1))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Normalised exp over the last axis, by axis reductions."""
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 # -- lemmas on the m = 2 update ------------------------------------------

@@ -12,6 +12,7 @@ from sostree.boundary import (BoundaryLawField, compatibility_residual, constant
 from sostree.model import ModelParams
 from sostree.tree import ball_size
 
+import reference
 from reference import (derivative_bounds, injectivity_check, overwritten_two_cycle_field,
                        slice_contraction_constant, tiled_constant_field)
 
@@ -39,8 +40,9 @@ def test_zero_law_at_theta_one_is_exactly_zero():
 
 
 def sorted_lse_law_map(h, m, theta):
-    # the generic sorted-term path, which every m takes but m = 2
-    s = boundary.sorted_lse(boundary.pair_exponents(boundary.unreduce(h), theta))
+    # the generic sorted-term path of the update, on the sort-based reference
+    # (boundary.sorted_lse runs the m = 2 kernel's own network on three terms)
+    s = reference.sorted_lse(boundary.pair_exponents(boundary.unreduce(h), theta))
     return s[..., :m] - s[..., m:]
 
 
@@ -85,6 +87,38 @@ def test_m2_kernel_matches_sorted_lse_on_non_finite_rows(n):
     with np.errstate(invalid="ignore"):
         for theta in (0.05, 1.0, 3.0):
             assert law_map(h, 2, theta).tobytes() == sorted_lse_law_map(h, 2, theta).tobytes()
+
+
+def spin_terms(rng, shape):
+    """Terms over the float range with signed zeros and ties, a fifth of them
+    +-inf or nan (np.nan only, as the kernel tests above explain)."""
+    x = rng.uniform(-700, 700, size=shape) * rng.choice([0.0, -0.0, 1e-3, 1.0], size=shape)
+    x = np.where(rng.random(shape) < 0.3, np.round(x), x)
+    odd = rng.random(shape) < 0.2
+    x[odd] = rng.choice([np.inf, -np.inf, np.nan], size=int(odd.sum()))
+    return x
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (30, 3), (1, 3, 3), (50, 3, 3), (3000, 3, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_term_reductions_keep_the_sort_based_bits(shape, seed):
+    # sorted_lse and softmax over three spins give the sort's and the axis
+    # reductions' bits, shape and dtype, non-finite rows included
+    x = spin_terms(np.random.default_rng(seed), shape)
+    x.reshape(-1, 3)[0] = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (np.inf, np.inf, 1.0)][seed]
+    with np.errstate(invalid="ignore"):
+        for ours, ref in [(boundary.sorted_lse(x), reference.sorted_lse(x)),
+                          (boundary.softmax(x), reference.softmax(x))]:
+            assert np.shape(ours) == np.shape(ref) and np.asarray(ours).dtype == ref.dtype
+            assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2,), (4, 5), (3, 2, 4)])
+def test_other_term_counts_keep_the_sort_based_bits(shape):
+    x = spin_terms(np.random.default_rng(len(shape)), shape)
+    with np.errstate(invalid="ignore"):
+        assert boundary.sorted_lse(x).tobytes() == reference.sorted_lse(x).tobytes()
+        assert boundary.softmax(x).tobytes() == reference.softmax(x).tobytes()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7])

@@ -600,6 +600,34 @@ def test_transition_kernel_chains_to_the_table_measure(k, n, m, theta, seed):
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, k, depth", [
+    ("path-pair", 2, 8), ("path-pair", 3, 5), ("random", 2, 6), ("random", 4, 3)])
+def test_sweep_and_kernels_keep_the_sort_based_bits(monkeypatch, fm_params, kind, k, depth):
+    # the sweep, the root law, the kernels and the update's Jacobian give the
+    # same bits with the three-term reductions as with the sort-based ones
+    params = ModelParams(k=k, m=2, J=fm_params.J, beta=fm_params.beta)
+    if kind == "path-pair":
+        roots = ti.solve_symmetric_roots(params)
+        flds = [nonti.build_field(t, s, params, depth, roots).field
+                for t, s in [(0.3, 0.9), (0.0, 0.0), (0.5, 0.5), (0.0, (k + 1) / k)]]
+    else:
+        flds = [random_field(params, depth, seed, scale=scale)
+                for seed, scale in [(0, 1.0), (1, 30.0), (2, 300.0)]]
+
+    def outputs():
+        return [b"".join(np.asarray(x).tobytes() for x in (
+                    measure.log_partition(fld, params, n), measure.root_marginal(fld, params, n),
+                    *measure.transition_kernel(fld, params, n)))
+                for fld in flds for n in (0, 1, depth)] + [
+                boundary.law_map_jac(fld.laws, params.theta).tobytes() for fld in flds]
+
+    ours = outputs()
+    monkeypatch.setattr(measure, "sorted_lse", reference.sorted_lse)
+    monkeypatch.setattr(measure, "softmax", reference.softmax)
+    monkeypatch.setattr(boundary, "softmax", reference.softmax)
+    assert outputs() == ours
+
+
 def _table_chain(fld, params, n):
     """Root marginal and (parent, vertex) kernels of the enumerated depth-n table."""
     _, probs = measure.finite_volume_measure(fld, params, n)

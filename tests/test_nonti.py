@@ -65,15 +65,14 @@ def test_split_components_extreme_paths():
         nonti.split_components(p2, p1, k, depth)
 
 
-def _address_components(path1, path2, k, depth):
-    """Per-vertex reference: compare each address with each path prefix."""
+def _address_components(path1, path2, addressed):
+    """Per-vertex reference: compare each address of vertex_addresses with each path prefix."""
     def compare(addr, path):
         for a, p in zip(addr, path):
             if a != p:
                 return -1 if a < p else 1
         return 0
 
-    addressed = vertex_addresses(k, depth)
     cmp1 = [compare(addr, path1) for _, addr in addressed]
     cmp2 = [compare(addr, path2) for _, addr in addressed]
     any_right = any(c > 0 for c in cmp2)
@@ -94,17 +93,32 @@ def _address_components(path1, path2, k, depth):
     return out
 
 
+def _split_last(path, k):
+    """A path that leaves `path` only at its last level, or None if none can."""
+    last = path[-1] + 1 if path[-1] + 1 < (k + 1 if len(path) == 1 else k) else path[-1] - 1
+    return path[:-1] + (last,) if last >= 0 else None
+
+
 def test_split_components_matches_address_comparison():
     rng = np.random.default_rng(3)
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 5, 10):
         hi = (k + 1) / k
-        for depth in (1, 2, 4):
-            for t, s in [(0.0, 0.0), (hi, hi), (0.0, hi)] + [
-                    tuple(sorted(rng.uniform(0, hi, size=2))) for _ in range(10)]:
+        for depth in range(1, 9 if k <= 3 else 5):
+            addressed = vertex_addresses(k, depth)
+            # the endpoint paths, coincident pairs, seeded pairs and pairs
+            # that split only at the last level
+            low, high = (nonti.path_from_parameter(t, k, depth) for t in (0.0, hi))
+            pairs = [(low, low), (high, high), (low, high)]
+            for _ in range(10):
+                t, s = sorted(rng.uniform(0, hi, size=2))
                 p1 = nonti.path_from_parameter(t, k, depth)
                 p2 = nonti.path_from_parameter(s, k, depth)
+                pairs += [(p1, p2), (p1, p1)]
+                if (split := _split_last(p1, k)) is not None:
+                    pairs.append(tuple(sorted((p1, split))))
+            for p1, p2 in pairs:
                 assert nonti.split_components(p1, p2, k, depth).tolist() == \
-                    _address_components(p1, p2, k, depth)
+                    _address_components(p1, p2, addressed)
 
 
 def test_build_field_requires_three_solutions():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sostree import boundary, roots, ti
+from sostree import boundary, periodic, roots, ti
 from sostree.model import ModelParams
 
 import reference
@@ -554,6 +554,36 @@ def test_solve_full_is_closed_under_the_spin_flip(k, J):
             if np.max(np.abs(image)) <= ti.LOG_WEIGHT_MAX:
                 gap = np.min(np.max(np.abs(hs - image), axis=1))
                 assert gap <= ti.DEDUPE_TOL * max(1.0, np.max(np.abs(image))), (p, h0, h1)
+
+
+@pytest.mark.parametrize("module, solver", [(ti, lambda p: ti.solve_full(p, [])),
+                                            (periodic, periodic.solve_two_cycle_symmetric)])
+def test_value_hooks_give_the_bits_of_the_scanned_function(monkeypatch, module, solver):
+    # solve_full's u-scan and the psi o psi scan bisect on values alone; at a
+    # float point each gives the bits of f that fdf gives at np.float64(x),
+    # over the scan interval and next to the roots
+    scans = []
+
+    def recording(fdf, lo, hi, n_grid, sign=None):
+        found = roots.find_roots(fdf, lo, hi, n_grid, sign)
+        scans.append((fdf, lo, hi, sign, found))
+        return found
+
+    monkeypatch.setattr(module, "find_roots", recording)
+    rng = random.Random(35)
+    for _ in range(40):
+        k, J = rng.choice([2, 3, 4, 10, 200]), rng.choice([-1.0, -0.3, 1.0])
+        try:
+            solver(ModelParams(k=k, m=2, J=J, beta=rng.uniform(0.05, 4.0)))
+        except ValueError:    # past the float range
+            pass
+    assert len(scans) > 20 and all(sign is not None for *_, sign, _ in scans)
+    for fdf, lo, hi, sign, found in scans:
+        points = [lo * (hi / lo) ** rng.random() for _ in range(50)]
+        points += [x + i * math.ulp(x) for x in found for i in range(-3, 4)]
+        with np.errstate(all="ignore"):
+            for x in points:
+                assert np.float64(sign(x)).tobytes() == np.float64(fdf(np.float64(x))[0]).tobytes()
 
 
 def test_solve_full_is_quiet_at_k_200():

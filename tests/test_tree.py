@@ -176,11 +176,14 @@ def test_ball_geometry_layout(k, n):
     assert geo.level_sizes == tuple(sphere_size(k, d) for d in range(n + 1))
     assert geo.parent_index[0] == -1
     for i, w in enumerate(words):
-        assert len(w) == next(d for d in range(n + 1) if i < geo.offsets[d + 1])
+        d = next(d for d in range(n + 1) if i < geo.offsets[d + 1])
+        assert len(w) == d
         if i:
             p = geo.parent_index[i]
             assert words[p] == parent(w)
-            assert direct_successors(parent(w), k)[geo.digits[i]] == w
+            # the position in the sibling block, from the row alone
+            branching = k + 1 if d == 1 else k
+            assert direct_successors(parent(w), k)[(i - geo.offsets[d]) % branching] == w
     # each level's successors are one block of the next level per vertex
     rows = np.arange(geo.n_vertices)
     for d in range(n):
