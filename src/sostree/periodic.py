@@ -25,7 +25,7 @@ FIXED = "FIXED"
 CYCLE = "CYCLE"
 
 SLICE_GRID = 1000    # points of the psi∘psi sign scan
-PAIR_TOL = 1e-8      # a pair (z, t) closer than this is a fixed point, not a cycle
+PAIR_TOL = 1e-8      # coset log laws closer than this (max norm) are one law: FIXED
 RESID_TOL = 1e-10    # limits with a larger defect are not solutions
 DEDUPE_TOL = 1e-8    # 4D solutions closer than this (log space) are one
 DAMPING = 0.5        # weight of the new iterate in the damped iterations
@@ -47,6 +47,17 @@ class Period2Solution:
     def to_json_dict(self) -> dict:
         return {"type": self.type, "z": self.z, "t": self.t,
                 "z_full": list(self.full_pair[0]), "t_full": list(self.full_pair[1])}
+
+
+def _one_law(a, b) -> np.ndarray:
+    """Whether log laws a and b (last axis) are one law: their max-norm gap is within tolerance."""
+    return np.max(np.abs(a - b), axis=-1) <= PAIR_TOL
+
+
+def _solution(z_pair: tuple, t_pair: tuple) -> Period2Solution:
+    """The record of coset weight pairs z_pair, t_pair: FIXED iff their log laws are one law."""
+    kind = FIXED if _one_law(np.log(z_pair), np.log(t_pair)) else CYCLE
+    return Period2Solution(z=z_pair[1], t=t_pair[1], type=kind, full_pair=(z_pair, t_pair))
 
 
 def cycle_instability(params: ModelParams,
@@ -92,13 +103,8 @@ def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
         pp, dpp = psi.with_deriv(p)
         return pp - z, dpp * dp - 1.0
 
-    sols = []
-    for z in find_roots(f, lo, hi, SLICE_GRID, lambda z: psi(psi(z)) - z):
-        t = float(psi(z))
-        kind = FIXED if abs(z - t) <= PAIR_TOL * max(1.0, z, t) else CYCLE
-        sols.append(Period2Solution(z=z, t=t, type=kind,
-                                    full_pair=((1.0, z), (1.0, t))))
-    return sols
+    return [_solution((1.0, z), (1.0, float(psi(z))))
+            for z in find_roots(f, lo, hi, SLICE_GRID, lambda z: psi(psi(z)) - z)]
 
 
 def _random_starts(params: ModelParams, n_starts: int, seed: int) -> tuple[np.ndarray, float]:
@@ -142,13 +148,8 @@ def solve_two_cycle_full(params: ModelParams, n_starts: int = 100,
     """Solutions of the full four-dimensional alternating system."""
     h, l, resid = alternating_limits(params, n_starts=n_starts, seed=seed)
     good = resid <= RESID_TOL
-    sols = []
-    for v in dedupe(np.concatenate([h[good], l[good]], axis=-1), DEDUPE_TOL):
-        z0, z1, t0, t1 = (math.exp(x) for x in v)
-        kind = FIXED if max(abs(v[0] - v[2]), abs(v[1] - v[3])) <= PAIR_TOL else CYCLE
-        sols.append(Period2Solution(z=z1, t=t1, type=kind,
-                                    full_pair=((z0, z1), (t0, t1))))
-    return sols
+    return [_solution(tuple(map(math.exp, v[:2])), tuple(map(math.exp, v[2:])))
+            for v in dedupe(np.concatenate([h[good], l[good]], axis=-1), DEDUPE_TOL)]
 
 
 @dataclass
@@ -166,19 +167,20 @@ def coset_equations(spec: SubgroupSpec) -> list[tuple[int, tuple[int, int]]]:
     """The consistency equations of a two-coset-periodic family, as the
     (n, counts) pairs that ti.coset_system takes.
 
-    A vertex of coset n whose parent lies in coset p has counts[c] direct
-    successors in coset c: its neighbours there, less the parent.  A pair
-    (n, p) occurs only when coset-n vertices have a neighbour in coset p, so
-    for the even-word subgroup, where every neighbour switches coset, only
-    p = 1 - n is listed.
+    Coset 0 is the subgroup.  Of a vertex's k + 1 neighbours, the |A| reached
+    by a letter of the parity set lie in the other coset and the rest in its
+    own.  A vertex of coset n whose parent lies in coset p has counts[c]
+    direct successors in coset c: its neighbours there, less the parent.  A
+    pair (n, p) occurs only when coset-n vertices have a neighbour in coset
+    p, so for the even-word subgroup only p = 1 - n is listed.
     """
+    switch = len(spec.parity_set)
+    keep = spec.k + 1 - switch
     eqs = []
-    for n in (0, 1):
+    for n, counts in enumerate([(keep, switch), (switch, keep)]):
         for p in (0, 1):
-            counts = list(spec.neighbour_counts(n))
             if counts[p]:
-                counts[p] -= 1
-                eqs.append((n, (counts[0], counts[1])))
+                eqs.append((n, (counts[0] - (p == 0), counts[1] - (p == 1))))
     return eqs
 
 
@@ -223,9 +225,8 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
             break
 
     h0, h1, resid = _newton_finish(eqs, params, np.concatenate(h, axis=-1), c + 20.0)
-    is_ti = np.max(np.abs(h0 - h1), axis=-1) <= PAIR_TOL
     return ParityIterationResult(h_even=h0, h_odd=h1, residual=resid,
-                                 converged=resid <= RESID_TOL, ti=is_ti)
+                                 converged=resid <= RESID_TOL, ti=_one_law(h0, h1))
 
 
 def expand_two_cycle_field(z: float, t: float, params: ModelParams,
@@ -255,8 +256,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
         statement = (f"even-word subgroup, antiferromagnetic regime: "
                      f"{n_cyc} chess-board solutions alongside the translation-invariant ones")
     else:
-        solutions = [Period2Solution(z=z1, t=z1, type=FIXED, full_pair=((z0, z1), (z0, z1)))
-                     for z0, z1 in ti_set["full_solutions"]]
+        solutions = [_solution(tuple(z), tuple(z)) for z in ti_set["full_solutions"]]
         if not spec.is_full:
             statement = ("subgroup contains a generator: periodic solutions "
                          "coincide with the translation-invariant ones")

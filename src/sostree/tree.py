@@ -118,16 +118,6 @@ class SubgroupSpec:
         """Whether A is every generator, so the subgroup contains none (I(K) empty)."""
         return len(self.parity_set) == self.k + 1
 
-    def neighbour_counts(self, coset: int) -> tuple[int, int]:
-        """How many of the k+1 neighbours of a vertex in `coset` lie in cosets 0 and 1.
-
-        Coset 0 is the subgroup.  A step by a letter of A switches the coset,
-        a step by any other letter keeps it.
-        """
-        switch = len(self.parity_set)
-        keep = self.k + 1 - switch
-        return (keep, switch) if coset == 0 else (switch, keep)
-
 
 @lru_cache(maxsize=None)
 def cached_ball(k: int, n: int) -> tuple[Word, ...]:

@@ -361,6 +361,40 @@ def test_classify_by_subgroup_cycle_regime(cycle_params):
     assert kinds == [periodic.CYCLE, periodic.CYCLE, periodic.FIXED]
 
 
+def _log_gap(a, b):
+    """Max-norm gap of two log laws (last axis)."""
+    return np.max(np.abs(a - b), axis=-1)
+
+
+@pytest.mark.parametrize("case", ["k200-past-doubling", "k200-cycles", "fm-4d",
+                                  "proper-subgroup"])
+def test_every_producer_keeps_one_pair_rule(case, fm_params):
+    # each record is FIXED iff its two coset log laws lie within PAIR_TOL (max
+    # norm), and the parity iteration flags ti by the same rule
+    if case.startswith("k200"):
+        theta = 1.055824 if case == "k200-past-doubling" else 1.07
+        params, spec = ModelParams.from_theta(k=200, m=2, theta=theta), full_spec(200)
+        records = [s.to_json_dict() for s in periodic.solve_two_cycle_symmetric(params)]
+        assert [r["type"] for r in records] == [periodic.CYCLE, periodic.FIXED, periodic.CYCLE]
+    elif case == "fm-4d":
+        params, spec = fm_params, full_spec(2)
+        records = [s.to_json_dict() for s in periodic.solve_two_cycle_full(params)]
+    else:
+        params, spec = fm_params, SubgroupSpec(k=2, parity_set=frozenset({1}))
+        records = periodic.classify_by_subgroup(spec, params)["solutions"]
+    gaps = [_log_gap(np.log(r["z_full"]), np.log(r["t_full"])) for r in records]
+    assert [r["type"] == periodic.FIXED for r in records] == [g <= periodic.PAIR_TOL
+                                                             for g in gaps]
+    if case == "k200-past-doubling":
+        # just past the slice period doubling the fixed point is found to a few
+        # 1e-9 in log, while the cycle's two points are 1.6e-2 apart
+        assert 1e-9 < gaps[1] < periodic.PAIR_TOL and gaps[0] > 1e-2
+    parity = periodic.iterate_parity_system(spec, params, n_starts=10, seed=3)
+    assert parity.converged.all()
+    np.testing.assert_array_equal(parity.ti,
+                                  _log_gap(parity.h_even, parity.h_odd) <= periodic.PAIR_TOL)
+
+
 def count_calls(monkeypatch, module, name, calls=None):
     calls = [] if calls is None else calls
     original = getattr(module, name)

@@ -62,7 +62,7 @@ def test_group_operation_consistency():
 
 
 # The word walk: the tests below build neighbours and cosets from words
-# themselves and check SubgroupSpec and coset_equations against them.
+# themselves and check coset_equations against them.
 
 def _neighbours(w, k):
     """All k+1 neighbours w.a, in generator order."""
@@ -93,57 +93,73 @@ def test_neighbors_structure():
         assert all(abs(len(y) - len(w)) == 1 for y in ns)
 
 
+def _walk_equations(spec, n):
+    """The (coset, successor counts) pairs met at the non-root vertices of the depth-n ball."""
+    seen = set()
+    for w in ball(spec.k, n)[1:]:
+        succ = [0, 0]
+        for s in direct_successors(w, spec.k):
+            succ[_coset(s, spec)] += 1
+        seen.add((_coset(w, spec), tuple(succ)))
+    return seen
+
+
 def test_coset_profile_even_words():
     k = 3
     spec = SubgroupSpec(k=k, parity_set=frozenset(range(1, k + 2)))
     assert spec.is_full
-    assert spec.neighbour_counts(_coset(IDENTITY, spec)) == (0, k + 1)
+    assert _walk_counts(IDENTITY, spec) == (0, k + 1)
     # every vertex has all neighbours in the opposite-length-parity coset
     for w in ball(k, 3):
         q = _walk_counts(w, spec)
-        assert q == spec.neighbour_counts(_coset(w, spec))
+        assert q[_coset(w, spec)] == 0
         assert sorted(q) == [0, k + 1]
+    # so every successor of a non-root vertex lies in the other coset
+    assert coset_equations(spec) == [(0, (0, k)), (1, (k, 0))]
+    assert set(coset_equations(spec)) == _walk_equations(spec, 3)
 
 
 def test_coset_profile_single_generator():
     spec = SubgroupSpec(k=2, parity_set=frozenset({1}))
     assert not spec.is_full
     assert _coset(IDENTITY, spec) == 0
-    assert spec.neighbour_counts(0) == _walk_counts(IDENTITY, spec) == (2, 1)
+    assert _walk_counts(IDENTITY, spec) == (2, 1)
+    # coset 0 first, and for each coset the parent in coset 0 first
+    assert coset_equations(spec) == [(0, (1, 1)), (0, (2, 0)), (1, (0, 2)), (1, (1, 1))]
+    assert set(coset_equations(spec)) == _walk_equations(spec, 3)
 
 
 def test_profile_is_permutation_invariant():
-    # q(x) is a permutation of q(e) and the nonzero count is constant
+    # q(x) is a permutation of q(e) and the nonzero count is constant, so the
+    # coset equations of every ball agree
     k = 3
     for a_size in (1, 2, 3, 4):
         spec = SubgroupSpec(k=k, parity_set=frozenset(range(1, a_size + 1)))
-        q_e = spec.neighbour_counts(0)
+        q_e = _walk_counts(IDENTITY, spec)
         n_e = sum(1 for v in q_e if v)
         for w in ball(k, 4):
             q = _walk_counts(w, spec)
             assert sorted(q) == sorted(q_e)
             assert sum(1 for v in q if v) == n_e
+        assert set(coset_equations(spec)) == _walk_equations(spec, 4)
+        assert all(sum(counts) == k for _, counts in coset_equations(spec))
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_subgroup_counts_match_word_walk(k):
-    # for every parity set A: the counts of SubgroupSpec agree with the walk at
-    # every vertex, and coset_equations lists exactly the (coset, successor
-    # counts) pairs met in the ball
+    # for every parity set A: every vertex of coset 0 has k + 1 - |A| neighbours
+    # in coset 0 and |A| in coset 1 (coset 1 the reverse), and coset_equations
+    # lists exactly the (coset, successor counts) pairs met in the ball
     generators = range(1, k + 2)
     for size in range(1, k + 2):
         for letters in itertools.combinations(generators, size):
             spec = SubgroupSpec(k=k, parity_set=frozenset(letters))
             assert spec.is_full == (size == k + 1)
-            seen = set()
+            profile = (k + 1 - size, size)
             for w in ball(k, 3):
-                n = _coset(w, spec)
-                assert spec.neighbour_counts(n) == _walk_counts(w, spec)
-                if w.letters:
-                    succ = [0, 0]
-                    for s in direct_successors(w, k):
-                        succ[_coset(s, spec)] += 1
-                    seen.add((n, tuple(succ)))
+                q = _walk_counts(w, spec)
+                assert q == (profile if _coset(w, spec) == 0 else profile[::-1])
+            seen = _walk_equations(spec, 3)
             assert set(coset_equations(spec)) == seen
             assert len(coset_equations(spec)) == len(seen)
 
