@@ -180,10 +180,6 @@ class BoundaryLawField:
             raise ValueError(f"a depth-{self.depth} field of order {self.k} needs "
                              f"{rows} law rows, got shape {self.laws.shape}")
 
-    @property
-    def root(self) -> np.ndarray:
-        return self.laws[0]
-
     def to_json_dict(self) -> dict:
         labels = ball_geometry(self.k, self.depth).labels
         return {"depth": self.depth,

@@ -214,7 +214,7 @@ def root_convergence(t: float, s: float, params: ModelParams,
     """Build the field at each depth, from one scan of the roots, and track the root law."""
     depths = sorted(depths)
     roots = ti.solve_symmetric_roots(params)
-    root_laws = [build_field(t, s, params, d, roots).field.root for d in depths]
+    root_laws = [build_field(t, s, params, d, roots).field.laws[0] for d in depths]
     diffs = [float(np.max(np.abs(b - a))) for a, b in zip(root_laws, root_laws[1:])]
     rates = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
     cauchy = all(b <= a for a, b in zip(diffs, diffs[1:]))

@@ -301,7 +301,7 @@ def test_perturb_field_shifts_all_laws(fm_high_field):
     bad = perturb_field(fm_high_field, 0.25)
     np.testing.assert_array_equal(bad.laws[:, -1], fm_high_field.laws[:, -1] + 0.25)
     np.testing.assert_array_equal(bad.laws[:, :-1], fm_high_field.laws[:, :-1])
-    assert bad.root[-1] == fm_high_field.root[-1] + 0.25
+    assert bad.laws[0, -1] == fm_high_field.laws[0, -1] + 0.25
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 200])

@@ -137,7 +137,7 @@ def test_build_field_endpoint_constants(fm_params, fm_roots):
 
     low = nonti.build_field(0.0, 0.0, fm_params, 6)
     assert all(np.array_equal(h, h_plus) for h in low.field.laws[1:])
-    np.testing.assert_array_equal(low.field.root, 1.5 * h_plus)
+    np.testing.assert_array_equal(low.field.laws[0], 1.5 * h_plus)
 
     high = nonti.build_field(hi, hi, fm_params, 6)
     assert all(np.array_equal(h, h_minus) for h in high.field.laws[1:])
