@@ -161,7 +161,8 @@ def critical_beta(J: float, k: int) -> float:
         raise UsageError("the threshold exists only for negative coupling")
     if k < 2:
         raise UsageError("the threshold exists only for tree order k >= 2")
-    beta = math.log((k - 1) ** 2 / (k * k + 6 * k + 1)) / (2 * J)
+    # ln((k-1)^2 / (k^2+6k+1)) = -ln(1 + 8k/(k-1)^2); the integer ratio is correctly rounded
+    beta = math.log1p(8 * k / (k - 1) ** 2) / (-2 * J)
     if beta == math.inf:    # a subnormal J
         raise UsageError(f"the threshold at J = {J!r} exceeds the float range")
     return beta

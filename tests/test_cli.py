@@ -379,7 +379,7 @@ PINNED_OUTPUTS = [
       "--beta-step", "0.1"], "b88d85523d859091f087eebcab1d858fd9df11802d48e8d3c8eab94c7846f3ab"),
     # the slice map's derivative overflows in this scan
     (["solve-ti", "--k", "200", "--J", "-1", "--beta", "1.612"],
-     "a4e44c748c895e5f1569391432c43c886df217752e93069d155617ef58b82da5"),
+     "7e486c276a4e540bf74f6b788ab0a21d7348ce70b5975f9588ab5b6ab9f8c057"),
     # the deep-ball shapes of the field JSON and sample CSV writers
     (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3", "--s", "1.2",
       "--depth", "10"], "856a29821e405b63df94d3e03d931a2b397846dc5e68b17cc48f05641c4d464d"),
@@ -424,7 +424,7 @@ def _load_workloads():
 # stdout, stderr and the bytes of --out and its manifest.  A change that
 # moves these bytes on purpose re-pins the digest and lists what moved.
 WORKLOAD_DIGESTS = {
-    "solver_sweep": "181a4a4f4759f16def23f50f059eb22f8defc4eb00db0614793be5a2a6e203ad",
+    "solver_sweep": "74f63bb6d4abd8be437f0bdcaf87967698fe9ed9b1c19fa4abb4b993f8f584b7",
     "deep_fields": "523fd8f374495206588f9566c2fd36f7376cc54e883a1f96f854bec258d13cbb",
     "exact_oracles": "970d7ccc1550d9117d372c08bc149541c8c7a3f51962996f3b81f0b7fd3c2a53",
 }

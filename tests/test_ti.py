@@ -3,6 +3,7 @@ import random
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -36,6 +37,21 @@ def test_critical_beta_closed_form():
         with pytest.raises(ValueError):
             ti.critical_beta(J, 2)
     assert ti.critical_beta(-1e-300, 2) == pytest.approx(math.log(17) / 2e-300, rel=1e-14)
+
+
+@pytest.mark.parametrize("J", [-1.0, -0.3, -2.5])
+def test_critical_beta_is_within_two_ulps_at_every_order(J):
+    # the paper's ln((k^2+6k+1)/(k-1)^2) / (-2J) in mpmath, with 60 digits
+    # beyond the ratio's distance from 1; at k = 10^20 the direct float ratio
+    # rounds to 1 and gave beta_cr = -0.0
+    orders = (list(range(2, 5001)) + [10 ** e for e in range(6, 301)]
+              + [7 * 10 ** e + 3 for e in range(6, 301)])
+    for k in orders:
+        beta = ti.critical_beta(J, k)
+        assert beta > 0
+        with mpmath.workdps(60 + 2 * len(str(k))):
+            exact = mpmath.log(mpmath.mpf(k * k + 6 * k + 1) / (k - 1) ** 2) / (-2 * mpmath.mpf(J))
+            assert float(abs(mpmath.mpf(beta) - exact)) <= 2 * math.ulp(float(exact)), k
 
 
 def test_classify_unique_cases():
