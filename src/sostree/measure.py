@@ -48,7 +48,7 @@ from .tree import BallGeometry, ball_geometry
 
 EXACT_TABLE_CAP = 10 ** 6
 # Vertices of a ball, times the samples drawn on it, that a command may build;
-# build-nonti peaks at about 0.6 kB a vertex, some 6 GB at the cap.
+# each vertex adds about 0.55 kB to build-nonti's peak, some 5.5 GB at the cap.
 SIZE_CAP = 10 ** 7
 SYMMETRY_TOL = 1e-10   # flip gap (table total variation, else chain gap) counted as symmetric
 # Quotient entries per block of the DLR conditional face, which then holds one
