@@ -49,7 +49,7 @@ class Period2Solution:
                 "z_full": list(self.full_pair[0]), "t_full": list(self.full_pair[1])}
 
 
-def _one_law(a, b) -> np.ndarray:
+def _one_law(a: np.ndarray, b: np.ndarray):
     """Whether log laws a and b (last axis) are one law: their max-norm gap is within tolerance."""
     return np.max(np.abs(a - b), axis=-1) <= PAIR_TOL
 
@@ -256,7 +256,7 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
         statement = (f"even-word subgroup, antiferromagnetic regime: "
                      f"{n_cyc} chess-board solutions alongside the translation-invariant ones")
     else:
-        solutions = [_solution(tuple(z), tuple(z)) for z in ti_set["full_solutions"]]
+        solutions = [_solution(tuple(pair), tuple(pair)) for pair in ti_set["full_solutions"]]
         if not spec.is_full:
             statement = ("subgroup contains a generator: periodic solutions "
                          "coincide with the translation-invariant ones")
