@@ -78,9 +78,7 @@ def cycle_instability(params: ModelParams,
         roots = ti.solve_symmetric_roots(params)
     if len(roots) != 1:
         raise RuntimeError("expected a unique fixed point for theta > 1")
-    z = roots[0]
-    t, k = params.theta, params.k
-    value = k * z * (t * t - 1.0) / ((2 * t + z) * (1 + t * t + t * z))
+    value = abs(ti.SliceMap(params.theta, params.k).slope(roots[0], roots[0]))
     return value, value > 1.0
 
 

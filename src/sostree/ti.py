@@ -52,36 +52,47 @@ class SliceMap:
     theta: float
     k: int
 
-    def __call__(self, z):
+    @property
+    def terms(self) -> tuple:
+        """2 theta, 1 + theta^2, 1 - theta^2, theta and k: what _psi and _psi_slope take."""
         t = self.theta
-        return _psi(2 * t, 1 + t * t, t, self.k, z)[0]
+        return 2 * t, 1 + t * t, 1 - t * t, t, self.k
+
+    def __call__(self, z):
+        return _psi(self.terms, z)[0]
 
     def with_deriv(self, z):
         """(psi(z), psi'(z)), with psi computed once."""
-        t = self.theta
-        return _psi_with_deriv(2 * t, 1 + t * t, 1 - t * t, t, self.k, z)
+        p, num, den = _psi(self.terms, z)
+        return p, _psi_slope(self.terms, p, num, den)
+
+    def slope(self, z, p):
+        """psi'(z) with p in place of psi(z): at a fixed point, p = z."""
+        _, num, den = _psi(self.terms, z)
+        return _psi_slope(self.terms, p, num, den)
 
     def range_interval(self) -> tuple[float, float]:
         """psi(0) and theta^(-k), in ascending order; theta^(-k) is inf where
         it leaves the float range (e^709.78)."""
-        t, k = self.theta, self.k
-        at_zero = (2 * t / (1 + t * t)) ** k
+        two_t, one_plus, _, t, k = self.terms
+        at_zero = (two_t / one_plus) ** k
         at_infinity = t ** (-k) if -k * math.log(t) < 709.0 else math.inf
         lo, hi = sorted((at_zero, at_infinity))
         return lo, hi
 
 
-def _psi(two_t, one_plus, t, k, z):
-    """SliceMap(t, k)(z), its numerator and its denominator, from 2t and 1 + t^2,
-    which are formed first there too; every argument may be an array matching z."""
+def _psi(terms, z):
+    """psi(z), its numerator 2t + z and its denominator 1 + t^2 + t z, from
+    SliceMap.terms; each term may be an array matching z."""
+    two_t, one_plus, _, t, k = terms
     num, den = two_t + z, one_plus + t * z
     return np.exp(k * (np.log(num) - np.log(den))), num, den
 
 
-def _psi_with_deriv(two_t, one_plus, one_minus, t, k, z):
-    """SliceMap(t, k).with_deriv(z), from _psi and 1 - t^2."""
-    p, num, den = _psi(two_t, one_plus, t, k, z)
-    return p, k * p * one_minus / (num * den)
+def _psi_slope(terms, p, num, den):
+    """psi'(z) = k p (1 - t^2) / (num den), from SliceMap.terms, p = psi(z)
+    and the numerator and denominator that _psi gives at z."""
+    return terms[4] * p * terms[2] / (num * den)
 
 
 @dataclass(frozen=True)
@@ -199,13 +210,13 @@ def symmetric_root_lanes(sweep: list[ModelParams]) -> list[list[float]]:
         hi.append(bounds[1])
         expected.append(count)
     scanned = [sweep[i] for i in lanes]
-    found = find_roots(_slice_residual(scanned), lo, hi, SCAN_GRID, _slice_sign(scanned)) \
-        if lanes else []
+    fdf, sign = _slice_scan(scanned)
+    found = find_roots(fdf, lo, hi, SCAN_GRID, sign) if lanes else []
     retry = [j for j, roots in enumerate(found) if expected[j] not in (None, len(roots))]
     if retry:
-        rescanned = [scanned[j] for j in retry]
-        again = find_roots(_slice_residual(rescanned), [lo[j] for j in retry],
-                           [hi[j] for j in retry], 16 * SCAN_GRID, _slice_sign(rescanned))
+        fdf, sign = _slice_scan([scanned[j] for j in retry])
+        again = find_roots(fdf, [lo[j] for j in retry], [hi[j] for j in retry],
+                           16 * SCAN_GRID, sign)
         for j, roots in zip(retry, again):
             found[j] = roots
             if len(roots) != expected[j]:
@@ -237,56 +248,40 @@ def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
     return (lo, hi), None if label == BOUNDARY_TWO else count
 
 
-def _slice_residual(sweep: list[ModelParams]):
-    """psi(z) - z and its derivative on the lanes of sweep, as find_roots takes them.
+def _slice_scan(sweep: list[ModelParams]):
+    """find_roots' (fdf, sign) for psi(z) - z on the lanes of sweep, from each
+    lane's SliceMap.terms of its own theta (np.exp(J * beta) can differ in
+    the last bit, and so move the roots).
 
-    theta is each ModelParams' own float (math.exp); np.exp(J * beta) can
-    differ in the last bit, and so move the roots.
+    fdf gives psi(z) - z and its derivative; an int lane takes Python floats,
+    which are cheaper than numpy scalars.  sign gives +-1.0 where math.log
+    and math.exp certify the sign of psi(z) - z, else 0.0: with
+    a = ln(2t + z), b = ln(1 + t^2 + t z), d = a - b, y = k d and p = e^y,
+    two float64 log and exp within 1 ulp (libm's here, numpy's in fdf) give
+    values of p at most p (2 eps (k (|a| + |b| + |d|) + |y|) + 2 eps) apart,
+    so a gap |p - z| over 8 times that has numpy's sign.
     """
-    consts = _slice_consts(sweep)
-    arrays = [np.array(column) for column in zip(*consts)]
+    terms = [SliceMap(p.theta, p.k).terms for p in sweep]
+    arrays = [np.array(column) for column in zip(*terms)]
 
-    def f(z, lane):
-        # an int lane takes Python floats, which are cheaper than numpy scalars
-        lane_consts = consts[lane] if isinstance(lane, int) else [a[lane] for a in arrays]
-        p, dp = _psi_with_deriv(*lane_consts, z)
-        return p - z, dp - 1.0
-
-    return f
-
-
-def _slice_consts(sweep: list[ModelParams]) -> list[tuple]:
-    """Per lane: 2t, 1 + t^2, 1 - t^2, t and k, as Python floats."""
-    return [(2 * p.theta, 1 + p.theta * p.theta, 1 - p.theta * p.theta, p.theta, p.k)
-            for p in sweep]
-
-
-def _slice_sign(sweep: list[ModelParams]):
-    """The sign of _slice_residual's psi(z) - z on a lane of sweep, as find_roots'
-    `sign` takes it: +-1.0 where math.log and math.exp certify it, else 0.0.
-
-    With a = ln(2t + z), b = ln(1 + t^2 + t z), d = a - b, y = k d and
-    p = e^y, two float64 log and exp within 1 ulp (libm's here, numpy's
-    there) give values of p at most p (2 eps (k (|a| + |b| + |d|) + |y|)
-    + 2 eps) apart, so a gap |p - z| over 8 times that has numpy's sign.
-    """
-    consts = _slice_consts(sweep)
+    def fdf(z, lane):
+        lane_terms = terms[lane] if isinstance(lane, int) else [a[lane] for a in arrays]
+        p, num, den = _psi(lane_terms, z)
+        return p - z, _psi_slope(lane_terms, p, num, den) - 1.0
 
     def sign(z: float, lane: int) -> float:
-        two_t, one_plus, _, t, k = consts[lane]
+        two_t, one_plus, _, t, k = terms[lane]
         a, b = math.log(two_t + z), math.log(one_plus + t * z)
         d = a - b
         y = k * d
         if -700.0 < y < 700.0:
             p = math.exp(y)
             bound = p * (_SIGN_TOL * (k * (abs(a) + abs(b) + abs(d)) + abs(y)) + _SIGN_TOL)
-            if p - z > bound:
-                return 1.0
-            if p - z < -bound:
-                return -1.0
+            if abs(p - z) > bound:
+                return math.copysign(1.0, p - z)
         return 0.0
 
-    return sign
+    return fdf, sign
 
 
 def solve(params: ModelParams) -> dict:

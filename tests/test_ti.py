@@ -370,9 +370,9 @@ def test_the_slice_sign_agrees_with_the_residual_where_it_commits(k, theta, data
         lambda i: float(roots._log_grid(lo, hi, ti.SCAN_GRID)[i]))
     near = st.builds(lambda z, r: z * (1.0 + r), st.sampled_from(found), st.floats(-1e-6, 1e-6))
     z = data.draw(st.one_of(grid, near))
-    sign = ti._slice_sign([params])(z, 0)
+    sign = ti._slice_scan([params])[1](z, 0)
     with np.errstate(over="ignore", invalid="ignore"):    # as in the scan
-        f = float(ti._slice_residual([params])(np.float64(z), 0)[0])
+        f = float(ti._slice_scan([params])[0](np.float64(z), 0)[0])
     assert sign in (-1.0, 0.0, 1.0)
     if sign:
         assert f != 0.0 and sign == math.copysign(1.0, f)
@@ -389,7 +389,7 @@ def test_the_slice_sign_commits_only_to_numpy_signs_next_to_roots():
             found = ti.solve_symmetric_roots(params)
         except (ValueError, RuntimeError):    # past the float range
             continue
-        sign, residual = ti._slice_sign([params]), ti._slice_residual([params])
+        residual, sign = ti._slice_scan([params])
         for root in found:
             for z in (root + i * math.ulp(root) for i in range(-64, 65)):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -415,17 +415,17 @@ def test_symmetric_roots_keep_their_bits_under_the_sign_hook(monkeypatch):
     assert all(ti.solve_symmetric_roots(s[0])[0] < 1e-150 for s in sweeps[:len(TINY_ROOTS)])
     commits = []
 
-    def counted_sign(sweep):
-        sign = real_sign(sweep)
+    def counted_scan(sweep):
+        fdf, sign = real_scan(sweep)
 
         def counting(z, lane):
             commits.append(sign(z, lane))
             return commits[-1]
 
-        return counting
+        return fdf, counting
 
-    real_sign = ti._slice_sign
-    monkeypatch.setattr(ti, "_slice_sign", counted_sign)
+    real_scan = ti._slice_scan
+    monkeypatch.setattr(ti, "_slice_scan", counted_scan)
     hooked = [_outcome(lambda: ti.symmetric_root_lanes(s)) for s in sweeps]
     assert sum(c != 0.0 for c in commits) > len(commits) / 2 > 0
     real_find_roots = ti.find_roots
