@@ -236,10 +236,10 @@ def expand_two_cycle_field(z: float, t: float, params: ModelParams,
 def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     """Periodic solution families for an index-2 parity subgroup.
 
-    Ferromagnetic / free coupling, or a subgroup containing a generator:
-    the periodic measures coincide with the translation-invariant ones.
-    Antiferromagnetic coupling with the even-word subgroup: the chess-board
-    two-cycles join the list when the instability criterion admits them.
+    Every translation-invariant solution of ti.solve is a FIXED entry.
+    Antiferromagnetic coupling with the even-word subgroup adds the CYCLE
+    entries of the slice's psi∘psi scan, and the list is sorted by z; in
+    every other case the periodic solutions are the translation-invariant ones.
     """
     ti_set = ti.solve(params)
     afm = params.theta > 1.0
@@ -248,19 +248,18 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
         value, holds = cycle_instability(params, ti_set["symmetric_roots"])
         instability = {"value": value, "holds": holds}
 
+    solutions = [_solution(tuple(pair), tuple(pair)) for pair in ti_set["full_solutions"]]
     if spec.is_full and afm:
-        solutions = solve_two_cycle_symmetric(params)
-        n_cyc = sum(1 for s in solutions if s.type == CYCLE)
-        statement = (f"even-word subgroup, antiferromagnetic regime: "
-                     f"{n_cyc} chess-board solutions alongside the translation-invariant ones")
+        cycles = [s for s in solve_two_cycle_symmetric(params) if s.type == CYCLE]
+        solutions = sorted(solutions + cycles, key=lambda s: s.z)
+        statement = (f"even-word subgroup, antiferromagnetic regime: {len(cycles)} "
+                     "chess-board solutions alongside the translation-invariant ones")
+    elif not spec.is_full:
+        statement = ("subgroup contains a generator: periodic solutions "
+                     "coincide with the translation-invariant ones")
     else:
-        solutions = [_solution(tuple(pair), tuple(pair)) for pair in ti_set["full_solutions"]]
-        if not spec.is_full:
-            statement = ("subgroup contains a generator: periodic solutions "
-                         "coincide with the translation-invariant ones")
-        else:
-            statement = ("nonpositive coupling: the alternating system admits only "
-                         "equal pairs, so periodic solutions are translation-invariant")
+        statement = ("nonpositive coupling: the alternating system admits only "
+                     "equal pairs, so periodic solutions are translation-invariant")
 
     return {
         "params": params.to_dict(),

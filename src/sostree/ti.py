@@ -82,16 +82,14 @@ class SliceMap:
 
 
 def _psi(terms, z):
-    """psi(z), its numerator 2t + z and its denominator 1 + t^2 + t z, from
-    SliceMap.terms; each term may be an array matching z."""
+    """psi(z), 2t + z and 1 + t^2 + t z, from SliceMap.terms (or arrays matching z)."""
     two_t, one_plus, _, t, k = terms
     num, den = two_t + z, one_plus + t * z
     return np.exp(k * (np.log(num) - np.log(den))), num, den
 
 
 def _psi_slope(terms, p, num, den):
-    """psi'(z) = k p (1 - t^2) / (num den), from SliceMap.terms, p = psi(z)
-    and the numerator and denominator that _psi gives at z."""
+    """psi'(z) = k p (1 - t^2) / (num den), from SliceMap.terms and _psi(z) = (p, num, den)."""
     return terms[4] * p * terms[2] / (num * den)
 
 

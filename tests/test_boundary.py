@@ -228,6 +228,17 @@ def test_compatibility_residual_zero_field():
     assert compatibility_residual(constant_field(np.zeros(2), p1, 2), p1) == 0.0
 
 
+def test_compatibility_residual_refuses_a_field_of_another_order():
+    fld = constant_field(np.zeros(2), ModelParams.from_theta(k=2, m=2, theta=0.5), 2)
+    with pytest.raises(ValueError, match="^field of order 2 checked against k = 3$"):
+        compatibility_residual(fld, ModelParams.from_theta(k=3, m=2, theta=0.5))
+
+
+def test_pair_exponents_refuses_theta_zero():
+    with pytest.raises(ValueError, match="^theta must be positive$"):
+        boundary.pair_exponents(np.zeros(3), 0.0)
+
+
 def test_compatibility_residual_checks_the_root(fm_params, fm_roots):
     # a depth-1 field has no non-root vertex to check: only the root
     # convention (the sum over its k+1 successors) can expose a bad root law

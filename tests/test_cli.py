@@ -362,7 +362,7 @@ PINNED_OUTPUTS = [
     (["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1.90", "--beta-max", "2.00",
       "--beta-step", "0.005"], "6622bafe7fbe70437728d3e48e29831062499d686ee4181b96a7938f2581e6e2"),
     (["solve-periodic", "--k", "200", "--theta", "1.08", "--subgroup", "full"],
-     "75eb0104d59fd371f0bf013dc674f83ec130909fdfff313cd4cea2e2ffcf9151"),
+     "56495e7789206f008ab18c623a9a4cfa63d49d234f776538ae3cfea02d6ee8c1"),
     (["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--branch", "high",
       "--depth", "2"], "0ef38f39a3660041b2a3a40973cbeab5331e537e0c3b85046360b1b761e617ea"),
     (["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3",
@@ -424,9 +424,9 @@ def _load_workloads():
 # stdout, stderr and the bytes of --out and its manifest.  A change that
 # moves these bytes on purpose re-pins the digest and lists what moved.
 WORKLOAD_DIGESTS = {
-    "solver_sweep": "74f63bb6d4abd8be437f0bdcaf87967698fe9ed9b1c19fa4abb4b993f8f584b7",
-    "deep_fields": "523fd8f374495206588f9566c2fd36f7376cc54e883a1f96f854bec258d13cbb",
-    "exact_oracles": "970d7ccc1550d9117d372c08bc149541c8c7a3f51962996f3b81f0b7fd3c2a53",
+    "solver_sweep": "ad9d67f9a95dc8f86796456c25ed90267b32f13ec504f397c2e27c7579c1968b",
+    "deep_fields": "a4f8b2f1c7cb9c8bc76c7a740ba8d529f70528368a1f5e7590ac0159ea394185",
+    "exact_oracles": "3afff0f8f04cfe0a2827d83312d538982d1ac46ecd96256181806481e4752e9c",
 }
 
 
@@ -536,6 +536,23 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "1", "--branch", "low"],
+     "branch 'low' needs three symmetric solutions, found 1"),
+    (["solve-periodic", "--k", "2", "--theta", "2", "--subgroup", "1,x"],
+     "bad subgroup spec '1,x': use 'full' or e.g. '1,3'"),
+    (["solve-ti", "--k", "2", "--J", "-1"], "give --J and --beta (or --theta, or --config)"),
+    (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2.5", "--t", "0.2", "--s", "0.8",
+      "--depth", "0"], "depth must be >= 1"),
+    (["solve-ti", "--config", "{config}"], "--config {config}: malformed config line: 'k 2'"),
+], ids=["branch-needs-three", "bad-subgroup", "no-beta", "nonti-depth-0", "config-no-equals"])
+def test_each_refusal_names_its_cause(tmp_path, argv, message, capsys):
+    config = tmp_path / "p.txt"
+    config.write_text("k 2\nm = 2\nJ = -1\nbeta = 2\n")
+    assert run([a.format(config=config) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
 
 
 @pytest.mark.parametrize("where, failed", [("missing/x.json", "missing/x.json"), (".", "."),

@@ -1,8 +1,8 @@
 """Module boundaries: no module of the package uses a sibling's private names,
 only `tree` names `Word` (fields on a ball are breadth-first arrays), the
 public functions take no optional parameter beyond a pinned set, every
-public function and class has a caller outside the tests, and every
-parameter is read."""
+public function and class has a caller outside the tests, every private one
+a caller in the package, and every parameter is read."""
 
 import ast
 from pathlib import Path
@@ -182,8 +182,23 @@ def uncalled_public_names(sources, bench_sources):
                 parts = node.value.split(".")
                 if all(part.isidentifier() for part in parts):
                     named.update(parts)
+    return _unnamed(sources, named, lambda name: not name.startswith("_"))
+
+
+def uncalled_private_names(sources):
+    """`module.name` of every private module-level function or class of the
+    package that no other statement of a package module names: a helper that
+    only the tests call."""
+    return _unnamed(sources, set(), _private)
+
+
+def _unnamed(sources, named, wanted):
+    """`module.name` of every module-level function or class of `sources`
+    whose name passes `wanted` and is neither in `named` nor named by another
+    statement of the package."""
     statements = [(module, stmt) for module, text in sources.items()
                   for stmt in ast.parse(text).body]
+    named = set(named)
     for _, stmt in statements:
         named_here = node_identifiers(stmt)
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -191,7 +206,7 @@ def uncalled_public_names(sources, bench_sources):
         named |= named_here
     return sorted(f"{module}.{stmt.name}" for module, stmt in statements
                   if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                  and not stmt.name.startswith("_") and stmt.name not in named)
+                  and wanted(stmt.name) and stmt.name not in named)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -216,6 +231,29 @@ def test_the_caller_scan_sees_other_statements_and_bench_strings():
     }
     bench = ['SPANS = [("a", "spanned")]\nOPS = ["a.dotted"]\n"""Times in_a_sentence."""']
     assert uncalled_public_names(sources, bench) == ["a.in_a_sentence", "a.recursive"]
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert uncalled_private_names(sources) == []
+
+
+def test_the_private_caller_scan_counts_only_the_package():
+    sources = {
+        "a": "\n".join([
+            "def _helper(): pass",
+            "def _recursive(): return _recursive()",
+            "def _only_tests(): pass",
+            "def _in_a_string(): pass",
+            "class _Record: pass",
+            "def __getattr__(name): return name",
+            "def public(): return _helper()",
+            'x = _Record(), "_in_a_string"',
+        ]),
+        "b": "from .a import public",
+    }
+    assert uncalled_private_names(sources) == ["a._in_a_string", "a._only_tests",
+                                               "a._recursive"]
 
 
 def unread_parameters(source):

@@ -199,6 +199,12 @@ def test_compatibility_oracle_negative_control():
     assert measure.compatibility_oracle(fld, p, 2) > 1e-3
 
 
+def test_compatibility_oracle_refuses_depth_zero():
+    p = ModelParams.from_theta(k=2, m=2, theta=0.5)
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        measure.compatibility_oracle(constant_field(np.zeros(2), p, 1), p, 0)
+
+
 @on_both_routes
 def test_compatibility_oracle_uniform_case():
     p = ModelParams(k=2, m=2, J=0.0, beta=1.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sostree import boundary, measure, periodic, ti
-from sostree.model import ModelParams
+from sostree.model import ModelParams, UsageError
 from sostree.roots import batched_newton
 from sostree.tree import SubgroupSpec
 
@@ -83,6 +84,20 @@ def test_instability_checks_theta_before_scanning(monkeypatch):
     monkeypatch.setattr(ti, "symmetric_root_lanes", None)
     with pytest.raises(ValueError, match="theta > 1 only"):
         periodic.cycle_instability(ModelParams(k=200, m=2, J=-1.0, beta=4.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: periodic.cycle_instability(ModelParams.from_theta(k=2, m=3, theta=3.0)),
+     UsageError, "criterion is specific to m = 2"),
+    (lambda: periodic.solve_two_cycle_symmetric(ModelParams.from_theta(k=2, m=3, theta=3.0)),
+     UsageError, "the slice system is specific to m = 2"),
+    (lambda: periodic.cycle_instability(ModelParams.from_theta(k=2, m=2, theta=3.0),
+                                        [0.1, 0.2, 0.3]),
+     RuntimeError, "expected a unique fixed point for theta > 1"),
+], ids=["instability-m3", "two-cycle-m3", "instability-three-roots"])
+def test_slice_cycle_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_classify_by_subgroup_scans_the_symmetric_roots_once(monkeypatch, afm_params):
@@ -359,6 +374,20 @@ def test_classify_by_subgroup_cycle_regime(cycle_params):
     assert report["instability"]["holds"]
     kinds = sorted(s["type"] for s in report["solutions"])
     assert kinds == [periodic.CYCLE, periodic.CYCLE, periodic.FIXED]
+
+
+@pytest.mark.parametrize("k, theta", [(200, 1.08), (200, 1.0558231), (200, 1.07), (2, 4.0),
+                                      (3, 1.8305)])
+def test_afm_even_word_fixed_entries_are_the_ti_solutions(k, theta):
+    # the psi∘psi scan's own fixed root differs from the symmetric root in the
+    # last bits (k = 200, theta = 1.08), and at theta = 1.0558231 the scan
+    # misses it; the list takes its FIXED entries from ti.solve
+    report = periodic.classify_by_subgroup(full_spec(k), ModelParams.from_theta(k, 2, theta))
+    fixed = [s for s in report["solutions"] if s["type"] == periodic.FIXED]
+    assert all(s["z"] == s["t"] for s in fixed)
+    assert [s["z_full"] for s in fixed] == report["ti_solutions"]
+    zs = [s["z"] for s in report["solutions"]]
+    assert zs == sorted(zs)
 
 
 def _log_gap(a, b):

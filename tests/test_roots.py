@@ -11,6 +11,12 @@ from sostree.model import ModelParams
 from sostree.roots import batched_newton, bisect, dedupe, find_roots
 
 
+@pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (1.0, 1.0), ([1.0, 3.0], [2.0, 3.0])])
+def test_find_roots_refuses_an_empty_or_reversed_interval(lo, hi):
+    with pytest.raises(ValueError, match="^need 0 < lo < hi for a log grid$"):
+        find_roots(lambda x, *lane: (x - 1.5, np.ones_like(x)), lo, hi, 16)
+
+
 def test_batched_newton_skips_only_singular_starts():
     # x_i^2 = (4, 9) componentwise; the Jacobian diag(2x) is singular where a
     # component is 0, so the first two starts never move and the others converge

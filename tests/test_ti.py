@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sostree import boundary, periodic, roots, ti
-from sostree.model import ModelParams
+from sostree.model import ModelParams, UsageError
 
 import reference
 
@@ -71,6 +71,21 @@ def test_classify_family_info_exact():
     assert (count, label) == (3, ti.THREE)
     assert ti.classify_scalar_family(0.03125, 10.0, 2)[1] == ti.BOUNDARY_TWO
     assert len(reference.scan_scalar_roots(0.0315, 10.0, 2)) == 3
+
+
+M3 = ModelParams(k=2, m=3, J=-1.0, beta=2.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ti.scalar_family_info(0.0, 2), ValueError, "b must be positive"),
+    (lambda: ti.classify_scalar_family(0.0, 1.0, 2), ValueError, "a and b must be positive"),
+    (lambda: ti.solve_symmetric_roots(M3), UsageError,
+     "the symmetric-slice solver is specific to m = 2"),
+    (lambda: ti.solve_full(M3, []), UsageError, "the 2D solver is specific to m = 2"),
+], ids=["family-info-b", "classify-a", "symmetric-m3", "full-m3"])
+def test_ti_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_classification_matches_scan_oracle():

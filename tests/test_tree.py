@@ -182,6 +182,11 @@ def test_vertex_addresses_cover_ball():
         assert v == w
 
 
+def test_ball_geometry_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        ball_geometry(2, -1)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_ball_geometry_layout(k, n):
