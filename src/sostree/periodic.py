@@ -78,7 +78,7 @@ def cycle_instability(params: ModelParams,
         roots = ti.solve_symmetric_roots(params)
     if len(roots) != 1:
         raise RuntimeError("expected a unique fixed point for theta > 1")
-    value = abs(ti.SliceMap(params.theta, params.k).slope(roots[0], roots[0]))
+    value = abs(ti.SliceMap(params.theta, params.k).fixed_point_slope(roots[0]))
     return value, value > 1.0
 
 

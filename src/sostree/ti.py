@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class SliceMap:
     theta: float
     k: int
 
-    @property
+    @cached_property
     def terms(self) -> tuple:
         """2 theta, 1 + theta^2, 1 - theta^2, theta and k: what _psi and _psi_slope take."""
         t = self.theta
@@ -66,19 +67,17 @@ class SliceMap:
         p, num, den = _psi(self.terms, z)
         return p, _psi_slope(self.terms, p, num, den)
 
-    def slope(self, z, p):
-        """psi'(z) with p in place of psi(z): at a fixed point, p = z."""
-        _, num, den = _psi(self.terms, z)
-        return _psi_slope(self.terms, p, num, den)
+    def fixed_point_slope(self, z):
+        """psi'(z) at a fixed point z = psi(z): the slope kernel with p = z."""
+        return _psi_slope(self.terms, z, *_psi(self.terms, z)[1:])
 
     def range_interval(self) -> tuple[float, float]:
         """psi(0) and theta^(-k), in ascending order; theta^(-k) is inf where
         it leaves the float range (e^709.78)."""
-        two_t, one_plus, _, t, k = self.terms
-        at_zero = (two_t / one_plus) ** k
+        t, k = self.theta, self.k
+        at_zero = (2 * t / (1 + t * t)) ** k
         at_infinity = t ** (-k) if -k * math.log(t) < 709.0 else math.inf
-        lo, hi = sorted((at_zero, at_infinity))
-        return lo, hi
+        return tuple(sorted((at_zero, at_infinity)))
 
 
 def _psi(terms, z):
@@ -230,8 +229,7 @@ def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
     expects there (None at a tangency, where the scan decides)."""
     if params.m != 2:
         raise UsageError("the symmetric-slice solver is specific to m = 2")
-    psi = SliceMap(params.theta, params.k)
-    r_lo, r_hi = psi.range_interval()
+    r_lo, r_hi = SliceMap(params.theta, params.k).range_interval()
     if r_lo == 0.0 or r_hi == math.inf:
         raise FloatRangeError(f"the symmetric solutions at k = {params.k}, theta = "
                               f"{params.theta!r} leave the float range")
@@ -275,8 +273,10 @@ def _slice_scan(sweep: list[ModelParams]):
         if -700.0 < y < 700.0:
             p = math.exp(y)
             bound = p * (_SIGN_TOL * (k * (abs(a) + abs(b) + abs(d)) + abs(y)) + _SIGN_TOL)
-            if abs(p - z) > bound:
-                return math.copysign(1.0, p - z)
+            if p - z > bound:
+                return 1.0
+            if p - z < -bound:
+                return -1.0
         return 0.0
 
     return fdf, sign
