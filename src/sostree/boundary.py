@@ -85,6 +85,14 @@ _GAPS_M2 = gap_table(3).astype(float)
 _BLOCK_M2 = 2048
 
 
+@functools.lru_cache(maxsize=64)
+def _log_gaps_m2(theta: float) -> np.ndarray:
+    """ln(theta) |i - j| over the 3 spins of m = 2, as a read-only table per theta."""
+    lt_gaps = np.log(theta) * _GAPS_M2
+    lt_gaps.flags.writeable = False
+    return lt_gaps
+
+
 def _lse3(a: np.ndarray, b, c) -> np.ndarray:
     """sorted_lse of the terms a, b, c (at least 1-D; b, c broadcast to a's shape).
 
@@ -118,7 +126,7 @@ def law_map(h: np.ndarray, m: int, theta: float) -> np.ndarray:
     if m == 2:
         out = np.empty(h.shape)
         rows, out_rows = h.reshape(-1, 2), out.reshape(-1, 2)
-        lt_gaps = np.log(theta) * _GAPS_M2
+        lt_gaps = _log_gaps_m2(theta)
         for i in range(0, len(rows), _BLOCK_M2):
             # the exponents of pair_exponents as (3, n) planes, one row per parent spin;
             # order="C": by default they would follow rows' strides, interleaved

@@ -132,7 +132,7 @@ def alternating_limits(params: ModelParams, n_starts: int = 100, seed: int = 0):
     hl, c = _random_starts(params, n_starts, seed)   # h then l
     for _ in range(DAMPED_BUDGET):
         new = (1 - DAMPING) * hl + DAMPING * k * law_map(hl[::-1], 2, theta)
-        settled = np.all(np.abs(new - hl) <= HANDOVER_STEP)
+        settled = (np.abs(new - hl) <= HANDOVER_STEP).all()
         hl = new
         if settled:
             break
@@ -216,7 +216,7 @@ def iterate_parity_system(spec: SubgroupSpec, params: ModelParams,
         delta = 0.0
         for n, (c0, c1) in eqs:
             new = (1 - DAMPING) * h[n] + DAMPING * (c0 * f[0] + c1 * f[1])
-            delta = max(delta, float(np.max(np.abs(new - h[n]))))
+            delta = max(delta, float(np.abs(new - h[n]).max()))
             h[n] = new
             f[n] = law_map(new, 2, theta)
         if delta <= HANDOVER_STEP:

@@ -18,8 +18,8 @@ BISECT_STEPS = 200      # halvings before bisect gives up on rel_tol
 POLISH_STEPS = 8        # guarded Newton steps after each bisection
 ROOT_REL_TOL = 1e-12    # bracket width at which find_roots stops bisecting
 ROOT_DEDUPE_TOL = 1e-9  # roots closer than this (relative) are one root
-# refinement jobs run one at a time, on np.float64 points, once this few are
-# left: a scan function costs about 3 us there and 17 us on any short array
+# refinements of this few jobs run them one at a time, on np.float64 points:
+# a scan function costs about 3 us there and 17 us on any short array
 FEW_JOBS = 4
 _SEQUENCES = (list, tuple, np.ndarray)   # bounds of several brackets or lanes
 
@@ -31,13 +31,18 @@ def bisect(f: Callable, lo, hi, rel_tol: float = ROOT_REL_TOL):
     back.  With equal-length sequences of bounds every bracket is bisected
     at once, each with the steps it would take alone, and the list of roots
     comes back.  Then f is a pair (one, many) of evaluators: one(x, j) gives
-    the value at x of bracket j, many(xs, ids) the list of values at the
-    points xs of brackets ids, one call per step for all brackets still
-    running.  Only the signs of the values count.
+    the value at x of bracket j, many(xs, ids) the values (any sequence) at
+    the array of points xs of the brackets in the int array ids.  At most
+    FEW_JOBS brackets run one after another on one; more run as arrays, one
+    call of many per step for all brackets still running.  Only the signs
+    of the values count.
     """
     if not isinstance(lo, _SEQUENCES):
-        return _run([_halving(lo, hi, rel_tol)], lambda x, j: f(x), None)[0]
-    return _run([_halving(a, b, rel_tol) for a, b in zip(lo, hi)], *f)
+        return _run([_halving(lo, hi, rel_tol)], lambda x, j: f(x))[0]
+    one, many = f
+    if len(lo) > FEW_JOBS:
+        return _halving_arrays(many, lo, hi, rel_tol)
+    return _run([_halving(a, b, rel_tol) for a, b in zip(lo, hi)], one)
 
 
 def _halving(lo: float, hi: float, rel_tol: float):
@@ -92,33 +97,84 @@ def _newton(x0: float, lo: float, hi: float):
     return best
 
 
-def _run(jobs: list, one: Callable, many: Callable | None) -> list:
-    """Run coroutine jobs together and return what each returns.
-
-    While more than FEW_JOBS jobs run, each step sends every job the value
-    at the point it yielded, from one call many(points, ids) for all; the
-    last few jobs then run one after another on one(x, j).  A job's steps
-    are the same either way.
-    """
-    out = [None] * len(jobs)
-    ids, points = list(range(len(jobs))), [next(job) for job in jobs]
-    while len(ids) > FEW_JOBS:
-        values, running, points = many(points, ids), [], []
-        for j, value in zip(ids, values):
-            try:
-                points.append(jobs[j].send(value))
-            except StopIteration as stop:
-                out[j] = stop.value
-            else:
-                running.append(j)
-        ids = running
-    for j, point in zip(ids, points):
+def _run(jobs: list, one: Callable) -> list:
+    """Run coroutine jobs one after another, each sent one(x, j) at every
+    point x it yields, and return what each returns."""
+    out = []
+    for j, job in enumerate(jobs):
+        point = next(job)
         try:
             while True:
-                point = jobs[j].send(one(point, j))
+                point = job.send(one(point, j))
         except StopIteration as stop:
-            out[j] = stop.value
+            out.append(stop.value)
     return out
+
+
+def _halving_arrays(many: Callable, lo, hi, rel_tol: float) -> list:
+    """`_halving` of every bracket [lo[j], hi[j]] as arrays: the same tests
+    and the same IEEE operations on each bracket, so the same roots.
+
+    Both ends are evaluated in one call.  Each later step evaluates the
+    midpoints of the brackets still running; a bracket that stops drops out.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    n = len(lo)
+    out, ids = np.empty(n), np.arange(n)
+    ends = np.asarray(many(np.concatenate([lo, hi]), np.concatenate([ids, ids])), dtype=float)
+    flo, fhi = ends[:n], ends[n:]
+    # an end where f is 0 is the root; at lo first, as _halving evaluates it first
+    at_lo, at_hi = flo == 0.0, (fhi == 0.0) & (flo != 0.0)
+    if not ((flo < 0) & (0 < fhi) | (fhi < 0) & (0 < flo) | at_lo | at_hi).all():
+        raise ValueError("root not bracketed")
+    out[at_lo], out[at_hi] = lo[at_lo], hi[at_hi]
+    keep = ~(at_lo | at_hi)
+    ids, lo, hi, flo = (a[keep] for a in (ids, lo, hi, flo))
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        stop = hi - lo <= rel_tol * np.maximum(1.0, np.abs(mid))
+        if stop.any():
+            out[ids[stop]] = mid[stop]
+            keep = ~stop
+            ids, lo, hi, flo, mid = (a[keep] for a in (ids, lo, hi, flo, mid))
+            if not len(ids):
+                break
+        fmid = np.asarray(many(mid, ids), dtype=float)
+        left = (flo < 0) & (0 < fmid) | (fmid < 0) & (0 < flo)
+        # where f(mid) is 0 both ends move to mid, whose next width test returns
+        # 0.5 * (mid + mid), which is mid
+        hi = np.where(left | (fmid == 0.0), mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+    out[ids] = 0.5 * (lo + hi)
+    return out.tolist()
+
+
+def _newton_arrays(many: Callable, x0, lo, hi) -> np.ndarray:
+    """`_newton` of every start x0[j] in [lo[j], hi[j]] as arrays, with the
+    same guards, steps and fallback; many(xs, ids) gives (f, f') at the
+    points xs of starts ids."""
+    x = np.array(x0, dtype=float)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ids = np.arange(len(x))
+    fx, d = (np.asarray(v, dtype=float) for v in many(x, ids))
+    best, best_f = x.copy(), np.abs(fx)
+    for _ in range(POLISH_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = x - fx / d
+        # _newton's guards and its stop where f is 0; at a start x0 > 0 where
+        # f is 0, _newton's step lands on x0 itself and stops there too
+        go = (fx != 0.0) & (d != 0.0) & np.isfinite(d) & (lo <= x_new) & (x_new <= hi)
+        go &= np.isfinite(x_new)
+        if not go.all():
+            ids, x_new, lo, hi = (a[go] for a in (ids, x_new, lo, hi))
+            if not len(ids):
+                break
+        fx, d = (np.asarray(v, dtype=float) for v in many(x_new, ids))
+        x, f_abs = x_new, np.abs(fx)
+        better = f_abs < best_f[ids]
+        to = ids[better]
+        best[to], best_f[to] = x[better], f_abs[better]
+    return best
 
 
 def batched_newton(residual: Callable, jacobian: Callable, x: np.ndarray, iters: int,
@@ -139,7 +195,7 @@ def batched_newton(residual: Callable, jacobian: Callable, x: np.ndarray, iters:
     """
     for _ in range(iters):
         r, jac = residual(x), jacobian(x)
-        done = np.all(np.abs(r) <= tol)
+        done = (np.abs(r) <= tol).all()
         rhs = r[..., None]
         if jac.shape[-2] > jac.shape[-1]:
             jac_t = jac.swapaxes(-1, -2)
@@ -153,11 +209,11 @@ def batched_newton(residual: Callable, jacobian: Callable, x: np.ndarray, iters:
                     step[i] = np.linalg.solve(jac[i:i + 1], rhs[i:i + 1])[0, :, 0]
                 except np.linalg.LinAlgError:
                     pass
-        scale = np.maximum(1.0, np.max(np.abs(step), axis=-1, keepdims=True) / 5.0)
-        x = np.clip(x - step / scale, -cap, cap)
+        scale = np.maximum(1.0, np.abs(step).max(axis=-1, keepdims=True) / 5.0)
+        x = np.minimum(np.maximum(x - step / scale, -cap), cap)   # np.clip, without its wrapper
         if done:
             break
-    return x, np.max(np.abs(residual(x)), axis=-1)
+    return x, np.abs(residual(x)).max(axis=-1)
 
 
 def dedupe(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -209,11 +265,12 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
     int array matching x in a refinement batch, and one root list per lane
     comes back.  Each lane's grid, sign tests and brackets are its own; the
     refinement of all lanes (extremum splits, bisections, Newton polish)
-    runs as one batch, one fdf call per step for every job still running,
-    with the steps of `bisect` and of the guarded Newton polish, so a lane's
-    roots have the bits of a scan of that lane alone.  The last FEW_JOBS
-    jobs run one by one at `np.float64` points, numpy scalars, which give
-    the bits of arrays at a fraction of the cost; so does a one-lane scan.
+    runs as one batch, with the steps of `bisect` and of the guarded Newton
+    polish, so a lane's roots have the bits of a scan of that lane alone.
+    A batch of more than FEW_JOBS jobs runs as arrays, one fdf call per step
+    for every job still running; a smaller one runs its jobs one by one at
+    `np.float64` points, numpy scalars, which give the bits of arrays at a
+    fraction of the cost.
 
     `sign`, called like fdf but on a float point, may give any number with
     f's sign there (f's value without f', or +-1.0 where a bound certifies
@@ -271,8 +328,12 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
         if sign is not None and len(brackets) <= FEW_JOBS:
             one = lambda x, j, f=one: sign(x, lanes[j]) or f(x, j)
         x0 = bisect((one, many), a, b)
-        jobs = [_newton(x, lo_x, hi_x) for x, lo_x, hi_x in zip(x0, a, b)]
-        for lane, x in zip(lanes, _run(jobs, *_batch(fdf, lanes))):
+        one, many = _batch(fdf, lanes)
+        if len(brackets) > FEW_JOBS:
+            polished = _newton_arrays(many, x0, a, b).tolist()
+        else:
+            polished = _run([_newton(x, lo_x, hi_x) for x, lo_x, hi_x in zip(x0, a, b)], one)
+        for lane, x in zip(lanes, polished):
             roots[lane].append(x)
     out = [[x for x, in _dedupe_rows([(x,) for x in r], ROOT_DEDUPE_TOL)] for r in roots]
     return out[0] if single else out
@@ -280,11 +341,14 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
 
 def _batch(fdf: Callable, lanes: tuple[int, ...], part: int | None = None):
     """Evaluators (one, many) of `bisect` for jobs whose lanes are `lanes`:
-    f (part 0), f' (part 1) or the pair (f, f'), as floats.
+    f (part 0), f' (part 1) or the pair (f, f').
 
-    one(x, j) calls fdf at an np.float64 point and many(xs, ids) once at an
-    array of points, which give the same bits.
+    one(x, j) calls fdf at an np.float64 point and gives floats; many(xs, ids)
+    calls it once at an array of points and gives its arrays, which have
+    the same bits.
     """
+    lane_ids = np.array(lanes)
+
     def one(x, j):
         f, d = fdf(np.float64(x), lanes[j])
         if part is None:
@@ -292,9 +356,7 @@ def _batch(fdf: Callable, lanes: tuple[int, ...], part: int | None = None):
         return float(d) if part else float(f)
 
     def many(xs, ids):
-        values = fdf(np.array(xs), np.array([lanes[j] for j in ids]))
-        if part is None:
-            return list(zip(values[0].tolist(), values[1].tolist()))
-        return values[part].tolist()
+        values = fdf(xs, lane_ids[ids])
+        return values if part is None else values[part]
 
     return one, many

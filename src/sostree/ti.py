@@ -298,9 +298,15 @@ def coset_system(equations: list[tuple[int, tuple[int, ...]]], theta: float):
     An equation (c, counts) reads h_c = counts[0] F(h_0) + counts[1] F(h_1)
     + ..., F = law_map (a constant law: [(0, (k,))]); its residual stands
     beside the others and its Jacobian block is I on h_c less counts[j] F'(h_j)
-    on each h_j.  Every coset is mapped in one stacked law_map call.
+    on each h_j.  Every coset is mapped in one stacked law_map call.  One
+    equation on one coset, h = k F(h), gives h - k F(h) and I - k F'(h)
+    directly, with the bits of the blocks.
     """
     eye = np.eye(2)
+    if len(equations) == 1 and len(equations[0][1]) == 1:
+        (_, (k,)), = equations
+        return (lambda x: x - k * law_map(x, 2, theta),
+                lambda x: eye - k * law_map_jac(x, theta))
 
     def cosets(x):
         return x.reshape(len(x), -1, 2).swapaxes(0, 1)

@@ -12,6 +12,8 @@ paper's lemmas that the tests hold it against:
   bits `boundary.constant_field` must keep;
 - a sign scan of the reduced scalar family, against its closed-form
   classification;
+- the block construction of the coset-constant Newton system, whose bits
+  `ti.coset_system`'s one-coset shortcut must keep;
 - the damped fixed-point iteration for any m;
 - the sort-based log-sum-exp and the axis-reduced softmax, whose bits the
   m = 2 kernel, `boundary.sorted_lse` and `boundary.softmax` must keep;
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from sostree import nonti, ti
-from sostree.boundary import BoundaryLawField, gap_table, law_map, unreduce
+from sostree.boundary import BoundaryLawField, gap_table, law_map, law_map_jac, unreduce
 from sostree.model import ModelParams
 from sostree.roots import find_roots
 from sostree.tree import (IDENTITY, BallGeometry, Word, ball_geometry, ball_size,
@@ -163,6 +165,37 @@ def scan_scalar_roots(a: float, b: float, k: int) -> list[float]:
     lo = 0.25 * ratio_lo / a
     hi = 4.0 * ratio_hi / a
     return find_roots(g, lo, hi, ti.SCAN_GRID)
+
+
+def coset_system(equations: list[tuple[int, tuple[int, ...]]], theta: float):
+    """ti.coset_system built block by block for every family, one coset included:
+    residuals side by side, each summed as counts[0] F(h_0) + counts[1] F(h_1)
+    + ..., and a Jacobian block of I on h_c less counts[j] F'(h_j) on each h_j,
+    from zeros."""
+    eye = np.eye(2)
+
+    def cosets(x):
+        return x.reshape(len(x), -1, 2).swapaxes(0, 1)
+
+    def residual(x):
+        h = cosets(x)
+        f = law_map(h, 2, theta)
+        return np.concatenate([h[c] - sum((cj * fj for cj, fj in zip(counts[1:], f[1:])),
+                                          counts[0] * f[0])
+                               for c, counts in equations], axis=-1)
+
+    def jacobian(x):
+        df = law_map_jac(cosets(x), theta)
+        jac = np.zeros((len(x), 2 * len(equations), x.shape[1]))
+        for i, (c, counts) in enumerate(equations):
+            block = jac[:, 2 * i:2 * i + 2]
+            block[:, :, 2 * c:2 * c + 2] = eye
+            for j, cj in enumerate(counts):
+                if cj:
+                    block[:, :, 2 * j:2 * j + 2] -= cj * df[j]
+        return jac
+
+    return residual, jacobian
 
 
 DAMPING = 0.5             # weight of the new iterate in iterate_general_m

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -47,6 +48,17 @@ def test_batched_newton_caps_steps_and_clips():
     np.testing.assert_array_equal(x, [[12.0, 12.0]])
     x, _ = batched_newton(residual, jacobian, np.zeros((1, 2)), 2, 50.0)
     np.testing.assert_array_equal(x, [[10.0, 10.0]])
+    # iterates stepped to +-inf clip to +-cap and nan ones stay nan, as np.clip
+    # leaves them: a row at +-inf keeps its place under a 0 step, and a nan
+    # residual makes a nan step
+    starts = np.array([[np.inf, -np.inf], [1.0, 2.0], [-np.inf, np.inf]])
+
+    def flat(x):
+        return np.where(np.isfinite(x), np.nan, 0.0)
+
+    x, _ = batched_newton(flat, jacobian, starts, 1, 12.0)
+    np.testing.assert_array_equal(x, [[12.0, -12.0], [np.nan, np.nan], [-12.0, 12.0]])
+    np.testing.assert_array_equal(x, np.clip(starts - flat(starts), -12.0, 12.0))
 
 
 def _counted_square(target, evals):
@@ -354,3 +366,126 @@ def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, th
         np.testing.assert_array_equal(scalar, whole, err_msg=name)
     # psi comes out of with_deriv with the bits of psi itself
     np.testing.assert_array_equal(bits["psi"][0], bits["with_deriv"][0][:, 0])
+
+
+def _cubics(r, scale, c):
+    """fdf(x, lane) of f = scale u (1 + c u^2), u = x - r, one (r, scale, c)
+    per lane: one root at r, f' never 0 where scale is not, and + - * alone,
+    so scalars and arrays give the same bits."""
+    r, scale, c = (np.array(v, dtype=float) for v in (r, scale, c))
+
+    def fdf(x, lane):
+        u = x - r[lane]
+        s, cu2 = scale[lane], c[lane] * u * u
+        return s * u * (1.0 + cu2), s * (1.0 + 3.0 * cu2)
+
+    return fdf
+
+
+_BRACKETS = st.lists(st.tuples(
+    st.floats(1e-3, 1e3), st.floats(1e-9, 10.0), st.floats(0.01, 0.99),
+    st.sampled_from(["inside", "lo", "hi", "mid"]),
+    st.sampled_from([1.0, -1.0, 1e-170, -1e-200, 3e-300]), st.floats(0.0, 10.0)),
+    min_size=roots.FEW_JOBS + 1, max_size=64)
+
+
+def _bracket_set(brackets, c_sign=1.0):
+    """(lo, hi, fdf) of brackets drawn from _BRACKETS: each bracket's root
+    lies inside it, at one of its ends or at its first midpoint.  With
+    c_sign -1.0, f' may vanish or change sign in a bracket."""
+    lo, hi, r, scale, c = [], [], [], [], []
+    for a, width, frac, where, s, cc in brackets:
+        b = a * (1.0 + width)
+        lo.append(a)
+        hi.append(b)
+        r.append({"inside": a + frac * (b - a), "lo": a, "hi": b, "mid": 0.5 * (a + b)}[where])
+        scale.append(s)
+        c.append(c_sign * cc)
+    return lo, hi, _cubics(r, scale, c)
+
+
+def _int_bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def _outcome(refine):
+    """What refine() returns, or the message of the ValueError it raises."""
+    try:
+        return refine()
+    except ValueError as error:
+        return str(error)
+
+
+@seed(1)
+@settings(max_examples=80, deadline=None)
+@given(brackets=_BRACKETS, nan_at=st.none() | st.integers(0, 63))
+def test_array_bisection_has_the_bits_of_each_bracket_alone(brackets, nan_at):
+    # batches of more than FEW_JOBS brackets bisect as arrays; each root must
+    # be the one the scalar path gives that bracket alone, with roots at
+    # bracket ends and midpoints, values far below 1e-162 and a nan end among
+    # them; a bracket that raises alone makes the batch raise the same
+    lo, hi, fdf = _bracket_set(brackets)
+    if nan_at is not None:
+        hi[nan_at % len(hi)] = math.nan
+    alone = [_outcome(lambda: bisect(lambda x: fdf(x, j)[0], a, b))
+             for j, (a, b) in enumerate(zip(lo, hi))]
+    pair = ((lambda x, j: fdf(np.float64(x), j)[0]), (lambda xs, ids: fdf(xs, ids)[0]))
+    together = _outcome(lambda: bisect(pair, lo, hi))
+    raised = [r for r in alone if isinstance(r, str)]
+    if raised:
+        assert together == raised[0] == "root not bracketed"
+    else:
+        np.testing.assert_array_equal(_int_bits(together), _int_bits(alone))
+    # a nan end raises unless f is 0 at lo, which bisection evaluates first
+    assert bool(raised) == (nan_at is not None and brackets[nan_at % len(hi)][3] != "lo")
+
+
+@seed(2)
+@settings(max_examples=40, deadline=None)
+@given(brackets=_BRACKETS, n_grid=st.sampled_from([2, 5, 33]))
+def test_array_polish_has_the_bits_of_each_lane_alone(brackets, n_grid):
+    # the lanes of one scan refine more than FEW_JOBS brackets as arrays, and a
+    # lane scanned alone refines its one bracket on scalars: the same roots
+    lo, hi, fdf = _bracket_set(brackets)
+    together = find_roots(fdf, lo, hi, n_grid)
+    alone = [find_roots(lambda x, j=j: fdf(x, j), a, b, n_grid)
+             for j, (a, b) in enumerate(zip(lo, hi))]
+    assert [len(r) for r in together] == [len(r) for r in alone]
+    np.testing.assert_array_equal(_int_bits(sum(together, [])), _int_bits(sum(alone, [])))
+
+
+@seed(3)
+@settings(max_examples=80, deadline=None)
+@given(brackets=_BRACKETS, c_sign=st.sampled_from([1.0, -1.0]))
+def test_array_newton_polish_has_the_bits_of_each_start_alone(brackets, c_sign):
+    # Newton from anywhere in each bracket, where a step may leave it, meet
+    # f' = 0 or fail to improve |f|: the array polish of more than FEW_JOBS
+    # starts gives each start the bits of its scalar coroutine
+    lo, hi, fdf = _bracket_set(brackets, c_sign)
+    x0 = [a + (1.0 - frac) * (b - a) for a, b, (_, _, frac, *_) in zip(lo, hi, brackets)]
+    one, many = roots._batch(fdf, tuple(range(len(lo))))
+    alone = [roots._run([roots._newton(x, a, b)], lambda x, _, j=j: one(x, j))[0]
+             for j, (x, a, b) in enumerate(zip(x0, lo, hi))]
+    together = roots._newton_arrays(many, x0, lo, hi)
+    np.testing.assert_array_equal(together.view(np.int64), _int_bits(alone))
+
+
+def test_a_zero_derivative_in_an_array_polish_keeps_the_bisection_point():
+    # lane 0 reports f' = 0 at its root: its Newton step divides by zero,
+    # which the polish neither warns about nor takes, so the root stays where
+    # bisection put it; the other lanes polish as usual
+    fdf = _cubics([1.3, 1.5, 1.7, 1.9, 2.1, 2.3], [1.0] * 6, [1.0] * 6)
+
+    def flat_first(x, lane):
+        f, d = fdf(x, lane)
+        return f, np.where(lane == 0, 0.0, d)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_roots(flat_first, [1.0] * 6, [2.5] * 6, 9)
+    assert sum(map(len, found)) > roots.FEW_JOBS
+    grid = roots._log_grid(1.0, 2.5, 9)
+    cell = np.searchsorted(grid, 1.3)
+    bisected = bisect(lambda x: fdf(x, 0)[0], float(grid[cell - 1]), float(grid[cell]))
+    assert found[0] == [bisected]
+    assert found[1:] == [find_roots(lambda x, j=j: fdf(x, j), 1.0, 2.5, 9) for j in range(1, 6)]
