@@ -38,24 +38,25 @@ def bisect(f: Callable, lo, hi, rel_tol: float = ROOT_REL_TOL):
     of the values count.
     """
     if not isinstance(lo, _SEQUENCES):
-        return _run([_halving(lo, hi, rel_tol)], lambda x, j: f(x))[0]
+        return _halving(f, lo, hi, rel_tol)
     one, many = f
     if len(lo) > FEW_JOBS:
         return _halving_arrays(many, lo, hi, rel_tol)
-    return _run([_halving(a, b, rel_tol) for a, b in zip(lo, hi)], one)
+    return [_halving(lambda x, j=j: one(x, j), a, b, rel_tol)
+            for j, (a, b) in enumerate(zip(lo, hi))]
 
 
-def _halving(lo: float, hi: float, rel_tol: float):
-    """Bisection of one bracket as a coroutine: it yields each point and is sent f there.
+def _halving(f: Callable, lo: float, hi: float, rel_tol: float) -> float:
+    """Bisection of one bracket, with f(x) the value at x.
 
     Only the signs of f count, compared strictly (a product of two tiny
     values of opposite sign would underflow to 0.0 and read as one sign),
     so a nan end leaves the root unbracketed.
     """
-    flo = yield lo
+    flo = f(lo)
     if flo == 0.0:
         return lo
-    fhi = yield hi
+    fhi = f(hi)
     if fhi == 0.0:
         return hi
     if not (flo < 0 < fhi or fhi < 0 < flo):
@@ -64,7 +65,7 @@ def _halving(lo: float, hi: float, rel_tol: float):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(1.0, abs(mid)):
             return mid
-        fmid = yield mid
+        fmid = f(mid)
         if fmid == 0.0:
             return mid
         if flo < 0 < fmid or fmid < 0 < flo:
@@ -74,13 +75,13 @@ def _halving(lo: float, hi: float, rel_tol: float):
     return 0.5 * (lo + hi)
 
 
-def _newton(x0: float, lo: float, hi: float):
-    """Newton polish of one start as a coroutine: it yields each point and is sent (f, f').
+def _newton(fdf: Callable, x0: float, lo: float, hi: float) -> float:
+    """Newton polish of one start, with fdf(x) the pair (f, f') at x.
 
     At most POLISH_STEPS guarded steps stay inside [lo, hi]; the start falls
     back to x0 if its steps do not improve |f|.
     """
-    x, (fx, d) = x0, (yield x0)
+    x, (fx, d) = x0, fdf(x0)
     best, best_f = x0, abs(fx)
     for _ in range(POLISH_STEPS):
         if d == 0.0 or not math.isfinite(d):
@@ -88,27 +89,13 @@ def _newton(x0: float, lo: float, hi: float):
         x_new = x - fx / d
         if not (lo <= x_new <= hi) or not math.isfinite(x_new):
             break
-        fx, d = yield x_new
+        fx, d = fdf(x_new)
         x = x_new
         if abs(fx) < best_f:
             best, best_f = x, abs(fx)
         if fx == 0.0:
             break
     return best
-
-
-def _run(jobs: list, one: Callable) -> list:
-    """Run coroutine jobs one after another, each sent one(x, j) at every
-    point x it yields, and return what each returns."""
-    out = []
-    for j, job in enumerate(jobs):
-        point = next(job)
-        try:
-            while True:
-                point = job.send(one(point, j))
-        except StopIteration as stop:
-            out.append(stop.value)
-    return out
 
 
 def _halving_arrays(many: Callable, lo, hi, rel_tol: float) -> list:
@@ -332,7 +319,8 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
         if len(brackets) > FEW_JOBS:
             polished = _newton_arrays(many, x0, a, b).tolist()
         else:
-            polished = _run([_newton(x, lo_x, hi_x) for x, lo_x, hi_x in zip(x0, a, b)], one)
+            polished = [_newton(lambda x, j=j: one(x, j), x, lo_x, hi_x)
+                        for j, (x, lo_x, hi_x) in enumerate(zip(x0, a, b))]
         for lane, x in zip(lanes, polished):
             roots[lane].append(x)
     out = [[x for x, in _dedupe_rows([(x,) for x in r], ROOT_DEDUPE_TOL)] for r in roots]

@@ -357,11 +357,19 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
     express, are left out.  The z0 = 1 branch is exact: (1.0, z) for each
     symmetric root z of `symmetric_roots` (solve_symmetric_roots of params),
     and Newton limits within the dedupe tolerance of it are dropped.
+
+    For theta >= 1 the slice entries are all there is: w's numerator
+    -theta^2 + (1 - theta^2)(u + ... + u^(k-1)) - theta^2 u^k has no
+    positive coefficient, so w < 0 for every u > 0, and nothing is seeded.
     """
     if params.m != 2:
         raise UsageError("the 2D solver is specific to m = 2")
     k, theta, lt = params.k, params.theta, math.log(params.theta)
     bound = min(2.0 * k * abs(lt) + 1.0, LOG_WEIGHT_MAX)
+    h_max = math.log(max(1e6, math.exp(bound))) + 1e-9
+    on_slice = [(1.0, z) for z in symmetric_roots if abs(math.log(z)) <= h_max]
+    if theta >= 1.0:    # w < 0 for every u > 0: no solution off the slice
+        return sorted(on_slice)
 
     # ln(u E_(k-1) / E_(k+1)) - 2 ln theta at |ln u| = t, > 0 iff w > 0 (k > 1), and both _log_e
     def sign_w(t):
@@ -402,10 +410,9 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
     x = x[defect <= RESID_TOL]
     # limits that dedupe would merge with the slice give way to the exact roots
     x = x[np.abs(x[:, 0]) > DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))]
-    h_max = math.log(max(1e6, math.exp(bound))) + 1e-9
     kept = [(math.exp(a), math.exp(b)) for a, b in dedupe(x, DEDUPE_TOL)
             if max(abs(a), abs(b)) <= h_max]
-    return sorted(kept + [(1.0, z) for z in symmetric_roots if abs(math.log(z)) <= h_max])
+    return sorted(kept + on_slice)
 
 
 def locate_symmetric_threshold(J: float, k: int, lo: float, hi: float) -> float:

@@ -13,7 +13,8 @@ paper's lemmas that the tests hold it against:
 - a sign scan of the reduced scalar family, against its closed-form
   classification;
 - the block construction of the coset-constant Newton system, whose bits
-  `ti.coset_system`'s one-coset shortcut must keep;
+  `ti.coset_system`'s one-coset shortcut must keep, and the pure-state
+  Newton search that `ti.solve_full` skips at theta >= 1;
 - the damped fixed-point iteration for any m;
 - the sort-based log-sum-exp and the axis-reduced softmax, whose bits the
   m = 2 kernel, `boundary.sorted_lse` and `boundary.softmax` must keep;
@@ -32,7 +33,7 @@ import numpy as np
 from sostree import nonti, ti
 from sostree.boundary import BoundaryLawField, gap_table, law_map, law_map_jac, unreduce
 from sostree.model import ModelParams
-from sostree.roots import find_roots
+from sostree.roots import POLISH_STEPS, batched_newton, dedupe, find_roots
 from sostree.tree import (IDENTITY, BallGeometry, Word, ball_geometry, ball_size,
                           direct_successors)
 
@@ -196,6 +197,28 @@ def coset_system(equations: list[tuple[int, tuple[int, ...]]], theta: float):
         return jac
 
     return residual, jacobian
+
+
+def pure_state_polish(params: ModelParams) -> tuple[list[tuple[float, float]], float]:
+    """The Newton search that ti.solve_full ran at theta >= 1 before it returned
+    the slice alone: its kept off-slice solutions (z0, z1) and its h_max.
+
+    The seeds are the pure states +-(2k ln theta, k ln theta) (the u-scan
+    seeds none there), polished by POLISH_STEPS batched Newton steps;
+    limits with a defect over RESID_TOL, limits on the slice and limits
+    past h_max are dropped, and the rest deduped.
+    """
+    k, theta, lt = params.k, params.theta, math.log(params.theta)
+    bound = min(2.0 * k * abs(lt) + 1.0, ti.LOG_WEIGHT_MAX)
+    h_max = math.log(max(1e6, math.exp(bound))) + 1e-9
+    seeds = np.array([(2.0 * k * lt, k * lt), (-2.0 * k * lt, -k * lt)])
+    x, defect = batched_newton(*coset_system([(0, (k,))], theta), seeds, POLISH_STEPS,
+                               2.0 * k * abs(lt) + 20.0)
+    x = x[defect <= ti.RESID_TOL]
+    x = x[np.abs(x[:, 0]) > ti.DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(x), axis=-1))]
+    kept = [(math.exp(a), math.exp(b)) for a, b in dedupe(x, ti.DEDUPE_TOL)
+            if max(abs(a), abs(b)) <= h_max]
+    return kept, h_max
 
 
 DAMPING = 0.5             # weight of the new iterate in iterate_general_m

@@ -411,6 +411,19 @@ def test_output_bytes_are_pinned(tmp_path, argv, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+def test_antiferromagnetic_solves_run_no_constant_law_newton(tmp_path, monkeypatch):
+    # at theta >= 1 solve_full returns the slice alone, with no Newton polish
+    def refuse(*args, **kwargs):
+        raise AssertionError("batched_newton ran at theta >= 1")
+
+    monkeypatch.setattr(ti, "batched_newton", refuse)
+    out = tmp_path / "out"
+    assert run(["solve-ti", "--k", "3", "--J", "1", "--beta", "2", "--out", str(out)]) == 0
+    argv, sha256 = next((argv, sha) for argv, sha in PINNED_OUTPUTS if argv[0] == "solve-periodic")
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def _load_workloads():
     """bench/workloads.py as a module; it imports nothing from sostree."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

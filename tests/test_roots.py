@@ -460,11 +460,11 @@ def test_array_polish_has_the_bits_of_each_lane_alone(brackets, n_grid):
 def test_array_newton_polish_has_the_bits_of_each_start_alone(brackets, c_sign):
     # Newton from anywhere in each bracket, where a step may leave it, meet
     # f' = 0 or fail to improve |f|: the array polish of more than FEW_JOBS
-    # starts gives each start the bits of its scalar coroutine
+    # starts gives each start the bits of its scalar polish
     lo, hi, fdf = _bracket_set(brackets, c_sign)
     x0 = [a + (1.0 - frac) * (b - a) for a, b, (_, _, frac, *_) in zip(lo, hi, brackets)]
     one, many = roots._batch(fdf, tuple(range(len(lo))))
-    alone = [roots._run([roots._newton(x, a, b)], lambda x, _, j=j: one(x, j))[0]
+    alone = [roots._newton(lambda x, j=j: one(x, j), x, a, b)
              for j, (x, a, b) in enumerate(zip(x0, lo, hi))]
     together = roots._newton_arrays(many, x0, lo, hi)
     np.testing.assert_array_equal(together.view(np.int64), _int_bits(alone))

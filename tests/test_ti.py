@@ -493,6 +493,31 @@ def test_solve_full_afm_unique(afm_params):
     assert sols[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
+def _afm_sets():
+    # theta >= 1: J in {0.3, 1, 2} with beta log-uniform from 1e-4 up to where
+    # 2 theta^(k+1) of the reduced family nears the float limit, and theta = 1
+    rng = random.Random(40)
+    for k in [*range(1, 11), 20, 50, 200, 1000]:
+        yield ModelParams.from_theta(k, 2, 1.0)
+        for J in (0.3, 1.0, 2.0):
+            beta_max = 700.0 / ((k + 1) * J)
+            for _ in range(25):
+                yield ModelParams(k, 2, J, 1e-4 * (beta_max / 1e-4) ** rng.random())
+
+
+def test_solve_full_at_theta_at_least_one_skips_a_search_that_finds_nothing():
+    # w < 0 for every u > 0 at theta >= 1, so solve_full returns the slice
+    # alone; the pure-state Newton search it skips keeps no row either
+    sets = list(_afm_sets())
+    assert len(sets) >= 1000 and min(p.theta for p in sets) == 1.0
+    for p in sets:
+        kept, h_max = reference.pure_state_polish(p)
+        assert kept == [], p
+        roots = ti.solve_symmetric_roots(p)
+        assert ti.solve_full(p, roots) == [(1.0, z) for z in roots
+                                           if abs(math.log(z)) <= h_max], p
+
+
 def test_solve_full_fm_below_transition():
     p = ModelParams(k=2, m=2, J=-1.0, beta=0.5)
     sols = ti.solve(p)["full_solutions"]
