@@ -199,14 +199,14 @@ def cmd_verify(args, params: ModelParams) -> Output:
         rows = [("compatibility_residual<=1e-10", r <= 1e-10, r),
                 *_oracle_rows(fld, params, args.depth, flip=True)]
     elif args.source == "period2":
-        value, holds = periodic.cycle_instability(params)
-        cycles = [s for s in periodic.solve_two_cycle_symmetric(params)
+        roots = ti.solve_symmetric_roots(params) if params.theta > 1.0 else None
+        value, holds = periodic.cycle_instability(params, roots)   # refuses theta <= 1
+        cycles = [s for s in periodic.solve_two_cycle_symmetric(params, roots)
                   if s.type == periodic.CYCLE]
         rows = [("instability>1", holds, value),
                 ("cycle_found", bool(cycles), len(cycles))]
         if cycles:
-            psi = ti.SliceMap(params.theta, params.k)
-            s = cycles[0]
+            s, psi = cycles[0], ti.SliceMap(params.theta, params.k)
             res = max(abs(s.z - float(psi(s.t))), abs(s.t - float(psi(s.z))))
             fld = periodic.expand_two_cycle_field(s.z, s.t, params, args.depth)
             if args.perturb:

@@ -18,13 +18,12 @@ import numpy as np
 from . import ti
 from .boundary import BoundaryLawField, constant_field, law_map
 from .model import ModelParams, UsageError
-from .roots import batched_newton, dedupe, find_roots
+from .roots import batched_newton, bisect, dedupe, newton_polish
 from .tree import SubgroupSpec
 
 FIXED = "FIXED"
 CYCLE = "CYCLE"
 
-SLICE_GRID = 1000    # points of the psi∘psi sign scan
 PAIR_TOL = 1e-8      # coset log laws closer than this (max norm) are one law: FIXED
 RESID_TOL = 1e-10    # limits with a larger defect are not solutions
 DEDUPE_TOL = 1e-8    # 4D solutions closer than this (log space) are one
@@ -62,13 +61,10 @@ def _solution(z_pair: tuple, t_pair: tuple) -> Period2Solution:
 
 def cycle_instability(params: ModelParams,
                       roots: list[float] | None = None) -> tuple[float, bool]:
-    """Slope magnitude of the slice recursion at its fixed point, and whether
-    it exceeds one (the chess-board existence criterion).
-
-    Only meaningful in the antiferromagnetic regime, where the fixed point is
-    unique; the value equals |psi'(z*)|.  `roots` are the symmetric roots,
-    ti.solve_symmetric_roots(params), scanned here when not given; theta and
-    m are checked before that scan.
+    """|psi'(z*)| at the slice fixed point z*, and whether it exceeds one: the
+    slice 2-cycle criterion, for theta > 1, where z* is unique.  `roots` are
+    the symmetric roots, ti.solve_symmetric_roots(params), scanned here when
+    not given; theta and m are checked before that scan.
     """
     if params.theta <= 1.0:
         raise UsageError("instability criterion applies to theta > 1 only")
@@ -82,27 +78,40 @@ def cycle_instability(params: ModelParams,
     return value, value > 1.0
 
 
-def solve_two_cycle_symmetric(params: ModelParams) -> list[Period2Solution]:
-    """All fixed points of psi∘psi on the invariant interval, paired as (z, psi(z)).
+def solve_two_cycle_symmetric(params: ModelParams,
+                              roots: list[float] | None = None) -> list[Period2Solution]:
+    """Slice solutions of the alternating system, sorted by z: FIXED (z, z)
+    per symmetric root (`roots`, ti.solve_symmetric_roots(params), scanned
+    when not given) and the CYCLE entries (z_a, psi(z_a)), (psi(z_a), z_a).
 
-    Genuine cycles appear twice, in swapped order.  The search interval is the
-    closure of the range of psi, slightly inflated; every solution of the
-    alternating system lies inside it.
+    psi = M^k, M Möbius, has Schwarzian (1 - k^2) M'^2/(2 M^2) < 0 (k >= 2,
+    theta != 1), so psi∘psi(z) - z has z* and at most one 2-cycle z_a < z* <
+    psi(z_a) (Singer, SIAM J. Appl. Math. 35, 1978; de Melo and van Strien,
+    One-Dimensional Dynamics, 1993), present exactly when |psi'(z*)| > 1
+    (cycle_instability); for theta <= 1 psi increases.  z_a is bisected on
+    [lo, z*], lo below psi's range, with signs + at lo and - at z* (known,
+    not evaluated), then Newton-polished.
     """
     if params.m != 2:
         raise UsageError("the slice system is specific to m = 2")
-    psi = ti.SliceMap(params.theta, params.k)
-    lo, hi = psi.range_interval()
-    lo *= 1.0 - 1e-3
-    hi *= 1.0 + 1e-3
+    if roots is None:
+        roots = ti.solve_symmetric_roots(params)
+    out = [_solution((1.0, z), (1.0, z)) for z in roots]
+    if params.theta <= 1.0 or not cycle_instability(params, roots)[1]:
+        return out
+    psi, z_star = ti.SliceMap(params.theta, params.k), roots[0]
 
-    def f(z):
+    def fdf(z):
         p, dp = psi.with_deriv(z)
         pp, dpp = psi.with_deriv(p)
-        return pp - z, dpp * dp - 1.0
+        return float(pp) - z, float(dpp * dp) - 1.0
 
-    return [_solution((1.0, z), (1.0, float(psi(z))))
-            for z in find_roots(f, lo, hi, SLICE_GRID, lambda z: psi(psi(z)) - z)]
+    lo = psi.range_interval()[0] * (1.0 - 1e-3)
+    z_a = bisect(lambda z: fdf(z)[0] if z < z_star else -1.0, lo, z_star)
+    z_a = newton_polish(fdf, z_a, lo, z_star)
+    t_a = float(psi(z_a))
+    out += [_solution((1.0, z_a), (1.0, t_a)), _solution((1.0, t_a), (1.0, z_a))]
+    return sorted(out, key=lambda s: s.z)
 
 
 def _random_starts(params: ModelParams, n_starts: int, seed: int) -> tuple[np.ndarray, float]:
@@ -236,21 +245,22 @@ def expand_two_cycle_field(z: float, t: float, params: ModelParams,
 def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     """Periodic solution families for an index-2 parity subgroup.
 
-    Every translation-invariant solution of ti.solve is a FIXED entry.
-    Antiferromagnetic coupling with the even-word subgroup adds the CYCLE
-    entries of the slice's psi∘psi scan, and the list is sorted by z; in
-    every other case the periodic solutions are the translation-invariant ones.
+    Every translation-invariant solution of ti.solve is a FIXED entry.  The
+    even-word subgroup at theta > 1 adds the CYCLE entries of
+    solve_two_cycle_symmetric on ti.solve's roots, sorted by z: two if
+    instability.holds, else none, by the negative-Schwarzian theorem stated
+    there (Singer, 1978); off-slice pairs are not sought.  Otherwise the
+    periodic solutions are the translation-invariant ones.
     """
     ti_set = ti.solve(params)
-    afm = params.theta > 1.0
-    instability = None
+    roots, afm, instability = ti_set["symmetric_roots"], params.theta > 1.0, None
     if afm:
-        value, holds = cycle_instability(params, ti_set["symmetric_roots"])
+        value, holds = cycle_instability(params, roots)
         instability = {"value": value, "holds": holds}
 
     solutions = [_solution(tuple(pair), tuple(pair)) for pair in ti_set["full_solutions"]]
     if spec.is_full and afm:
-        cycles = [s for s in solve_two_cycle_symmetric(params) if s.type == CYCLE]
+        cycles = [s for s in solve_two_cycle_symmetric(params, roots) if s.type == CYCLE]
         solutions = sorted(solutions + cycles, key=lambda s: s.z)
         statement = (f"even-word subgroup, antiferromagnetic regime: {len(cycles)} "
                      "chess-board solutions alongside the translation-invariant ones")

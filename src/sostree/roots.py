@@ -75,7 +75,7 @@ def _halving(f: Callable, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _newton(fdf: Callable, x0: float, lo: float, hi: float) -> float:
+def newton_polish(fdf: Callable, x0: float, lo: float, hi: float) -> float:
     """Newton polish of one start, with fdf(x) the pair (f, f') at x.
 
     At most POLISH_STEPS guarded steps stay inside [lo, hi]; the start falls
@@ -137,7 +137,7 @@ def _halving_arrays(many: Callable, lo, hi, rel_tol: float) -> list:
 
 
 def _newton_arrays(many: Callable, x0, lo, hi) -> np.ndarray:
-    """`_newton` of every start x0[j] in [lo[j], hi[j]] as arrays, with the
+    """`newton_polish` of every start x0[j] in [lo[j], hi[j]] as arrays, with the
     same guards, steps and fallback; many(xs, ids) gives (f, f') at the
     points xs of starts ids."""
     x = np.array(x0, dtype=float)
@@ -148,8 +148,8 @@ def _newton_arrays(many: Callable, x0, lo, hi) -> np.ndarray:
     for _ in range(POLISH_STEPS):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = x - fx / d
-        # _newton's guards and its stop where f is 0; at a start x0 > 0 where
-        # f is 0, _newton's step lands on x0 itself and stops there too
+        # newton_polish's guards and its stop where f is 0; at a start x0 > 0 where
+        # f is 0, newton_polish's step lands on x0 itself and stops there too
         go = (fx != 0.0) & (d != 0.0) & np.isfinite(d) & (lo <= x_new) & (x_new <= hi)
         go &= np.isfinite(x_new)
         if not go.all():
@@ -245,35 +245,29 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None):
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
-    `fdf` returns f and its derivative together.  With float bounds it is
-    called as fdf(x) and the sorted roots come back as a list.  With P
-    bounds each (`lo` and `hi` sequences) it scans P parameter lanes at
-    once: fdf(x, lane) gets a lane index, an int with that lane's grid and an
-    int array matching x in a refinement batch, and one root list per lane
-    comes back.  Each lane's grid, sign tests and brackets are its own; the
-    refinement of all lanes (extremum splits, bisections, Newton polish)
-    runs as one batch, with the steps of `bisect` and of the guarded Newton
-    polish, so a lane's roots have the bits of a scan of that lane alone.
-    A batch of more than FEW_JOBS jobs runs as arrays, one fdf call per step
-    for every job still running; a smaller one runs its jobs one by one at
-    `np.float64` points, numpy scalars, which give the bits of arrays at a
-    fraction of the cost.
+    `fdf` returns f and f' together.  With float bounds it is called as
+    fdf(x) and the sorted roots come back as a list.  With P bounds each
+    (`lo` and `hi` sequences) it scans P parameter lanes at once: fdf(x,
+    lane) gets an int lane with that lane's grid and an int array matching
+    x in a refinement batch, and one root list per lane comes back.  Each
+    lane's grid, sign tests and brackets are its own; the refinement of all
+    lanes (extremum splits, bisections, Newton polish) runs as one batch of
+    `bisect` and `newton_polish` steps, as arrays past FEW_JOBS jobs and one
+    job at a time at `np.float64` points below, so a lane's roots have the
+    bits of a scan of that lane alone.
 
-    `sign`, called like fdf but on a float point, may give any number with
-    f's sign there (f's value without f', or +-1.0 where a bound certifies
-    the sign), and 0.0 where it cannot tell.  A scan of at most FEW_JOBS
-    brackets asks it first at each point the bisection evaluates alone, the
-    bracket ends included, and calls fdf only where it gives 0.0; bisection
-    needs only signs there.  The grid, the splits, the Newton polish and
+    `sign`, called like fdf but on a float point, gives any number with f's
+    sign there (f alone, or +-1.0 where a bound certifies the sign), and 0.0
+    where it cannot tell.  A scan of at most FEW_JOBS brackets asks it first
+    at each point that bisection evaluates alone, the ends included, and
+    calls fdf only where it gives 0.0.  The grid, the splits, the polish and
     larger batches call fdf alone.
 
-    Brackets containing a sign change of f' are additionally split at the
-    interior extremum, which recovers root pairs too close for the base grid
-    to separate.  A cell is skipped when f has one sign at both ends and f'
-    has that sign at the left end: f first moves away from zero, so the
-    extremum is a maximum above zero or a minimum below it.  Far from the
-    roots f and the bracket products may overflow to inf by design, so the
-    scan keeps overflow warnings off.
+    A cell where f' changes sign but f does not is split at the interior
+    extremum, which recovers root pairs too close for the grid to separate,
+    unless f has one sign at both ends and f' that sign at the left end: f
+    then moves away from zero first.  Far from the roots f may overflow to
+    inf by design, so the scan keeps overflow warnings off.
     """
     single = not isinstance(lo, _SEQUENCES)
     if single:
@@ -319,7 +313,7 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
         if len(brackets) > FEW_JOBS:
             polished = _newton_arrays(many, x0, a, b).tolist()
         else:
-            polished = [_newton(lambda x, j=j: one(x, j), x, lo_x, hi_x)
+            polished = [newton_polish(lambda x, j=j: one(x, j), x, lo_x, hi_x)
                         for j, (x, lo_x, hi_x) in enumerate(zip(x0, a, b))]
         for lane, x in zip(lanes, polished):
             roots[lane].append(x)

@@ -107,7 +107,7 @@ class ReducedForm:
             form = ReducedForm(a=2.0 * t ** (params.k + 1), b=(1.0 + t * t) / (2.0 * t * t))
         except (OverflowError, ZeroDivisionError):   # theta^(k+1) overflows, theta^2 underflows
             form = None
-        if form is None or form.a == 0.0 or form.b == math.inf:
+        if form is None or not (0.0 < form.a < math.inf and 0.0 < form.b < math.inf):
             raise FloatRangeError(f"the reduced family at k = {params.k}, theta = "
                                   f"{params.theta!r} leaves the float range")
         return form
@@ -190,38 +190,33 @@ def solve_symmetric_roots(params: ModelParams) -> list[float]:
 def symmetric_root_lanes(sweep: list[ModelParams]) -> list[list[float]]:
     """solve_symmetric_roots of every parameter set, scanned as lanes of one find_roots.
 
-    Each lane's roots have the bits of its own scan.  Every lane is scanned
-    first; then the first parameter set that failed raises what
+    Each lane's roots have the bits of its own scan; at k = 1, where psi is
+    Möbius, the root of z^2 + theta z - 2 = 0 needs no scan.  Every lane is
+    scanned first; then the first parameter set that failed raises what
     solve_symmetric_roots raises for it.
     """
-    failed: dict[int, Exception] = {}
-    lanes, lo, hi, expected = [], [], [], []
+    failed, setup = {}, {}    # by index in sweep: setup errors, _scan_setup
     for i, params in enumerate(sweep):
         try:
-            bounds, count = _scan_setup(params)
+            setup[i] = _scan_setup(params)
         except ValueError as bad:
             failed[i] = bad
-            continue
-        lanes.append(i)
-        lo.append(bounds[0])
-        hi.append(bounds[1])
-        expected.append(count)
-    scanned = [sweep[i] for i in lanes]
-    fdf, sign = _slice_scan(scanned)
-    found = find_roots(fdf, lo, hi, SCAN_GRID, sign) if lanes else []
-    retry = [j for j, roots in enumerate(found) if expected[j] not in (None, len(roots))]
-    if retry:
-        fdf, sign = _slice_scan([scanned[j] for j in retry])
-        again = find_roots(fdf, [lo[j] for j in retry], [hi[j] for j in retry],
-                           16 * SCAN_GRID, sign)
-        for j, roots in zip(retry, again):
-            found[j] = roots
-            if len(roots) != expected[j]:
-                failed[lanes[j]] = RuntimeError(f"scan found {len(roots)} symmetric roots, "
-                                                f"classification expects {expected[j]}")
+    found = {i: [4.0 / (p.theta + math.hypot(p.theta, math.sqrt(8.0)))]
+             for i, p in enumerate(sweep) if i in setup and p.k == 1}
+    lanes = [i for i in setup if i not in found]
+    for grid in (SCAN_GRID, 16 * SCAN_GRID):    # the finer grid retries a count that is off
+        if not lanes:
+            break
+        fdf, sign = _slice_scan([sweep[i] for i in lanes])
+        found.update(zip(lanes, find_roots(fdf, [setup[i][0][0] for i in lanes],
+                                           [setup[i][0][1] for i in lanes], grid, sign)))
+        lanes = [i for i in lanes if setup[i][1] not in (None, len(found[i]))]
+    for i in lanes:
+        failed[i] = RuntimeError(f"scan found {len(found[i])} symmetric roots, "
+                                 f"classification expects {setup[i][1]}")
     if failed:
         raise failed[min(failed)]
-    return found
+    return [found[i] for i in range(len(sweep))]
 
 
 def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
@@ -361,6 +356,7 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
     For theta >= 1 the slice entries are all there is: w's numerator
     -theta^2 + (1 - theta^2)(u + ... + u^(k-1)) - theta^2 u^k has no
     positive coefficient, so w < 0 for every u > 0, and nothing is seeded.
+    So it is at k = 1, where w = -theta (1 + u).
     """
     if params.m != 2:
         raise UsageError("the 2D solver is specific to m = 2")
@@ -368,10 +364,10 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
     bound = min(2.0 * k * abs(lt) + 1.0, LOG_WEIGHT_MAX)
     h_max = math.log(max(1e6, math.exp(bound))) + 1e-9
     on_slice = [(1.0, z) for z in symmetric_roots if abs(math.log(z)) <= h_max]
-    if theta >= 1.0:    # w < 0 for every u > 0: no solution off the slice
+    if theta >= 1.0 or k == 1:    # w < 0 for every u > 0: no solution off the slice
         return sorted(on_slice)
 
-    # ln(u E_(k-1) / E_(k+1)) - 2 ln theta at |ln u| = t, > 0 iff w > 0 (k > 1), and both _log_e
+    # ln(u E_(k-1) / E_(k+1)) - 2 ln theta at |ln u| = t, > 0 iff w > 0, and both _log_e
     def sign_w(t):
         em, ep = _log_e(k - 1, t), _log_e(k + 1, t)
         return -t + em[0] - ep[0] - 2.0 * lt, em, ep
@@ -395,10 +391,10 @@ def solve_full(params: ModelParams, symmetric_roots: list[float]) -> list[tuple[
 
     seeds = [(2.0 * k * lt, k * lt), (-2.0 * k * lt, -k * lt)]
     t0, t_end = DEDUPE_TOL / k, bound / k   # k|ln u| <= DEDUPE_TOL lies on the slice
-    if k > 1 and sign_w(t0)[0] > 0 >= sign_w(t_end)[0]:
+    if sign_w(t0)[0] > 0 >= sign_w(t_end)[0]:
         t_r = bisect(lambda t: sign_w(t)[0], t0, t_end)
         t_end = t_r - ROOT_REL_TOL * max(1.0, t_r)   # past the bracket, inside w > 0
-    if k > 1 and t_end > 2.0 * t0 and sign_w(t_end)[0] > 0:
+    if t_end > 2.0 * t0 and sign_w(t_end)[0] > 0:
         # u > 1 roots are the flip images 1/u of these, seeded from each below
         for u in find_roots(g, math.exp(-t_end), math.exp(-t0), SCAN_GRID,
                             lambda v: g_value(v)[0]):

@@ -15,6 +15,8 @@ paper's lemmas that the tests hold it against:
 - the block construction of the coset-constant Newton system, whose bits
   `ti.coset_system`'s one-coset shortcut must keep, and the pure-state
   Newton search that `ti.solve_full` skips at theta >= 1;
+- the slice period doubling theta_D of order k, solved from its equations
+  in mpmath;
 - the damped fixed-point iteration for any m;
 - the sort-based log-sum-exp and the axis-reduced softmax, whose bits the
   m = 2 kernel, `boundary.sorted_lse` and `boundary.softmax` must keep;
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from sostree import nonti, ti
@@ -219,6 +222,27 @@ def pure_state_polish(params: ModelParams) -> tuple[list[tuple[float, float]], f
     kept = [(math.exp(a), math.exp(b)) for a, b in dedupe(x, ti.DEDUPE_TOL)
             if max(abs(a), abs(b)) <= h_max]
     return kept, h_max
+
+
+def slice_doubling(k: int, dps: int = 40) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """theta_D and z* where psi'(z*) = -1 on the slice of order k, in dps digits.
+
+    With r = M(z*), z* = r^k, the fixed point reads
+    r(1 + theta^2 + theta r^k) = 2 theta + r^k and psi'(z*) = -1 reads
+    k(theta^2 - 1) r^(k+1) = (2 theta + r^k)^2.  Newton on that pair starts
+    from theta = 1 + 11/k and the fixed point there, whose r is bracketed by
+    0 and 1.  Slice cycles exist only from k = 164 on; this is for such k.
+    """
+    with mpmath.workdps(dps):
+        def fixed(theta, r):
+            return r * (1 + theta**2 + theta * r**k) - 2 * theta - r**k
+
+        theta0 = 1 + mpmath.mpf(11) / k
+        r0 = mpmath.findroot(lambda r: fixed(theta0, r), (0, 1), solver="anderson")
+        theta, r = mpmath.findroot(
+            lambda t, r: [fixed(t, r), k * (t**2 - 1) * r**(k + 1) - (2 * t + r**k)**2],
+            (theta0, r0))
+        return +theta, r**k
 
 
 DAMPING = 0.5             # weight of the new iterate in iterate_general_m

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sostree import boundary, cli, measure, nonti, periodic, ti
+from sostree import boundary, cli, measure, nonti, periodic, roots, ti
 from sostree.cli import main
 from sostree.model import UsageError
 
@@ -318,12 +318,13 @@ def test_verify_fails_every_check_of_a_nan_field(argv, n_checks, capsys):
 @pytest.mark.parametrize("argv, line", [
     (["verify", "--source", "ti", "--k", "6", "--J", "-1", "--beta", "2.1493", "--depth", "1",
       "--branch", "low"], "PASS compatibility_residual<=1e-10 = 0.0\n"),
-    (["verify", "--source", "period2", "--k", "200", "--theta", "1.0958"],
+    (["verify", "--source", "period2", "--k", "200", "--theta", "1.0958", "--depth", "1"],
      "PASS expanded_field_residual<=1e-10 = 0.0\n"),
 ])
 def test_verify_root_row_is_exact(argv, line, capsys):
     # the field builders sum the root's k+1 successor updates the way the
-    # residual does, so the root row reads 0.0 like every other row
+    # residual does, so the root row, the one row a depth-1 ball checks,
+    # reads 0.0
     assert run(argv) == 0
     assert line in capsys.readouterr().out
 
@@ -362,14 +363,14 @@ PINNED_OUTPUTS = [
     (["phase-diagram", "--k", "2", "--J", "-1", "--beta-min", "1.90", "--beta-max", "2.00",
       "--beta-step", "0.005"], "6622bafe7fbe70437728d3e48e29831062499d686ee4181b96a7938f2581e6e2"),
     (["solve-periodic", "--k", "200", "--theta", "1.08", "--subgroup", "full"],
-     "56495e7789206f008ab18c623a9a4cfa63d49d234f776538ae3cfea02d6ee8c1"),
+     "f9ce4cb5ab906dc4a4a58378fffb125af623555c6cc0a6adc84192e65e3b0204"),
     (["verify", "--source", "ti", "--k", "2", "--J", "-1", "--beta", "2", "--branch", "high",
       "--depth", "2"], "0ef38f39a3660041b2a3a40973cbeab5331e537e0c3b85046360b1b761e617ea"),
     (["verify", "--source", "nonti", "--k", "2", "--J", "-1", "--beta", "2", "--t", "0.3",
       "--s", "1.2", "--depth", "2"],
      "2cbf9960beb5f9d2644e604aed9a69f84d978aa0af9cfc5430e2ee0767955f26"),
     (["verify", "--source", "period2", "--k", "200", "--theta", "1.07"],
-     "d8c824c3e27d3c0d69d02b9cc2fe7136b7212a82350de8ab1b033fe6ea4b3e8a"),
+     "adaafe10b8fd4254bc004734b1f60559e1e96fd6dfb6b9336a550d09c2b12f60"),
     # the k = 3 count transition sits at beta = 1.4957
     (["phase-diagram", "--k", "3", "--J", "-1", "--beta-min", "1.48", "--beta-max", "1.52",
       "--beta-step", "0.002"], "781d9e466d268f18f48bf9968b4b825fc11d91e92b16d445f877407915d969cb"),
@@ -424,6 +425,22 @@ def test_antiferromagnetic_solves_run_no_constant_law_newton(tmp_path, monkeypat
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-periodic", "--k", "3", "--theta", "2", "--subgroup", "full"],
+    ["verify", "--source", "period2", "--k", "200", "--theta", "1.07"],
+])
+def test_slice_commands_scan_the_slice_once(argv, monkeypatch):
+    # the slice cycle comes from a bracket at z*, so the symmetric-root scan
+    # is the one slice scan, and the one log-grid sign scan, a command runs
+    scans, grids = [], []
+    lanes, log_grid = ti.symmetric_root_lanes, roots._log_grid
+    monkeypatch.setattr(ti, "symmetric_root_lanes",
+                        lambda sweep: scans.append(sweep) or lanes(sweep))
+    monkeypatch.setattr(roots, "_log_grid", lambda *a: grids.append(a) or log_grid(*a))
+    assert run(argv) == 0
+    assert len(scans) == 1 and len(grids) == 1
+
+
 def _load_workloads():
     """bench/workloads.py as a module; it imports nothing from sostree."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -437,9 +454,9 @@ def _load_workloads():
 # stdout, stderr and the bytes of --out and its manifest.  A change that
 # moves these bytes on purpose re-pins the digest and lists what moved.
 WORKLOAD_DIGESTS = {
-    "solver_sweep": "ad9d67f9a95dc8f86796456c25ed90267b32f13ec504f397c2e27c7579c1968b",
-    "deep_fields": "a4f8b2f1c7cb9c8bc76c7a740ba8d529f70528368a1f5e7590ac0159ea394185",
-    "exact_oracles": "3afff0f8f04cfe0a2827d83312d538982d1ac46ecd96256181806481e4752e9c",
+    "solver_sweep": "af6b3d807bbb0330944c7e7547a2f060cc6c53330f04803cfe8ff81cd7592e78",
+    "deep_fields": "9919a69858128afe162619205abe8c57dd0dc8f2a272f765ce4bb81a512ba48b",
+    "exact_oracles": "c5034a57ae4c482023dd2c0d33d7f35abfbe39733a1a60684cf8e26c4b5a426a",
 }
 
 

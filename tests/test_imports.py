@@ -119,6 +119,7 @@ PUBLIC_DEFAULTS = [
     "periodic.iterate_parity_system(seed)",
     "periodic.solve_two_cycle_full(n_starts)",
     "periodic.solve_two_cycle_full(seed)",
+    "periodic.solve_two_cycle_symmetric(roots)",
     "roots.batched_newton(tol)",
     "roots.bisect(rel_tol)",
     "roots.find_roots(sign)",

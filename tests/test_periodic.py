@@ -1,14 +1,18 @@
 import itertools
+import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sostree import boundary, measure, periodic, ti
+import reference
+from sostree import boundary, cli, measure, periodic, ti
 from sostree.model import ModelParams, UsageError
 from sostree.roots import batched_newton
 from sostree.tree import SubgroupSpec
@@ -192,13 +196,117 @@ def test_double_step_fixed_points_contain_single_step(fm_params, fm_roots):
 
 
 def test_no_cycles_on_small_k_grid():
-    for k in (2, 5, 10):
+    # slice cycles need k >= 164, so the slice list is the symmetric root
+    # alone, (z*, z*) and FIXED, as the bench's two-cycle fields (k = 2, 4)
+    # take it
+    for k in (2, 4, 5, 10):
         for theta in np.geomspace(1.01, 10.0, 12):
             p = ModelParams.from_theta(k=k, m=2, theta=float(theta))
-            _, holds = periodic.cycle_instability(p, ti.solve_symmetric_roots(p))
+            roots = ti.solve_symmetric_roots(p)
+            _, holds = periodic.cycle_instability(p, roots)
             assert not holds
-            assert all(s.type == periodic.FIXED
-                       for s in periodic.solve_two_cycle_symmetric(p))
+            sols = periodic.solve_two_cycle_symmetric(p)
+            assert [(s.type, s.z, s.t) for s in sols] == [(periodic.FIXED, z, z) for z in roots]
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_slice_map_has_negative_schwarzian(k):
+    # psi = M^k with M Möbius: S psi = (1 - k^2) M'^2 / (2 M^2), < 0 for
+    # k >= 2 and theta != 1 (M' = (1 - theta^2)/(1 + theta^2 + theta z)^2);
+    # so the slice has at most one 2-cycle
+    z, theta = sympy.symbols("z theta", positive=True)
+    m = (2 * theta + z) / (1 + theta**2 + theta * z)
+    d1, d2, d3 = (sympy.diff(m**k, z, n) for n in (1, 2, 3))
+    m1 = sympy.diff(m, z)
+    assert sympy.cancel(m1 - (1 - theta**2) / (1 + theta**2 + theta * z) ** 2) == 0
+    # S psi = d3/d1 - (3/2)(d2/d1)^2, divided by M'^2 / (2 M^2)
+    ratio = 2 * m**2 * (d3 * d1 - sympy.Rational(3, 2) * d2**2) / (d1**2 * m1**2)
+    assert sympy.factor(ratio) == 1 - k**2
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(k=2, m=2, J=-1.0, beta=2.0), ModelParams(k=3, m=2, J=0.0, beta=1.0),
+    ModelParams.from_theta(k=2, m=2, theta=3.0), ModelParams.from_theta(k=200, m=2, theta=1.07),
+], ids=["fm-three-roots", "theta-one", "afm-k2", "afm-k200-cycle"])
+def test_two_cycle_takes_scanned_roots_without_change(params):
+    # like cycle_instability, the slice producer scans the symmetric roots
+    # itself only when it is not given them
+    given = periodic.solve_two_cycle_symmetric(params, ti.solve_symmetric_roots(params))
+    assert periodic.solve_two_cycle_symmetric(params) == given
+
+
+@pytest.fixture(scope="module")
+def doubling_200():
+    """theta_D and z* of the k = 200 slice period doubling, from its equations."""
+    return reference.slice_doubling(200)
+
+
+def test_instability_crosses_one_at_the_slice_doubling(doubling_200):
+    theta_d, z_star = doubling_200
+    assert float(theta_d) == pytest.approx(1.0558230053628, abs=1e-13)
+    assert float(z_star) == pytest.approx(0.24334221832, abs=1e-11)
+    values = [periodic.cycle_instability(ModelParams.from_theta(200, 2, float(theta_d * f)))
+              for f in (1 - 1e-9, 1 + 1e-9)]
+    assert values[0][0] < 1.0 < values[1][0]
+    assert [holds for _, holds in values] == [False, True]
+
+
+def _solve_periodic_full(theta, capsys):
+    assert cli.main(["solve-periodic", "--k", "200", "--theta", repr(theta),
+                     "--subgroup", "full"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_slice_cycle_listing_straddles_the_doubling(doubling_200, capsys):
+    # 0 or 2 CYCLE entries, 2 exactly where |psi'(z*)| > 1, from just below
+    # theta_D to 1.10.  At 1.0558231 the 1,000-point psi∘psi grid listed one
+    # of the two (the cycle and z* fell in one grid cell); 1.0558230054 lies
+    # 4e-11 past theta_D, where psi∘psi - z sits at rounding level around
+    # the cycle
+    theta_d = float(doubling_200[0])
+    thetas = [theta_d * (1 - 1e-9), theta_d * (1 + 1e-9), 1.0558230054, 1.0558231, 1.055824,
+              *np.linspace(1.04, 1.10, 13).tolist()]
+    holds_at = []
+    for theta in thetas:
+        report = _solve_periodic_full(theta, capsys)
+        psi = ti.SliceMap(theta, 200)
+        cycles = [s for s in report["solutions"] if s["type"] == periodic.CYCLE]
+        assert len(cycles) == 2 * report["instability"]["holds"], theta
+        assert report["statement"].startswith(
+            f"even-word subgroup, antiferromagnetic regime: {len(cycles)} chess-board")
+        for s in cycles:
+            assert abs(float(psi(s["z"])) - s["t"]) <= periodic.PAIR_TOL
+            assert abs(float(psi(s["t"])) - s["z"]) <= periodic.PAIR_TOL
+        if cycles:
+            assert (cycles[1]["z"], cycles[1]["t"]) == (cycles[0]["t"], cycles[0]["z"])
+        holds_at.append(report["instability"]["holds"])
+    assert holds_at == [theta > theta_d for theta in thetas]
+
+
+@pytest.mark.parametrize("theta", [1.0558231, 1.06, 1.07, 1.08, 1.10])
+def test_cycle_points_match_forty_digit_roots(theta):
+    # each CYCLE z against the root of psi∘psi(z) = z in 40-digit mpmath at
+    # the float theta: within 1e-11 relative, plus the shift psi's rounding
+    # (about k eps relative, from its k-fold log) causes where psi∘psi(z) - z
+    # has slope g'; g' = -2e-6 at theta = 1.0558231, -0.08 from 1.06 on
+    p = ModelParams.from_theta(200, 2, theta)
+    cycles = [s for s in periodic.solve_two_cycle_symmetric(p) if s.type == periodic.CYCLE]
+    assert len(cycles) == 2
+    with mpmath.workdps(40):
+        t = mpmath.mpf(theta)
+
+        def psi(x):
+            return ((2 * t + x) / (1 + t * t + t * x)) ** 200
+
+        def g(z):
+            return psi(psi(z)) - z
+
+        for s in cycles:
+            root = mpmath.findroot(g, mpmath.mpf(s.z))
+            assert abs(psi(root) - root) > 1e-6 * root   # a cycle point, not z*
+            slope = abs(float(mpmath.diff(g, root)))
+            tol = 1e-11 * s.z + 200 * 2.0 ** -52 * s.z / slope
+            assert float(abs(root - s.z)) <= tol, (theta, s.z, float(root))
 
 
 def test_alternating_full_free_coupling():
@@ -379,9 +487,8 @@ def test_classify_by_subgroup_cycle_regime(cycle_params):
 @pytest.mark.parametrize("k, theta", [(200, 1.08), (200, 1.0558231), (200, 1.07), (2, 4.0),
                                       (3, 1.8305)])
 def test_afm_even_word_fixed_entries_are_the_ti_solutions(k, theta):
-    # the psi∘psi scan's own fixed root differs from the symmetric root in the
-    # last bits (k = 200, theta = 1.08), and at theta = 1.0558231 the scan
-    # misses it; the list takes its FIXED entries from ti.solve
+    # the list takes its FIXED entries from ti.solve, and only its CYCLE
+    # entries from the slice producer
     report = periodic.classify_by_subgroup(full_spec(k), ModelParams.from_theta(k, 2, theta))
     fixed = [s for s in report["solutions"] if s["type"] == periodic.FIXED]
     assert all(s["z"] == s["t"] for s in fixed)
@@ -415,9 +522,9 @@ def test_every_producer_keeps_one_pair_rule(case, fm_params):
     assert [r["type"] == periodic.FIXED for r in records] == [g <= periodic.PAIR_TOL
                                                              for g in gaps]
     if case == "k200-past-doubling":
-        # just past the slice period doubling the fixed point is found to a few
-        # 1e-9 in log, while the cycle's two points are 1.6e-2 apart
-        assert 1e-9 < gaps[1] < periodic.PAIR_TOL and gaps[0] > 1e-2
+        # just past the slice period doubling the FIXED entry is the symmetric
+        # root itself, while the cycle's two points are 1.6e-2 apart
+        assert gaps[1] == 0.0 and gaps[0] > 1e-2
     parity = periodic.iterate_parity_system(spec, params, n_starts=10, seed=3)
     assert parity.converged.all()
     np.testing.assert_array_equal(parity.ti,

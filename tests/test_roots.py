@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sostree import periodic, roots, ti
+from sostree import roots, ti
 from sostree.model import ModelParams
 from sostree.roots import batched_newton, bisect, dedupe, find_roots
 
@@ -336,10 +336,10 @@ def _bits(fn, xs, lanes=None):
 @pytest.mark.parametrize("theta", [0.2, 1.4])
 def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, theta):
     # find_roots evaluates single points as np.float64 scalars and refinement
-    # batches as arrays whose points belong to different lanes; the scans'
-    # functions must give the same bits on a scalar, a 1-element array and a
-    # many-element array with a theta and k per point, over 1e4 log-spaced
-    # points of each scan's own [lo, hi]
+    # batches as arrays whose points belong to different lanes; the slice
+    # scan's function must give the same bits on a scalar, a 1-element array
+    # and a many-element array with a theta and k per point, over 1e4
+    # log-spaced points of the scan's own [lo, hi]
     scans = []
 
     def recording(fdf, lo, hi, n_grid=4096, sign=None):
@@ -347,20 +347,17 @@ def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, th
         return roots.find_roots(fdf, lo, hi, n_grid, sign)
 
     monkeypatch.setattr(ti, "find_roots", recording)
-    monkeypatch.setattr(periodic, "find_roots", recording)
     params = ModelParams.from_theta(k, 2, theta)
     sweep = [params, ModelParams.from_theta(k, 2, 1.1 * theta), ModelParams.from_theta(2, 2, 0.5)]
     ti.symmetric_root_lanes(sweep)
-    periodic.solve_two_cycle_symmetric(params)
-    (residual, sym_lo, sym_hi), (pp_residual, pp_lo, pp_hi) = scans[0], scans[-1]
+    residual, sym_lo, sym_hi = scans[0]
 
     psi = ti.SliceMap(params.theta, k)
     xs = np.geomspace(sym_lo[0], sym_hi[0], 10_000)
     lanes = np.random.default_rng(k).integers(0, len(sweep), xs.size)
-    pp_xs = np.geomspace(pp_lo, pp_hi, 10_000)
     bits = {name: _bits(*args) for name, args in [
         ("psi", (psi, xs)), ("with_deriv", (psi.with_deriv, xs)),
-        ("residual", (residual, xs, lanes)), ("psi∘psi residual", (pp_residual, pp_xs))]}
+        ("residual", (residual, xs, lanes))]}
     for name, (scalar, single, whole) in bits.items():
         np.testing.assert_array_equal(scalar, single, err_msg=name)
         np.testing.assert_array_equal(scalar, whole, err_msg=name)
@@ -464,7 +461,7 @@ def test_array_newton_polish_has_the_bits_of_each_start_alone(brackets, c_sign):
     lo, hi, fdf = _bracket_set(brackets, c_sign)
     x0 = [a + (1.0 - frac) * (b - a) for a, b, (_, _, frac, *_) in zip(lo, hi, brackets)]
     one, many = roots._batch(fdf, tuple(range(len(lo))))
-    alone = [roots._newton(lambda x, j=j: one(x, j), x, a, b)
+    alone = [roots.newton_polish(lambda x, j=j: one(x, j), x, a, b)
              for j, (x, a, b) in enumerate(zip(x0, lo, hi))]
     together = roots._newton_arrays(many, x0, lo, hi)
     np.testing.assert_array_equal(together.view(np.int64), _int_bits(alone))

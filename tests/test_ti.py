@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sostree import boundary, periodic, roots, ti
+from sostree import boundary, cli, roots, ti
 from sostree.model import ModelParams, UsageError
 
 import reference
@@ -505,17 +506,67 @@ def _afm_sets():
                 yield ModelParams(k, 2, J, 1e-4 * (beta_max / 1e-4) ** rng.random())
 
 
+def _k1_fm_sets():
+    # k = 1, theta < 1: J in {-0.3, -1, -2} with beta log-uniform from 1e-4
+    # up to where theta^2 of the reduced family nears the float limit
+    rng = random.Random(41)
+    for J in (-0.3, -1.0, -2.0):
+        for _ in range(25):
+            yield ModelParams(1, 2, J, 1e-4 * (350.0 / -J / 1e-4) ** rng.random())
+
+
 def test_solve_full_at_theta_at_least_one_skips_a_search_that_finds_nothing():
-    # w < 0 for every u > 0 at theta >= 1, so solve_full returns the slice
-    # alone; the pure-state Newton search it skips keeps no row either
+    # w < 0 for every u > 0 at theta >= 1, and at k = 1 (w = -theta (1 + u)),
+    # so solve_full returns the slice alone; the pure-state Newton search it
+    # skips keeps no row either
     sets = list(_afm_sets())
     assert len(sets) >= 1000 and min(p.theta for p in sets) == 1.0
-    for p in sets:
+    for p in sets + list(_k1_fm_sets()):
         kept, h_max = reference.pure_state_polish(p)
         assert kept == [], p
         roots = ti.solve_symmetric_roots(p)
         assert ti.solve_full(p, roots) == [(1.0, z) for z in roots
                                            if abs(math.log(z)) <= h_max], p
+
+
+def _k1_root(theta):
+    """The positive root of z^2 + theta z - 2 = 0, z = psi(z) at k = 1, in mpmath."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(theta)
+        return 4 / (t + mpmath.sqrt(t * t + 8))
+
+
+def test_k1_slice_root_is_the_closed_form():
+    # psi is Möbius at k = 1, and within about theta of the identity as
+    # theta -> 0, where a sign scan of psi(z) - z loses the root; the closed
+    # form is within a few ulps over every theta the setup accepts, and the
+    # setup refuses the rest (theta^2 leaves the floats) as at every k
+    accepted = []
+    for theta in np.geomspace(1e-300, 1e300, 601).tolist():
+        try:
+            z, = ti.solve_symmetric_roots(ModelParams.from_theta(1, 2, theta))
+        except ti.FloatRangeError:
+            continue
+        accepted.append(theta)
+        exact = _k1_root(theta)
+        assert float(abs(z - exact)) <= 3 * math.ulp(float(exact)), theta
+    assert min(accepted) < 1e-150 and max(accepted) > 1e150
+    # 2 theta^2 overflows while theta^2 does not: refused, not a ValueError
+    # from the classification
+    with pytest.raises(ti.FloatRangeError):
+        ti.solve_symmetric_roots(ModelParams.from_theta(1, 2, 1e154))
+
+
+@pytest.mark.parametrize("beta", [30, 40])
+def test_k1_strong_coupling_solves(beta, capsys):
+    # the 4096-point scan gave z = 1.4146494530529243 at beta = 30, 3e-4 off,
+    # and found 3180 roots at beta = 40
+    assert cli.main(["solve-ti", "--k", "1", "--J", "-1", "--beta", str(beta)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    z, = report["symmetric_roots"]
+    exact = _k1_root(math.exp(-beta))
+    assert float(abs(z - exact)) <= 3 * math.ulp(float(exact))
+    assert report["full_solutions"] == [[1.0, z]]
 
 
 def test_solve_full_fm_below_transition():
@@ -612,12 +663,10 @@ def test_solve_full_is_closed_under_the_spin_flip(k, J):
                 assert gap <= ti.DEDUPE_TOL * max(1.0, np.max(np.abs(image))), (p, h0, h1)
 
 
-@pytest.mark.parametrize("module, solver", [(ti, lambda p: ti.solve_full(p, [])),
-                                            (periodic, periodic.solve_two_cycle_symmetric)])
-def test_value_hooks_give_the_bits_of_the_scanned_function(monkeypatch, module, solver):
-    # solve_full's u-scan and the psi o psi scan bisect on values alone; at a
-    # float point each gives the bits of f that fdf gives at np.float64(x),
-    # over the scan interval and next to the roots
+def test_value_hook_gives_the_bits_of_the_scanned_function(monkeypatch):
+    # solve_full's u-scan bisects on values alone; at a float point its hook
+    # gives the bits of f that fdf gives at np.float64(x), over the scan
+    # interval and next to the roots
     scans = []
 
     def recording(fdf, lo, hi, n_grid, sign=None):
@@ -625,12 +674,12 @@ def test_value_hooks_give_the_bits_of_the_scanned_function(monkeypatch, module, 
         scans.append((fdf, lo, hi, sign, found))
         return found
 
-    monkeypatch.setattr(module, "find_roots", recording)
+    monkeypatch.setattr(ti, "find_roots", recording)
     rng = random.Random(35)
     for _ in range(40):
         k, J = rng.choice([2, 3, 4, 10, 200]), rng.choice([-1.0, -0.3, 1.0])
         try:
-            solver(ModelParams(k=k, m=2, J=J, beta=rng.uniform(0.05, 4.0)))
+            ti.solve_full(ModelParams(k=k, m=2, J=J, beta=rng.uniform(0.05, 4.0)), [])
         except ValueError:    # past the float range
             pass
     assert len(scans) > 20 and all(sign is not None for *_, sign, _ in scans)
