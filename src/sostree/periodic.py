@@ -75,6 +75,9 @@ def cycle_instability(params: ModelParams,
     if len(roots) != 1:
         raise RuntimeError("expected a unique fixed point for theta > 1")
     value = abs(ti.SliceMap(params.theta, params.k).fixed_point_slope(roots[0]))
+    if math.isnan(value):    # theta^2 overflows: k = 1 past theta = 1.3e154
+        raise ti.FloatRangeError(f"psi'(z*) at k = {params.k}, theta = {params.theta!r} "
+                                 "leaves the float range")
     return value, value > 1.0
 
 
@@ -249,8 +252,13 @@ def classify_by_subgroup(spec: SubgroupSpec, params: ModelParams) -> dict:
     even-word subgroup at theta > 1 adds the CYCLE entries of
     solve_two_cycle_symmetric on ti.solve's roots, sorted by z: two if
     instability.holds, else none, by the negative-Schwarzian theorem stated
-    there (Singer, 1978); off-slice pairs are not sought.  Otherwise the
-    periodic solutions are the translation-invariant ones.
+    there (Singer, 1978); off-slice pairs are not sought.  A subgroup that
+    contains a generator (a proper parity set A) has only the translation-
+    invariant ones: each coset has two equations in coset_equations, one per
+    parent coset, whose counts differ by (1, -1), so subtracting them gives
+    F(h_0) = F(h_1); F is injective for theta != 1, as S = Theta w with
+    Theta = (theta^|i-j|) and det Theta = (1 - theta^2)^2, so h_0 = h_1 (at
+    theta = 1, F = 0 and h_0 = h_1 = 0).
     """
     ti_set = ti.solve(params)
     roots, afm, instability = ti_set["symmetric_roots"], params.theta > 1.0, None

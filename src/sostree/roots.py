@@ -22,6 +22,7 @@ ROOT_DEDUPE_TOL = 1e-9  # roots closer than this (relative) are one root
 # a scan function costs about 3 us there and 17 us on any short array
 FEW_JOBS = 4
 _SEQUENCES = (list, tuple, np.ndarray)   # bounds of several brackets or lanes
+COARSE_STEP = 32        # grid points per coarse cell of a two-level lane scan
 
 
 def bisect(f: Callable, lo, hi, rel_tol: float = ROOT_REL_TOL):
@@ -242,7 +243,8 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None):
+def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None,
+               quiet: Callable | None = None):
     """All isolated roots of f on [lo, hi] via a log-spaced sign scan.
 
     `fdf` returns f and f' together.  With float bounds it is called as
@@ -263,6 +265,14 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
     calls fdf only where it gives 0.0.  The grid, the splits, the polish and
     larger batches call fdf alone.
 
+    `quiet` lets a scan of more than FEW_JOBS lanes skip grid points (see
+    _busy_runs): quiet(xs, fs, ds, lanes) gets (P, C) arrays of every
+    COARSE_STEP-th grid point of the lanes `lanes` and of f and f' there,
+    and gives (P, C - 1) booleans, True where the cell between two
+    neighbouring columns provably holds no sign change of f or f' at any
+    grid point (a zero has neither sign).  Such a cell holds no bracket and
+    no split, so the scan finds what the full grid finds.
+
     A cell where f' changes sign but f does not is split at the interior
     extremum, which recovers root pairs too close for the grid to separate,
     unless f has one sign at both ends and f' that sign at the left end: f
@@ -275,24 +285,30 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
         sign = sign and (lambda x, lane, s=sign: s(x))
     if not all(0 < a < b for a, b in zip(lo, hi)):
         raise ValueError("need 0 < lo < hi for a log grid")
-    roots: list[list[float]] = []
+    roots: list[list[float]] = [[] for _ in lo]    # zeros of f on the grid, at first
     brackets: list[tuple[int, float, float]] = []    # (lane, a, b) with one sign change
     splits: list[tuple[int, float, float]] = []      # cells where only f' changes sign
     split_f: list[float] = []                        # f at each split cell's left end
-    for lane, (a, b) in enumerate(zip(lo, hi)):
-        xs = _log_grid(a, b, n_grid)
-        fs, ds = (np.asarray(v, dtype=float) for v in fdf(xs, lane))
-        roots.append(xs[fs == 0.0].tolist())
-        # signs of each cell's ends; a zero or nan end has neither sign
-        pos, neg, dpos, dneg = fs > 0, fs < 0, ds > 0, ds < 0
-        cross = pos[:-1] & neg[1:] | neg[:-1] & pos[1:]
-        brackets += [(lane, float(xs[i]), float(xs[i + 1])) for i in np.nonzero(cross)[0]]
-        # split cells where f' changes sign but f does not, unless f moves away from zero
-        turn = dpos[:-1] & dneg[1:] | dneg[:-1] & dpos[1:]
-        away = pos[:-1] & pos[1:] & dpos[:-1] | neg[:-1] & neg[1:] & dneg[:-1]
-        for i in np.nonzero(turn & ~cross & ~away)[0]:
-            splits.append((lane, float(xs[i]), float(xs[i + 1])))
-            split_f.append(fs[i])
+    if quiet is not None and len(lo) > FEW_JOBS:
+        lanes, xs, fs, ds = _busy_runs(fdf, lo, hi, n_grid, quiet)
+        i = np.nonzero(fs == 0.0)[0]
+        for lane, x in zip(lanes[i].tolist(), xs[i].tolist()):
+            roots[lane].append(x)
+        cross, split = _grid_cells(fs, ds)
+        for cells, found in ((cross, brackets), (split, splits)):
+            i = np.nonzero(cells)[0]
+            found += zip(lanes[i].tolist(), xs[i].tolist(), xs[i + 1].tolist())
+        split_f += fs[:-1][split].tolist()
+    else:
+        for lane, (a, b) in enumerate(zip(lo, hi)):
+            xs = _log_grid(a, b, n_grid)
+            fs, ds = (np.asarray(v, dtype=float) for v in fdf(xs, lane))
+            roots[lane] = xs[fs == 0.0].tolist()
+            cross, split = _grid_cells(fs, ds)
+            brackets += [(lane, float(xs[i]), float(xs[i + 1])) for i in np.nonzero(cross)[0]]
+            for i in np.nonzero(split)[0]:
+                splits.append((lane, float(xs[i]), float(xs[i + 1])))
+                split_f.append(fs[i])
 
     if splits:
         lanes, a, b = zip(*splits)
@@ -319,6 +335,65 @@ def find_roots(fdf: Callable, lo, hi, n_grid: int, sign: Callable | None = None)
             roots[lane].append(x)
     out = [[x for x, in _dedupe_rows([(x,) for x in r], ROOT_DEDUPE_TOL)] for r in roots]
     return out[0] if single else out
+
+
+def _busy_runs(fdf: Callable, lo, hi, n_grid: int, quiet: Callable) -> tuple:
+    """find_roots' grid values of P lanes in two levels, as flat arrays of
+    lanes, points, f and f'.
+
+    Every COARSE_STEP-th point of each lane's grid, and its last, is
+    evaluated in one call, and `quiet` names the coarse cells that hold no
+    sign change.  Each run of other cells is evaluated in one more call, on
+    every grid point from its first to its last, with the bits of
+    _log_grid (its steps times the step, plus the start, and both ends set
+    exactly) and so of fdf on the full grid.  A nan point after each run
+    keeps two runs from forming a cell.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    start = np.log10(lo)
+    step = (np.log10(hi) - start) / (n_grid - 1)
+
+    def points(idx, lanes):    # grid points idx of lanes
+        y = idx * step[lanes]
+        y += start[lanes]
+        x = np.power(10.0, y)
+        for end, at in ((0, lo), (n_grid - 1, hi)):
+            x[idx == end] = at[lanes[idx == end]]
+        return x
+
+    coarse = np.r_[0:n_grid - 1:COARSE_STEP, n_grid - 1]
+    ids = np.arange(len(lo))
+    lanes = np.repeat(ids, len(coarse))
+    xs = points(np.tile(coarse, len(lo)), lanes)
+    xs, fs, ds = (np.asarray(v, dtype=float).reshape(len(lo), -1) for v in (xs, *fdf(xs, lanes)))
+    busy = np.zeros((len(lo), len(coarse) + 1), dtype=np.int8)
+    busy[:, 1:-1] = ~quiet(xs, fs, ds, ids)
+    # runs of busy cells: (lane, first cell) where busy rises, (lane, past the last) where it falls
+    edges = np.diff(busy, axis=1)
+    run_lane, first = np.nonzero(edges == 1)
+    past = np.nonzero(edges == -1)[1]
+    first, last = coarse[first], coarse[past]
+    sizes = last - first + 2                         # the run's points and a nan
+    ends = np.cumsum(sizes)
+    lanes = np.repeat(run_lane, sizes)
+    # each run's grid indices, and for its nan a repeat of its last (in range)
+    x = points(np.minimum(np.arange(sizes.sum()) - np.repeat(ends - sizes - first, sizes),
+                          np.repeat(last, sizes)), lanes)
+    x[ends - 1] = np.nan
+    fs, ds = (np.asarray(v, dtype=float) for v in fdf(x, lanes))
+    return lanes, x, fs, ds
+
+
+def _grid_cells(fs: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the cells between neighbouring grid values f and f' that hold
+    a sign change of f, and that find_roots splits: f' changes sign but f
+    does not, and f does not move away from zero.  A zero or nan end has
+    neither sign."""
+    pos, neg, dpos, dneg = fs > 0, fs < 0, ds > 0, ds < 0
+    cross = pos[:-1] & neg[1:] | neg[:-1] & pos[1:]
+    turn = dpos[:-1] & dneg[1:] | dneg[:-1] & dpos[1:]
+    away = pos[:-1] & pos[1:] & dpos[:-1] | neg[:-1] & neg[1:] & dneg[:-1]
+    return cross, turn & ~cross & ~away
 
 
 def _batch(fdf: Callable, lanes: tuple[int, ...], part: int | None = None):

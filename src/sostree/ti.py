@@ -12,6 +12,7 @@ in u (see solve_full)."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 from functools import cached_property
 
@@ -34,7 +35,9 @@ THRESHOLD_TOL = 1e-7      # bracket width at which the threshold bisection stops
 LOG_WEIGHT_MAX = 708.0
 # 16 eps, eps = 2^-52: 8 times the relative gap that two float64 log and exp
 # within 1 ulp, libm's and numpy's, can leave between two values of psi
-_SIGN_TOL = 16 * 2.0 ** -52
+_EPS = 2.0 ** -52
+_SIGN_TOL = 16 * _EPS
+_FLOOR = _SIGN_TOL * 2.0 ** -1022   # 16 ulps of a subnormal
 
 
 class FloatRangeError(UsageError):
@@ -191,25 +194,26 @@ def symmetric_root_lanes(sweep: list[ModelParams]) -> list[list[float]]:
     """solve_symmetric_roots of every parameter set, scanned as lanes of one find_roots.
 
     Each lane's roots have the bits of its own scan; at k = 1, where psi is
-    Möbius, the root of z^2 + theta z - 2 = 0 needs no scan.  Every lane is
-    scanned first; then the first parameter set that failed raises what
-    solve_symmetric_roots raises for it.
+    Möbius, the root of z^2 + theta z - 2 = 0 needs no scan and no setup
+    (_k1_root).  Every lane is scanned first; then the first parameter set
+    that failed raises what solve_symmetric_roots raises for it.
     """
-    failed, setup = {}, {}    # by index in sweep: setup errors, _scan_setup
+    failed, setup, found = {}, {}, {}    # by index in sweep: setup errors, _scan_setup, roots
     for i, params in enumerate(sweep):
         try:
-            setup[i] = _scan_setup(params)
+            if params.k == 1 and params.m == 2:
+                found[i] = [_k1_root(params.theta)]
+            else:
+                setup[i] = _scan_setup(params)
         except ValueError as bad:
             failed[i] = bad
-    found = {i: [4.0 / (p.theta + math.hypot(p.theta, math.sqrt(8.0)))]
-             for i, p in enumerate(sweep) if i in setup and p.k == 1}
-    lanes = [i for i in setup if i not in found]
+    lanes = list(setup)
     for grid in (SCAN_GRID, 16 * SCAN_GRID):    # the finer grid retries a count that is off
         if not lanes:
             break
-        fdf, sign = _slice_scan([sweep[i] for i in lanes])
+        fdf, sign, quiet = _slice_scan([sweep[i] for i in lanes])
         found.update(zip(lanes, find_roots(fdf, [setup[i][0][0] for i in lanes],
-                                           [setup[i][0][1] for i in lanes], grid, sign)))
+                                           [setup[i][0][1] for i in lanes], grid, sign, quiet)))
         lanes = [i for i in lanes if setup[i][1] not in (None, len(found[i]))]
     for i in lanes:
         failed[i] = RuntimeError(f"scan found {len(found[i])} symmetric roots, "
@@ -217,6 +221,17 @@ def symmetric_root_lanes(sweep: list[ModelParams]) -> list[list[float]]:
     if failed:
         raise failed[min(failed)]
     return [found[i] for i in range(len(sweep))]
+
+
+def _k1_root(theta: float) -> float:
+    """The slice root at k = 1, the positive root of z^2 + theta z - 2 = 0,
+    as 4 / (theta + sqrt(theta^2 + 8)), which does not cancel; FloatRangeError
+    where it is not a normal float (theta past about 9e307)."""
+    z = 4.0 / (theta + math.hypot(theta, math.sqrt(8.0)))
+    if z < sys.float_info.min:
+        raise FloatRangeError(f"the symmetric solution at k = 1, theta = {theta!r} "
+                              "leaves the float range")
+    return z
 
 
 def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
@@ -240,9 +255,9 @@ def _scan_setup(params: ModelParams) -> tuple[tuple[float, float], int | None]:
 
 
 def _slice_scan(sweep: list[ModelParams]):
-    """find_roots' (fdf, sign) for psi(z) - z on the lanes of sweep, from each
-    lane's SliceMap.terms of its own theta (np.exp(J * beta) can differ in
-    the last bit, and so move the roots).
+    """find_roots' (fdf, sign, quiet) for psi(z) - z on the lanes of sweep, from
+    each lane's SliceMap.terms of its own theta (np.exp(J * beta) can differ
+    in the last bit, and so move the roots).
 
     fdf gives psi(z) - z and its derivative; an int lane takes Python floats,
     which are cheaper than numpy scalars.  sign gives +-1.0 where math.log
@@ -251,6 +266,24 @@ def _slice_scan(sweep: list[ModelParams]):
     two float64 log and exp within 1 ulp (libm's here, numpy's in fdf) give
     values of p at most p (2 eps (k (|a| + |b| + |d|) + |y|) + 2 eps) apart,
     so a gap |p - z| over 8 times that has numpy's sign.
+
+    quiet rests on psi' being unimodal: psi' = k (1 - t^2) num^(k-1) /
+    den^(k+1) with num = 2t + z, den = 1 + t^2 + t z, so d ln|psi'|/dz =
+    (k-1)/num - (k+1) t/den has its one zero at z_peak = ((k-1)(1 + t^2) -
+    2(k+1) t^2) / (2t).  On a cell clear of z_peak, f' = psi' - 1 and
+    |psi'| are monotone, and p, a, b, d and y are monotone everywhere; so
+    where f' keeps one sign at both ends it keeps it inside, f is monotone,
+    and f keeps the sign of its ends too.  numpy's f is within p R of the
+    exact psi(z) - z, with R the sign bound's 16 eps terms plus 2 k eps for
+    the rounding of num and den; its f' is within |psi'| (R + 4 eps) +
+    2 eps (1 + t^2) k p/(num den), the second term for 1 - t^2, rounded
+    apart from 1 + t^2.  R summed over both ends, and p and k p/(num den)
+    at the larger end, bound the error over the whole cell, as each term is
+    monotone there; so ends whose values clear twice that bound,
+    with one strict sign each for f and f', leave the same signs at every
+    point between.  Where num den overflows, numpy's f' is -1 and its error
+    is all of |psi'|, at most k p |1 - t^2| over the largest float, which
+    the bound then adds.
     """
     terms = [SliceMap(p.theta, p.k).terms for p in sweep]
     arrays = [np.array(column) for column in zip(*terms)]
@@ -274,13 +307,48 @@ def _slice_scan(sweep: list[ModelParams]):
                 return -1.0
         return 0.0
 
-    return fdf, sign
+    def quiet(z, f, df, lanes):
+        two_t, one_plus, one_minus, t, k = (a[lanes, None] for a in arrays)
+        num, den = two_t + z, one_plus + t * z
+        a, b = np.log(num), np.log(den)
+        y = k * (a - b)
+        # the sign bound's terms, plus 2 k eps for the rounding of num and den
+        rel = _SIGN_TOL * (k * (np.abs(a) + np.abs(b) + np.abs(a - b)) + np.abs(y) + 1.0)
+        rel += 2.0 * _EPS * k
+        rel = rel[:, 1:] + rel[:, :-1]
+        p, num_den = np.exp(y), num * den
+        f_bound = _larger_end(p) * rel + _FLOOR
+        # where num den overflows, numpy's f' is -1 and misses all of psi'
+        lost = num_den == math.inf
+        df_bound = (_larger_end(k * p / np.minimum(num_den, sys.float_info.max))
+                    * (np.abs(one_minus) * (rel + 4.0 * _EPS + _larger_end(lost))
+                       + 2.0 * _EPS * one_plus) + _FLOOR)
+        peak = ((k - 1) * one_plus - (k + 1) * t * two_t) / (2.0 * t)
+        # peak's rounding error, a few eps times its terms' sizes, is far inside this
+        margin = 1e-9 * ((k - 1) * one_plus + (k + 1) * t * two_t) / (2.0 * t)
+        clear = (z[:, 1:] < peak - margin) | (z[:, :-1] > peak + margin)
+        return clear & _clears(f, f_bound) & _clears(df, df_bound)
+
+    return fdf, sign, quiet
+
+
+def _larger_end(v):
+    """The larger of each cell's two end values, for rows of points v."""
+    return np.maximum(v[:, 1:], v[:, :-1])
+
+
+def _clears(v, bound):
+    """Cells whose two end values share one strict sign and both exceed 2 bound in size."""
+    return (np.sign(v[:, 1:]) == np.sign(v[:, :-1])) & (np.minimum(np.abs(v[:, 1:]),
+                                                                   np.abs(v[:, :-1])) > 2 * bound)
 
 
 def solve(params: ModelParams) -> dict:
     """Symmetric-branch roots plus the full 2D solution scan, as `solve-ti` prints them."""
     roots = solve_symmetric_roots(params)
-    _, label, _ = classify_scalar_family(*astuple(ReducedForm.from_params(params)), params.k)
+    # k = 1 has one root at every theta, also where the reduced family leaves the floats
+    label = UNIQUE if params.k == 1 else \
+        classify_scalar_family(*astuple(ReducedForm.from_params(params)), params.k)[1]
     beta_cr = critical_beta(params.J, params.k) if (params.J < 0 and params.k >= 2) else None
     return {"params": params.to_dict(), "classification": label, "symmetric_roots": roots,
             "full_solutions": [list(zz) for zz in solve_full(params, roots)], "beta_cr": beta_cr}

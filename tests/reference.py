@@ -16,7 +16,7 @@ paper's lemmas that the tests hold it against:
   `ti.coset_system`'s one-coset shortcut must keep, and the pure-state
   Newton search that `ti.solve_full` skips at theta >= 1;
 - the slice period doubling theta_D of order k, solved from its equations
-  in mpmath;
+  in mpmath, and the Neel onset theta_N, bisected from its closed form;
 - the damped fixed-point iteration for any m;
 - the sort-based log-sum-exp and the axis-reduced softmax, whose bits the
   m = 2 kernel, `boundary.sorted_lse` and `boundary.softmax` must keep;
@@ -243,6 +243,37 @@ def slice_doubling(k: int, dps: int = 40) -> tuple[mpmath.mpf, mpmath.mpf]:
             lambda t, r: [fixed(t, r), k * (t**2 - 1) * r**(k + 1) - (2 * t + r**k)**2],
             (theta0, r0))
         return +theta, r**k
+
+
+def neel_onset(k: int) -> float:
+    """theta_N of order k >= 2, where the flip-odd eigenvalue of k F' at the
+    slice point, k(1 - theta^2)/(1 + theta^2 + theta z*), is -1 and flip
+    pairs are born.
+
+    With that eigenvalue -1, z* = psi(z*) becomes one equation in theta:
+    k^k theta^(k-1)((k-1) theta^2 - (k+1)) = (k+1)^k, whose left side rises
+    from 0 to inf on theta > sqrt((k+1)/(k-1)).  Its log form
+    (k-1) ln theta + ln((k-1) theta^2 - (k+1)) - k ln(1 + 1/k) is bisected
+    there until the bracket stops shrinking.
+    """
+    def g(theta: float) -> float:
+        q = (k - 1) * theta * theta - (k + 1)
+        if q <= 0.0:
+            return -math.inf
+        return (k - 1) * math.log(theta) + math.log(q) - k * math.log1p(1.0 / k)
+
+    lo = math.sqrt((k + 1) / (k - 1))
+    hi = 2.0 * lo
+    while g(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if g(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
 
 
 DAMPING = 0.5             # weight of the new iterate in iterate_general_m

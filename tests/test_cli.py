@@ -53,6 +53,25 @@ def test_solve_ti_beta_zero(tmp_path):
     assert data["symmetric_roots"][0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("J, root", [(-1, 4.0 / math.sqrt(8.0)), (1, 2.0 / math.exp(400.0))])
+def test_k1_far_from_theta_one_is_solved(J, root, capsys):
+    # theta^2 of the reduced family leaves the floats at theta = e^(-+400),
+    # where these exited 2; the slice root 4/(theta + hypot(theta, sqrt 8))
+    # is a normal float
+    beta = ["--J", str(J), "--beta", "400"]
+    assert run(["solve-ti", "--k", "1", *beta]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["classification"] == "UNIQUE"
+    assert data["symmetric_roots"] == [pytest.approx(root, rel=1e-15)]
+    assert run(["phase-diagram", "--k", "1", "--J", str(J), "--beta-min", "399",
+                "--beta-max", "401", "--beta-step", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1"] * 3
+    assert run(["verify", "--source", "ti", "--k", "1", *beta]) == 0
+    if J < 0:
+        assert run(["solve-periodic", "--k", "1", *beta, "--subgroup", "full"]) == 0
+
+
 def test_theta_flag_replaces_coupling(tmp_path):
     out = tmp_path / "ti.json"
     assert run(["solve-ti", "--k", "2", "--theta", "0.5", "--out", str(out)]) == 0
@@ -577,7 +596,11 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     (["build-nonti", "--k", "2", "--J", "-1", "--beta", "2.5", "--t", "0.2", "--s", "0.8",
       "--depth", "0"], "depth must be >= 1"),
     (["solve-ti", "--config", "{config}"], "--config {config}: malformed config line: 'k 2'"),
-], ids=["branch-needs-three", "bad-subgroup", "no-beta", "nonti-depth-0", "config-no-equals"])
+    # past theta = 1.3e154 at k = 1, 1 - theta^2 in psi'(z*) overflows
+    (["solve-periodic", "--k", "1", "--J", "1", "--beta", "400", "--subgroup", "full"],
+     "psi'(z*) at k = 1, theta = 5.221469689764144e+173 leaves the float range"),
+], ids=["branch-needs-three", "bad-subgroup", "no-beta", "nonti-depth-0", "config-no-equals",
+        "k1-slope-overflows"])
 def test_each_refusal_names_its_cause(tmp_path, argv, message, capsys):
     config = tmp_path / "p.txt"
     config.write_text("k 2\nm = 2\nJ = -1\nbeta = 2\n")

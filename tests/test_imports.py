@@ -122,6 +122,7 @@ PUBLIC_DEFAULTS = [
     "periodic.solve_two_cycle_symmetric(roots)",
     "roots.batched_newton(tol)",
     "roots.bisect(rel_tol)",
+    "roots.find_roots(quiet)",
     "roots.find_roots(sign)",
 ]
 

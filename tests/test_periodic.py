@@ -251,6 +251,53 @@ def test_instability_crosses_one_at_the_slice_doubling(doubling_200):
     assert [holds for _, holds in values] == [False, True]
 
 
+def test_neel_onset_k2_is_the_root_of_its_cubic():
+    # at k = 2 the onset equation is 4 theta^3 - 12 theta - 9 = 0
+    theta = sympy.symbols("theta", positive=True)
+    k2 = sympy.expand(2**2 * theta * (theta**2 - 3) - 3**2)
+    assert k2 == 4 * theta**3 - 12 * theta - 9
+    exact, = [r for r in sympy.Poly(k2).real_roots() if r > sympy.sqrt(3)]
+    assert reference.neel_onset(2) == pytest.approx(float(exact.evalf(30)), rel=1e-15)
+    assert reference.neel_onset(2) == pytest.approx(2.027279411321084, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [*range(2, 51), 200, 1000])
+def test_the_flip_odd_eigenvalue_is_minus_one_at_the_neel_onset(k):
+    # k F' at the slice point (0, ln z*) has the eigenvalue
+    # k(1 - theta^2)/(1 + theta^2 + theta z*), which is -1 at theta_N, where
+    # flip pairs are born; the other eigenvalue is the slice's own psi'(z*)
+    theta = reference.neel_onset(k)
+    z, = ti.solve_symmetric_roots(ModelParams.from_theta(k, 2, theta))
+    jac = k * boundary.law_map_jac(np.array([0.0, math.log(z)]), theta)
+    eig = np.linalg.eigvals(jac)
+    assert np.min(np.abs(eig + 1.0)) <= 1e-10
+    assert np.min(np.abs(eig - ti.SliceMap(theta, k).fixed_point_slope(z))) <= 1e-10
+
+
+def test_the_activation_matrix_is_invertible_off_theta_one():
+    # S = Theta w with Theta = (theta^|i-j|), so F is injective wherever
+    # det Theta = (1 - theta^2)^2 is not 0 (classify_by_subgroup's proof)
+    theta = sympy.symbols("theta", positive=True)
+    big = sympy.Matrix(3, 3, lambda i, j: theta ** abs(i - j))
+    assert sympy.expand(big.det() - (1 - theta**2)**2) == 0
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_subgroup_with_a_generator_forces_equal_coset_laws(k):
+    # for every proper parity set A each coset has two equations, one per
+    # parent coset, whose counts differ by +-(1, -1): subtracted, they give
+    # F(h_0) = F(h_1), so h_0 = h_1 by the injectivity of F, and every
+    # periodic solution is translation-invariant
+    f0, f1 = sympy.symbols("F0 F1")
+    for size in range(1, k + 1):
+        for parity_set in itertools.combinations(range(1, k + 2), size):
+            eqs = periodic.coset_equations(SubgroupSpec(k=k, parity_set=frozenset(parity_set)))
+            for n in (0, 1):
+                (a0, a1), (b0, b1) = [counts for m, counts in eqs if m == n]
+                assert a0 + a1 == b0 + b1 == k
+                assert sympy.expand((a0 * f0 + a1 * f1) - (b0 * f0 + b1 * f1)) in (f0 - f1, f1 - f0)
+
+
 def _solve_periodic_full(theta, capsys):
     assert cli.main(["solve-periodic", "--k", "200", "--theta", repr(theta),
                      "--subgroup", "full"]) == 0

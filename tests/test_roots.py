@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -313,6 +313,39 @@ def test_log_grid_is_geomspace(lo, ratio, n):
                                   np.geomspace(lo, hi, n).view(np.int64))
 
 
+@settings(max_examples=100, deadline=None)
+@given(bounds=st.lists(st.tuples(st.floats(1e-300, 1e100), st.floats(1e-12, 1e200)),
+                       min_size=1, max_size=8),
+       n=st.sampled_from([2, 3, 64, 65, 66, 129, 4096]), data=st.data())
+def test_two_level_points_have_the_bits_of_the_log_grid(bounds, n, data):
+    # the coarse points the hook sees and every point of the runs of busy
+    # cells, whichever cells those are, have the bits of _log_grid at the
+    # same indices; a nan closes each run
+    lo = [a for a, _ in bounds]
+    hi = [a * (1.0 + r) for a, r in bounds]
+    assume(all(a < b < np.inf for a, b in zip(lo, hi)))
+    grids = np.array([roots._log_grid(a, b, n) for a, b in zip(lo, hi)])
+    coarse = np.r_[0:n - 1:roots.COARSE_STEP, n - 1]
+    busy = data.draw(hnp.arrays(bool, (len(lo), len(coarse) - 1)))
+
+    def quiet(xs, fs, ds, lanes):
+        np.testing.assert_array_equal(xs.view(np.int64), grids[:, coarse].view(np.int64))
+        np.testing.assert_array_equal(lanes, np.arange(len(lo)))
+        return ~busy
+
+    lanes, xs, fs, ds = roots._busy_runs(lambda x, lane: (x, -x), lo, hi, n, quiet)
+    expected, expected_lanes = [], []
+    for lane, row in enumerate(busy):
+        cells = np.nonzero(row)[0]
+        for run in np.split(cells, np.nonzero(np.diff(cells) > 1)[0] + 1) if len(cells) else []:
+            points = grids[lane, coarse[run[0]]:coarse[run[-1] + 1] + 1].tolist() + [math.nan]
+            expected += points
+            expected_lanes += [lane] * len(points)
+    np.testing.assert_array_equal(xs.view(np.int64), _int_bits(expected))
+    np.testing.assert_array_equal(fs.view(np.int64), _int_bits(expected))
+    assert lanes.tolist() == expected_lanes
+
+
 def _bits(fn, xs, lanes=None):
     """fn on each point of xs as an np.float64, as a 1-element array, and on
     all of xs in one call, as int64 bits; with lanes, fn(x, lane) takes each
@@ -342,9 +375,9 @@ def test_scan_points_have_the_same_bits_as_scalars_and_arrays(monkeypatch, k, th
     # log-spaced points of the scan's own [lo, hi]
     scans = []
 
-    def recording(fdf, lo, hi, n_grid=4096, sign=None):
+    def recording(fdf, lo, hi, n_grid=4096, sign=None, quiet=None):
         scans.append((fdf, lo, hi))
-        return roots.find_roots(fdf, lo, hi, n_grid, sign)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign, quiet)
 
     monkeypatch.setattr(ti, "find_roots", recording)
     params = ModelParams.from_theta(k, 2, theta)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 import warnings
 
 import mpmath
@@ -228,9 +229,9 @@ def test_threshold_rescans_where_the_prediction_fails(monkeypatch, k):
     monkeypatch.setattr(ti, "classify_scalar_family", all_tangent)
     scans = []
 
-    def counting(fdf, lo, hi, n_grid=4096, sign=None):
+    def counting(fdf, lo, hi, n_grid=4096, sign=None, quiet=None):
         scans.append(len(lo))
-        return roots.find_roots(fdf, lo, hi, n_grid, sign)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign, quiet)
 
     monkeypatch.setattr(ti, "find_roots", counting)
     assert ti.locate_symmetric_threshold(-1.0, k, 1.0, 2.5) == expected
@@ -241,9 +242,9 @@ def _counting_scans(monkeypatch):
     """Patch ti's find_roots to record (grid, lanes) of each scan."""
     scans = []
 
-    def counting(fdf, lo, hi, n_grid=4096, sign=None):
+    def counting(fdf, lo, hi, n_grid=4096, sign=None, quiet=None):
         scans.append((n_grid, len(lo)))
-        return roots.find_roots(fdf, lo, hi, n_grid, sign)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign, quiet)
 
     monkeypatch.setattr(ti, "find_roots", counting)
     return scans
@@ -371,6 +372,41 @@ def test_lanes_equal_the_per_params_loop(sets, past):
     assert _outcome(lambda: ti.symmetric_root_lanes(sweep)) == _outcome(loop)
 
 
+# the beta of the slice fold at J = -1, where two symmetric roots are born
+SLICE_FOLD = {2: 1.956215431644924, 3: 1.4957444124352473}
+NEAR_FOLD = st.builds(lambda k, d: (k, -1.0, SLICE_FOLD[k] + d), st.sampled_from([2, 3]),
+                      st.floats(-1e-9, 1e-9))
+WIDE_RANGE = st.tuples(st.sampled_from([2, 3, 4, 10, 20, 50, 200, 1000]),
+                       st.sampled_from([-1.0, 1.0]), st.floats(1e-4, 1.0)).map(
+    lambda s: (s[0], s[1], s[2] * 700.0 / s[0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sets=st.lists(st.one_of(IN_RANGE, NEAR_FOLD, WIDE_RANGE), min_size=5, max_size=64),
+       grid=st.sampled_from([8, 256, 4096]))
+def test_two_level_lanes_equal_the_per_params_loop(sets, grid):
+    # more than FEW_JOBS lanes scan their grid in two levels; each set keeps
+    # the bits (or the error) of its own one-level scan, on coarse grids too,
+    # where lanes miss roots and rescan together on the 16x grid
+    sweep = [ModelParams(k, 2, J, beta) for k, J, beta in sets]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ti, "SCAN_GRID", grid)
+        assert _outcome(lambda: ti.symmetric_root_lanes(sweep)) == \
+            _outcome(lambda: [ti.solve_symmetric_roots(p) for p in sweep])
+
+
+def test_two_level_rescans_of_many_lanes_keep_their_bits(monkeypatch):
+    # on an 8-point grid half of these 3-root lanes miss roots, so more than
+    # FEW_JOBS lanes rescan as one two-level scan of 128 points (two cells)
+    monkeypatch.setattr(ti, "SCAN_GRID", 8)
+    scans = _counting_scans(monkeypatch)
+    sweep = [ModelParams(2, 2, -1.0, beta) for beta in np.linspace(1.96, 2.2, 12).tolist()]
+    together = _outcome(lambda: ti.symmetric_root_lanes(sweep))
+    assert scans[0] == (8, 12) and scans[1][0] == 128 and scans[1][1] > roots.FEW_JOBS
+    assert together == _outcome(lambda: [ti.solve_symmetric_roots(p) for p in sweep])
+    assert [len(r) for r in together] == [3] * 12
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 1000), theta=st.floats(0.05, 20.0), data=st.data())
 def test_the_slice_sign_agrees_with_the_residual_where_it_commits(k, theta, data):
@@ -405,7 +441,7 @@ def test_the_slice_sign_commits_only_to_numpy_signs_next_to_roots():
             found = ti.solve_symmetric_roots(params)
         except (ValueError, RuntimeError):    # past the float range
             continue
-        residual, sign = ti._slice_scan([params])
+        residual, sign, _ = ti._slice_scan([params])
         for root in found:
             for z in (root + i * math.ulp(root) for i in range(-64, 65)):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -432,22 +468,172 @@ def test_symmetric_roots_keep_their_bits_under_the_sign_hook(monkeypatch):
     commits = []
 
     def counted_scan(sweep):
-        fdf, sign = real_scan(sweep)
+        fdf, sign, quiet = real_scan(sweep)
 
         def counting(z, lane):
             commits.append(sign(z, lane))
             return commits[-1]
 
-        return fdf, counting
+        return fdf, counting, quiet
 
     real_scan = ti._slice_scan
     monkeypatch.setattr(ti, "_slice_scan", counted_scan)
     hooked = [_outcome(lambda: ti.symmetric_root_lanes(s)) for s in sweeps]
     assert sum(c != 0.0 for c in commits) > len(commits) / 2 > 0
     real_find_roots = ti.find_roots
-    monkeypatch.setattr(ti, "find_roots", lambda fdf, lo, hi, n_grid, sign=None:
+    monkeypatch.setattr(ti, "find_roots", lambda fdf, lo, hi, n_grid, sign=None, quiet=None:
                         real_find_roots(fdf, lo, hi, n_grid))
     assert hooked == [_outcome(lambda: ti.symmetric_root_lanes(s)) for s in sweeps]
+
+
+def _quiet_cell_sets():
+    """Lane batches for the quiet hook: random beta at k = 2..10, 20, 50,
+    200 and 1000 and both signs of J; theta a little below (k-1)/(k+1),
+    where psi' peaks just above 1 inside one coarse cell; FM k beta past
+    345, where the scan runs to 1e300 and (2t + z)(1 + t^2 + t z) overflows;
+    beta within 1e-9 of the slice fold."""
+    rng = random.Random(42)
+    for k in [*range(2, 11), 20, 50, 200, 1000]:
+        for J in (-1.0, 1.0):
+            yield [ModelParams(k, 2, J, 700.0 / k * 10.0 ** rng.uniform(-4.0, 0.0))
+                   for _ in range(12)]
+        yield [ModelParams(k, 2, -1.0, k_beta / k) for k_beta in (400.0, 550.0, 690.0)]
+        yield [ModelParams.from_theta(k, 2, (k - 1) / (k + 1) * (1.0 - 10.0 ** -j))
+               for j in range(2, 9)]
+    for k, fold in SLICE_FOLD.items():
+        yield [ModelParams(k, 2, -1.0, fold + d) for d in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)]
+
+
+def _scannable(params):
+    try:
+        ti._scan_setup(params)
+    except ValueError:    # past the float range
+        return False
+    return True
+
+
+def _one_sign(v):
+    return bool(np.all(v > 0) or np.all(v < 0))
+
+
+def test_quiet_cells_hold_one_sign_of_f_and_f_prime():
+    # every coarse cell the hook calls quiet has one strict sign of f and one
+    # of f' at every point of the full grid inside it; among the cells are
+    # ones whose ends agree in f and f' while f' changes sign twice inside
+    # (psi' peaking just above 1), ones around a nascent root pair, and ones
+    # where numpy's f' is -1 because the product in psi' overflows
+    n = ti.SCAN_GRID
+    coarse = np.r_[0:n - 1:roots.COARSE_STEP, n - 1]
+    quiet_cells = hidden_turns = cells = overflowed = 0
+    for sweep in _quiet_cell_sets():
+        sweep = [p for p in sweep if _scannable(p)]
+        if not sweep:
+            continue
+        bounds = [ti._scan_setup(p)[0] for p in sweep]
+        fdf, _, quiet = ti._slice_scan(sweep)
+        xs = np.array([roots._log_grid(lo, hi, n) for lo, hi in bounds])
+        lanes = np.arange(len(sweep))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, df = (np.asarray(v).reshape(xs.shape)
+                     for v in fdf(xs.ravel(), np.repeat(lanes, n)))
+            verdict = quiet(xs[:, coarse], f[:, coarse], df[:, coarse], lanes)
+            two_t, one_plus, _, t, _ = (np.array(column)[:, None] for column in
+                                        zip(*(ti.SliceMap(p.theta, p.k).terms for p in sweep)))
+            z = xs[:, coarse[1:]]
+            overflowed += np.sum(verdict & ((two_t + z) * (one_plus + t * z) == np.inf))
+        assert verdict.shape == (len(sweep), len(coarse) - 1)
+        for lane, cell in np.ndindex(verdict.shape):
+            part = slice(coarse[cell], coarse[cell + 1] + 1)
+            ends = [coarse[cell], coarse[cell + 1]]
+            smooth = _one_sign(f[lane, part]) and _one_sign(df[lane, part])
+            if verdict[lane, cell]:
+                assert smooth, (sweep[lane], cell)
+            hidden_turns += (_one_sign(f[lane, ends]) and _one_sign(df[lane, ends])
+                             and not _one_sign(df[lane, part]))
+            quiet_cells += bool(verdict[lane, cell])
+            cells += 1
+    assert hidden_turns >= 4 and overflowed > 100 and quiet_cells > 0.8 * cells
+
+
+def _exact_slice(terms, z):
+    """psi(z) - z and its derivative in mpmath, from the float terms of the scan."""
+    two_t, one_plus, _, t, k = (mpmath.mpf(v) for v in terms)
+    z = mpmath.mpf(z)
+    num, den = two_t + z, one_plus + t * z
+    p = (num / den) ** k
+    return p - z, k * p * (one_plus - t * two_t) / (num * den) - 1
+
+
+SIZES = np.geomspace(1e-320, 1e300, 20001)
+
+
+def _threshold(quiet, z, sizes, sign, f_part):
+    """The largest of the ascending `sizes` below the smallest that the hook
+    calls quiet on the cell z, given with `sign` as f (f_part) or as f' at
+    both ends, the other one far from zero: a lower bound of its threshold.
+    None where no size is quiet."""
+    rows = len(sizes)
+    v = np.repeat(sign * np.asarray(sizes)[:, None], 2, axis=1)
+    far = np.full((rows, 2), sign * 1e300)
+    zs = np.repeat(np.asarray(z)[None, :], rows, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):    # as in the scan
+        verdict = quiet(zs, v, far, np.zeros(rows, dtype=int)) if f_part \
+            else quiet(zs, far, v, np.zeros(rows, dtype=int))
+    assert not verdict[0, 0]
+    return sizes[np.argmax(verdict[:, 0]) - 1] if verdict[-1, 0] else None
+
+
+@pytest.mark.parametrize("k, theta", [(100, 1e-3), (30, 1e-9), (2, 0.3), (3, 0.3), (10, 0.5),
+                                      (200, 0.99), (2, 4.0), (1000, 1.2)])
+def test_the_quiet_bounds_cover_numpy_rounding(k, theta):
+    # on a cell of relative width 2e-12 around each root, half the hook's
+    # threshold for f, and for f', is at least numpy's distance from the
+    # exact psi(z) - z and its derivative (from the same float terms) at 101
+    # points of the cell
+    params = ModelParams.from_theta(k, 2, theta)
+    fdf, _, quiet = ti._slice_scan([params])
+    terms = ti.SliceMap(theta, k).terms
+    for root in ti.solve_symmetric_roots(params):
+        z = np.array([root * (1 - 1e-12), root * (1 + 1e-12)])
+        points = np.linspace(z[0], z[1], 101)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, df = fdf(points, np.zeros(points.size, dtype=int))
+        exact = [_exact_slice(terms, x) for x in points.tolist()]
+        f_err = max(float(abs(a - e)) for a, (e, _) in zip(f.tolist(), exact))
+        df_err = max(float(abs(a - e)) for a, (_, e) in zip(df.tolist(), exact))
+        slope = float(exact[50][1])
+        f_at, df_at = (_threshold(quiet, z, SIZES, sign, part)
+                       for sign, part in ((1.0, True), (math.copysign(1.0, slope), False)))
+        if f_at is None or df_at is None:    # only where (2t + z)(1 + t^2 + t z) overflows
+            assert root * root * theta > 1e308
+            continue
+        assert f_at / 2 >= f_err and df_at / 2 >= df_err
+
+
+@pytest.mark.parametrize("k, theta", [(100, 1e-3), (60, 1e-4), (2, 0.3), (200, 0.99),
+                                      (1000, 1.2)])
+def test_the_quiet_bound_covers_rounding_the_map_arguments(k, theta):
+    # numpy rounds 2t + z within half an ulp and 1 + t^2 + t z (a product,
+    # then a sum) within one; half the hook's f threshold on a cell around
+    # each root covers the largest change of psi such roundings make at the
+    # cell's ends (mpmath).  At k = 100, theta = 1e-3 that change, about
+    # 1.5 k eps psi, is 4 times the log and exp terms of the bound: only its
+    # 2 k eps term covers it
+    params = ModelParams.from_theta(k, 2, theta)
+    _, _, quiet = ti._slice_scan([params])
+    two_t, one_plus, _, t, _ = (mpmath.mpf(v) for v in ti.SliceMap(theta, k).terms)
+    u = mpmath.mpf(2) ** -53
+    for root in ti.solve_symmetric_roots(params):
+        z = np.array([root * (1 - 1e-12), root * (1 + 1e-12)])
+        change = 0.0
+        with mpmath.workdps(50):
+            for end in z.tolist():
+                num, den = two_t + end, one_plus + t * end
+                exact = (num / den) ** k
+                change = max(change, *(float(abs((num * (1 + s * u) / (den * (1 - 2 * s * u))) ** k
+                                                 - exact)) for s in (-1, 1)))
+        threshold = _threshold(quiet, z, SIZES, 1.0, True)
+        assert threshold is None or threshold / 2 >= change
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 10, 20])
@@ -539,22 +725,19 @@ def _k1_root(theta):
 def test_k1_slice_root_is_the_closed_form():
     # psi is Möbius at k = 1, and within about theta of the identity as
     # theta -> 0, where a sign scan of psi(z) - z loses the root; the closed
-    # form is within a few ulps over every theta the setup accepts, and the
-    # setup refuses the rest (theta^2 leaves the floats) as at every k
-    accepted = []
+    # form is within a few ulps at every theta where the root is a normal
+    # float, also where theta^2 of the reduced family leaves the floats, and
+    # solve labels it UNIQUE there
     for theta in np.geomspace(1e-300, 1e300, 601).tolist():
-        try:
-            z, = ti.solve_symmetric_roots(ModelParams.from_theta(1, 2, theta))
-        except ti.FloatRangeError:
-            continue
-        accepted.append(theta)
+        params = ModelParams.from_theta(1, 2, theta)
+        z, = ti.solve_symmetric_roots(params)
         exact = _k1_root(theta)
         assert float(abs(z - exact)) <= 3 * math.ulp(float(exact)), theta
-    assert min(accepted) < 1e-150 and max(accepted) > 1e150
-    # 2 theta^2 overflows while theta^2 does not: refused, not a ValueError
-    # from the classification
-    with pytest.raises(ti.FloatRangeError):
-        ti.solve_symmetric_roots(ModelParams.from_theta(1, 2, 1e154))
+        assert ti.solve(params)["classification"] == ti.UNIQUE
+    # past theta = 9e307 the root 2/theta is subnormal: refused
+    for theta in (1e308, sys.float_info.max):
+        with pytest.raises(ti.FloatRangeError):
+            ti.solve_symmetric_roots(ModelParams.from_theta(1, 2, theta))
 
 
 @pytest.mark.parametrize("beta", [30, 40])
@@ -669,8 +852,8 @@ def test_value_hook_gives_the_bits_of_the_scanned_function(monkeypatch):
     # interval and next to the roots
     scans = []
 
-    def recording(fdf, lo, hi, n_grid, sign=None):
-        found = roots.find_roots(fdf, lo, hi, n_grid, sign)
+    def recording(fdf, lo, hi, n_grid, sign=None, quiet=None):
+        found = roots.find_roots(fdf, lo, hi, n_grid, sign, quiet)
         scans.append((fdf, lo, hi, sign, found))
         return found
 
@@ -767,9 +950,9 @@ def test_solve_full_scans_one_mirror_half(monkeypatch, fm_params, fm_roots):
     # u-scan, over u < 1, seeds every off-slice solution
     scans = []
 
-    def recording(fdf, lo, hi, n_grid=4096, sign=None):
+    def recording(fdf, lo, hi, n_grid=4096, sign=None, quiet=None):
         scans.append((lo, hi))
-        return roots.find_roots(fdf, lo, hi, n_grid, sign)
+        return roots.find_roots(fdf, lo, hi, n_grid, sign, quiet)
 
     monkeypatch.setattr(ti, "find_roots", recording)
     sols = ti.solve_full(fm_params, symmetric_roots=fm_roots)
